@@ -17,11 +17,11 @@ from typing import BinaryIO, Callable, Sequence
 import numpy as np
 
 from .interpolation import (
-    COINCIDENCE_GUARD,
     CodingPlan,
     berrut_basis,
     berrut_basis_matrix,
     _coincident_index,
+    _has_coincident_pair,
 )
 
 
@@ -117,11 +117,8 @@ def decode(results: Sequence[tuple[float, np.ndarray]], plan: CodingPlan,
     shape = payloads[0].shape
     if any(p.shape != shape for p in payloads):
         raise ValueError("result payloads disagree in shape")
-    if len(betas) > 1:
-        gaps = np.abs(betas[:, None] - betas[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if gaps.min() < COINCIDENCE_GUARD * max(1.0, np.abs(betas).max()):
-            raise ValueError("duplicate encoder node values in results")
+    if _has_coincident_pair(betas):
+        raise ValueError("duplicate encoder node values in results")
 
     order = np.argsort(-betas)
     betas = betas[order]

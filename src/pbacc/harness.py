@@ -13,8 +13,9 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -24,25 +25,13 @@ from .codec import write_tensor
 from .interpolation import DEFAULT_NOISE_SHIFT, make_plan
 from .privacy import GREEDY, PrivacyConfig, worst_case_leakage
 from .protocols import (
-    DLCD_SECURE_TRAINING,
-    DLDD_SECURE_AGGREGATION,
-    DLDD_SECURE_TRAINING,
+    CENTRALIZED_SCHEMES,
+    CODED_SCHEMES,
     NetworkConfig,
     SchemeConfig,
     StragglerModel,
     run_scheme,
 )
-
-CODED_SCHEMES = (DLCD_SECURE_TRAINING, DLDD_SECURE_AGGREGATION, DLDD_SECURE_TRAINING)
-
-ROUND_COLUMNS = [
-    "scheme", "cell", "N", "K", "T", "sigma_n", "c", "s", "epsilon", "shift",
-    "lr", "batch_size", "epochs_per_round", "rounds", "seed", "strategy",
-    "loss_kind", "agg_rule", "dataset", "samples", "features", "hidden",
-    "activation", "separation", "round", "loss", "accuracy",
-    "messages", "elements", "encode_ops", "encode_elements",
-    "decode_ops", "decode_elements", "train_ops", "train_elements",
-]
 
 
 class SpecError(ValueError):
@@ -55,6 +44,73 @@ def _as_list(value) -> list:
             raise SpecError("sweep lists must be nonempty")
         return value
     return [value]
+
+
+def _list_of(kind: Callable) -> Callable:
+    return lambda value: [kind(v) for v in _as_list(value)]
+
+
+def _as_given(value):
+    return value
+
+
+def _straggler(value) -> StragglerModel:
+    value = value or {"kind": "none"}
+    if isinstance(value, str):
+        value = {"kind": value}
+    return StragglerModel(kind=value.get("kind", "none"), count=int(value.get("count", 0)),
+                          keep_n=int(value.get("keep_n", 0)), seed=int(value.get("seed", 0)))
+
+
+class _Field(NamedTuple):
+    section: str | None        # YAML section; None for a top-level key
+    key: str                   # YAML key within the section
+    attr: str                  # ExperimentSpec attribute
+    parse: Callable            # YAML value -> attribute value
+    default: object            # YAML value used when the key is absent
+    column: str | None         # rounds.csv column; None when not written there
+    coded_only: bool = False   # column left blank for uncoded schemes
+
+
+#: Every spec field except ``scheme``, in rounds.csv column order.  The
+#: sweep fields (T, sigma_n, c) hold lists in the spec; their columns carry
+#: the value of the row's cell.
+_FIELDS = (
+    _Field("network", "nodes", "n_nodes", int, 8, "N"),
+    _Field("plan", "K", "K", int, 1, "K", True),
+    _Field("privacy", "T", "T_values", _list_of(int), 0, "T", True),
+    _Field("privacy", "sigma_n", "sigma_n_values", _list_of(float), 0.0, "sigma_n", True),
+    _Field("privacy", "c", "c_values", _list_of(int), 1, "c", True),
+    _Field("privacy", "s", "s", float, 1.0, "s", True),
+    _Field("privacy", "epsilon", "epsilon", float, 1.0, "epsilon", True),
+    _Field("plan", "shift", "shift", float, DEFAULT_NOISE_SHIFT, "shift", True),
+    _Field("training", "lr", "lr", float, 0.05, "lr"),
+    _Field("training", "batch_size", "batch_size", int, 10, "batch_size"),
+    _Field("training", "epochs_per_round", "epochs_per_round", int, 1, "epochs_per_round"),
+    _Field(None, "rounds", "rounds", int, 10, "rounds"),
+    _Field(None, "seed", "seed", int, 0, "seed"),
+    _Field(None, "strategy", "strategy", _as_given, GREEDY, "strategy"),
+    _Field("training", "loss", "loss", _as_given, learners.SOFTMAX_CE, "loss_kind"),
+    _Field("training", "agg", "agg_rule", _as_given, learners.FEDAVG, "agg_rule"),
+    _Field("training", "dataset", "dataset", _as_given, "two_clusters", "dataset"),
+    _Field("training", "samples", "samples", int, 400, "samples"),
+    _Field("training", "features", "features", int, 2, "features"),
+    _Field("training", "hidden", "hidden", _list_of(int), [8], "hidden"),
+    _Field("training", "activation", "activation", _as_given, learners.TANH, "activation"),
+    _Field("training", "separation", "separation", float, 3.0, "separation"),
+    _Field("network", "straggler", "straggler", _straggler, None, None),
+    _Field(None, "output", "output_dir", str, "results", None),
+)
+
+#: Spec attributes swept over, in the order of a cell's (sigma_n, T, c) tuple.
+_SWEEP_ATTRS = ("sigma_n_values", "T_values", "c_values")
+
+ROUND_COLUMNS = [
+    "scheme", "cell", *(f.column for f in _FIELDS if f.column),
+    "round", "loss", "accuracy",
+    "messages", "elements", "encode_ops", "encode_elements",
+    "decode_ops", "decode_elements", "train_ops", "train_elements",
+]
 
 
 @dataclass
@@ -105,49 +161,11 @@ def spec_from_dict(raw: dict) -> ExperimentSpec:
     if scheme not in protocols.SCHEMES:
         raise SpecError(f"unknown scheme {scheme!r}; choose one of {protocols.SCHEMES}")
 
-    net = raw.get("network") or {}
-    plan_raw = raw.get("plan") or {}
-    privacy_raw = raw.get("privacy") or {}
-    training = raw.get("training") or {}
-
-    straggler_raw = net.get("straggler") or {"kind": "none"}
-    if isinstance(straggler_raw, str):
-        straggler_raw = {"kind": straggler_raw}
-
+    sections = {None: raw} | {f.section: raw.get(f.section) or {} for f in _FIELDS if f.section}
     try:
-        straggler = StragglerModel(
-            kind=straggler_raw.get("kind", "none"),
-            count=int(straggler_raw.get("count", 0)),
-            keep_n=int(straggler_raw.get("keep_n", 0)),
-            seed=int(straggler_raw.get("seed", 0)))
         spec = ExperimentSpec(
-            scheme=scheme,
-            seed=int(raw.get("seed", 0)),
-            rounds=int(raw.get("rounds", 10)),
-            n_nodes=int(net.get("nodes", 8)),
-            straggler=straggler,
-            K=int(plan_raw.get("K", 1)),
-            shift=float(plan_raw.get("shift", DEFAULT_NOISE_SHIFT)),
-            sigma_n_values=[float(v) for v in _as_list(privacy_raw.get("sigma_n", 0.0))],
-            T_values=[int(v) for v in _as_list(privacy_raw.get("T", 0))],
-            c_values=[int(v) for v in _as_list(privacy_raw.get("c", 1))],
-            s=float(privacy_raw.get("s", 1.0)),
-            epsilon=float(privacy_raw.get("epsilon", 1.0)),
-            lr=float(training.get("lr", 0.05)),
-            batch_size=int(training.get("batch_size", 10)),
-            epochs_per_round=int(training.get("epochs_per_round", 1)),
-            loss=training.get("loss", "softmax_ce"),
-            agg_rule=training.get("agg", learners.FEDAVG),
-            dataset=training.get("dataset", "two_clusters"),
-            samples=int(training.get("samples", 400)),
-            features=int(training.get("features", 2)),
-            hidden=[int(h) for h in _as_list(training.get("hidden", [8]))],
-            activation=training.get("activation", learners.TANH),
-            separation=float(training.get("separation", 3.0)),
-            output_dir=str(raw.get("output", "results")),
-            strategy=raw.get("strategy", GREEDY),
-            raw=raw,
-        )
+            scheme=scheme, raw=raw,
+            **{f.attr: f.parse(sections[f.section].get(f.key, f.default)) for f in _FIELDS})
     except SpecError:
         raise
     except (TypeError, ValueError) as exc:
@@ -188,11 +206,6 @@ def _make_dataset(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
     return x, targets
 
 
-def _split_per_node(x: np.ndarray, y: np.ndarray, n: int):
-    parts = np.array_split(np.arange(x.shape[0]), n)
-    return [(x[idx], y[idx]) for idx in parts]
-
-
 def _output_width(spec: ExperimentSpec) -> int:
     if spec.loss == learners.SOFTMAX_CE:
         return 2
@@ -218,8 +231,9 @@ def run_experiment(spec: ExperimentSpec, output_dir: str | None = None,
                                    seed=protocols._derived_seed(spec.seed, 2))
 
     coded = spec.scheme in CODED_SCHEMES
-    cells = list(product(spec.sigma_n_values, spec.T_values, spec.c_values)) \
-        if coded else [(0.0, 0, 0)]
+    cells = list(product(*(getattr(spec, a) for a in _SWEEP_ATTRS))) if coded else [(0.0, 0, 0)]
+    data = (x, y) if spec.scheme in CENTRALIZED_SCHEMES \
+        else protocols._partition(x, y, spec.n_nodes)
 
     round_rows: list[dict] = []
     summaries: list[dict] = []
@@ -231,30 +245,14 @@ def run_experiment(spec: ExperimentSpec, output_dir: str | None = None,
                                     c=colluders, s=spec.s, epsilon=spec.epsilon)
         scheme_cfg = SchemeConfig(
             scheme=spec.scheme, plan=plan, sigma_n=sigma_n if coded else 0.0,
-            privacy=privacy, lr=spec.lr, batch_size=spec.batch_size,
+            lr=spec.lr, batch_size=spec.batch_size,
             epochs_per_round=spec.epochs_per_round, rounds=spec.rounds,
             loss=spec.loss, agg_rule=spec.agg_rule)
         net_cfg = NetworkConfig(n_nodes=spec.n_nodes, straggler=spec.straggler,
                                 seed=protocols._derived_seed(spec.seed, 3, cell_index))
-
-        data = (x, y) if spec.scheme in (DLCD_SECURE_TRAINING, protocols.UNCODED_DLCD) \
-            else _split_per_node(x, y, spec.n_nodes)
         traces = run_scheme(scheme_cfg, net_cfg, data, model_init)
 
-        base = {
-            "scheme": spec.scheme, "cell": cell_index, "N": spec.n_nodes,
-            "K": spec.K if coded else "", "T": t_blocks if coded else "",
-            "sigma_n": sigma_n if coded else "", "c": colluders if coded else "",
-            "s": spec.s if coded else "", "epsilon": spec.epsilon if coded else "",
-            "shift": spec.shift if coded else "",
-            "lr": spec.lr, "batch_size": spec.batch_size,
-            "epochs_per_round": spec.epochs_per_round, "rounds": spec.rounds,
-            "seed": spec.seed, "strategy": spec.strategy, "loss_kind": spec.loss,
-            "agg_rule": spec.agg_rule, "dataset": spec.dataset,
-            "samples": spec.samples, "features": spec.features,
-            "hidden": "-".join(str(h) for h in spec.hidden),
-            "activation": spec.activation, "separation": spec.separation,
-        }
+        base = _base_row(spec, cell_index, (sigma_n, t_blocks, colluders))
         for trace in traces:
             round_rows.append(base | {
                 "round": trace.round_index,
@@ -277,7 +275,7 @@ def run_experiment(spec: ExperimentSpec, output_dir: str | None = None,
         setup = [t for t in traces if t.round_index == 0]
         write_tensor(os.path.join(spec.output_dir, f"model_cell{cell_index}.bin"),
                      per_round[-1].decoded_model)
-        summaries.append({k: v for k, v in base.items()} | {
+        summaries.append(base | {
             "final_loss": per_round[-1].loss,
             "final_accuracy": per_round[-1].accuracy,
             "messages_per_round": per_round[0].message_count,
@@ -308,22 +306,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _base_row(spec: ExperimentSpec, cell_index: int, cell: tuple) -> dict:
+    """The configuration columns of one cell's rounds.csv rows."""
+    coded = spec.scheme in CODED_SCHEMES
+    values = {f.attr: getattr(spec, f.attr) for f in _FIELDS} | dict(zip(_SWEEP_ATTRS, cell))
+    values["hidden"] = "-".join(str(h) for h in spec.hidden)
+    return {"scheme": spec.scheme, "cell": cell_index} | {
+        f.column: values[f.attr] if coded or not f.coded_only else ""
+        for f in _FIELDS if f.column}
+
+
 def _resolved_config(spec: ExperimentSpec) -> dict:
-    return {
-        "scheme": spec.scheme, "seed": spec.seed, "rounds": spec.rounds,
-        "network": {"nodes": spec.n_nodes,
-                    "straggler": {"kind": spec.straggler.kind,
-                                  "count": spec.straggler.count,
-                                  "keep_n": spec.straggler.keep_n,
-                                  "seed": spec.straggler.seed}},
-        "plan": {"K": spec.K, "shift": spec.shift},
-        "privacy": {"sigma_n": spec.sigma_n_values, "T": spec.T_values,
-                    "c": spec.c_values, "s": spec.s, "epsilon": spec.epsilon},
-        "training": {"lr": spec.lr, "batch_size": spec.batch_size,
-                     "epochs_per_round": spec.epochs_per_round, "loss": spec.loss,
-                     "agg": spec.agg_rule, "dataset": spec.dataset,
-                     "samples": spec.samples, "features": spec.features,
-                     "hidden": spec.hidden, "activation": spec.activation,
-                     "separation": spec.separation},
-        "strategy": spec.strategy, "output": spec.output_dir,
-    }
+    """The spec with every default filled in, in the experiment file's layout."""
+    config = {"scheme": spec.scheme}
+    for f in _FIELDS:
+        value = getattr(spec, f.attr)
+        if isinstance(value, StragglerModel):
+            value = asdict(value)
+        section = config if f.section is None else config.setdefault(f.section, {})
+        section[f.key] = value
+    return config

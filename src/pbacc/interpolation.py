@@ -101,12 +101,24 @@ def berrut_weights(count: int) -> np.ndarray:
     return (-1.0) ** np.arange(count)
 
 
+def _guard_band(nodes: np.ndarray) -> np.ndarray:
+    """Half-width of each node's coincidence guard band."""
+    return COINCIDENCE_GUARD * np.maximum(1.0, np.abs(nodes))
+
+
 def _coincident_index(z: float, nodes: np.ndarray) -> int | None:
     """Index of the node within the guard band of ``z``, or None."""
-    diff = np.abs(z - nodes)
-    guard = COINCIDENCE_GUARD * np.maximum(1.0, np.abs(nodes))
-    hits = np.nonzero(diff < guard)[0]
+    hits = np.nonzero(np.abs(z - nodes) < _guard_band(nodes))[0]
     return int(hits[0]) if hits.size else None
+
+
+def _has_coincident_pair(nodes: np.ndarray) -> bool:
+    """True when two nodes are closer than the widest guard band of the set."""
+    if len(nodes) < 2:
+        return False
+    gaps = np.abs(nodes[:, None] - nodes[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    return bool(gaps.min() < _guard_band(nodes).max())
 
 
 def berrut_basis(z: float, nodes: np.ndarray) -> np.ndarray:
@@ -134,8 +146,7 @@ def berrut_basis_matrix(zs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     zs = np.asarray(zs, dtype=float)
     nodes = np.asarray(nodes, dtype=float)
     diff = zs[:, None] - nodes[None, :]
-    guard = COINCIDENCE_GUARD * np.maximum(1.0, np.abs(nodes))[None, :]
-    if np.any(np.abs(diff) < guard):
+    if np.any(np.abs(diff) < _guard_band(nodes)[None, :]):
         raise RuntimeError("evaluation point collides with a node; "
                            "the coding plan should have prevented this")
     terms = berrut_weights(len(nodes))[None, :] / diff
@@ -210,13 +221,10 @@ def make_plan(K: int, T: int, N: int, shift: float = DEFAULT_NOISE_SHIFT) -> Cod
     enc = make_nodes(CHEBYSHEV_SECOND, N)
 
     alphas = data.values if noise is None else np.concatenate([data.values, noise.values])
-    if len(alphas) > 1:
-        gaps = np.abs(alphas[:, None] - alphas[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if gaps.min() < COINCIDENCE_GUARD * max(1.0, np.abs(alphas).max()):
-            raise ValueError(
-                f"interpolation nodes collide for K={K}, T={T}, shift={shift}; "
-                "move the noise shift away from the data interval")
+    if _has_coincident_pair(alphas):
+        raise ValueError(
+            f"interpolation nodes collide for K={K}, T={T}, shift={shift}; "
+            "move the noise shift away from the data interval")
 
     betas = enc.values.copy()
     perturbed = []

@@ -165,7 +165,9 @@ def loss_and_output_grad(preds: np.ndarray, targets: np.ndarray, loss: str):
         times, events = targets[:, 0], targets[:, 1]
         n_events = events.sum()
         if n_events == 0:
-            raise ValueError("cox partial likelihood needs at least one event")
+            # The partial likelihood is a product over events.  With none it is
+            # the empty product 1, so the loss and its gradient are zero.
+            return 0.0, np.zeros_like(preds)
         eta = preds[:, 0]
         at_risk = times[None, :] >= times[:, None]        # row i: risk set of i
         shift = eta.max()

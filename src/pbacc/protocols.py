@@ -3,13 +3,20 @@
 Transport is simulated: every message is recorded as an in-process tuple
 (sender, receiver, element count, phase tag), never serialized or sent.
 That makes the per-round communication cost an exact, reproducible count
-instead of a wall-clock measurement.  Five schemes are provided:
+instead of a wall-clock measurement.
+
+All schemes share one round driver, ``_run_rounds``.  It numbers the rounds,
+gives each a fresh :class:`RoundTrace` and the round's fastest workers
+(:func:`select_fastest`), evaluates the resulting model and records it as the
+round's decoded model.  A scheme supplies only its per-round ``step``
+closure: who encodes, who trains, what is sent and what is decoded from the
+fastest subset.  Five schemes are provided:
 
 * ``dlcd_secure_training``   -- master owns the data; the dataset is encoded
   once and workers compute the model execution on encoded batches; the
   master decodes the outputs, evaluates loss/gradients and steps the model.
 * ``uncoded_dlcd``           -- master partitions the plaintext dataset;
-  workers train locally and the master aggregates.
+  from then on it is ``uncoded_dldd`` on those parts.
 * ``dldd_secure_aggregation``-- nodes own the data, train in plaintext and
   exchange encoded model shares; aggregation happens in the coded domain
   and the master decodes only the aggregate.
@@ -25,7 +32,7 @@ setup trace with ``round_index`` 0 holding those messages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,7 +50,6 @@ from .learners import (
     loss_and_output_grad,
     sgd_step,
 )
-from .privacy import PrivacyConfig
 
 DLCD_SECURE_TRAINING = "dlcd_secure_training"
 DLDD_SECURE_AGGREGATION = "dldd_secure_aggregation"
@@ -52,6 +58,10 @@ UNCODED_DLCD = "uncoded_dlcd"
 UNCODED_DLDD = "uncoded_dldd"
 SCHEMES = (DLCD_SECURE_TRAINING, DLDD_SECURE_AGGREGATION, DLDD_SECURE_TRAINING,
            UNCODED_DLCD, UNCODED_DLDD)
+#: Schemes that run the Berrut codec and so need a coding plan.
+CODED_SCHEMES = (DLCD_SECURE_TRAINING, DLDD_SECURE_AGGREGATION, DLDD_SECURE_TRAINING)
+#: Schemes whose data sits at the master as one (inputs, targets) pair.
+CENTRALIZED_SCHEMES = (DLCD_SECURE_TRAINING, UNCODED_DLCD)
 
 STRAGGLER_NONE = "none"
 DROP_SLOWEST = "drop_slowest"
@@ -149,7 +159,6 @@ class SchemeConfig:
     scheme: str
     plan: CodingPlan | None = None
     sigma_n: float = 0.0
-    privacy: PrivacyConfig | None = None
     lr: float = 0.05
     batch_size: int = 10
     epochs_per_round: int = 1
@@ -162,9 +171,7 @@ class SchemeConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.rounds < 1:
             raise ValueError(f"need rounds >= 1, got {self.rounds}")
-        coded = self.scheme in (DLCD_SECURE_TRAINING, DLDD_SECURE_AGGREGATION,
-                                DLDD_SECURE_TRAINING)
-        if coded and self.plan is None:
+        if self.scheme in CODED_SCHEMES and self.plan is None:
             raise ValueError(f"scheme {self.scheme} needs a coding plan")
         if self.scheme == DLDD_SECURE_TRAINING and self.plan.K != 1:
             raise ValueError("secure training over decentralized data encodes the "
@@ -181,6 +188,48 @@ def _noise_spec(cfg: SchemeConfig, net: NetworkConfig, *key: int) -> NoiseSpec:
                      seed=_derived_seed(net.seed, *key))
 
 
+def _check_sizes(net: NetworkConfig, per_node_datasets=None,
+                 plan: CodingPlan | None = None) -> None:
+    """Reject a dataset count or a coding plan that does not match the network."""
+    n = net.n_nodes
+    if per_node_datasets is not None and len(per_node_datasets) != n:
+        raise ValueError(f"need one dataset per node ({n}), got {len(per_node_datasets)}")
+    if plan is not None and plan.N != n:
+        raise ValueError(f"plan encodes for N={plan.N} workers but the network has {n}")
+
+
+def _pooled(per_node_datasets) -> tuple[np.ndarray, np.ndarray]:
+    """All nodes' data in node order: the evaluation set of a decentralized run."""
+    return (np.concatenate([d[0] for d in per_node_datasets]),
+            np.concatenate([d[1] for d in per_node_datasets]))
+
+
+def _partition(inputs: np.ndarray, targets: np.ndarray, n: int):
+    """Split a dataset into n contiguous, near-equal per-node parts."""
+    return [(inputs[idx], targets[idx]) for idx in np.array_split(np.arange(inputs.shape[0]), n)]
+
+
+def _run_rounds(cfg: SchemeConfig, net: NetworkConfig, model_init: ModelParams,
+                eval_set: tuple[np.ndarray, np.ndarray],
+                step: Callable[[RoundTrace, ModelParams, int, list[int]], ModelParams]
+                ) -> list[RoundTrace]:
+    """The round loop every scheme shares.
+
+    Each round gets a fresh trace and the round's fastest workers; ``step``
+    records the round's messages and work on the trace and returns the next
+    model, which is then evaluated on ``eval_set``.
+    """
+    traces = []
+    model = model_init.copy()
+    for r in range(1, cfg.rounds + 1):
+        trace = RoundTrace(round_index=r)
+        model = step(trace, model, r, select_fastest(net, r))
+        trace.loss, trace.accuracy = evaluate(model, *eval_set, cfg.loss)
+        trace.decoded_model = model.flattened_view
+        traces.append(trace)
+    return traces
+
+
 def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
                              dataset: tuple[np.ndarray, np.ndarray],
                              model_init: ModelParams) -> list[RoundTrace]:
@@ -195,8 +244,7 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     """
     cfg, net = scheme_cfg, net_cfg
     plan = cfg.plan
-    if plan.N != net.n_nodes:
-        raise ValueError(f"plan encodes for N={plan.N} workers but the network has {net.n_nodes}")
+    _check_sizes(net, plan=plan)
     inputs, targets = dataset
     n_samples = inputs.shape[0]
     if n_samples < plan.K:
@@ -208,13 +256,9 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     setup.encode_ops.add(inputs.size)
     for share in shares:
         setup.send("master", f"node{share.node_index}", share.payload.size, "dataset_share")
-    traces = [setup]
-
     n_batches = shares[0].payload.shape[0]
-    model = model_init.copy()
-    for r in range(1, cfg.rounds + 1):
-        trace = RoundTrace(round_index=r)
-        fastest = select_fastest(net, r)
+
+    def step(trace, model, r, fastest):
         for g in range(n_batches):
             lo = g * plan.K
             valid = min(plan.K, n_samples - lo)
@@ -231,52 +275,28 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
 
             batch_x = inputs[lo:lo + valid]
             batch_y = targets[lo:lo + valid]
-            loss_val, dpred = loss_and_output_grad(decoded, batch_y, cfg.loss)
+            _, dpred = loss_and_output_grad(decoded, batch_y, cfg.loss)
             _, cache = forward_with_cache(model, batch_x)
             grads = backward_from_output(model, cache, dpred)
             model = sgd_step(model, grads, cfg.lr)
             trace.train_ops.add(w_elems)
+        return model
 
-        trace.loss, trace.accuracy = evaluate(model, inputs, targets, cfg.loss)
-        trace.decoded_model = model.flattened_view
-        traces.append(trace)
-    return traces
+    return [setup] + _run_rounds(cfg, net, model_init, dataset, step)
 
 
 def run_uncoded_dlcd(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
                      dataset: tuple[np.ndarray, np.ndarray],
                      model_init: ModelParams) -> list[RoundTrace]:
     """Plaintext distributed training: partition once, train locally, aggregate."""
-    cfg, net = scheme_cfg, net_cfg
     inputs, targets = dataset
-    n = net.n_nodes
-    parts = np.array_split(np.arange(inputs.shape[0]), n)
-    w_elems = model_init.size
-    t_width = targets[0].size if targets.ndim > 1 else 1
+    parts = _partition(inputs, targets, net_cfg.n_nodes)
+    row_elems = inputs.shape[1] + (targets[0].size if targets.ndim > 1 else 1)
 
     setup = RoundTrace(round_index=0)
-    for j, idx in enumerate(parts):
-        setup.send("master", f"node{j}", idx.size * (inputs.shape[1] + t_width), "dataset_part")
-    traces = [setup]
-
-    model = model_init.copy()
-    for r in range(1, cfg.rounds + 1):
-        trace = RoundTrace(round_index=r)
-        fastest = select_fastest(net, r)
-        locals_flat = []
-        for j, idx in enumerate(parts):
-            trace.send("master", f"node{j}", w_elems, "model_broadcast")
-            trained = local_train(model, inputs[idx], targets[idx], cfg.loss,
-                                  cfg.lr, cfg.batch_size, cfg.epochs_per_round)
-            trace.train_ops.add(w_elems)
-            trace.send(f"node{j}", "master", w_elems, "local_model")
-            locals_flat.append(trained.flattened_view)
-        merged = aggregate([locals_flat[j] for j in fastest], cfg.agg_rule)
-        model = model.with_flat(merged)
-        trace.loss, trace.accuracy = evaluate(model, inputs, targets, cfg.loss)
-        trace.decoded_model = model.flattened_view
-        traces.append(trace)
-    return traces
+    for j, (x, _) in enumerate(parts):
+        setup.send("master", f"node{j}", x.shape[0] * row_elems, "dataset_part")
+    return [setup] + run_uncoded_dldd(scheme_cfg, net_cfg, parts, model_init)
 
 
 def run_dldd_secure_aggregation(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
@@ -291,20 +311,10 @@ def run_dldd_secure_aggregation(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig
     cfg, net = scheme_cfg, net_cfg
     plan = cfg.plan
     n = net.n_nodes
-    if len(per_node_datasets) != n:
-        raise ValueError(f"need one dataset per node ({n}), got {len(per_node_datasets)}")
-    if plan.N != n:
-        raise ValueError(f"plan encodes for N={plan.N} workers but the network has {n}")
-    eval_x = np.concatenate([d[0] for d in per_node_datasets])
-    eval_y = np.concatenate([d[1] for d in per_node_datasets])
+    _check_sizes(net, per_node_datasets, plan)
     w_elems = model_init.size
 
-    model = model_init.copy()
-    traces = []
-    for r in range(1, cfg.rounds + 1):
-        trace = RoundTrace(round_index=r)
-        fastest = select_fastest(net, r)
-
+    def step(trace, model, r, fastest):
         trained = []
         for j, (x, y) in enumerate(per_node_datasets):
             trace.send("master", f"node{j}", w_elems, "model_broadcast")
@@ -331,11 +341,9 @@ def run_dldd_secure_aggregation(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig
 
         merged = decode([results[i] for i in fastest], plan, axis=0, out_extent=w_elems)
         trace.decode_ops.add(w_elems)
-        model = model.with_flat(merged)
-        trace.loss, trace.accuracy = evaluate(model, eval_x, eval_y, cfg.loss)
-        trace.decoded_model = model.flattened_view
-        traces.append(trace)
-    return traces
+        return model.with_flat(merged)
+
+    return _run_rounds(cfg, net, model_init, _pooled(per_node_datasets), step)
 
 
 def run_dldd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
@@ -349,21 +357,10 @@ def run_dldd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     """
     cfg, net = scheme_cfg, net_cfg
     plan = cfg.plan
-    n = net.n_nodes
-    if len(per_node_datasets) != n:
-        raise ValueError(f"need one dataset per node ({n}), got {len(per_node_datasets)}")
-    if plan.N != n:
-        raise ValueError(f"plan encodes for N={plan.N} workers but the network has {n}")
-    eval_x = np.concatenate([d[0] for d in per_node_datasets])
-    eval_y = np.concatenate([d[1] for d in per_node_datasets])
+    _check_sizes(net, per_node_datasets, plan)
     w_elems = model_init.size
 
-    model = model_init.copy()
-    traces = []
-    for r in range(1, cfg.rounds + 1):
-        trace = RoundTrace(round_index=r)
-        fastest = select_fastest(net, r)
-
+    def step(trace, model, r, fastest):
         shares, _ = encode(model.flattened_view, plan, _noise_spec(cfg, net, r), axis=0)
         trace.encode_ops.add(w_elems)
         results = []
@@ -378,11 +375,9 @@ def run_dldd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
 
         merged = decode([results[j] for j in fastest], plan, axis=0, out_extent=w_elems)
         trace.decode_ops.add(w_elems)
-        model = model.with_flat(merged)
-        trace.loss, trace.accuracy = evaluate(model, eval_x, eval_y, cfg.loss)
-        trace.decoded_model = model.flattened_view
-        traces.append(trace)
-    return traces
+        return model.with_flat(merged)
+
+    return _run_rounds(cfg, net, model_init, _pooled(per_node_datasets), step)
 
 
 def run_uncoded_dldd(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
@@ -390,18 +385,10 @@ def run_uncoded_dldd(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
                      model_init: ModelParams) -> list[RoundTrace]:
     """Plain federated learning: plaintext local training plus aggregation."""
     cfg, net = scheme_cfg, net_cfg
-    n = net.n_nodes
-    if len(per_node_datasets) != n:
-        raise ValueError(f"need one dataset per node ({n}), got {len(per_node_datasets)}")
-    eval_x = np.concatenate([d[0] for d in per_node_datasets])
-    eval_y = np.concatenate([d[1] for d in per_node_datasets])
+    _check_sizes(net, per_node_datasets)
     w_elems = model_init.size
 
-    model = model_init.copy()
-    traces = []
-    for r in range(1, cfg.rounds + 1):
-        trace = RoundTrace(round_index=r)
-        fastest = select_fastest(net, r)
+    def step(trace, model, r, fastest):
         locals_flat = []
         for j, (x, y) in enumerate(per_node_datasets):
             trace.send("master", f"node{j}", w_elems, "model_broadcast")
@@ -410,12 +397,9 @@ def run_uncoded_dldd(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
             trace.train_ops.add(w_elems)
             trace.send(f"node{j}", "master", w_elems, "local_model")
             locals_flat.append(local.flattened_view)
-        merged = aggregate([locals_flat[j] for j in fastest], cfg.agg_rule)
-        model = model.with_flat(merged)
-        trace.loss, trace.accuracy = evaluate(model, eval_x, eval_y, cfg.loss)
-        trace.decoded_model = model.flattened_view
-        traces.append(trace)
-    return traces
+        return model.with_flat(aggregate([locals_flat[j] for j in fastest], cfg.agg_rule))
+
+    return _run_rounds(cfg, net, model_init, _pooled(per_node_datasets), step)
 
 
 def run_scheme(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig, data,
@@ -437,15 +421,13 @@ def run_scheme(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig, data,
 
 def expected_message_counts(scheme: str, n_nodes: int, n_batches: int = 0) -> dict[str, int]:
     """Closed-form per-round (and one-time) message counts for each scheme."""
-    if scheme in (UNCODED_DLCD, UNCODED_DLDD):
-        per_round = 2 * n_nodes
-    elif scheme == DLDD_SECURE_AGGREGATION:
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme == DLDD_SECURE_AGGREGATION:
         per_round = 2 * n_nodes + n_nodes * (n_nodes - 1)
-    elif scheme == DLDD_SECURE_TRAINING:
-        per_round = 2 * n_nodes
     elif scheme == DLCD_SECURE_TRAINING:
         per_round = 2 * n_nodes * n_batches
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    once = n_nodes if scheme in (DLCD_SECURE_TRAINING, UNCODED_DLCD) else 0
+        per_round = 2 * n_nodes
+    once = n_nodes if scheme in CENTRALIZED_SCHEMES else 0
     return {"per_round": per_round, "once": once}

@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 import yaml
 
@@ -103,6 +104,16 @@ def test_sigma_sweep_emits_strictly_safer_rows(tmp_path):
     leaks = [cell["leakage"]["i_L"] for cell in summary["cells"]]
     assert len(leaks) == 5
     assert all(a > b for a, b in zip(leaks, leaks[1:]))
+
+
+def test_dlcd_secure_training_runs_cox_with_event_free_batches(tmp_path):
+    # K=1 makes every censored sample an event-free batch of its own
+    raw = small_spec(tmp_path, scheme="dlcd_secure_training", rounds=1,
+                     network={"nodes": 4}, privacy={"sigma_n": 0.1, "T": 1})
+    raw["training"] = {"dataset": "survival", "loss": "cox_ph", "samples": 40,
+                       "features": 3, "hidden": [4], "lr": 0.05}
+    summary = run_experiment(spec_from_dict(raw))
+    assert all(np.isfinite(cell["final_loss"]) for cell in summary["cells"])
 
 
 def test_seed_changes_outputs(tmp_path):

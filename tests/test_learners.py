@@ -99,6 +99,17 @@ def test_cox_requires_time_event_targets():
         loss_and_grad(params, Batch(x, np.ones(5)), COX_PH)
 
 
+def test_cox_event_free_batch_is_zero_and_leaves_weights_unchanged():
+    params = init_mlp([3, 4, 1], activation=TANH, seed=5)
+    x, targets = make_survival(8, features=3, seed=6)
+    targets[:, 1] = 0.0  # every sample censored
+    value, dpred = loss_and_output_grad(forward(params, x), targets, COX_PH)
+    assert value == 0.0
+    assert dpred.shape == (8, 1) and not np.any(dpred)
+    trained = local_train(params, x, targets, COX_PH, lr=0.1, batch_size=4, epochs=2)
+    assert np.array_equal(trained.flattened_view, params.flattened_view)
+
+
 def test_gradients_match_central_differences():
     rng = np.random.default_rng(9)
     for trial in range(10):

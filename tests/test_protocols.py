@@ -31,6 +31,7 @@ from pbacc.protocols import (
     run_dldd_secure_aggregation,
     run_dldd_secure_training,
     run_scheme,
+    run_uncoded_dlcd,
     run_uncoded_dldd,
     select_fastest,
 )
@@ -62,7 +63,7 @@ def test_select_fastest_drop_slowest():
     assert len(picked) == 6
     assert picked == sorted(picked)
     assert picked == select_fastest(cfg, 1)
-    assert picked != select_fastest(cfg, 2) or True  # rounds draw fresh delays
+    assert picked != select_fastest(cfg, 2)  # rounds draw fresh delays
 
 
 def test_select_fastest_random_delay_deterministic():
@@ -106,6 +107,20 @@ def test_uncoded_dlcd_message_accounting():
     for trace in rounds:
         assert trace.message_count == 2 * N
         assert all(m.elements == w for m in trace.messages)
+
+
+def test_uncoded_dlcd_is_uncoded_dldd_on_the_partition():
+    x, y = make_two_clusters(60, seed=7)
+    straggler = StragglerModel(kind=DROP_SLOWEST, count=3, seed=2)
+    centralized = run_uncoded_dlcd(SchemeConfig(scheme=UNCODED_DLCD, rounds=3, lr=0.1),
+                                   net(straggler), (x, y), model())
+    federated = run_uncoded_dldd(SchemeConfig(scheme=UNCODED_DLDD, rounds=3, lr=0.1),
+                                 net(straggler), split(x, y), model())
+    assert centralized[0].round_index == 0
+    assert len(centralized[1:]) == len(federated) == 3
+    for tc, tf in zip(centralized[1:], federated):
+        assert tc.loss == tf.loss
+        assert tc.decoded_model.tobytes() == tf.decoded_model.tobytes()
 
 
 def test_dldd_secure_aggregation_message_accounting():
