@@ -110,38 +110,51 @@ def decode(results: Sequence[tuple[float, np.ndarray]], plan: CodingPlan,
     the outputs are re-interleaved along the coding axis; ``out_extent``
     truncates encode-time padding.
     """
-    if len(results) == 0:
-        raise ValueError("need at least one result to decode")
-    betas = np.array([float(b) for b, _ in results])
+    order, rows = _decode_basis(np.array([float(b) for b, _ in results]), plan)
     payloads = [np.asarray(p, dtype=float) for _, p in results]
-    shape = payloads[0].shape
-    if any(p.shape != shape for p in payloads):
+    if any(p.shape != payloads[0].shape for p in payloads):
         raise ValueError("result payloads disagree in shape")
+    stack = np.stack([np.moveaxis(payloads[i], axis, 0) for i in order])  # (n, G, *rest)
+    return np.moveaxis(_apply_decode(rows, stack, out_extent), 0, axis)
+
+
+def _decode_basis(betas: np.ndarray, plan: CodingPlan) -> tuple[np.ndarray, list]:
+    """The decoding interpolant of one worker subset, evaluated at the data nodes.
+
+    ``betas`` are the subset's encoder node values in any order.  Returns the
+    descending order of ``betas`` and, per data node, either the index (into
+    that order) of a result sitting on the node or its Berrut basis row.  A
+    caller that decodes many payloads from the same subset builds this once.
+    """
+    if len(betas) == 0:
+        raise ValueError("need at least one result to decode")
     if _has_coincident_pair(betas):
         raise ValueError("duplicate encoder node values in results")
-
     order = np.argsort(-betas)
     betas = betas[order]
-    stack = np.stack([np.moveaxis(payloads[i], axis, 0) for i in order])  # (n, G, *rest)
+    rows = []
+    for z in plan.data_nodes.values:
+        hit = _coincident_index(float(z), betas)
+        rows.append(hit if hit is not None else berrut_basis(float(z), betas))
+    return order, rows
 
+
+def _apply_decode(rows: list, stack: np.ndarray, out_extent: int | None) -> np.ndarray:
+    """Apply :func:`_decode_basis` rows to results stacked in its order.
+
+    ``stack`` is (n, G, *rest); the result is (G*K, *rest) with the K data
+    nodes re-interleaved along the leading axis, truncated to ``out_extent``.
+    """
     groups = stack.shape[1]
-    K = plan.K
-    per_node = np.empty((K,) + stack.shape[1:])
-    for i in range(K):
-        z = float(plan.data_nodes.values[i])
-        hit = _coincident_index(z, betas)
-        if hit is not None:
-            per_node[i] = stack[hit]
-        else:
-            q = berrut_basis(z, betas)
-            per_node[i] = np.tensordot(q, stack, axes=(0, 0))
-
-    out = per_node.swapaxes(0, 1).reshape((groups * K,) + stack.shape[2:])
+    per_node = np.empty((len(rows),) + stack.shape[1:])
+    for i, row in enumerate(rows):
+        per_node[i] = stack[row] if isinstance(row, int) else np.tensordot(row, stack, axes=(0, 0))
+    out = per_node.swapaxes(0, 1).reshape((groups * len(rows),) + stack.shape[2:])
     if out_extent is not None:
         if not 0 < out_extent <= out.shape[0]:
             raise ValueError(f"out_extent {out_extent} not in (0, {out.shape[0]}]")
         out = out[:out_extent]
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
 def roundtrip_error(x: np.ndarray, f: Callable[[np.ndarray], np.ndarray],

@@ -187,7 +187,15 @@ def _validate(spec: ExperimentSpec) -> None:
         raise SpecError(f"unknown dataset {spec.dataset!r}")
     if spec.samples < spec.n_nodes:
         raise SpecError("need at least one sample per node")
+    if spec.batch_size < 1:
+        raise SpecError("training.batch_size must be >= 1")
+    if spec.epochs_per_round < 1:
+        raise SpecError("training.epochs_per_round must be >= 1")
+    if not spec.lr > 0:
+        raise SpecError("training.lr must be > 0")
     if spec.scheme in CODED_SCHEMES:
+        if spec.K < 1:
+            raise SpecError("plan.K must be >= 1")
         if any(t < 0 for t in spec.T_values):
             raise SpecError("T values must be >= 0")
         if any(sg < 0 for sg in spec.sigma_n_values):

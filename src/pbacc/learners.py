@@ -100,12 +100,17 @@ def _act_grad(h: np.ndarray, kind: str) -> np.ndarray:
 
 
 def forward_with_cache(params: ModelParams, inputs: np.ndarray):
-    """Affine+activation chain; returns output and the per-layer cache."""
+    """Affine+activation chain; returns output and the per-layer cache.
+
+    Features run along the last axis.  A stacked ``(N, B, f)`` input is one
+    batched matrix product per layer, byte-equal to N separate ``(B, f)``
+    forwards; a flattened ``(N*B, f)`` product can differ in the last ulp.
+    """
     x = np.asarray(inputs, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
-    if x.shape[1] != params.layers[0][0].shape[0]:
-        raise ValueError(f"input features {x.shape[1]} do not match "
+    if x.shape[-1] != params.layers[0][0].shape[0]:
+        raise ValueError(f"input features {x.shape[-1]} do not match "
                          f"first layer extent {params.layers[0][0].shape[0]}")
     pre, post = [], [x]
     h = x

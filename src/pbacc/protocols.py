@@ -15,6 +15,9 @@ fastest subset.  Five schemes are provided:
 * ``dlcd_secure_training``   -- master owns the data; the dataset is encoded
   once and workers compute the model execution on encoded batches; the
   master decodes the outputs, evaluates loss/gradients and steps the model.
+  The N workers of a batch run as one stacked forward over the worker axis,
+  and the decode basis of the round's fastest subset is built once per
+  round; the ledger still records every worker's two messages.
 * ``uncoded_dlcd``           -- master partitions the plaintext dataset;
   from then on it is ``uncoded_dldd`` on those parts.
 * ``dldd_secure_aggregation``-- nodes own the data, train in plaintext and
@@ -36,7 +39,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .codec import NoiseSpec, decode, encode
+from .codec import NoiseSpec, _apply_decode, _decode_basis, decode, encode
 from .interpolation import CodingPlan
 from .learners import (
     FEDAVG,
@@ -100,6 +103,10 @@ class RoundTrace:
 
     def send(self, sender: str, receiver: str, elements: int, phase: str) -> None:
         self.messages.append(Message(sender, receiver, int(elements), phase))
+
+    def send_many(self, messages: Sequence[Message]) -> None:
+        """Record a prebuilt block of messages, in order."""
+        self.messages.extend(messages)
 
     @property
     def message_count(self) -> int:
@@ -235,12 +242,15 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
                              model_init: ModelParams) -> list[RoundTrace]:
     """Coded distributed training over the master's own dataset.
 
-    The dataset is encoded exactly once (setup trace).  Per round and per
-    encoded batch the master broadcasts the current model (plaintext), every
-    worker computes the model execution on its encoded batch slice, and the
-    master decodes the batch outputs from the fastest subset, evaluates the
-    loss on them, backpropagates through its own plaintext activations and
-    steps the model.
+    The dataset is encoded exactly once (setup trace) and the N shares are
+    stacked into one worker-major array.  Per round and per encoded batch
+    the master broadcasts the current model (plaintext), every worker
+    computes the model execution on its encoded batch slice -- simulated as
+    one batched forward over the worker axis -- and the master decodes the
+    batch outputs from the fastest subset, evaluates the loss on them,
+    backpropagates through its own plaintext activations and steps the
+    model.  The fastest subset is fixed within a round, so its decode basis
+    is built once per round and applied to every batch.
     """
     cfg, net = scheme_cfg, net_cfg
     plan = cfg.plan
@@ -256,21 +266,25 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     setup.encode_ops.add(inputs.size)
     for share in shares:
         setup.send("master", f"node{share.node_index}", share.payload.size, "dataset_share")
-    n_batches = shares[0].payload.shape[0]
+    payloads = np.stack([s.payload for s in shares])[:, :, None]  # (N, G, 1, f)
+    n_workers, n_batches = payloads.shape[:2]
+    # Each worker's result is one coded row of model outputs.
+    result_elems = model_init.layers[-1][1].size
+    batch_messages = [m for j in range(n_workers) for m in (
+        Message("master", f"node{j}", w_elems, "model_broadcast"),
+        Message(f"node{j}", "master", result_elems, "inference_result"))]
 
     def step(trace, model, r, fastest):
+        order, rows = _decode_basis(plan.betas[fastest], plan)
+        used = np.asarray(fastest)[order]   # worker index of each basis position
         for g in range(n_batches):
             lo = g * plan.K
             valid = min(plan.K, n_samples - lo)
-            results = []
-            for share in shares:
-                trace.send("master", f"node{share.node_index}", w_elems, "model_broadcast")
-                pred = forward(model, share.payload[g])
-                trace.train_ops.add(w_elems)
-                trace.send(f"node{share.node_index}", "master", pred.size, "inference_result")
-                results.append((share.beta, pred))
-            used = [results[j] for j in fastest]
-            decoded = decode(used, plan, axis=0, out_extent=valid)
+            trace.send_many(batch_messages)
+            preds = forward(model, payloads[:, g])             # (N, 1, outputs)
+            trace.train_ops.count += n_workers
+            trace.train_ops.elements += n_workers * w_elems
+            decoded = _apply_decode(rows, preds[used], valid)
             trace.decode_ops.add(decoded.size)
 
             batch_x = inputs[lo:lo + valid]

@@ -7,6 +7,8 @@ import pytest
 
 from pbacc.codec import (
     EncodedShare,
+    _apply_decode,
+    _decode_basis,
     NoiseSpec,
     decode,
     encode,
@@ -126,6 +128,46 @@ def test_decode_rejects_bad_results():
         decode([(0.5, payload), (0.5, payload)], plan)
     with pytest.raises(ValueError):
         decode([(0.5, payload), (0.6, np.zeros((1, 3)))], plan)
+
+
+def test_decode_result_on_a_data_node_is_that_payload_exactly():
+    plan = make_plan(3, 1, 9)
+    rng = np.random.default_rng(4)
+    payloads = rng.normal(size=(4, 2, 5))
+    on_node = float(plan.alphas[1])
+    for z in (on_node, on_node + 1e-14):  # on the node and inside its guard band
+        betas = [0.95, z, -0.2, 0.6]
+        out = decode(list(zip(betas, payloads)), plan, out_extent=5)
+        # data node 1 is element 1 of every group of K=3 along the coding axis
+        assert out[1::3].tobytes() == payloads[1][:2].tobytes()
+        assert not np.array_equal(out[0::3], payloads[1])
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_hoisted_decode_basis_matches_decode(K):
+    plan = make_plan(K, 2, 12)
+    rng = np.random.default_rng(K)
+    x = rng.normal(size=(3 * K + 1, 4))  # padded last group for K > 1
+    shares, _ = encode(x, plan, NoiseSpec(0.3, 2, seed=K))
+    for rep in range(3):
+        subset = rng.choice(plan.N, size=int(rng.integers(1, plan.N + 1)), replace=False)
+        betas = np.array([shares[j].beta for j in subset])
+        order, rows = _decode_basis(betas, plan)  # one basis, many payload sets
+        for scale in (1.0, -2.5):
+            results = [(shares[j].beta, np.tanh(scale * shares[j].payload)) for j in subset]
+            stack = np.stack([results[i][1] for i in order])
+            hoisted = _apply_decode(rows, stack, x.shape[0])
+            assert hoisted.tobytes() == decode(results, plan, out_extent=x.shape[0]).tobytes()
+
+
+def test_decode_basis_rejects_empty_and_duplicate_nodes():
+    plan = make_plan(2, 0, 8)
+    with pytest.raises(ValueError):
+        _decode_basis(np.array([]), plan)
+    with pytest.raises(ValueError):
+        _decode_basis(np.array([0.5, 0.1, 0.5]), plan)
+    with pytest.raises(ValueError):
+        _decode_basis(np.array([0.5, 0.5 + 1e-14]), plan)
 
 
 def test_roundtrip_identity_k1():

@@ -48,6 +48,19 @@ def test_spec_rejects_unknown_loss(tmp_path):
         spec_from_dict(raw)
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("plan", "K", 0),
+    ("training", "batch_size", 0),
+    ("training", "epochs_per_round", 0),
+    ("training", "lr", -1.0),
+], ids=["K", "batch_size", "epochs_per_round", "lr"])
+def test_spec_rejects_bad_training_field(tmp_path, section, key, value):
+    raw = small_spec(tmp_path, scheme="dlcd_secure_training")
+    raw[section][key] = value
+    with pytest.raises(SpecError, match=f"{section}.{key}"):
+        spec_from_dict(raw)
+
+
 def test_load_spec_missing_file():
     with pytest.raises(SpecError):
         load_spec("/nonexistent/path.yaml")

@@ -69,6 +69,20 @@ def test_forward_rejects_feature_mismatch():
     params = init_mlp([3, 2], seed=0)
     with pytest.raises(ValueError):
         forward(params, np.zeros((4, 5)))
+    with pytest.raises(ValueError):
+        forward(params, np.zeros((6, 4, 5)))  # a stack checks its last axis too
+
+
+@pytest.mark.parametrize("activation", [RELU, TANH, IDENTITY])
+@pytest.mark.parametrize("hidden", [[5], [5, 4]])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_stacked_forward_is_byte_equal_to_separate_forwards(activation, hidden, batch):
+    rng = np.random.default_rng(len(hidden) * 10 + batch)
+    params = init_mlp([3, *hidden, 2], activation=activation, seed=batch)
+    # a strided view of a worker-major array, the layout the coded runner passes
+    stack = rng.normal(0.0, 2.0, size=(9, 4, batch, 3))[:, 2]
+    separate = np.stack([forward(params, stack[j]) for j in range(stack.shape[0])])
+    assert forward(params, stack).tobytes() == separate.tobytes()
 
 
 def test_mse_zero_at_perfect_prediction():

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from pbacc.codec import NoiseSpec, decode, encode
 from pbacc.interpolation import make_plan
 from pbacc.learners import (
     Batch,
     SOFTMAX_CE,
     TANH,
     backward_from_output,
+    evaluate,
+    forward,
     forward_with_cache,
     init_mlp,
     loss_and_output_grad,
@@ -20,12 +23,14 @@ from pbacc.protocols import (
     DLDD_SECURE_AGGREGATION,
     DLDD_SECURE_TRAINING,
     DROP_SLOWEST,
+    Message,
     NetworkConfig,
     RANDOM_DELAY,
     SchemeConfig,
     StragglerModel,
     UNCODED_DLCD,
     UNCODED_DLDD,
+    _derived_seed,
     expected_message_counts,
     run_dlcd_secure_training,
     run_dldd_secure_aggregation,
@@ -215,6 +220,57 @@ def test_dlcd_secure_training_matches_centralized_sgd_when_identity_coded():
             twin = sgd_step(twin, backward_from_output(twin, cache, dpred), cfg.lr)
         np.testing.assert_allclose(trace.decoded_model, twin.flattened_view,
                                    rtol=1e-9, atol=1e-11)
+
+
+def reference_dlcd_secure_training(cfg, network, x, y, model_init):
+    """The coded runner as a per-share loop: one forward, two sends per worker.
+
+    Returns per round (loss, flat model, messages, train-op count and
+    elements, decode-op count and elements).
+    """
+    plan = cfg.plan
+    shares, _ = encode(x, plan, NoiseSpec(cfg.sigma_n, plan.T, _derived_seed(network.seed, 0)))
+    w = model_init.size
+    model, rounds = model_init.copy(), []
+    for r in range(1, cfg.rounds + 1):
+        fastest = select_fastest(network, r)
+        messages, train, decoded_elems = [], [0, 0], [0, 0]
+        for g in range(shares[0].payload.shape[0]):
+            lo = g * plan.K
+            valid = min(plan.K, x.shape[0] - lo)
+            results = []
+            for share in shares:
+                messages.append(Message("master", f"node{share.node_index}", w, "model_broadcast"))
+                pred = forward(model, share.payload[g])
+                messages.append(Message(f"node{share.node_index}", "master", pred.size,
+                                        "inference_result"))
+                results.append((share.beta, pred))
+            decoded = decode([results[j] for j in fastest], plan, out_extent=valid)
+            _, dpred = loss_and_output_grad(decoded, y[lo:lo + valid], cfg.loss)
+            _, cache = forward_with_cache(model, x[lo:lo + valid])
+            model = sgd_step(model, backward_from_output(model, cache, dpred), cfg.lr)
+            train = [train[0] + len(shares) + 1, train[1] + (len(shares) + 1) * w]
+            decoded_elems = [decoded_elems[0] + 1, decoded_elems[1] + decoded.size]
+        loss, _ = evaluate(model, x, y, cfg.loss)
+        rounds.append((loss, model.flattened_view, messages, train, decoded_elems))
+    return rounds
+
+
+def test_dlcd_secure_training_matches_the_per_share_reference():
+    x, y = make_two_clusters(25, seed=8)  # 13 groups of K=2, the last one padded
+    plan = make_plan(2, 2, 6)
+    cfg = SchemeConfig(scheme=DLCD_SECURE_TRAINING, plan=plan, sigma_n=0.5, rounds=2, lr=0.1)
+    network = NetworkConfig(n_nodes=6, seed=3,
+                            straggler=StragglerModel(kind=DROP_SLOWEST, count=2, seed=4))
+    traces = run_dlcd_secure_training(cfg, network, (x, y), model())
+    reference = reference_dlcd_secure_training(cfg, network, x, y, model())
+    assert len(traces[1:]) == len(reference) == 2
+    for trace, (loss, flat, messages, train, decoded) in zip(traces[1:], reference):
+        assert trace.decoded_model.tobytes() == flat.tobytes()
+        assert trace.loss == loss
+        assert trace.messages == messages
+        assert [trace.train_ops.count, trace.train_ops.elements] == train
+        assert [trace.decode_ops.count, trace.decode_ops.elements] == decoded
 
 
 def test_dldd_secure_aggregation_tolerates_any_subset_size():
