@@ -7,24 +7,20 @@ for coded decentralized-learning protocols.
 """
 
 from .interpolation import (
-    CHEBYSHEV_FIRST,
-    CHEBYSHEV_SECOND,
-    SHIFTED_CHEBYSHEV_FIRST,
     DEFAULT_NOISE_SHIFT,
     CodingPlan,
     NodeCoincidenceError,
-    NodeFamily,
     berrut_basis,
     berrut_eval,
     chebyshev_first,
     chebyshev_second,
-    make_nodes,
     make_plan,
     shifted_chebyshev_first,
 )
 from .codec import (
-    EncodedShare,
     NoiseSpec,
+    Share,
+    Shares,
     decode,
     encode,
     read_tensor,

@@ -20,10 +20,9 @@ from .codec import NoiseSpec, roundtrip_error
 from .harness import SpecError, load_spec, run_experiment
 from .interpolation import DEFAULT_NOISE_SHIFT, make_plan
 from .privacy import (
-    EXHAUSTIVE,
     GREEDY,
+    STRATEGIES,
     PrivacyConfig,
-    RANDOM_SAMPLED,
     max_secure_amplitude,
     worst_case_leakage,
 )
@@ -52,8 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("spec", help="YAML experiment file")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--output-dir", default=None)
-    p_run.add_argument("--strategy", choices=[EXHAUSTIVE, GREEDY, RANDOM_SAMPLED],
-                       default=None)
+    p_run.add_argument("--strategy", choices=STRATEGIES, default=None)
 
     p_leak = sub.add_parser("leakage", help="worst-case leakage bound")
     _add_plan_args(p_leak)
@@ -61,8 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_leak.add_argument("--c", type=int, required=True, help="colluder count")
     p_leak.add_argument("--s", type=float, default=1.0, help="input amplitude bound")
     p_leak.add_argument("--epsilon", type=float, default=1.0, help="target bits/element")
-    p_leak.add_argument("--strategy", choices=[EXHAUSTIVE, GREEDY, RANDOM_SAMPLED],
-                        default=GREEDY)
+    p_leak.add_argument("--strategy", choices=STRATEGIES, default=GREEDY)
     p_leak.add_argument("--samples", type=int, default=1000,
                         help="draws for the random strategy")
     p_leak.add_argument("--seed", type=int, default=0)
@@ -144,8 +141,8 @@ def cmd_nodes(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps({
-        "data_nodes": plan.data_nodes.values.tolist(),
-        "noise_nodes": plan.noise_nodes.values.tolist() if plan.noise_nodes else [],
+        "data_nodes": plan.alphas[:plan.K].tolist(),
+        "noise_nodes": plan.alphas[plan.K:].tolist(),
         "encoder_nodes": plan.betas.tolist(),
         "perturbed_encoder_indices": list(plan.perturbed),
     }, indent=2, sort_keys=True))

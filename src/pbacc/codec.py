@@ -1,18 +1,19 @@
 """Encoding of real tensors into worker shares and approximate decoding.
 
-``encode`` compresses the coding axis by a factor K: contiguous groups of K
-slices are mapped to the K data nodes and padded with T Gaussian noise
-blocks at the noise nodes, then the resulting rational interpolant is
-evaluated at each worker's encoder node.  ``decode`` rebuilds the function
-values at the data nodes from whatever subset of worker results arrived,
-which is what gives the scheme its straggler tolerance.
+``encode`` compresses the leading (coding) axis by a factor K: contiguous
+groups of K slices are mapped to the K data nodes and padded with T Gaussian
+noise blocks at the noise nodes, then the resulting rational interpolant is
+evaluated at every worker's encoder node at once, as one (N, K+T) basis
+matrix applied to the stacked coefficients.  ``decode`` rebuilds the
+function values at the data nodes from whatever subset of worker results
+arrived, which is what gives the scheme its straggler tolerance.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Sequence
+from typing import BinaryIO, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,35 +41,56 @@ class NoiseSpec:
             raise ValueError(f"need T >= 0, got {self.T}")
 
 
-@dataclass(frozen=True)
-class EncodedShare:
+class Share(NamedTuple):
     """One worker's evaluation of the encoding interpolant."""
 
-    node_index: int
     beta: float
     payload: np.ndarray
 
 
-def encode(x: np.ndarray, plan: CodingPlan, noise: NoiseSpec,
-           axis: int = 0, pad: bool = True) -> tuple[list[EncodedShare], list[np.ndarray]]:
-    """Encode ``x`` along ``axis`` into N shares plus T noise blocks.
+@dataclass(frozen=True, eq=False)
+class Shares:
+    """The N shares of one encode, worker-major.
 
-    The coding axis is processed in contiguous groups of K slices; the final
-    short group is zero-padded when ``pad`` is true (decode truncates via its
-    ``out_extent`` argument).  Each share's coding-axis extent is
-    ceil(extent / K).  Noise is drawn once per call from ``noise.seed`` and
-    shared by all encoder-node evaluations; each of the T blocks has the
+    ``betas`` (N,) are the plan's encoder nodes and ``payloads``
+    (N, ceil(extent / K), *rest) the interpolant evaluated at each of them.
+    ``shares[j]`` is worker j's :class:`Share`, whose payload is a view of
+    ``payloads[j]``.
+    """
+
+    betas: np.ndarray
+    payloads: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.betas)
+
+    def __getitem__(self, j: int) -> Share:
+        return Share(float(self.betas[j]), self.payloads[j])
+
+    def __iter__(self) -> Iterator[Share]:
+        return (self[j] for j in range(len(self)))
+
+
+def encode(x: np.ndarray, plan: CodingPlan, noise: NoiseSpec,
+           pad: bool = True) -> tuple[Shares, list[np.ndarray]]:
+    """Encode ``x`` along its leading axis into N shares plus T noise blocks.
+
+    The leading (coding) axis is processed in contiguous groups of K slices;
+    the final short group is zero-padded when ``pad`` is true (decode
+    truncates via its ``out_extent`` argument).  Each share's leading extent
+    is ceil(extent / K).  Noise is drawn once per call from ``noise.seed``
+    and shared by all encoder-node evaluations; each of the T blocks has the
     share payload shape, so distinct groups see independent noise entries.
 
-    Returns the shares (node order) and the drawn noise blocks.
+    Returns the shares as one worker-major :class:`Shares` and the drawn
+    noise blocks.
     """
     x = np.asarray(x, dtype=float)
-    if not -x.ndim <= axis < x.ndim:
-        raise ValueError(f"axis {axis} out of range for rank-{x.ndim} tensor")
+    if x.ndim == 0:
+        raise ValueError("need a tensor of rank >= 1 to encode")
     if noise.T != plan.T:
         raise ValueError(f"noise spec has T={noise.T} but plan has T={plan.T}")
-    xm = np.moveaxis(x, axis, 0)
-    extent = xm.shape[0]
+    extent = x.shape[0]
     K, T = plan.K, plan.T
     groups, rem = divmod(extent, K)
     if rem:
@@ -76,46 +98,42 @@ def encode(x: np.ndarray, plan: CodingPlan, noise: NoiseSpec,
             raise ValueError(
                 f"coding-axis extent {extent} is not a multiple of K={K} and padding is disabled")
         groups += 1
-        padding = np.zeros((groups * K - extent,) + xm.shape[1:])
-        xm = np.concatenate([xm, padding], axis=0)
+        padding = np.zeros((groups * K - extent,) + x.shape[1:])
+        x = np.concatenate([x, padding], axis=0)
 
     # (K, groups, *rest): element i of group g sits at data node alpha_i.
-    stacked = xm.reshape(groups, K, *xm.shape[1:]).swapaxes(0, 1)
+    stacked = x.reshape(groups, K, *x.shape[1:]).swapaxes(0, 1)
     if T > 0:
         rng = np.random.default_rng(noise.seed)
-        blocks = rng.normal(0.0, noise.sigma_n / np.sqrt(T), size=(T, groups) + xm.shape[1:])
+        blocks = rng.normal(0.0, noise.sigma_n / np.sqrt(T), size=(T, groups) + x.shape[1:])
         coeffs = np.concatenate([stacked, blocks], axis=0)
     else:
-        blocks = np.empty((0, groups) + xm.shape[1:])
+        blocks = np.empty((0, groups) + x.shape[1:])
         coeffs = stacked
 
     basis = berrut_basis_matrix(plan.betas, plan.alphas)  # (N, K+T)
-    evals = np.tensordot(basis, coeffs, axes=(1, 0))      # (N, groups, *rest)
-    shares = [EncodedShare(node_index=j, beta=float(plan.betas[j]),
-                           payload=np.moveaxis(evals[j], 0, axis))
-              for j in range(plan.N)]
-    noise_blocks = [np.moveaxis(blocks[t], 0, axis) for t in range(T)]
-    return shares, noise_blocks
+    payloads = np.tensordot(basis, coeffs, axes=(1, 0))   # (N, groups, *rest)
+    return Shares(plan.betas, payloads), list(blocks)
 
 
 def decode(results: Sequence[tuple[float, np.ndarray]], plan: CodingPlan,
-           axis: int = 0, out_extent: int | None = None) -> np.ndarray:
+           out_extent: int | None = None) -> np.ndarray:
     """Decode worker results back to the data nodes.
 
     ``results`` holds (encoder node value, payload) pairs from any nonempty
-    subset of workers; payloads must share one shape.  Results are sorted by
-    node value descending (the natural second-kind order) before the
+    subset of workers, for example ``[shares[j] for j in subset]``; payloads
+    must share one shape, with the coding axis leading.  Results are sorted
+    by node value descending (the natural second-kind order) before the
     alternating weights are assigned, which keeps the decoding interpolant
     pole-free.  The interpolant is evaluated at each of the K data nodes and
-    the outputs are re-interleaved along the coding axis; ``out_extent``
+    the outputs are re-interleaved along the leading axis; ``out_extent``
     truncates encode-time padding.
     """
     order, rows = _decode_basis(np.array([float(b) for b, _ in results]), plan)
     payloads = [np.asarray(p, dtype=float) for _, p in results]
     if any(p.shape != payloads[0].shape for p in payloads):
         raise ValueError("result payloads disagree in shape")
-    stack = np.stack([np.moveaxis(payloads[i], axis, 0) for i in order])  # (n, G, *rest)
-    return np.moveaxis(_apply_decode(rows, stack, out_extent), 0, axis)
+    return _apply_decode(rows, np.stack([payloads[i] for i in order]), out_extent)
 
 
 def _decode_basis(betas: np.ndarray, plan: CodingPlan) -> tuple[np.ndarray, list]:
@@ -133,7 +151,7 @@ def _decode_basis(betas: np.ndarray, plan: CodingPlan) -> tuple[np.ndarray, list
     order = np.argsort(-betas)
     betas = betas[order]
     rows = []
-    for z in plan.data_nodes.values:
+    for z in plan.alphas[:plan.K]:
         hit = _coincident_index(float(z), betas)
         rows.append(hit if hit is not None else berrut_basis(float(z), betas))
     return order, rows
@@ -159,7 +177,7 @@ def _apply_decode(rows: list, stack: np.ndarray, out_extent: int | None) -> np.n
 
 def roundtrip_error(x: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
                     plan: CodingPlan, noise: NoiseSpec,
-                    subset: Sequence[int], axis: int = 0) -> float:
+                    subset: Sequence[int]) -> float:
     """Sup-norm relative error of encode -> apply f per share -> decode.
 
     The reference is ``f`` applied directly to ``x``; the error is
@@ -173,9 +191,9 @@ def roundtrip_error(x: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
     if any(not 0 <= j < plan.N for j in subset):
         raise ValueError(f"subset indices must lie in [0, {plan.N})")
     x = np.asarray(x, dtype=float)
-    shares, _ = encode(x, plan, noise, axis=axis)
+    shares, _ = encode(x, plan, noise)
     results = [(shares[j].beta, f(shares[j].payload)) for j in subset]
-    decoded = decode(results, plan, axis=axis, out_extent=x.shape[axis])
+    decoded = decode(results, plan, out_extent=x.shape[0])
     expected = f(x)
     scale = np.max(np.abs(expected))
     return float(np.max(np.abs(decoded - expected)) / max(scale, np.finfo(float).tiny))

@@ -23,10 +23,11 @@ import yaml
 from . import learners, protocols
 from .codec import write_tensor
 from .interpolation import DEFAULT_NOISE_SHIFT, make_plan
-from .privacy import GREEDY, PrivacyConfig, worst_case_leakage
+from .privacy import GREEDY, STRATEGIES, PrivacyConfig, worst_case_leakage
 from .protocols import (
     CENTRALIZED_SCHEMES,
     CODED_SCHEMES,
+    DLCD_SECURE_TRAINING,
     NetworkConfig,
     SchemeConfig,
     StragglerModel,
@@ -187,6 +188,18 @@ def _validate(spec: ExperimentSpec) -> None:
         raise SpecError(f"unknown dataset {spec.dataset!r}")
     if spec.samples < spec.n_nodes:
         raise SpecError("need at least one sample per node")
+    if spec.features < 1:
+        raise SpecError("training.features must be >= 1")
+    if any(width < 1 for width in spec.hidden):
+        raise SpecError("training.hidden widths must be >= 1")
+    if spec.agg_rule not in learners.AGG_RULES:
+        raise SpecError(f"unknown training.agg {spec.agg_rule!r}")
+    if spec.strategy not in STRATEGIES:
+        raise SpecError(f"unknown strategy {spec.strategy!r}; choose one of {STRATEGIES}")
+    try:
+        NetworkConfig(n_nodes=spec.n_nodes, straggler=spec.straggler)
+    except ValueError as exc:
+        raise SpecError(f"network.straggler: {exc}") from None
     if spec.batch_size < 1:
         raise SpecError("training.batch_size must be >= 1")
     if spec.epochs_per_round < 1:
@@ -200,6 +213,14 @@ def _validate(spec: ExperimentSpec) -> None:
             raise SpecError("T values must be >= 0")
         if any(sg < 0 for sg in spec.sigma_n_values):
             raise SpecError("sigma_n values must be >= 0")
+        if any(c > spec.n_nodes for c in spec.c_values):
+            raise SpecError("privacy.c must be <= network.nodes")
+        if not spec.s > 0:
+            raise SpecError("privacy.s must be > 0")
+        if not spec.epsilon > 0:
+            raise SpecError("privacy.epsilon must be > 0")
+        if spec.scheme == DLCD_SECURE_TRAINING and spec.K > spec.samples:
+            raise SpecError("plan.K must be <= training.samples")
 
 
 def _make_dataset(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -231,6 +252,7 @@ def run_experiment(spec: ExperimentSpec, output_dir: str | None = None,
         spec.output_dir = output_dir
     if strategy is not None:
         spec.strategy = strategy
+    _validate(spec)
 
     os.makedirs(spec.output_dir, exist_ok=True)
     x, y = _make_dataset(spec)

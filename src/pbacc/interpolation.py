@@ -19,13 +19,9 @@ real zero between the two blocks, inside the encoder-node range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-CHEBYSHEV_FIRST = "chebyshev_first"
-CHEBYSHEV_SECOND = "chebyshev_second"
-SHIFTED_CHEBYSHEV_FIRST = "shifted_chebyshev_first"
 
 #: Relative half-width of the node-coincidence guard band.
 COINCIDENCE_GUARD = 1e-12
@@ -64,36 +60,6 @@ def chebyshev_second(count: int) -> np.ndarray:
 def shifted_chebyshev_first(count: int, shift: float) -> np.ndarray:
     """First-kind Chebyshev points translated by ``shift``."""
     return shift + chebyshev_first(count)
-
-
-@dataclass(frozen=True)
-class NodeFamily:
-    """One named family of pairwise-distinct interpolation nodes."""
-
-    kind: str
-    count: int
-    shift: float
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return self.count
-
-
-def make_nodes(kind: str, count: int, shift: float = 0.0) -> NodeFamily:
-    """Build a node family from its closed form.  Deterministic.
-
-    ``shift`` is used only by the shifted first-kind family.
-    """
-    if kind == CHEBYSHEV_FIRST:
-        values = chebyshev_first(count)
-    elif kind == CHEBYSHEV_SECOND:
-        values = chebyshev_second(count)
-    elif kind == SHIFTED_CHEBYSHEV_FIRST:
-        values = shifted_chebyshev_first(count, shift)
-    else:
-        raise ValueError(f"unknown node kind {kind!r}")
-    values.flags.writeable = False
-    return NodeFamily(kind=kind, count=count, shift=shift, values=values)
 
 
 def berrut_weights(count: int) -> np.ndarray:
@@ -175,35 +141,23 @@ def berrut_eval(z: float, nodes: np.ndarray, payloads) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CodingPlan:
-    """All interpolation points of one coding configuration.
+    """All interpolation points of one coding configuration, as plain arrays.
 
-    ``data_nodes`` hold the K decode targets, ``noise_nodes`` the T noise
-    positions (None when T = 0), and ``encoder_nodes`` the N worker points.
-    Encoder nodes that collided with an interpolation node have been nudged
-    by :data:`COLLISION_NUDGE`; their indices are in ``perturbed``.
+    ``alphas`` holds the K + T interpolation nodes: the K data nodes (decode
+    targets, first-kind Chebyshev) followed by the T noise nodes (shifted
+    first-kind Chebyshev).  ``betas`` holds the N encoder nodes, one per
+    worker (second-kind Chebyshev); those that collided with an
+    interpolation node have been nudged by :data:`COLLISION_NUDGE`, and
+    their indices are in ``perturbed``.  Both arrays are read-only.
     """
 
-    data_nodes: NodeFamily
-    noise_nodes: NodeFamily | None
-    encoder_nodes: NodeFamily
     K: int
     T: int
     N: int
     shift: float
-    perturbed: tuple[int, ...] = field(default=())
-    _betas: np.ndarray = field(default=None, repr=False)
-
-    @property
-    def alphas(self) -> np.ndarray:
-        """Concatenated interpolation nodes, data first then noise."""
-        if self.noise_nodes is None:
-            return self.data_nodes.values
-        return np.concatenate([self.data_nodes.values, self.noise_nodes.values])
-
-    @property
-    def betas(self) -> np.ndarray:
-        """Encoder nodes after collision perturbation."""
-        return self._betas
+    alphas: np.ndarray
+    betas: np.ndarray
+    perturbed: tuple[int, ...] = ()
 
 
 def make_plan(K: int, T: int, N: int, shift: float = DEFAULT_NOISE_SHIFT) -> CodingPlan:
@@ -216,23 +170,21 @@ def make_plan(K: int, T: int, N: int, shift: float = DEFAULT_NOISE_SHIFT) -> Cod
         raise ValueError(f"need K >= 1, got {K}")
     if T < 0:
         raise ValueError(f"need T >= 0, got {T}")
-    data = make_nodes(CHEBYSHEV_FIRST, K)
-    noise = make_nodes(SHIFTED_CHEBYSHEV_FIRST, T, shift) if T > 0 else None
-    enc = make_nodes(CHEBYSHEV_SECOND, N)
-
-    alphas = data.values if noise is None else np.concatenate([data.values, noise.values])
+    alphas = chebyshev_first(K)
+    if T > 0:
+        alphas = np.concatenate([alphas, shifted_chebyshev_first(T, shift)])
     if _has_coincident_pair(alphas):
         raise ValueError(
             f"interpolation nodes collide for K={K}, T={T}, shift={shift}; "
             "move the noise shift away from the data interval")
 
-    betas = enc.values.copy()
+    betas = chebyshev_second(N)
     perturbed = []
     for j in range(N):
         if _coincident_index(betas[j], alphas) is not None:
             betas[j] += COLLISION_NUDGE
             perturbed.append(j)
+    alphas.flags.writeable = False
     betas.flags.writeable = False
-    return CodingPlan(data_nodes=data, noise_nodes=noise, encoder_nodes=enc,
-                      K=K, T=T, N=N, shift=shift,
-                      perturbed=tuple(perturbed), _betas=betas)
+    return CodingPlan(K=K, T=T, N=N, shift=shift, alphas=alphas, betas=betas,
+                      perturbed=tuple(perturbed))

@@ -204,11 +204,12 @@ def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
 
 FEDAVG = "fedavg"
 COORD_MEDIAN = "coord_median"
+AGG_RULES = (FEDAVG, COORD_MEDIAN)
 
 
 def aggregate(models: list[np.ndarray], rule: str = FEDAVG,
               weights: list[float] | None = None) -> np.ndarray:
-    """Combine flattened parameter vectors into one."""
+    """Combine equally shaped parameter arrays into one, elementwise over the list."""
     if not models:
         raise ValueError("cannot aggregate an empty model list")
     stack = np.stack([np.asarray(m, dtype=float) for m in models])

@@ -33,6 +33,7 @@ from .interpolation import CodingPlan, berrut_basis_matrix
 EXHAUSTIVE = "exhaustive"
 GREEDY = "greedy"
 RANDOM_SAMPLED = "random"
+STRATEGIES = (EXHAUSTIVE, GREEDY, RANDOM_SAMPLED)
 
 #: Largest number of subsets the exhaustive strategy will enumerate.
 EXHAUSTIVE_BUDGET = 1_000_000

@@ -21,12 +21,17 @@ fastest subset.  Five schemes are provided:
 * ``uncoded_dlcd``           -- master partitions the plaintext dataset;
   from then on it is ``uncoded_dldd`` on those parts.
 * ``dldd_secure_aggregation``-- nodes own the data, train in plaintext and
-  exchange encoded model shares; aggregation happens in the coded domain
-  and the master decodes only the aggregate.
+  exchange encoded model shares; aggregation happens in the coded domain,
+  every holder at once over the owner axis of an (owner, holder, ...)
+  share table, and the master decodes only the aggregate.
 * ``dldd_secure_training``   -- the master encodes the global model at a
   single data node; workers run the full local training on encoded
   parameters and decoding natively averages the trained models.
 * ``uncoded_dldd``           -- plain federated learning.
+
+The coded runners read ``encode``'s worker-major share array as it is:
+worker j's share is row j of ``shares.payloads``, and every decoded result
+is paired with its encoder node ``plan.betas[j]``.
 
 Rounds are numbered from 1; runners with a one-time sharing phase prepend a
 setup trace with ``round_index`` 0 holding those messages.
@@ -242,15 +247,15 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
                              model_init: ModelParams) -> list[RoundTrace]:
     """Coded distributed training over the master's own dataset.
 
-    The dataset is encoded exactly once (setup trace) and the N shares are
-    stacked into one worker-major array.  Per round and per encoded batch
-    the master broadcasts the current model (plaintext), every worker
-    computes the model execution on its encoded batch slice -- simulated as
-    one batched forward over the worker axis -- and the master decodes the
-    batch outputs from the fastest subset, evaluates the loss on them,
-    backpropagates through its own plaintext activations and steps the
-    model.  The fastest subset is fixed within a round, so its decode basis
-    is built once per round and applied to every batch.
+    The dataset is encoded exactly once (setup trace) into one worker-major
+    share array.  Per round and per encoded batch the master broadcasts the
+    current model (plaintext), every worker computes the model execution on
+    its encoded batch slice -- simulated as one batched forward over the
+    worker axis -- and the master decodes the batch outputs from the fastest
+    subset, evaluates the loss on them, backpropagates through its own
+    plaintext activations and steps the model.  The fastest subset is fixed
+    within a round, so its decode basis is built once per round and applied
+    to every batch.
     """
     cfg, net = scheme_cfg, net_cfg
     plan = cfg.plan
@@ -262,11 +267,11 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     w_elems = model_init.size
 
     setup = RoundTrace(round_index=0)
-    shares, _ = encode(inputs, plan, _noise_spec(cfg, net, 0), axis=0)
+    shares, _ = encode(inputs, plan, _noise_spec(cfg, net, 0))
     setup.encode_ops.add(inputs.size)
-    for share in shares:
-        setup.send("master", f"node{share.node_index}", share.payload.size, "dataset_share")
-    payloads = np.stack([s.payload for s in shares])[:, :, None]  # (N, G, 1, f)
+    for j, payload in enumerate(shares.payloads):
+        setup.send("master", f"node{j}", payload.size, "dataset_share")
+    payloads = shares.payloads[:, :, None]  # (N, G, 1, f)
     n_workers, n_batches = payloads.shape[:2]
     # Each worker's result is one coded row of model outputs.
     result_elems = model_init.layers[-1][1].size
@@ -320,7 +325,9 @@ def run_dldd_secure_aggregation(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig
 
     Nodes train in plaintext, encode their updated parameters and exchange
     one share with every other node; each node aggregates the shares it
-    received and the master decodes only the aggregate.
+    received and the master decodes only the aggregate.  The shares form an
+    (owner, holder, ...) table, so one ``aggregate`` call over the owner
+    axis serves every holder.
     """
     cfg, net = scheme_cfg, net_cfg
     plan = cfg.plan
@@ -337,23 +344,20 @@ def run_dldd_secure_aggregation(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig
             trace.train_ops.add(w_elems)
             trained.append(local.flattened_view)
 
-        # share_table[j][i]: share of node j's model held by node i
-        share_table = []
+        # table[j][i]: share of node j's model held by node i
+        table = []
         for j in range(n):
-            shares, _ = encode(trained[j], plan, _noise_spec(cfg, net, r, j), axis=0)
+            shares, _ = encode(trained[j], plan, _noise_spec(cfg, net, r, j))
             trace.encode_ops.add(w_elems)
             for i in range(n):
                 if i != j:
-                    trace.send(f"node{j}", f"node{i}", shares[i].payload.size, "share_exchange")
-            share_table.append(shares)
+                    trace.send(f"node{j}", f"node{i}", shares.payloads[i].size, "share_exchange")
+            table.append(shares.payloads)
 
-        results = []
+        held = aggregate(table, cfg.agg_rule)  # (holder, G): every holder over the owner axis
         for i in range(n):
-            agg_i = aggregate([share_table[j][i].payload for j in range(n)], cfg.agg_rule)
-            trace.send(f"node{i}", "master", agg_i.size, "aggregate_result")
-            results.append((share_table[0][i].beta, agg_i))
-
-        merged = decode([results[i] for i in fastest], plan, axis=0, out_extent=w_elems)
+            trace.send(f"node{i}", "master", held[i].size, "aggregate_result")
+        merged = decode([(plan.betas[i], held[i]) for i in fastest], plan, out_extent=w_elems)
         trace.decode_ops.add(w_elems)
         return model.with_flat(merged)
 
@@ -375,19 +379,20 @@ def run_dldd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     w_elems = model_init.size
 
     def step(trace, model, r, fastest):
-        shares, _ = encode(model.flattened_view, plan, _noise_spec(cfg, net, r), axis=0)
+        shares, _ = encode(model.flattened_view, plan, _noise_spec(cfg, net, r))
         trace.encode_ops.add(w_elems)
-        results = []
+        trained = []
         for j, (x, y) in enumerate(per_node_datasets):
-            trace.send("master", f"node{j}", shares[j].payload.size, "encoded_model")
-            local = local_train(model.with_flat(shares[j].payload), x, y, cfg.loss,
+            payload = shares.payloads[j]
+            trace.send("master", f"node{j}", payload.size, "encoded_model")
+            local = local_train(model.with_flat(payload), x, y, cfg.loss,
                                 cfg.lr, cfg.batch_size, cfg.epochs_per_round)
             trace.train_ops.add(w_elems)
             flat = local.flattened_view
             trace.send(f"node{j}", "master", flat.size, "trained_model")
-            results.append((shares[j].beta, flat))
+            trained.append(flat)
 
-        merged = decode([results[j] for j in fastest], plan, axis=0, out_extent=w_elems)
+        merged = decode([(plan.betas[j], trained[j]) for j in fastest], plan, out_extent=w_elems)
         trace.decode_ops.add(w_elems)
         return model.with_flat(merged)
 

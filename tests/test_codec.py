@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pbacc.codec import (
-    EncodedShare,
     _apply_decode,
     _decode_basis,
     NoiseSpec,
@@ -100,7 +99,7 @@ def test_encode_rejects_bad_arguments():
     with pytest.raises(ValueError):
         encode(np.arange(4.0), plan, NoiseSpec(1.0, 3, 0))  # T mismatch
     with pytest.raises(ValueError):
-        encode(np.arange(4.0), plan, NO_NOISE, axis=2)
+        encode(np.float64(4.0), plan, NO_NOISE)  # no coding axis
 
 
 def test_decode_constant_payloads_reproduced():
@@ -250,22 +249,25 @@ def test_padding_roundtrip_truncates():
     np.testing.assert_allclose(out[8:], x[8:], atol=0.5)
 
 
-def test_nonzero_coding_axis():
-    plan = make_plan(2, 0, 16)
-    x = np.random.default_rng(5).normal(size=(3, 6, 2))
-    shares, _ = encode(x, plan, NO_NOISE, axis=1)
-    assert shares[0].payload.shape == (3, 3, 2)
-    out = decode([(s.beta, s.payload) for s in shares], plan, axis=1, out_extent=6)
-    np.testing.assert_allclose(out, x, atol=1e-2)
-
-
 def test_share_metadata():
-    plan = make_plan(2, 0, 8)
-    shares, _ = encode(np.arange(4.0), plan, NO_NOISE)
+    # one worker-major payload array; shares[j] is a (beta, payload) view of row j
+    plan = make_plan(2, 1, 8)
+    x = np.random.default_rng(6).normal(size=(5, 3))
+    shares, _ = encode(x, plan, NoiseSpec(0.5, 1, seed=2))
+    assert isinstance(shares.payloads, np.ndarray)
+    assert shares.payloads.shape == (plan.N, 3, 3)  # (N, ceil(5 / K), 3)
+    assert np.array_equal(shares.betas, plan.betas)
+    assert len(shares) == plan.N
     for j, share in enumerate(shares):
-        assert isinstance(share, EncodedShare)
-        assert share.node_index == j
-        assert share.beta == plan.betas[j]
+        beta, payload = share
+        assert beta == share.beta == shares[j].beta == plan.betas[j]
+        assert payload is share.payload
+        assert payload.tobytes() == shares.payloads[j].tobytes()
+        assert np.shares_memory(payload, shares.payloads)
+    subset = [6, 0, 3, 5]
+    pairs = [(float(plan.betas[j]), shares.payloads[j].copy()) for j in subset]
+    assert (decode([shares[j] for j in subset], plan, out_extent=5).tobytes()
+            == decode(pairs, plan, out_extent=5).tobytes())
 
 
 def test_tensor_wire_format_roundtrip():

@@ -9,6 +9,7 @@ import yaml
 
 from pbacc.cli import main
 from pbacc.harness import SpecError, load_spec, run_experiment, spec_from_dict
+from pbacc.interpolation import make_plan
 
 
 def small_spec(tmp_path, **overrides):
@@ -59,6 +60,42 @@ def test_spec_rejects_bad_training_field(tmp_path, section, key, value):
     raw[section][key] = value
     with pytest.raises(SpecError, match=f"{section}.{key}"):
         spec_from_dict(raw)
+
+
+@pytest.mark.parametrize("scheme,section,key,value,name", [
+    ("dlcd_secure_training", "plan", "K", 65, "plan.K"),  # 64 samples
+    ("dldd_secure_aggregation", "network", "straggler",
+     {"kind": "drop_slowest", "count": 8}, "network.straggler"),
+    ("uncoded_dldd", "network", "straggler",
+     {"kind": "drop_slowest", "count": -1}, "network.straggler"),
+    ("dlcd_secure_training", "network", "straggler",
+     {"kind": "random_delay", "keep_n": 9}, "network.straggler"),
+    ("dldd_secure_training", "network", "straggler",
+     {"kind": "random_delay", "keep_n": 0}, "network.straggler"),
+    ("dldd_secure_aggregation", None, "strategy", "bogus", "strategy"),
+    ("uncoded_dldd", "training", "agg", "mode", "training.agg"),
+    ("dldd_secure_aggregation", "training", "agg", "mode", "training.agg"),
+    ("dldd_secure_aggregation", "privacy", "c", [2, 9], "privacy.c"),
+    ("dldd_secure_aggregation", "privacy", "s", 0.0, "privacy.s"),
+    ("dldd_secure_training", "privacy", "epsilon", -1.0, "privacy.epsilon"),
+    ("uncoded_dldd", "training", "features", 0, "training.features"),
+    ("dlcd_secure_training", "training", "hidden", [4, 0], "training.hidden"),
+], ids=["K_above_samples", "drop_count_high", "drop_count_negative", "keep_n_high",
+        "keep_n_zero", "strategy", "agg_uncoded", "agg_coded", "c_above_nodes", "s",
+        "epsilon", "features", "hidden"])
+def test_spec_rejects_bad_field_before_writing(tmp_path, scheme, section, key, value, name):
+    raw = small_spec(tmp_path, scheme=scheme)
+    (raw if section is None else raw[section])[key] = value
+    with pytest.raises(SpecError, match=name):
+        run_experiment(spec_from_dict(raw))
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_experiment_rejects_a_bad_override_before_writing(tmp_path):
+    spec = spec_from_dict(small_spec(tmp_path))
+    with pytest.raises(SpecError, match="strategy"):
+        run_experiment(spec, strategy="bogus")
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_spec_missing_file():
@@ -144,6 +181,9 @@ def test_cli_nodes_prints_families(capsys):
     assert len(payload["data_nodes"]) == 2
     assert len(payload["noise_nodes"]) == 2
     assert len(payload["encoder_nodes"]) == 8
+    plan = make_plan(2, 2, 8)
+    assert payload["data_nodes"] + payload["noise_nodes"] == plan.alphas.tolist()
+    assert payload["encoder_nodes"] == plan.betas.tolist()
 
 
 def test_cli_leakage_reports(capsys):

@@ -1,4 +1,4 @@
-"""Node families and the Berrut interpolant.
+"""Node families, coding plans and the Berrut interpolant.
 
 Frozen reference values were computed with a 50-digit mpmath evaluation of
 the same closed forms (see tests/oracles.py for the oracle used at runtime).
@@ -8,15 +8,14 @@ import numpy as np
 import pytest
 
 from pbacc.interpolation import (
-    CHEBYSHEV_FIRST,
-    CHEBYSHEV_SECOND,
-    SHIFTED_CHEBYSHEV_FIRST,
     NodeCoincidenceError,
     berrut_basis,
     berrut_basis_matrix,
     berrut_eval,
-    make_nodes,
+    chebyshev_first,
+    chebyshev_second,
     make_plan,
+    shifted_chebyshev_first,
 )
 
 # mpmath (dps=50) evaluation of the basis closed form, first-kind nodes, K=3, z=0.3
@@ -26,46 +25,44 @@ EVAL_K4_Z01 = 2.3896555407279599891
 
 
 def test_chebyshev_first_single_node_is_zero():
-    nodes = make_nodes(CHEBYSHEV_FIRST, 1)
-    assert nodes.values == pytest.approx([0.0], abs=1e-15)
+    assert chebyshev_first(1) == pytest.approx([0.0], abs=1e-15)
 
 
 def test_chebyshev_second_two_nodes_are_endpoints():
-    nodes = make_nodes(CHEBYSHEV_SECOND, 2)
-    np.testing.assert_allclose(nodes.values, [1.0, -1.0], atol=1e-15)
+    np.testing.assert_allclose(chebyshev_second(2), [1.0, -1.0], atol=1e-15)
 
 
 def test_shifted_first_kind_closed_form():
-    nodes = make_nodes(SHIFTED_CHEBYSHEV_FIRST, 2, shift=3.0)
     np.testing.assert_allclose(
-        nodes.values, [3.0 + np.sqrt(2) / 2, 3.0 - np.sqrt(2) / 2], rtol=1e-15)
+        shifted_chebyshev_first(2, shift=3.0), [3.0 + np.sqrt(2) / 2, 3.0 - np.sqrt(2) / 2],
+        rtol=1e-15)
 
 
 def test_node_family_ranges():
-    first = make_nodes(CHEBYSHEV_FIRST, 9).values
+    first = chebyshev_first(9)
     assert np.all((first > -1.0) & (first < 1.0))
-    second = make_nodes(CHEBYSHEV_SECOND, 9).values
+    second = chebyshev_second(9)
     assert second[0] == 1.0 and second[-1] == -1.0
-    shifted = make_nodes(SHIFTED_CHEBYSHEV_FIRST, 9, shift=2.0).values
+    shifted = shifted_chebyshev_first(9, shift=2.0)
     assert np.all((shifted > 1.0) & (shifted < 3.0))
 
 
 def test_node_families_are_pairwise_distinct():
     for count in (1, 2, 5, 17, 64):
-        vals = make_nodes(CHEBYSHEV_FIRST, count).values
+        vals = chebyshev_first(count)
         assert len(np.unique(vals)) == count
     for count in (2, 5, 17, 64):
-        vals = make_nodes(CHEBYSHEV_SECOND, count).values
+        vals = chebyshev_second(count)
         assert len(np.unique(vals)) == count
 
 
-def test_make_nodes_rejects_bad_counts():
+def test_node_functions_reject_bad_counts():
     with pytest.raises(ValueError):
-        make_nodes(CHEBYSHEV_FIRST, 0)
+        chebyshev_first(0)
     with pytest.raises(ValueError):
-        make_nodes(CHEBYSHEV_SECOND, 1)
+        chebyshev_second(1)
     with pytest.raises(ValueError):
-        make_nodes("no_such_kind", 3)
+        shifted_chebyshev_first(0, shift=-2.0)
 
 
 def test_basis_single_node_is_constant_one():
@@ -74,12 +71,12 @@ def test_basis_single_node_is_constant_one():
 
 
 def test_basis_symmetry_two_nodes():
-    nodes = make_nodes(CHEBYSHEV_FIRST, 2).values
+    nodes = chebyshev_first(2)
     np.testing.assert_allclose(berrut_basis(0.0, nodes), [0.5, 0.5], rtol=1e-15)
 
 
 def test_basis_matches_extended_precision_oracle():
-    nodes = make_nodes(CHEBYSHEV_FIRST, 3).values
+    nodes = chebyshev_first(3)
     q = berrut_basis(0.3, nodes)
     np.testing.assert_allclose(q, BASIS_K3_Z03, rtol=1e-13)
     assert abs(q.sum() - 1.0) <= 1e-12
@@ -89,7 +86,7 @@ def test_partition_of_unity_random_nodes_and_points():
     rng = np.random.default_rng(11)
     for _ in range(50):
         k = int(rng.integers(1, 40))
-        nodes = make_nodes(CHEBYSHEV_FIRST, k).values
+        nodes = chebyshev_first(k)
         z = rng.uniform(-2.0, 2.0, size=200)
         keep = np.min(np.abs(z[:, None] - nodes[None, :]), axis=1) > 1e-6
         for zi in z[keep]:
@@ -97,7 +94,7 @@ def test_partition_of_unity_random_nodes_and_points():
 
 
 def test_basis_signals_node_coincidence():
-    nodes = make_nodes(CHEBYSHEV_FIRST, 5).values
+    nodes = chebyshev_first(5)
     with pytest.raises(NodeCoincidenceError) as err:
         berrut_basis(float(nodes[3]), nodes)
     assert err.value.index == 3
@@ -107,7 +104,7 @@ def test_basis_signals_node_coincidence():
 
 def test_eval_reproduces_constants():
     rng = np.random.default_rng(3)
-    nodes = make_nodes(CHEBYSHEV_FIRST, 8).values
+    nodes = chebyshev_first(8)
     payload = np.full((8, 3), 2.5)
     for z in rng.uniform(-1.0, 1.0, size=1000):
         if np.min(np.abs(z - nodes)) < 1e-6:
@@ -117,7 +114,7 @@ def test_eval_reproduces_constants():
 
 
 def test_eval_interpolation_property_is_exact():
-    nodes = make_nodes(CHEBYSHEV_FIRST, 6).values
+    nodes = chebyshev_first(6)
     rng = np.random.default_rng(5)
     payloads = rng.normal(size=(6, 4))
     out = berrut_eval(float(nodes[2]), nodes, payloads)
@@ -125,14 +122,14 @@ def test_eval_interpolation_property_is_exact():
 
 
 def test_eval_matches_extended_precision_oracle():
-    nodes = make_nodes(CHEBYSHEV_FIRST, 4).values
+    nodes = chebyshev_first(4)
     payloads = np.array([[1.0], [2.0], [3.0], [4.0]])
     out = berrut_eval(0.1, nodes, payloads)
     np.testing.assert_allclose(out, [EVAL_K4_Z01], rtol=1e-12)
 
 
 def test_eval_rejects_shape_mismatch():
-    nodes = make_nodes(CHEBYSHEV_FIRST, 2).values
+    nodes = chebyshev_first(2)
     with pytest.raises(ValueError):
         berrut_eval(0.3, nodes, [np.zeros(3), np.zeros(4)])
 
@@ -141,7 +138,7 @@ def test_no_real_poles_between_sorted_nodes():
     # alternating weights on a sorted family keep the denominator away from zero
     rng = np.random.default_rng(17)
     for k in (2, 7, 33, 64):
-        nodes = make_nodes(CHEBYSHEV_FIRST, k).values
+        nodes = chebyshev_first(k)
         z = rng.uniform(-1.0, 1.0, size=100_000)
         keep = np.min(np.abs(z[:, None] - nodes[None, :]), axis=1) > 1e-9
         z = z[keep]
@@ -159,6 +156,19 @@ def test_plan_concatenated_nodes_are_distinct():
     assert gaps.min() > 1e-6
 
 
+def test_plan_holds_read_only_node_arrays():
+    # alphas: the K data nodes, then the T noise nodes; betas: one per worker
+    plan = make_plan(K=3, T=2, N=8, shift=-2.0)
+    assert plan.alphas.tobytes() == np.concatenate(
+        [chebyshev_first(3), shifted_chebyshev_first(2, shift=-2.0)]).tobytes()
+    assert plan.betas.tobytes() == chebyshev_second(8).tobytes()
+    assert plan.alphas is plan.alphas  # stored once, not rebuilt per access
+    for nodes in (plan.alphas, plan.betas, plan.alphas[:plan.K]):
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+    assert make_plan(K=2, T=0, N=8).alphas.tobytes() == chebyshev_first(2).tobytes()
+
+
 def test_plan_rejects_colliding_noise_shift():
     # shift 0 with K=1, T=1 puts the noise node on the data node
     with pytest.raises(ValueError):
@@ -169,7 +179,7 @@ def test_plan_perturbs_encoder_nodes_on_collision():
     # K=2, N=5: encoder nodes at cos(j*pi/4) include both data nodes
     plan = make_plan(K=2, T=0, N=5)
     assert plan.perturbed == (1, 3)
-    raw = make_nodes(CHEBYSHEV_SECOND, 5).values
+    raw = chebyshev_second(5)
     assert plan.betas[1] == raw[1] + 1e-9
     gaps = np.abs(plan.betas[:, None] - plan.alphas[None, :])
     assert gaps.min() > 1e-10
@@ -180,11 +190,11 @@ def test_plan_perturbs_encoder_nodes_on_collision():
 def test_plan_without_collisions_keeps_encoder_nodes_exact():
     plan = make_plan(K=1, T=30, N=50)
     assert plan.perturbed == ()
-    np.testing.assert_array_equal(plan.betas, make_nodes(CHEBYSHEV_SECOND, 50).values)
+    np.testing.assert_array_equal(plan.betas, chebyshev_second(50))
 
 
 def test_basis_matrix_rejects_node_collision():
-    nodes = make_nodes(CHEBYSHEV_FIRST, 3).values
+    nodes = chebyshev_first(3)
     with pytest.raises(RuntimeError):
         berrut_basis_matrix(np.array([0.5, float(nodes[0])]), nodes)
 

@@ -6,14 +6,18 @@ import pytest
 from pbacc.codec import NoiseSpec, decode, encode
 from pbacc.interpolation import make_plan
 from pbacc.learners import (
+    COORD_MEDIAN,
+    FEDAVG,
     Batch,
     SOFTMAX_CE,
     TANH,
+    aggregate,
     backward_from_output,
     evaluate,
     forward,
     forward_with_cache,
     init_mlp,
+    local_train,
     loss_and_output_grad,
     make_two_clusters,
     sgd_step,
@@ -239,11 +243,10 @@ def reference_dlcd_secure_training(cfg, network, x, y, model_init):
             lo = g * plan.K
             valid = min(plan.K, x.shape[0] - lo)
             results = []
-            for share in shares:
-                messages.append(Message("master", f"node{share.node_index}", w, "model_broadcast"))
+            for j, share in enumerate(shares):
+                messages.append(Message("master", f"node{j}", w, "model_broadcast"))
                 pred = forward(model, share.payload[g])
-                messages.append(Message(f"node{share.node_index}", "master", pred.size,
-                                        "inference_result"))
+                messages.append(Message(f"node{j}", "master", pred.size, "inference_result"))
                 results.append((share.beta, pred))
             decoded = decode([results[j] for j in fastest], plan, out_extent=valid)
             _, dpred = loss_and_output_grad(decoded, y[lo:lo + valid], cfg.loss)
@@ -271,6 +274,59 @@ def test_dlcd_secure_training_matches_the_per_share_reference():
         assert trace.messages == messages
         assert [trace.train_ops.count, trace.train_ops.elements] == train
         assert [trace.decode_ops.count, trace.decode_ops.elements] == decoded
+
+
+def reference_dldd_secure_aggregation(cfg, network, data, model_init):
+    """The secure-aggregation runner as per-owner encodes and per-holder aggregates.
+
+    Returns per round (loss, flat model, messages).
+    """
+    plan, n, w = cfg.plan, network.n_nodes, model_init.size
+    pooled = (np.concatenate([x for x, _ in data]), np.concatenate([y for _, y in data]))
+    model, rounds = model_init.copy(), []
+    for r in range(1, cfg.rounds + 1):
+        messages, trained = [], []
+        for j, (x, y) in enumerate(data):
+            messages.append(Message("master", f"node{j}", w, "model_broadcast"))
+            local = local_train(model, x, y, cfg.loss, cfg.lr, cfg.batch_size,
+                                cfg.epochs_per_round)
+            trained.append(local.flattened_view)
+        owned = []  # owned[j][i]: the share of node j's model that node i holds
+        for j in range(n):
+            noise = NoiseSpec(cfg.sigma_n, plan.T, _derived_seed(network.seed, r, j))
+            shares, _ = encode(trained[j], plan, noise)
+            owned.append([shares[i] for i in range(n)])
+            messages += [Message(f"node{j}", f"node{i}", shares[i].payload.size, "share_exchange")
+                         for i in range(n) if i != j]
+        results = []
+        for i in range(n):
+            held = aggregate([owned[j][i].payload for j in range(n)], cfg.agg_rule)
+            messages.append(Message(f"node{i}", "master", held.size, "aggregate_result"))
+            results.append((owned[0][i].beta, held))
+        fastest = select_fastest(network, r)
+        model = model.with_flat(decode([results[i] for i in fastest], plan, out_extent=w))
+        loss, _ = evaluate(model, *pooled, cfg.loss)
+        rounds.append((loss, model.flattened_view, messages))
+    return rounds
+
+
+@pytest.mark.parametrize("K", [1, 2])
+@pytest.mark.parametrize("agg_rule", [FEDAVG, COORD_MEDIAN])
+def test_dldd_secure_aggregation_matches_the_per_share_reference(K, agg_rule):
+    x, y = make_two_clusters(45, seed=9)  # 22 parameters: the K=2 shares are padded
+    data = split(x, y)
+    plan = make_plan(K, 2, N)
+    cfg = SchemeConfig(scheme=DLDD_SECURE_AGGREGATION, plan=plan, sigma_n=0.5, rounds=2,
+                       lr=0.1, batch_size=3, agg_rule=agg_rule)
+    network = NetworkConfig(n_nodes=N, seed=5,
+                            straggler=StragglerModel(kind=DROP_SLOWEST, count=2, seed=6))
+    traces = run_dldd_secure_aggregation(cfg, network, data, model())
+    reference = reference_dldd_secure_aggregation(cfg, network, data, model())
+    assert len(traces) == len(reference) == 2
+    for trace, (loss, flat, messages) in zip(traces, reference):
+        assert trace.decoded_model.tobytes() == flat.tobytes()
+        assert trace.loss == loss
+        assert trace.messages == messages
 
 
 def test_dldd_secure_aggregation_tolerates_any_subset_size():
