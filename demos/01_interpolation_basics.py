@@ -36,8 +36,8 @@ for z in (0.31, -0.77, 2.5):
     print(f"z={z:+.2f}: basis sum = {q.sum():.15f}")
 
 # %% Interpolation property.
-# At a node, the interpolant returns that node's payload exactly (the
-# evaluation takes the limit branch, so the result is bit-for-bit equal).
+# At a node, the interpolant returns that node's payload exactly: the basis
+# row there is the node's indicator, so the result is bit-for-bit equal.
 
 payloads = np.random.default_rng(0).normal(size=(6, 2))
 at_node = berrut_eval(float(nodes[2]), nodes, payloads)

@@ -9,7 +9,6 @@ for coded decentralized-learning protocols.
 from .interpolation import (
     DEFAULT_NOISE_SHIFT,
     CodingPlan,
-    NodeCoincidenceError,
     berrut_basis,
     berrut_eval,
     chebyshev_first,

@@ -19,9 +19,8 @@ import numpy as np
 
 from .interpolation import (
     CodingPlan,
-    berrut_basis,
+    berrut_basis,  # noqa: F401 -- uncalled; bench/tracer.py patches it by this name
     berrut_basis_matrix,
-    _coincident_index,
     _has_coincident_pair,
 )
 
@@ -136,37 +135,34 @@ def decode(results: Sequence[tuple[float, np.ndarray]], plan: CodingPlan,
     return _apply_decode(rows, np.stack([payloads[i] for i in order]), out_extent)
 
 
-def _decode_basis(betas: np.ndarray, plan: CodingPlan) -> tuple[np.ndarray, list]:
+def _decode_basis(betas: np.ndarray, plan: CodingPlan) -> tuple[np.ndarray, np.ndarray]:
     """The decoding interpolant of one worker subset, evaluated at the data nodes.
 
     ``betas`` are the subset's encoder node values in any order.  Returns the
-    descending order of ``betas`` and, per data node, either the index (into
-    that order) of a result sitting on the node or its Berrut basis row.  A
-    caller that decodes many payloads from the same subset builds this once.
+    descending order of ``betas`` and the (K, n) Berrut basis of the data
+    nodes over the nodes in that order; a result sitting on a data node gets
+    its indicator row.  A caller that decodes many payloads from the same
+    subset builds this once.
     """
     if len(betas) == 0:
         raise ValueError("need at least one result to decode")
     if _has_coincident_pair(betas):
         raise ValueError("duplicate encoder node values in results")
     order = np.argsort(-betas)
-    betas = betas[order]
-    rows = []
-    for z in plan.alphas[:plan.K]:
-        hit = _coincident_index(float(z), betas)
-        rows.append(hit if hit is not None else berrut_basis(float(z), betas))
-    return order, rows
+    return order, berrut_basis_matrix(plan.alphas[:plan.K], betas[order])
 
 
-def _apply_decode(rows: list, stack: np.ndarray, out_extent: int | None) -> np.ndarray:
+def _apply_decode(rows: np.ndarray, stack: np.ndarray, out_extent: int | None) -> np.ndarray:
     """Apply :func:`_decode_basis` rows to results stacked in its order.
 
     ``stack`` is (n, G, *rest); the result is (G*K, *rest) with the K data
     nodes re-interleaved along the leading axis, truncated to ``out_extent``.
+    One product per row: a single (K, n) product rounds differently for K >= 2.
     """
     groups = stack.shape[1]
     per_node = np.empty((len(rows),) + stack.shape[1:])
     for i, row in enumerate(rows):
-        per_node[i] = stack[row] if isinstance(row, int) else np.tensordot(row, stack, axes=(0, 0))
+        per_node[i] = np.tensordot(row, stack, axes=(0, 0))
     out = per_node.swapaxes(0, 1).reshape((groups * len(rows),) + stack.shape[2:])
     if out_extent is not None:
         if not 0 < out_extent <= out.shape[0]:
@@ -183,13 +179,7 @@ def roundtrip_error(x: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
     The reference is ``f`` applied directly to ``x``; the error is
     max |decoded - f(x)| normalized by max |f(x)| (or 1 if f(x) is zero).
     """
-    subset = list(subset)
-    if not subset:
-        raise ValueError("subset must be nonempty")
-    if len(set(subset)) != len(subset):
-        raise ValueError("subset indices must be distinct")
-    if any(not 0 <= j < plan.N for j in subset):
-        raise ValueError(f"subset indices must lie in [0, {plan.N})")
+    subset = plan.worker_subset(subset)
     x = np.asarray(x, dtype=float)
     shares, _ = encode(x, plan, noise)
     results = [(shares[j].beta, f(shares[j].payload)) for j in subset]

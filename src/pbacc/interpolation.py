@@ -15,11 +15,19 @@ the alternating sign pattern of the concatenated (data, noise) node list for
 every (K, T) and therefore keeps the encoder pole-free.  A positive shift
 does the same only when K + T is even; for odd K + T the denominator gains a
 real zero between the two blocks, inside the encoder-node range.
+
+Coincidence rule.  A point z lies on node a_j when |z - a_j| is below the
+node's guard band, :data:`COINCIDENCE_GUARD` * max(1, |a_j|).  There the
+basis row is node j's indicator, the interpolation limit u(a_j) = X_j; when
+a point lies on several nodes the first one wins.  ``make_plan`` nudges any
+encoder node that lies on an interpolation node, and a set of nodes in
+which one node lies on another counts as colliding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -31,14 +39,6 @@ COLLISION_NUDGE = 1e-9
 
 #: Default shift of the noise-node block (see module docstring).
 DEFAULT_NOISE_SHIFT = -2.0
-
-
-class NodeCoincidenceError(ValueError):
-    """Evaluation point lies within the guard band of node ``index``."""
-
-    def __init__(self, z: float, index: int, node: float):
-        super().__init__(f"z={z!r} coincides with node {index} ({node!r})")
-        self.index = index
 
 
 def chebyshev_first(count: int) -> np.ndarray:
@@ -67,79 +67,60 @@ def berrut_weights(count: int) -> np.ndarray:
     return (-1.0) ** np.arange(count)
 
 
-def _guard_band(nodes: np.ndarray) -> np.ndarray:
-    """Half-width of each node's coincidence guard band."""
-    return COINCIDENCE_GUARD * np.maximum(1.0, np.abs(nodes))
-
-
-def _coincident_index(z: float, nodes: np.ndarray) -> int | None:
-    """Index of the node within the guard band of ``z``, or None."""
-    hits = np.nonzero(np.abs(z - nodes) < _guard_band(nodes))[0]
-    return int(hits[0]) if hits.size else None
+def _guard_band_mask(diff: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """True where ``diff[i, j]``, point i minus node j, lies in node j's guard band."""
+    return np.abs(diff) < COINCIDENCE_GUARD * np.maximum(1.0, np.abs(nodes))
 
 
 def _has_coincident_pair(nodes: np.ndarray) -> bool:
-    """True when two nodes are closer than the widest guard band of the set."""
-    if len(nodes) < 2:
-        return False
-    gaps = np.abs(nodes[:, None] - nodes[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    return bool(gaps.min() < _guard_band(nodes).max())
-
-
-def berrut_basis(z: float, nodes: np.ndarray) -> np.ndarray:
-    """Berrut basis q_i(z) = ((-1)^i/(z-a_i)) / sum_j (-1)^j/(z-a_j).
-
-    The basis is a partition of unity: sum_i q_i(z) = 1 up to rounding.
-    Raises :class:`NodeCoincidenceError` when ``z`` falls inside the guard
-    band of a node; callers take the interpolation limit there.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    hit = _coincident_index(z, nodes)
-    if hit is not None:
-        raise NodeCoincidenceError(z, hit, float(nodes[hit]))
-    terms = berrut_weights(len(nodes)) / (z - nodes)
-    return terms / terms.sum()
+    """True when some node lies inside another node's guard band."""
+    hits = _guard_band_mask(nodes[:, None] - nodes[None, :], nodes)
+    np.fill_diagonal(hits, False)
+    return bool(hits.any())
 
 
 def berrut_basis_matrix(zs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Stacked Berrut basis rows, one per evaluation point.
+    """Berrut basis rows q_i(z) = ((-1)^i/(z-a_i)) / sum_j (-1)^j/(z-a_j), one per z.
 
-    All evaluation points must be clear of the nodes; a CodingPlan
-    guarantees this for its encoder nodes, so a violation here is an
-    internal error rather than bad input.
+    Each row is a partition of unity: it sums to 1 up to rounding.  A point
+    on a node gets that node's indicator row (see the module docstring).
     """
     zs = np.asarray(zs, dtype=float)
     nodes = np.asarray(nodes, dtype=float)
     diff = zs[:, None] - nodes[None, :]
-    if np.any(np.abs(diff) < _guard_band(nodes)[None, :]):
-        raise RuntimeError("evaluation point collides with a node; "
-                           "the coding plan should have prevented this")
-    terms = berrut_weights(len(nodes))[None, :] / diff
+    hits = _guard_band_mask(diff, nodes)
+    if hits.any():
+        on_node = hits.any(axis=1)
+        rows = np.zeros(diff.shape)
+        rows[on_node, hits[on_node].argmax(axis=1)] = 1.0  # argmax: first hit
+        rows[~on_node] = berrut_basis_matrix(zs[~on_node], nodes)
+        return rows
+    terms = berrut_weights(len(nodes)) / diff
     return terms / terms.sum(axis=1, keepdims=True)
+
+
+def berrut_basis(z: float, nodes: np.ndarray) -> np.ndarray:
+    """The :func:`berrut_basis_matrix` row of the single point ``z``."""
+    return berrut_basis_matrix([z], nodes)[0]
 
 
 def berrut_eval(z: float, nodes: np.ndarray, payloads) -> np.ndarray:
     """Evaluate the Berrut interpolant through ``(nodes, payloads)`` at ``z``.
 
     Payloads may be an array stacked along axis 0 or a sequence of
-    equally-shaped arrays.  At a node (within the guard band) the exact
-    payload is returned, realizing the interpolation property u(a_j) = X_j.
+    equally-shaped arrays.  At a node the basis row is an indicator, so the
+    node's (finite) payload comes back exactly: u(a_j) = X_j.
     """
     nodes = np.asarray(nodes, dtype=float)
     stack = np.asarray(payloads, dtype=float)
-    if stack.shape[0] != len(nodes):
-        raise ValueError(f"{len(nodes)} nodes but {stack.shape[0]} payloads")
     if stack.ndim == 0:
         raise ValueError("payloads must be at least 1-dimensional")
-    hit = _coincident_index(z, nodes)
-    if hit is not None:
-        return stack[hit].copy()
-    q = berrut_basis(z, nodes)
-    return np.tensordot(q, stack, axes=(0, 0))
+    if stack.shape[0] != len(nodes):
+        raise ValueError(f"{len(nodes)} nodes but {stack.shape[0]} payloads")
+    return np.tensordot(berrut_basis(z, nodes), stack, axes=(0, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodingPlan:
     """All interpolation points of one coding configuration, as plain arrays.
 
@@ -158,6 +139,17 @@ class CodingPlan:
     alphas: np.ndarray
     betas: np.ndarray
     perturbed: tuple[int, ...] = ()
+
+    def worker_subset(self, subset: Sequence[int]) -> list[int]:
+        """``subset`` as a list, checked to be nonempty, distinct worker indices."""
+        subset = list(subset)
+        if not subset:
+            raise ValueError("subset must be nonempty")
+        if len(set(subset)) != len(subset):
+            raise ValueError("subset indices must be distinct")
+        if any(not 0 <= j < self.N for j in subset):
+            raise ValueError(f"subset indices must lie in [0, {self.N})")
+        return subset
 
 
 def make_plan(K: int, T: int, N: int, shift: float = DEFAULT_NOISE_SHIFT) -> CodingPlan:
@@ -179,12 +171,9 @@ def make_plan(K: int, T: int, N: int, shift: float = DEFAULT_NOISE_SHIFT) -> Cod
             "move the noise shift away from the data interval")
 
     betas = chebyshev_second(N)
-    perturbed = []
-    for j in range(N):
-        if _coincident_index(betas[j], alphas) is not None:
-            betas[j] += COLLISION_NUDGE
-            perturbed.append(j)
+    collides = _guard_band_mask(betas[:, None] - alphas[None, :], alphas).any(axis=1)
+    betas[collides] += COLLISION_NUDGE
     alphas.flags.writeable = False
     betas.flags.writeable = False
     return CodingPlan(K=K, T=T, N=N, shift=shift, alphas=alphas, betas=betas,
-                      perturbed=tuple(perturbed))
+                      perturbed=tuple(np.flatnonzero(collides).tolist()))

@@ -103,14 +103,7 @@ def build_sigmas(subset: Sequence[int], plan: CodingPlan) -> tuple[np.ndarray, n
     Row h holds the Berrut basis over the full K+T node list evaluated at
     the h-th colluder's encoder node; rows therefore sum to 1.
     """
-    subset = list(subset)
-    if not subset:
-        raise ValueError("subset must be nonempty")
-    if len(set(subset)) != len(subset):
-        raise ValueError("subset indices must be distinct")
-    if any(not 0 <= j < plan.N for j in subset):
-        raise ValueError(f"subset indices must lie in [0, {plan.N})")
-    rows = berrut_basis_matrix(plan.betas[subset], plan.alphas)
+    rows = berrut_basis_matrix(plan.betas[plan.worker_subset(subset)], plan.alphas)
     return rows[:, :plan.K], rows[:, plan.K:]
 
 

@@ -27,11 +27,35 @@ def test_tracer_patch_points_resolve_to_callables():
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
-@pytest.mark.parametrize("name", ["coded_training", "secure_aggregation", "codec_bulk"])
+@pytest.mark.parametrize("name", ["coded_training", "secure_aggregation", "leakage_audit",
+                                  "codec_bulk"])
 def test_workload_op_passes_its_check(tmp_path, name):
     # training: exact message counts, a finite loss and a byte-identical rerun;
-    # codec_bulk: decoded shape and error under the ceiling
+    # leakage_audit: the amplitude meets its epsilon; codec_bulk: decoded
+    # shape and error under the ceiling
     workload = _load("workloads").WORKLOADS[name](seed=1, out_dir=str(tmp_path))
     inp = workload.inputs(0)
     workload.check(inp, workload.op(inp))
     workload.finish_checks()
+
+
+def test_traced_op_records_spans_and_restores_every_patch_point(tmp_path):
+    tracer_mod = _load("tracer")
+    originals = [(module, attr, getattr(module, attr))
+                 for module, attr, _, _ in tracer_mod.PATCH_POINTS]
+    workload = _load("workloads").WORKLOADS["coded_training"](seed=1, out_dir=str(tmp_path))
+    inp = workload.inputs(0)
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        tracer.op = 0
+        workload.check(inp, workload.op(inp))
+    finally:
+        tracer.op = None
+        tracer.uninstall()
+    totals = tracer_mod.LayerTotals(tracer.spans)
+    assert totals.calls.get("codec.encode", 0) >= 1
+    assert totals.extra["codec.encode"]["bytes"] > 0  # the result hook iterated the shares
+    assert totals.calls.get("interpolation.basis_matrix", 0) >= 1
+    for module, attr, original in originals:
+        assert getattr(module, attr) is original, f"{module.__name__}.{attr}"

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from pbacc.interpolation import (
-    NodeCoincidenceError,
     berrut_basis,
     berrut_basis_matrix,
     berrut_eval,
@@ -93,13 +92,17 @@ def test_partition_of_unity_random_nodes_and_points():
             assert abs(berrut_basis(zi, nodes).sum() - 1.0) <= 1e-12
 
 
-def test_basis_signals_node_coincidence():
+def test_basis_takes_the_limit_at_a_node():
+    # on a node and inside its guard band the row is that node's indicator
     nodes = chebyshev_first(5)
-    with pytest.raises(NodeCoincidenceError) as err:
-        berrut_basis(float(nodes[3]), nodes)
-    assert err.value.index == 3
-    # just outside the guard band evaluates fine
-    berrut_basis(float(nodes[3]) + 1e-9, nodes)
+    for z in (float(nodes[3]), float(nodes[3]) + 1e-14):
+        assert berrut_basis(z, nodes).tobytes() == np.eye(5)[3].tobytes()
+    # just outside the guard band it is the ordinary Berrut row
+    z = float(nodes[3]) + 1e-9
+    terms = (-1.0) ** np.arange(5) / (z - nodes)
+    assert berrut_basis(z, nodes).tobytes() == (terms / terms.sum()).tobytes()
+    # a point inside two guard bands takes the first node's indicator
+    assert berrut_basis(0.5, np.array([-0.5, 0.5, 0.5 + 1e-13])).tolist() == [0.0, 1.0, 0.0]
 
 
 def test_eval_reproduces_constants():
@@ -117,8 +120,9 @@ def test_eval_interpolation_property_is_exact():
     nodes = chebyshev_first(6)
     rng = np.random.default_rng(5)
     payloads = rng.normal(size=(6, 4))
-    out = berrut_eval(float(nodes[2]), nodes, payloads)
-    assert np.array_equal(out, payloads[2])
+    for z in (float(nodes[2]), float(nodes[2]) + 1e-14):  # on the node, inside its band
+        out = berrut_eval(z, nodes, payloads)
+        assert np.array_equal(out, payloads[2])
 
 
 def test_eval_matches_extended_precision_oracle():
@@ -132,6 +136,8 @@ def test_eval_rejects_shape_mismatch():
     nodes = chebyshev_first(2)
     with pytest.raises(ValueError):
         berrut_eval(0.3, nodes, [np.zeros(3), np.zeros(4)])
+    with pytest.raises(ValueError):
+        berrut_eval(0.3, nodes, 1.0)
 
 
 def test_no_real_poles_between_sorted_nodes():
@@ -187,16 +193,31 @@ def test_plan_perturbs_encoder_nodes_on_collision():
     assert plan.betas[0] == raw[0]
 
 
+def test_plans_compare_by_identity():
+    plan, twin = make_plan(2, 2, 8), make_plan(2, 2, 8)
+    assert plan == plan
+    assert (plan == twin) is False
+    assert plan != twin
+    assert {plan, twin, plan} == {plan, twin}
+    assert len({plan, twin}) == 2
+
+
 def test_plan_without_collisions_keeps_encoder_nodes_exact():
     plan = make_plan(K=1, T=30, N=50)
     assert plan.perturbed == ()
     np.testing.assert_array_equal(plan.betas, chebyshev_second(50))
 
 
-def test_basis_matrix_rejects_node_collision():
+def test_basis_matrix_takes_the_limit_row_by_row():
     nodes = chebyshev_first(3)
-    with pytest.raises(RuntimeError):
-        berrut_basis_matrix(np.array([0.5, float(nodes[0])]), nodes)
+    zs = np.array([0.5, float(nodes[0]), -0.2, float(nodes[2]) + 1e-14, float(nodes[1]) + 1e-9])
+    rows = berrut_basis_matrix(zs, nodes)
+    assert rows[1].tobytes() == np.eye(3)[0].tobytes()
+    assert rows[3].tobytes() == np.eye(3)[2].tobytes()
+    # the other rows are what the same points give evaluated alone
+    for i in (0, 2, 4):
+        assert rows[i].tobytes() == berrut_basis_matrix(zs[i:i + 1], nodes)[0].tobytes()
+        assert rows[i].tobytes() == berrut_basis(float(zs[i]), nodes).tobytes()
 
 
 def test_negative_default_shift_keeps_encoder_pole_free():
