@@ -103,7 +103,8 @@ def cmd_leakage(args) -> int:
     }
     if args.report_max_s and report.i_L > args.epsilon:
         payload["max_s_for_epsilon"] = max_secure_amplitude(
-            plan, cfg, args.epsilon, strategy=args.strategy)
+            plan, cfg, args.epsilon, strategy=args.strategy,
+            samples=args.samples, seed=args.seed)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 

@@ -3,8 +3,8 @@
 ``encode`` compresses the leading (coding) axis by a factor K: contiguous
 groups of K slices are mapped to the K data nodes and padded with T Gaussian
 noise blocks at the noise nodes, then the resulting rational interpolant is
-evaluated at every worker's encoder node at once, as one (N, K+T) basis
-matrix applied to the stacked coefficients.  ``decode`` rebuilds the
+evaluated at every worker's encoder node at once, as the plan's (N, K+T)
+encoder basis applied to the stacked coefficients.  ``decode`` rebuilds the
 function values at the data nodes from whatever subset of worker results
 arrived, which is what gives the scheme its straggler tolerance.
 """
@@ -110,8 +110,7 @@ def encode(x: np.ndarray, plan: CodingPlan, noise: NoiseSpec,
         blocks = np.empty((0, groups) + x.shape[1:])
         coeffs = stacked
 
-    basis = berrut_basis_matrix(plan.betas, plan.alphas)  # (N, K+T)
-    payloads = np.tensordot(basis, coeffs, axes=(1, 0))   # (N, groups, *rest)
+    payloads = np.tensordot(plan.encoder_basis, coeffs, axes=(1, 0))  # (N, groups, *rest)
     return Shares(plan.betas, payloads), list(blocks)
 
 

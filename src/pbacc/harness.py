@@ -28,6 +28,7 @@ from .protocols import (
     CENTRALIZED_SCHEMES,
     CODED_SCHEMES,
     DLCD_SECURE_TRAINING,
+    DLDD_SECURE_TRAINING,
     NetworkConfig,
     SchemeConfig,
     StragglerModel,
@@ -221,6 +222,9 @@ def _validate(spec: ExperimentSpec) -> None:
             raise SpecError("privacy.epsilon must be > 0")
         if spec.scheme == DLCD_SECURE_TRAINING and spec.K > spec.samples:
             raise SpecError("plan.K must be <= training.samples")
+        if spec.scheme == DLDD_SECURE_TRAINING and spec.K != 1:
+            raise SpecError(f"plan.K must be 1 for {DLDD_SECURE_TRAINING}, which encodes "
+                            "the model at a single data node")
 
 
 def _make_dataset(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:

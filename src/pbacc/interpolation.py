@@ -129,7 +129,9 @@ class CodingPlan:
     first-kind Chebyshev).  ``betas`` holds the N encoder nodes, one per
     worker (second-kind Chebyshev); those that collided with an
     interpolation node have been nudged by :data:`COLLISION_NUDGE`, and
-    their indices are in ``perturbed``.  Both arrays are read-only.
+    their indices are in ``perturbed``.  ``encoder_basis`` is the (N, K+T)
+    :func:`berrut_basis_matrix` of ``betas`` over ``alphas``: row j maps the
+    K+T coefficients to worker j's share.  All three arrays are read-only.
     """
 
     K: int
@@ -138,6 +140,7 @@ class CodingPlan:
     shift: float
     alphas: np.ndarray
     betas: np.ndarray
+    encoder_basis: np.ndarray
     perturbed: tuple[int, ...] = ()
 
     def worker_subset(self, subset: Sequence[int]) -> list[int]:
@@ -173,7 +176,8 @@ def make_plan(K: int, T: int, N: int, shift: float = DEFAULT_NOISE_SHIFT) -> Cod
     betas = chebyshev_second(N)
     collides = _guard_band_mask(betas[:, None] - alphas[None, :], alphas).any(axis=1)
     betas[collides] += COLLISION_NUDGE
-    alphas.flags.writeable = False
-    betas.flags.writeable = False
+    basis = berrut_basis_matrix(betas, alphas)
+    for array in (alphas, betas, basis):
+        array.flags.writeable = False
     return CodingPlan(K=K, T=T, N=N, shift=shift, alphas=alphas, betas=betas,
-                      perturbed=tuple(np.flatnonzero(collides).tolist()))
+                      encoder_basis=basis, perturbed=tuple(np.flatnonzero(collides).tolist()))

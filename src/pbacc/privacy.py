@@ -16,6 +16,14 @@ only depends on the node geometry and the ratio s*sqrt(T)/sigma_n.
 A singular noise Gram matrix (c colluders whose noise directions are
 dependent, always the case for c > T) means some linear combination of the
 observations is noise-free; the bound is reported as +inf.
+
+The bound of one colluder set is sum_i log2(1 + gamma * lambda_i), where
+gamma = s^2 T / sigma_n^2 and lambda_i are the generalized eigenvalues of
+the pencil (S S^T, St St^T).  That spectrum depends only on the plan and
+the set, not on s or sigma_n.  The searches therefore compute each visited
+set's spectrum once per public call, in a memo that lives as long as the
+call, and sum it at the call's s; ``max_secure_amplitude`` re-sums the
+same spectra at every s of its bisection.
 """
 
 from __future__ import annotations
@@ -28,7 +36,10 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .interpolation import CodingPlan, berrut_basis_matrix
+from .interpolation import (
+    CodingPlan,
+    berrut_basis_matrix,  # noqa: F401 -- uncalled; bench/tracer.py patches it by this name
+)
 
 EXHAUSTIVE = "exhaustive"
 GREEDY = "greedy"
@@ -101,10 +112,43 @@ def build_sigmas(subset: Sequence[int], plan: CodingPlan) -> tuple[np.ndarray, n
     """Basis matrices of a colluder set: data columns and noise columns.
 
     Row h holds the Berrut basis over the full K+T node list evaluated at
-    the h-th colluder's encoder node; rows therefore sum to 1.
+    the h-th colluder's encoder node (a row of ``plan.encoder_basis``);
+    rows therefore sum to 1.
     """
-    rows = berrut_basis_matrix(plan.betas[plan.worker_subset(subset)], plan.alphas)
+    rows = plan.encoder_basis[plan.worker_subset(subset)]
     return rows[:, :plan.K], rows[:, plan.K:]
+
+
+def _subset_spectrum(subset: Sequence[int], plan: CodingPlan) -> np.ndarray | None:
+    """Clipped generalized eigenvalues of (S S^T, St St^T) for one colluder set.
+
+    ``subset`` holds valid worker indices in ascending order.  The spectrum
+    does not depend on s or sigma_n.  None stands for an infinite bound:
+    c > T, or a noise Gram matrix singular to working precision.
+    """
+    c = len(subset)
+    if c > plan.T:
+        return None
+    rows = plan.encoder_basis[list(subset)]
+    sig, noi = rows[:, :plan.K], rows[:, plan.K:]
+    gram_noise = noi @ noi.T
+    gram_signal = sig @ sig.T
+    noise_eig = np.linalg.eigvalsh(gram_noise)
+    if noise_eig[0] <= c * np.finfo(float).eps * max(noise_eig[-1], 0.0):
+        return None
+    try:
+        eig = scipy.linalg.eigh(gram_signal, gram_noise, eigvals_only=True)
+    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
+        return None
+    if not np.all(np.isfinite(eig)):
+        return None
+    return np.clip(eig, 0.0, None)
+
+
+def _bits(spectra: np.ndarray, s: float, cfg: PrivacyConfig) -> np.ndarray:
+    """sum log2(1 + gamma * eig) over the last axis, gamma = s^2 T / sigma_n^2."""
+    gamma = s * s * cfg.T / (cfg.sigma_n * cfg.sigma_n)
+    return np.sum(np.log2(1.0 + gamma * spectra), axis=-1)
 
 
 def leakage_for_subset(subset: Sequence[int], plan: CodingPlan, cfg: PrivacyConfig) -> float:
@@ -118,25 +162,97 @@ def leakage_for_subset(subset: Sequence[int], plan: CodingPlan, cfg: PrivacyConf
     _check_compat(plan, cfg)
     # the bound is invariant under colluder reordering; canonicalize so the
     # computed value is a pure function of the subset as a set
-    subset = sorted(int(j) for j in subset)
-    sig, noi = build_sigmas(subset, plan)
-    c = len(subset)
-    if c > cfg.T:
-        return math.inf
-    gram_noise = noi @ noi.T
-    gram_signal = sig @ sig.T
-    noise_eig = np.linalg.eigvalsh(gram_noise)
-    if noise_eig[0] <= c * np.finfo(float).eps * max(noise_eig[-1], 0.0):
-        return math.inf
-    gamma = cfg.s * cfg.s * cfg.T / (cfg.sigma_n * cfg.sigma_n)
-    try:
-        eig = scipy.linalg.eigh(gram_signal, gram_noise, eigvals_only=True)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
-        return math.inf
-    if not np.all(np.isfinite(eig)):
-        return math.inf
-    eig = np.clip(eig, 0.0, None)
-    return float(np.sum(np.log2(1.0 + gamma * eig)))
+    eig = _subset_spectrum(sorted(plan.worker_subset([int(j) for j in subset])), plan)
+    return math.inf if eig is None else float(_bits(eig, cfg.s, cfg))
+
+
+class _Spectra:
+    """The spectra of the colluder sets one public call has visited.
+
+    Spectra are s-free, so every search of the call re-sums them at its own
+    s; each distinct subset goes through :func:`_subset_spectrum` once.  The
+    memo lives as long as the call that made it.
+    """
+
+    def __init__(self, plan: CodingPlan):
+        self.plan = plan
+        self._by_subset: dict[tuple[int, ...], np.ndarray | None] = {}
+        self._every: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def table(self, subsets: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the finite spectra among ``subsets`` and those spectra, (n, c)."""
+        memo = self._by_subset
+        for subset in subsets:
+            if subset not in memo:
+                memo[subset] = _subset_spectrum(subset, self.plan)
+        spectra = [memo[subset] for subset in subsets]
+        finite = [i for i, eig in enumerate(spectra) if eig is not None]
+        return np.array(finite, dtype=np.intp), np.array([spectra[i] for i in finite])
+
+    def every(self, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All C(N, c) subsets in lexicographic order, (M, c), then :meth:`table`'s pair."""
+        if self._every is None:
+            combos = itertools.combinations(range(self.plan.N), c)
+            subsets = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.intp,
+                                  count=math.comb(self.plan.N, c) * c).reshape(-1, c)
+            table = np.empty(subsets.shape)
+            is_finite = np.zeros(len(subsets), dtype=bool)
+            for i, subset in enumerate(subsets):
+                eig = _subset_spectrum(subset, self.plan)
+                if eig is not None:
+                    table[i] = eig
+                    is_finite[i] = True
+            self._every = subsets, np.flatnonzero(is_finite), table[is_finite]
+        return self._every
+
+
+def _values(count: int, finite: np.ndarray, table: np.ndarray, s: float,
+            cfg: PrivacyConfig) -> np.ndarray:
+    """Leakage bits of ``count`` subsets given their finite spectra; +inf elsewhere."""
+    values = np.full(count, math.inf)
+    if len(finite):
+        values[finite] = _bits(table, s, cfg)
+    return values
+
+
+def _search(plan: CodingPlan, cfg: PrivacyConfig, s: float, strategy: str, samples: int,
+            seed: int, spectra: _Spectra) -> tuple[float, tuple[int, ...], int]:
+    """One worst-case search at amplitude ``s``: (bits, worst subset, subsets evaluated).
+
+    The first maximum wins; the random strategy breaks ties toward the
+    lexicographically smallest subset.  NaN values never win.
+    """
+    c, n = cfg.c, plan.N
+    if strategy == EXHAUSTIVE:
+        if math.comb(n, c) > EXHAUSTIVE_BUDGET:
+            raise ValueError(
+                f"exhaustive search over C({n},{c}) subsets exceeds the budget "
+                f"of {EXHAUSTIVE_BUDGET}; use the greedy strategy")
+        subsets, finite, table = spectra.every(c)
+        values = _values(len(subsets), finite, table, s, cfg)
+        i = int(np.nanargmax(values))
+        return float(values[i]), tuple(subsets[i].tolist()), len(subsets)
+    if strategy == GREEDY:
+        chosen: list[int] = []
+        evaluated = 0
+        for _ in range(c):
+            candidates = [j for j in range(n) if j not in chosen]
+            values = _values(len(candidates), *spectra.table(
+                [tuple(sorted(chosen + [j])) for j in candidates]), s, cfg)
+            i = int(np.nanargmax(values))
+            chosen.append(candidates[i])
+            evaluated += len(candidates)
+        return float(values[i]), tuple(sorted(chosen)), evaluated
+    if strategy == RANDOM_SAMPLED:
+        if samples < 1:
+            raise ValueError(f"need samples >= 1, got {samples}")
+        rng = np.random.default_rng(seed)
+        subsets = [tuple(sorted(rng.choice(n, size=c, replace=False).tolist()))
+                   for _ in range(samples)]
+        values = _values(samples, *spectra.table(subsets), s, cfg)
+        top = values[int(np.nanargmax(values))]
+        return float(top), min(sub for sub, v in zip(subsets, values) if v == top), samples
+    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def worst_case_leakage(plan: CodingPlan, cfg: PrivacyConfig, strategy: str = GREEDY,
@@ -146,73 +262,34 @@ def worst_case_leakage(plan: CodingPlan, cfg: PrivacyConfig, strategy: str = GRE
     ``exhaustive`` enumerates every subset (budgeted); ``greedy`` grows the
     set one node at a time, locally optimally; ``random`` draws ``samples``
     seeded subsets.  Ties break toward the lexicographically smallest
-    subset, so every strategy is deterministic.
+    subset, so every strategy is deterministic.  ``subsets_evaluated``
+    counts every evaluation, repeats included.
     """
     _check_compat(plan, cfg)
-    c, n = cfg.c, plan.N
-
-    evaluated = 0
-
-    def value(subset: list[int]) -> float:
-        nonlocal evaluated
-        evaluated += 1
-        return leakage_for_subset(subset, plan, cfg)
-
-    if strategy == EXHAUSTIVE:
-        if math.comb(n, c) > EXHAUSTIVE_BUDGET:
-            raise ValueError(
-                f"exhaustive search over C({n},{c}) subsets exceeds the budget "
-                f"of {EXHAUSTIVE_BUDGET}; use the greedy strategy")
-        best, best_val = None, -math.inf
-        for subset in itertools.combinations(range(n), c):
-            v = value(list(subset))
-            if v > best_val:
-                best, best_val = subset, v
-    elif strategy == GREEDY:
-        chosen: list[int] = []
-        best_val = 0.0
-        for _ in range(c):
-            step_best, step_val = None, -math.inf
-            for j in range(n):
-                if j in chosen:
-                    continue
-                v = value(chosen + [j])
-                if v > step_val:
-                    step_best, step_val = j, v
-            chosen.append(step_best)
-            best_val = step_val
-        best = tuple(sorted(chosen))
-    elif strategy == RANDOM_SAMPLED:
-        if samples < 1:
-            raise ValueError(f"need samples >= 1, got {samples}")
-        rng = np.random.default_rng(seed)
-        best, best_val = None, -math.inf
-        for _ in range(samples):
-            subset = tuple(sorted(rng.choice(n, size=c, replace=False).tolist()))
-            v = value(list(subset))
-            if v > best_val or (v == best_val and subset < best):
-                best, best_val = subset, v
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    return LeakageReport(i_L=best_val / cfg.K, I_L=best_val,
-                         worst_subset=tuple(sorted(best)),
+    best_val, best, evaluated = _search(plan, cfg, cfg.s, strategy, samples, seed,
+                                        _Spectra(plan))
+    return LeakageReport(i_L=best_val / cfg.K, I_L=best_val, worst_subset=best,
                          strategy=strategy, subsets_evaluated=evaluated)
 
 
 def max_secure_amplitude(plan: CodingPlan, cfg: PrivacyConfig, bound: float,
-                         strategy: str = GREEDY, tol: float = 1e-4) -> float:
+                         strategy: str = GREEDY, tol: float = 1e-4,
+                         samples: int = 1000, seed: int = 0) -> float:
     """Largest input amplitude s with worst-case i_L <= ``bound``.
 
     Used when a target bound fails at the configured s: the leakage is
-    strictly increasing in s, so bisection applies.  Returns 0.0 when no
-    positive amplitude satisfies the bound (singular noise Gram, where the
-    bound is +inf for every s > 0).
+    strictly increasing in s, so bisection applies.  Each probe of s runs
+    the search of :func:`worst_case_leakage` (same ``strategy``,
+    ``samples`` and ``seed``).  The subsets' spectra do not depend on s, so
+    they are computed once per call and every probe re-sums them.  Returns
+    0.0 when no positive amplitude satisfies the bound (singular noise
+    Gram, where the bound is +inf for every s > 0).
     """
+    _check_compat(plan, cfg)
+    spectra = _Spectra(plan)
+
     def leak_at(s: float) -> float:
-        scaled = PrivacyConfig(K=cfg.K, T=cfg.T, sigma_n=cfg.sigma_n,
-                               c=cfg.c, s=s, epsilon=cfg.epsilon)
-        return worst_case_leakage(plan, scaled, strategy=strategy).i_L
+        return _search(plan, cfg, s, strategy, samples, seed, spectra)[0] / cfg.K
 
     if leak_at(cfg.s) <= bound:
         return cfg.s

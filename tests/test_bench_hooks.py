@@ -40,22 +40,30 @@ def test_workload_op_passes_its_check(tmp_path, name):
 
 
 def test_traced_op_records_spans_and_restores_every_patch_point(tmp_path):
+    # coded_training: encode (bytes through the hook) and basis spans;
+    # leakage_audit: the search and the amplitude solver
     tracer_mod = _load("tracer")
     originals = [(module, attr, getattr(module, attr))
                  for module, attr, _, _ in tracer_mod.PATCH_POINTS]
-    workload = _load("workloads").WORKLOADS["coded_training"](seed=1, out_dir=str(tmp_path))
-    inp = workload.inputs(0)
-    tracer = tracer_mod.Tracer()
-    tracer.install()
-    try:
-        tracer.op = 0
-        workload.check(inp, workload.op(inp))
-    finally:
-        tracer.op = None
-        tracer.uninstall()
-    totals = tracer_mod.LayerTotals(tracer.spans)
-    assert totals.calls.get("codec.encode", 0) >= 1
-    assert totals.extra["codec.encode"]["bytes"] > 0  # the result hook iterated the shares
-    assert totals.calls.get("interpolation.basis_matrix", 0) >= 1
-    for module, attr, original in originals:
-        assert getattr(module, attr) is original, f"{module.__name__}.{attr}"
+    workloads = _load("workloads").WORKLOADS
+    for name, spans in (("coded_training", ("codec.encode", "interpolation.basis_matrix")),
+                        ("leakage_audit", ("privacy.search", "privacy.amplitude"))):
+        workload = workloads[name](seed=1, out_dir=str(tmp_path / name))
+        inp = workload.inputs(0)
+        tracer = tracer_mod.Tracer()
+        tracer.install()
+        try:
+            tracer.op = 0
+            workload.check(inp, workload.op(inp))
+        finally:
+            tracer.op = None
+            tracer.uninstall()
+        totals = tracer_mod.LayerTotals(tracer.spans)
+        for span in spans:
+            assert totals.calls.get(span, 0) >= 1, f"{name}: {span}"
+        if name == "coded_training":
+            assert totals.extra["codec.encode"]["bytes"] > 0  # the hook iterated the shares
+        else:
+            assert totals.calls["privacy.amplitude"] == len(workload.plans)
+        for module, attr, original in originals:
+            assert getattr(module, attr) is original, f"{name}: {module.__name__}.{attr}"

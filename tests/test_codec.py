@@ -70,6 +70,19 @@ def test_encode_deterministic_per_seed():
     assert any(not np.array_equal(sa.payload, sc.payload) for sa, sc in zip(a, c))
 
 
+@pytest.mark.parametrize("K,T,extent", [(1, 0, 5), (2, 3, 6), (3, 4, 7)])
+def test_encode_applies_the_plan_encoder_basis(K, T, extent):
+    plan = make_plan(K, T, 9)
+    x = np.random.default_rng(3).standard_normal((extent, 2))
+    shares, blocks = encode(x, plan, NoiseSpec(1.5, T, seed=4))
+    groups = -(-extent // K)
+    padded = np.concatenate([x, np.zeros((groups * K - extent, 2))])
+    coeffs = np.concatenate([padded.reshape(groups, K, 2).swapaxes(0, 1),
+                             np.reshape(blocks, (T, groups, 2))])
+    expected = np.tensordot(plan.encoder_basis, coeffs, axes=(1, 0))
+    assert shares.payloads.tobytes() == expected.tobytes()
+
+
 def test_encode_linearity_without_noise():
     plan = make_plan(4, 0, 24)
     rng = np.random.default_rng(1)

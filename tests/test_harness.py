@@ -10,6 +10,7 @@ import yaml
 from pbacc.cli import main
 from pbacc.harness import SpecError, load_spec, run_experiment, spec_from_dict
 from pbacc.interpolation import make_plan
+from pbacc.privacy import PrivacyConfig, worst_case_leakage
 
 
 def small_spec(tmp_path, **overrides):
@@ -64,6 +65,7 @@ def test_spec_rejects_bad_training_field(tmp_path, section, key, value):
 
 @pytest.mark.parametrize("scheme,section,key,value,name", [
     ("dlcd_secure_training", "plan", "K", 65, "plan.K"),  # 64 samples
+    ("dldd_secure_training", "plan", "K", 2, "plan.K"),  # the model sits at one data node
     ("dldd_secure_aggregation", "network", "straggler",
      {"kind": "drop_slowest", "count": 8}, "network.straggler"),
     ("uncoded_dldd", "network", "straggler",
@@ -80,7 +82,7 @@ def test_spec_rejects_bad_training_field(tmp_path, section, key, value):
     ("dldd_secure_training", "privacy", "epsilon", -1.0, "privacy.epsilon"),
     ("uncoded_dldd", "training", "features", 0, "training.features"),
     ("dlcd_secure_training", "training", "hidden", [4, 0], "training.hidden"),
-], ids=["K_above_samples", "drop_count_high", "drop_count_negative", "keep_n_high",
+], ids=["K_above_samples", "K_not_one", "drop_count_high", "drop_count_negative", "keep_n_high",
         "keep_n_zero", "strategy", "agg_uncoded", "agg_coded", "c_above_nodes", "s",
         "epsilon", "features", "hidden"])
 def test_spec_rejects_bad_field_before_writing(tmp_path, scheme, section, key, value, name):
@@ -216,6 +218,25 @@ def test_cli_leakage_max_s_report(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["meets_epsilon"] is False
     assert 0.0 <= payload["max_s_for_epsilon"] < 1.0
+
+
+def test_cli_max_s_solves_against_the_printed_search(capsys):
+    # the amplitude must come from the same random draws (samples, seed) as
+    # the printed i_L, not from the solver's own default draws
+    argv = ["leakage", "--N", "12", "--K", "1", "--T", "4", "--sigma", "1.0", "--c", "2",
+            "--epsilon", "0.25", "--strategy", "random", "--samples", "3", "--seed", "3",
+            "--report-max-s"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    s_max = payload["max_s_for_epsilon"]
+    plan = make_plan(1, 4, 12)
+
+    def i_L(s):
+        config = PrivacyConfig(K=1, T=4, sigma_n=1.0, c=2, s=s)
+        return worst_case_leakage(plan, config, strategy="random", samples=3, seed=3).i_L
+
+    assert payload["i_L"] == i_L(1.0) > 0.25
+    assert i_L(s_max) <= 0.25 < i_L(1.001 * s_max)
 
 
 def test_cli_roundtrip_identity(capsys):

@@ -175,6 +175,17 @@ def test_plan_holds_read_only_node_arrays():
     assert make_plan(K=2, T=0, N=8).alphas.tobytes() == chebyshev_first(2).tobytes()
 
 
+@pytest.mark.parametrize("K,T,N", [(3, 2, 8), (2, 0, 5), (1, 30, 50)])
+def test_plan_encoder_basis_is_the_read_only_basis_matrix(K, T, N):
+    # (2, 0, 5) has nudged encoder nodes; the basis is built once, from betas as nudged
+    plan = make_plan(K=K, T=T, N=N)
+    assert plan.encoder_basis.shape == (N, K + T)
+    assert plan.encoder_basis.tobytes() == berrut_basis_matrix(plan.betas, plan.alphas).tobytes()
+    assert plan.encoder_basis is plan.encoder_basis
+    with pytest.raises(ValueError):
+        plan.encoder_basis[0, 0] = 0.0
+
+
 def test_plan_rejects_colliding_noise_shift():
     # shift 0 with K=1, T=1 puts the noise node on the data node
     with pytest.raises(ValueError):

@@ -1,15 +1,19 @@
 """Leakage bound: basis matrices, subset capacity, worst-case search."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from pbacc import privacy
 from pbacc.interpolation import make_plan
 from pbacc.privacy import (
     EXHAUSTIVE,
     GREEDY,
     RANDOM_SAMPLED,
+    STRATEGIES,
+    LeakageReport,
     PrivacyConfig,
     build_sigmas,
     leakage_for_subset,
@@ -237,3 +241,169 @@ def test_report_round_trips_to_dict():
     assert record["i_L"] == report.i_L
     assert record["strategy"] == EXHAUSTIVE
     assert record["worst_subset"] == list(report.worst_subset)
+
+
+# -- per-subset reference: every search calls the public leakage_for_subset --
+
+def reference_search(plan, config, strategy, samples=1000, seed=0):
+    """The worst-case search as a loop over subsets, one public call each."""
+    c, n = config.c, plan.N
+    evaluated = 0
+
+    def value(subset):
+        nonlocal evaluated
+        evaluated += 1
+        return leakage_for_subset(subset, plan, config)
+
+    if strategy == EXHAUSTIVE:
+        best, best_val = None, -math.inf
+        for subset in itertools.combinations(range(n), c):
+            v = value(list(subset))
+            if v > best_val:
+                best, best_val = subset, v
+    elif strategy == GREEDY:
+        chosen = []
+        for _ in range(c):
+            step_best, step_val = None, -math.inf
+            for j in range(n):
+                if j in chosen:
+                    continue
+                v = value(chosen + [j])
+                if v > step_val:
+                    step_best, step_val = j, v
+            chosen.append(step_best)
+            best_val = step_val
+        best = chosen
+    else:
+        rng = np.random.default_rng(seed)
+        best, best_val = None, -math.inf
+        for _ in range(samples):
+            subset = tuple(sorted(rng.choice(n, size=c, replace=False).tolist()))
+            v = value(list(subset))
+            if v > best_val or (v == best_val and subset < best):
+                best, best_val = subset, v
+    return LeakageReport(i_L=best_val / config.K, I_L=best_val,
+                         worst_subset=tuple(sorted(best)), strategy=strategy,
+                         subsets_evaluated=evaluated)
+
+
+def reference_amplitude(plan, config, bound, strategy, samples=1000, seed=0, tol=1e-4):
+    """Bisection on s with one full reference search per probe."""
+    def leak_at(s):
+        scaled = cfg(K=config.K, T=config.T, sigma_n=config.sigma_n, c=config.c, s=s)
+        return reference_search(plan, scaled, strategy, samples, seed).i_L
+
+    if leak_at(config.s) <= bound:
+        return config.s
+    tiny = 1e-12
+    if not leak_at(tiny) <= bound:
+        return 0.0
+    lo, hi = tiny, config.s
+    while hi / lo > 1.0 + tol:
+        mid = math.sqrt(lo * hi)
+        if leak_at(mid) <= bound:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+#: (K, T, N, c): all finite; c > T; numerically singular subsets at c <= T
+#: (30 of the 210 for K=1, 6 of the 28 for K=2); mixed.
+REFERENCE_PLANS = [(1, 4, 10, 2), (1, 2, 8, 3), (1, 6, 10, 6),
+                   (2, 3, 9, 2), (2, 2, 7, 3), (2, 6, 8, 6)]
+#: (K, T, N, c) for the amplitude solver: four that bisect, and two where
+#: every s > 0 leaks +inf (c > T; a pair of K=2 colluders whose noise Gram
+#: is numerically singular)
+AMPLITUDE_PLANS = [(1, 4, 10, 2), (1, 6, 10, 3), (2, 6, 10, 3), (2, 6, 8, 4),
+                   (1, 2, 8, 3), (2, 3, 9, 2)]
+#: random draws: more draws than C(8, 2) = 28 subsets, so some repeat
+RANDOM_DRAWS = {"samples": 40, "seed": 4}
+
+
+def _draws(strategy):
+    return RANDOM_DRAWS if strategy == RANDOM_SAMPLED else {}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("K,T,N,c", REFERENCE_PLANS)
+def test_search_matches_per_subset_reference(K, T, N, c, strategy):
+    plan = make_plan(K, T, N)
+    # s = 1e-170: s*s underflows to 0, so every finite subset reads 0 bits
+    # and every infinite one must stay +inf, never 0 * inf = NaN
+    assert 1e-170 * 1e-170 == 0.0
+    for sigma_n, s in ((0.5, 1.0), (5.0, 1.0), (1.0, 1e-170)):
+        config = cfg(K=K, T=T, sigma_n=sigma_n, c=c, s=s)
+        got = worst_case_leakage(plan, config, strategy=strategy, **_draws(strategy))
+        want = reference_search(plan, config, strategy, **_draws(strategy))
+        assert repr(got) == repr(want)
+        assert not math.isnan(got.I_L)
+        if c > T:
+            assert got.I_L == math.inf
+
+
+def test_reference_plans_cover_infinite_and_repeated_subsets():
+    plan = make_plan(1, 6, 10)
+    config = cfg(K=1, T=6, sigma_n=1.0, c=6)
+    values = [leakage_for_subset(sub, plan, config)
+              for sub in itertools.combinations(range(10), 6)]
+    assert 0 < sum(map(math.isinf, values)) < len(values)
+    rng = np.random.default_rng(RANDOM_DRAWS["seed"])
+    draws = [tuple(sorted(rng.choice(8, size=2, replace=False).tolist()))
+             for _ in range(RANDOM_DRAWS["samples"])]
+    assert len(set(draws)) < len(draws)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("K,T,N,c", AMPLITUDE_PLANS)
+def test_amplitude_matches_per_subset_reference(K, T, N, c, strategy):
+    plan = make_plan(K, T, N)
+    config = cfg(K=K, T=T, sigma_n=1.0, c=c)
+    for bound in (0.05, 3.0):
+        got = max_secure_amplitude(plan, config, bound, strategy=strategy, **_draws(strategy))
+        want = reference_amplitude(plan, config, bound, strategy, **_draws(strategy))
+        assert repr(got) == repr(want)
+
+
+def test_amplitude_solver_computes_each_spectrum_once(monkeypatch):
+    kernel, search = privacy._subset_spectrum, privacy._search
+    spectra, evaluations = [], []
+
+    def counting_kernel(subset, plan):
+        spectra.append(tuple(int(j) for j in subset))
+        return kernel(subset, plan)
+
+    def counting_search(*args):
+        result = search(*args)
+        evaluations.append(result[2])
+        return result
+
+    monkeypatch.setattr(privacy, "_subset_spectrum", counting_kernel)
+    monkeypatch.setattr(privacy, "_search", counting_search)
+    plan = make_plan(2, 6, 10)
+    config = cfg(K=2, T=6, sigma_n=1.0, c=3)
+    for strategy in STRATEGIES:
+        spectra.clear()
+        evaluations.clear()
+        s_max = max_secure_amplitude(plan, config, 0.25, strategy=strategy)
+        assert 0.0 < s_max < 1.0
+        assert len(evaluations) > 10  # a bisection, not an early return
+        assert len(spectra) == len(set(spectra))  # one kernel call per distinct subset
+        assert len(spectra) < sum(evaluations)
+    # the memo lives for one call: a second search computes its spectra again
+    spectra.clear()
+    worst_case_leakage(plan, config, strategy=GREEDY)
+    first = len(spectra)
+    worst_case_leakage(plan, config, strategy=GREEDY)
+    assert len(spectra) == 2 * first
+
+
+def test_amplitude_solver_uses_the_given_random_draws():
+    plan = make_plan(1, 4, 12)
+    config = cfg(K=1, T=4, sigma_n=1.0, c=2)
+    draws = {"samples": 3, "seed": 3}
+    s_max = max_secure_amplitude(plan, config, 0.25, strategy=RANDOM_SAMPLED, **draws)
+    at = cfg(K=1, T=4, sigma_n=1.0, c=2, s=s_max)
+    above = cfg(K=1, T=4, sigma_n=1.0, c=2, s=1.001 * s_max)
+    assert worst_case_leakage(plan, at, strategy=RANDOM_SAMPLED, **draws).i_L <= 0.25
+    assert worst_case_leakage(plan, above, strategy=RANDOM_SAMPLED, **draws).i_L > 0.25
