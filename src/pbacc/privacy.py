@@ -23,7 +23,8 @@ the pencil (S S^T, St St^T).  That spectrum depends only on the plan and
 the set, not on s or sigma_n.  The searches therefore compute each visited
 set's spectrum once per public call, in a memo that lives as long as the
 call, and sum it at the call's s; ``max_secure_amplitude`` re-sums the
-same spectra at every s of its bisection.
+same spectra at every s of its bisection.  The exhaustive enumeration and
+the random draws do not depend on s either and are made once per call.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -108,6 +109,12 @@ def _check_compat(plan: CodingPlan, cfg: PrivacyConfig) -> None:
         raise ValueError(f"colluder count {cfg.c} exceeds N={plan.N}")
 
 
+def _split_rows(plan: CodingPlan, idx: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Data and noise columns of the encoder-basis rows ``idx``."""
+    rows = plan.encoder_basis[idx]
+    return rows[:, :plan.K], rows[:, plan.K:]
+
+
 def build_sigmas(subset: Sequence[int], plan: CodingPlan) -> tuple[np.ndarray, np.ndarray]:
     """Basis matrices of a colluder set: data columns and noise columns.
 
@@ -115,8 +122,7 @@ def build_sigmas(subset: Sequence[int], plan: CodingPlan) -> tuple[np.ndarray, n
     the h-th colluder's encoder node (a row of ``plan.encoder_basis``);
     rows therefore sum to 1.
     """
-    rows = plan.encoder_basis[plan.worker_subset(subset)]
-    return rows[:, :plan.K], rows[:, plan.K:]
+    return _split_rows(plan, plan.worker_subset(subset))
 
 
 def _subset_spectrum(subset: Sequence[int], plan: CodingPlan) -> np.ndarray | None:
@@ -129,8 +135,7 @@ def _subset_spectrum(subset: Sequence[int], plan: CodingPlan) -> np.ndarray | No
     c = len(subset)
     if c > plan.T:
         return None
-    rows = plan.encoder_basis[list(subset)]
-    sig, noi = rows[:, :plan.K], rows[:, plan.K:]
+    sig, noi = _split_rows(plan, list(subset))
     gram_noise = noi @ noi.T
     gram_signal = sig @ sig.T
     noise_eig = np.linalg.eigvalsh(gram_noise)
@@ -166,93 +171,67 @@ def leakage_for_subset(subset: Sequence[int], plan: CodingPlan, cfg: PrivacyConf
     return math.inf if eig is None else float(_bits(eig, cfg.s, cfg))
 
 
-class _Spectra:
-    """The spectra of the colluder sets one public call has visited.
+def _make_search(plan: CodingPlan, cfg: PrivacyConfig, strategy: str, samples: int,
+                 seed: int) -> Callable[[float], tuple[float, tuple[int, ...], int]]:
+    """The worst-case search of one public call, as a function of the amplitude s.
 
-    Spectra are s-free, so every search of the call re-sums them at its own
-    s; each distinct subset goes through :func:`_subset_spectrum` once.  The
-    memo lives as long as the call that made it.
-    """
-
-    def __init__(self, plan: CodingPlan):
-        self.plan = plan
-        self._by_subset: dict[tuple[int, ...], np.ndarray | None] = {}
-        self._every: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    def table(self, subsets: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-        """Indices of the finite spectra among ``subsets`` and those spectra, (n, c)."""
-        memo = self._by_subset
-        for subset in subsets:
-            if subset not in memo:
-                memo[subset] = _subset_spectrum(subset, self.plan)
-        spectra = [memo[subset] for subset in subsets]
-        finite = [i for i, eig in enumerate(spectra) if eig is not None]
-        return np.array(finite, dtype=np.intp), np.array([spectra[i] for i in finite])
-
-    def every(self, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All C(N, c) subsets in lexicographic order, (M, c), then :meth:`table`'s pair."""
-        if self._every is None:
-            combos = itertools.combinations(range(self.plan.N), c)
-            subsets = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.intp,
-                                  count=math.comb(self.plan.N, c) * c).reshape(-1, c)
-            table = np.empty(subsets.shape)
-            is_finite = np.zeros(len(subsets), dtype=bool)
-            for i, subset in enumerate(subsets):
-                eig = _subset_spectrum(subset, self.plan)
-                if eig is not None:
-                    table[i] = eig
-                    is_finite[i] = True
-            self._every = subsets, np.flatnonzero(is_finite), table[is_finite]
-        return self._every
-
-
-def _values(count: int, finite: np.ndarray, table: np.ndarray, s: float,
-            cfg: PrivacyConfig) -> np.ndarray:
-    """Leakage bits of ``count`` subsets given their finite spectra; +inf elsewhere."""
-    values = np.full(count, math.inf)
-    if len(finite):
-        values[finite] = _bits(table, s, cfg)
-    return values
-
-
-def _search(plan: CodingPlan, cfg: PrivacyConfig, s: float, strategy: str, samples: int,
-            seed: int, spectra: _Spectra) -> tuple[float, tuple[int, ...], int]:
-    """One worst-case search at amplitude ``s``: (bits, worst subset, subsets evaluated).
-
-    The first maximum wins; the random strategy breaks ties toward the
-    lexicographically smallest subset.  NaN values never win.
+    The returned ``search(s)`` gives (bits, worst subset, subsets evaluated).
+    Everything that does not depend on s is done once per call: the
+    exhaustive enumeration and the random draws are made here, and each
+    distinct subset's spectrum goes through :func:`_subset_spectrum` once,
+    into a memo that lives as long as ``search``.  Ties break toward the
+    lexicographically smallest subset, which in the greedy step and the
+    exhaustive enumeration is the first maximum.  NaN values never win.
     """
     c, n = cfg.c, plan.N
+    memo: dict[tuple[int, ...], np.ndarray | None] = {}
+
+    def values(subsets: list[tuple[int, ...]], s: float) -> np.ndarray:
+        """Leakage bits of each sorted subset at amplitude s; +inf for an infinite bound."""
+        spectra = []
+        for subset in subsets:
+            if subset not in memo:
+                memo[subset] = _subset_spectrum(subset, plan)
+            spectra.append(memo[subset])
+        finite = [i for i, eig in enumerate(spectra) if eig is not None]
+        out = np.full(len(subsets), math.inf)
+        if finite:
+            out[finite] = _bits(np.array([spectra[i] for i in finite]), s, cfg)
+        return out
+
+    if strategy == GREEDY:
+        def greedy(s: float) -> tuple[float, tuple[int, ...], int]:
+            chosen: list[int] = []
+            evaluated = 0
+            for _ in range(c):
+                candidates = [j for j in range(n) if j not in chosen]
+                bits = values([tuple(sorted(chosen + [j])) for j in candidates], s)
+                i = int(np.nanargmax(bits))
+                chosen.append(candidates[i])
+                evaluated += len(candidates)
+            return float(bits[i]), tuple(sorted(chosen)), evaluated
+        return greedy
     if strategy == EXHAUSTIVE:
         if math.comb(n, c) > EXHAUSTIVE_BUDGET:
             raise ValueError(
                 f"exhaustive search over C({n},{c}) subsets exceeds the budget "
                 f"of {EXHAUSTIVE_BUDGET}; use the greedy strategy")
-        subsets, finite, table = spectra.every(c)
-        values = _values(len(subsets), finite, table, s, cfg)
-        i = int(np.nanargmax(values))
-        return float(values[i]), tuple(subsets[i].tolist()), len(subsets)
-    if strategy == GREEDY:
-        chosen: list[int] = []
-        evaluated = 0
-        for _ in range(c):
-            candidates = [j for j in range(n) if j not in chosen]
-            values = _values(len(candidates), *spectra.table(
-                [tuple(sorted(chosen + [j])) for j in candidates]), s, cfg)
-            i = int(np.nanargmax(values))
-            chosen.append(candidates[i])
-            evaluated += len(candidates)
-        return float(values[i]), tuple(sorted(chosen)), evaluated
-    if strategy == RANDOM_SAMPLED:
+        subsets = list(itertools.combinations(range(n), c))
+    elif strategy == RANDOM_SAMPLED:
         if samples < 1:
             raise ValueError(f"need samples >= 1, got {samples}")
         rng = np.random.default_rng(seed)
         subsets = [tuple(sorted(rng.choice(n, size=c, replace=False).tolist()))
                    for _ in range(samples)]
-        values = _values(samples, *spectra.table(subsets), s, cfg)
-        top = values[int(np.nanargmax(values))]
-        return float(top), min(sub for sub, v in zip(subsets, values) if v == top), samples
-    raise ValueError(f"unknown strategy {strategy!r}")
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+
+    def search(s: float) -> tuple[float, tuple[int, ...], int]:
+        bits = values(subsets, s)
+        top = bits[int(np.nanargmax(bits))]
+        tied = np.flatnonzero(bits == top)
+        return float(top), min(subsets[t] for t in tied), len(subsets)
+    return search
 
 
 def worst_case_leakage(plan: CodingPlan, cfg: PrivacyConfig, strategy: str = GREEDY,
@@ -266,8 +245,7 @@ def worst_case_leakage(plan: CodingPlan, cfg: PrivacyConfig, strategy: str = GRE
     counts every evaluation, repeats included.
     """
     _check_compat(plan, cfg)
-    best_val, best, evaluated = _search(plan, cfg, cfg.s, strategy, samples, seed,
-                                        _Spectra(plan))
+    best_val, best, evaluated = _make_search(plan, cfg, strategy, samples, seed)(cfg.s)
     return LeakageReport(i_L=best_val / cfg.K, I_L=best_val, worst_subset=best,
                          strategy=strategy, subsets_evaluated=evaluated)
 
@@ -280,16 +258,17 @@ def max_secure_amplitude(plan: CodingPlan, cfg: PrivacyConfig, bound: float,
     Used when a target bound fails at the configured s: the leakage is
     strictly increasing in s, so bisection applies.  Each probe of s runs
     the search of :func:`worst_case_leakage` (same ``strategy``,
-    ``samples`` and ``seed``).  The subsets' spectra do not depend on s, so
-    they are computed once per call and every probe re-sums them.  Returns
+    ``samples`` and ``seed``).  The subsets, and their spectra, do not
+    depend on s, so they are found once per call and every probe re-sums
+    the same spectra.  Returns
     0.0 when no positive amplitude satisfies the bound (singular noise
     Gram, where the bound is +inf for every s > 0).
     """
     _check_compat(plan, cfg)
-    spectra = _Spectra(plan)
+    search = _make_search(plan, cfg, strategy, samples, seed)
 
     def leak_at(s: float) -> float:
-        return _search(plan, cfg, s, strategy, samples, seed, spectra)[0] / cfg.K
+        return search(s)[0] / cfg.K
 
     if leak_at(cfg.s) <= bound:
         return cfg.s

@@ -366,30 +366,46 @@ def test_amplitude_matches_per_subset_reference(K, T, N, c, strategy):
 
 
 def test_amplitude_solver_computes_each_spectrum_once(monkeypatch):
-    kernel, search = privacy._subset_spectrum, privacy._search
-    spectra, evaluations = [], []
+    kernel, make_search, default_rng = privacy._subset_spectrum, privacy._make_search, np.random.default_rng
+    spectra, evaluations, draws = [], [], []
 
     def counting_kernel(subset, plan):
         spectra.append(tuple(int(j) for j in subset))
         return kernel(subset, plan)
 
-    def counting_search(*args):
-        result = search(*args)
-        evaluations.append(result[2])
-        return result
+    def counting_make_search(*args):
+        search = make_search(*args)
+
+        def counting_search(s):
+            result = search(s)
+            evaluations.append(result[2])
+            return result
+        return counting_search
+
+    class CountingRng:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def choice(self, *args, **kwargs):
+            draws.append(1)
+            return self.rng.choice(*args, **kwargs)
 
     monkeypatch.setattr(privacy, "_subset_spectrum", counting_kernel)
-    monkeypatch.setattr(privacy, "_search", counting_search)
+    monkeypatch.setattr(privacy, "_make_search", counting_make_search)
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
     plan = make_plan(2, 6, 10)
     config = cfg(K=2, T=6, sigma_n=1.0, c=3)
     for strategy in STRATEGIES:
         spectra.clear()
         evaluations.clear()
-        s_max = max_secure_amplitude(plan, config, 0.25, strategy=strategy)
+        draws.clear()
+        s_max = max_secure_amplitude(plan, config, 0.25, strategy=strategy, samples=50)
         assert 0.0 < s_max < 1.0
         assert len(evaluations) > 10  # a bisection, not an early return
         assert len(spectra) == len(set(spectra))  # one kernel call per distinct subset
         assert len(spectra) < sum(evaluations)
+        # the random subsets are drawn once per call, not once per probe
+        assert len(draws) == (50 if strategy == RANDOM_SAMPLED else 0)
     # the memo lives for one call: a second search computes its spectra again
     spectra.clear()
     worst_case_leakage(plan, config, strategy=GREEDY)
