@@ -105,7 +105,7 @@ def cmd_leakage(args) -> int:
         payload["max_s_for_epsilon"] = max_secure_amplitude(
             plan, cfg, args.epsilon, strategy=args.strategy,
             samples=args.samples, seed=args.seed)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -150,6 +150,11 @@ def cmd_nodes(args) -> int:
     return 0
 
 
+def _show(value: float | None, spec: str) -> str:
+    """A summary number for printing; None (not a finite number) prints as n/a."""
+    return "n/a" if value is None else format(value, spec)
+
+
 def cmd_run(args) -> int:
     try:
         spec = load_spec(args.spec)
@@ -163,9 +168,9 @@ def cmd_run(args) -> int:
         return 2
     for cell in summary["cells"]:
         leak = cell["leakage"]
-        leak_txt = f" i_L={leak['i_L']:.4g}" if leak else ""
-        print(f"cell {cell['cell']}: final_loss={cell['final_loss']:.6g} "
-              f"final_accuracy={cell['final_accuracy']:.4g}{leak_txt}")
+        leak_txt = f" i_L={_show(leak['i_L'], '.4g')}" if leak else ""
+        print(f"cell {cell['cell']}: final_loss={_show(cell['final_loss'], '.6g')} "
+              f"final_accuracy={_show(cell['final_accuracy'], '.4g')}{leak_txt}")
     print(f"wrote {spec.output_dir}/rounds.csv and {spec.output_dir}/summary.json")
     return 0
 

@@ -4,8 +4,11 @@ An experiment file is YAML (nested key-value).  The privacy section accepts
 scalars or sweep lists for sigma_n, T and c; the cartesian product of the
 sweep lists defines the experiment cells.  Per-round metrics go to a CSV
 table (one record per round, carrying the full resolved configuration) and
-per-cell results to a JSON summary.  All randomness derives from one root
-seed, so reruns are byte-identical.
+per-cell results to a JSON summary, which is strict JSON: a value that is
+NaN or infinite (the accuracy of an MSE or Cox run, the loss of a diverged
+one, an infinite leakage bound) is written as null, and a cell's
+``diverged`` flag marks a non-finite final loss.  All randomness derives
+from one root seed, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -309,9 +312,11 @@ def run_experiment(spec: ExperimentSpec, output_dir: str | None = None,
         setup = [t for t in traces if t.round_index == 0]
         write_tensor(os.path.join(spec.output_dir, f"model_cell{cell_index}.bin"),
                      per_round[-1].decoded_model)
+        final_loss = _json_number(per_round[-1].loss)
         summaries.append(base | {
-            "final_loss": per_round[-1].loss,
-            "final_accuracy": per_round[-1].accuracy,
+            "final_loss": final_loss,
+            "final_accuracy": _json_number(per_round[-1].accuracy),
+            "diverged": final_loss is None,
             "messages_per_round": per_round[0].message_count,
             "elements_per_round": per_round[0].element_volume,
             "once_messages": setup[0].message_count if setup else 0,
@@ -329,9 +334,14 @@ def run_experiment(spec: ExperimentSpec, output_dir: str | None = None,
     summary = {"config": _resolved_config(spec), "cells": summaries}
     summary_path = os.path.join(spec.output_dir, "summary.json")
     with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return summary
+
+
+def _json_number(value: float) -> float | None:
+    """``value``, or None where it is NaN or infinite, which JSON cannot carry."""
+    return float(value) if np.isfinite(value) else None
 
 
 def _fmt(value) -> str:

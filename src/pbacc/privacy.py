@@ -7,24 +7,46 @@ capacity bounds the mutual information between the private input and the
 colluders' view:
 
     I_L <= max over colluder sets of
-           log2 det( I_c + (s^2 T / sigma_n^2) (St St^T)^-1 (S S^T) )
+           log2 det( I_K + (s^2 T / sigma_n^2) S^T (St St^T)^-1 S )
 
 where S and St collect the Berrut basis values of the data and noise nodes
-at the colluders' encoder nodes.  The bound is row-scale invariant, so it
-only depends on the node geometry and the ratio s*sqrt(T)/sigma_n.
+at the colluders' encoder nodes.  The bound only depends on the node
+geometry and the ratio s*sqrt(T)/sigma_n.  It is +inf exactly when c > T:
+then some combination of the c observations of T noise coefficients is
+noise-free.
 
-A singular noise Gram matrix (c colluders whose noise directions are
-dependent, always the case for c > T) means some linear combination of the
-observations is noise-free; the bound is reported as +inf.
+Structured elimination.  Row h of [S | St] is the basis at encoder node
+x_h = beta_h, ((-1)^i / (x_h - a_i)) / D(x_h).  The bound is invariant
+under row scaling and column signs, so the colluders see the Cauchy matrix
+C[h, i] = 1 / (x_h + y_i) with y = -alphas.  Gaussian elimination on C, one
+colluder row at a time and pivoting on the row's largest noise entry, gives
+St = L D U and S = L D Us, with U a unit upper trapezoid whose entries are
+at most 1 in magnitude.  A set is valued with complete pivoting (GECP): the
+remaining row with the largest noise entry is eliminated next.  With
+U = L_U Q^T (LQ),
 
-The bound of one colluder set is sum_i log2(1 + gamma * lambda_i), where
-gamma = s^2 T / sigma_n^2 and lambda_i are the generalized eigenvalues of
-the pencil (S S^T, St St^T).  That spectrum depends only on the plan and
-the set, not on s or sigma_n.  The searches therefore compute each visited
-set's spectrum once per public call, in a memo that lives as long as the
-call, and sum it at the call's s; ``max_secure_amplitude`` re-sums the
-same spectra at every s of its bisection.  The exhaustive enumeration and
-the random draws do not depend on s either and are made once per call.
+    S^T (St St^T)^-1 S = Us^T (U U^T)^-1 Us = W^T W,   W = L_U^-1 Us,
+
+so the set's spectrum is the squared singular values of W, taken by
+one-sided Jacobi.  Row k of W is w = (b - h W_prev) / ||P_perp u||, for U
+row u, Us row b and h = Q^T u.  Eliminating row r on noise column p
+updates every Schur-complement entry from the generators alone (Demmel
+1999, Cauchy GECP),
+
+    G[i, j] *= (x_i - x_r)(y_j - y_p) / ((x_r + y_j)(x_i + y_p)),
+
+which keeps every entry to high relative accuracy however ill-conditioned
+St is; forming St St^T, as a Gram pencil does, squares that conditioning.
+
+Searches.  A spectrum depends only on the plan and the set, not on s or
+sigma_n; the bound at amplitude s is sum_i log2(1 + gamma * lambda_i) with
+gamma = s^2 T / sigma_n^2.  The greedy search keeps the Schur rows of every
+worker in one array and scores all candidates of a step at once, each as
+the last row of its set; each ordered prefix is eliminated once per public
+call, in a memo that lives as long as the call.  The exhaustive and random
+searches eliminate chunks of subsets at once, once per call.
+``max_secure_amplitude`` re-sums those spectra at each s it probes; for
+K = 1 it solves for s in closed form.
 """
 
 from __future__ import annotations
@@ -32,10 +54,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .interpolation import (
     CodingPlan,
@@ -49,6 +70,18 @@ STRATEGIES = (EXHAUSTIVE, GREEDY, RANDOM_SAMPLED)
 
 #: Largest number of subsets the exhaustive strategy will enumerate.
 EXHAUSTIVE_BUDGET = 1_000_000
+
+#: ``LeakageReport.reason`` of an infinite bound.
+STRUCTURAL = "structural: c > T"
+
+#: Subsets eliminated together by the exhaustive and random searches.
+_CHUNK = 2048
+
+#: Cap on the one-sided Jacobi sweeps of :func:`_spectrum`; a few suffice.
+_MAX_SWEEPS = 30
+
+#: Cap on the Newton steps of :func:`_amplitude_for`; a few suffice.
+_MAX_NEWTON = 100
 
 
 @dataclass(frozen=True)
@@ -81,23 +114,34 @@ class PrivacyConfig:
             raise ValueError(f"need epsilon > 0, got {self.epsilon}")
 
 
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
+
+
 @dataclass(frozen=True)
 class LeakageReport:
-    """Result of a worst-case subset search."""
+    """Result of a worst-case subset search.
+
+    ``reason`` says why the bound is infinite (:data:`STRUCTURAL`), and is
+    None for a finite bound.
+    """
 
     i_L: float
     I_L: float
     worst_subset: tuple[int, ...]
     strategy: str
     subsets_evaluated: int
+    reason: str | None = None
 
     def to_dict(self) -> dict:
+        """The report as JSON-ready values; an infinite bound is None, with its reason."""
         return {
-            "i_L": self.i_L,
-            "I_L": self.I_L,
+            "i_L": _finite_or_none(self.i_L),
+            "I_L": _finite_or_none(self.I_L),
             "worst_subset": list(self.worst_subset),
             "strategy": self.strategy,
             "subsets_evaluated": self.subsets_evaluated,
+            "reason": self.reason,
         }
 
 
@@ -109,12 +153,6 @@ def _check_compat(plan: CodingPlan, cfg: PrivacyConfig) -> None:
         raise ValueError(f"colluder count {cfg.c} exceeds N={plan.N}")
 
 
-def _split_rows(plan: CodingPlan, idx: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Data and noise columns of the encoder-basis rows ``idx``."""
-    rows = plan.encoder_basis[idx]
-    return rows[:, :plan.K], rows[:, plan.K:]
-
-
 def build_sigmas(subset: Sequence[int], plan: CodingPlan) -> tuple[np.ndarray, np.ndarray]:
     """Basis matrices of a colluder set: data columns and noise columns.
 
@@ -122,48 +160,155 @@ def build_sigmas(subset: Sequence[int], plan: CodingPlan) -> tuple[np.ndarray, n
     the h-th colluder's encoder node (a row of ``plan.encoder_basis``);
     rows therefore sum to 1.
     """
-    return _split_rows(plan, plan.worker_subset(subset))
+    rows = plan.encoder_basis[plan.worker_subset(subset)]
+    return rows[:, :plan.K], rows[:, plan.K:]
+
+
+def _next_w(schur: np.ndarray, basis: np.ndarray, w: np.ndarray,
+            K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The W row each Schur row would add: (pivot column, new basis vector, W row).
+
+    ``schur`` is (n, K+T), the rows' Schur complements after the rows of
+    ``w`` ((n,) k, K) were eliminated; ``basis`` ((n,) T, k) is an
+    orthonormal basis of those rows' U rows, shared by all n rows when it
+    has no leading axis.  A row's U row is its noise part over its largest
+    noise entry (the pivot), its Us row its data part over the same entry.
+    """
+    noise = schur[:, K:]
+    pivot = np.argmax(np.abs(noise), axis=1)
+    scale = noise[np.arange(len(noise)), pivot][:, None]
+    u = noise / scale
+    b = schur[:, :K] / scale
+    if basis.shape[-1]:
+        basis_t = np.swapaxes(basis, -1, -2)
+        for _ in range(2):  # classical Gram-Schmidt, twice for orthogonality
+            h = _row_times(u, basis)
+            u = u - _row_times(h, basis_t)
+            b = b - _row_times(h, w)
+    norm = np.sqrt(np.einsum("ij,ij->i", u, u))[:, None]
+    return pivot, u / norm, b / norm
+
+
+def _row_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row of ``a`` (n, p) times ``b`` (p, q), or row i times b[i] for b (n, p, q)."""
+    return a @ b if b.ndim == 2 else np.matmul(a[:, None], b)[:, 0]
+
+
+def _first_max(bits: np.ndarray) -> int:
+    """Index of the first maximum of ``bits``; NaN never wins (all NaN raises)."""
+    i = int(np.argmax(bits))
+    return int(np.nanargmax(bits)) if np.isnan(bits[i]) else i
+
+
+def _eliminate(schur: np.ndarray, x_rows: np.ndarray, x_r, y_p, y: np.ndarray) -> np.ndarray:
+    """Schur complement of ``schur`` (..., n, K+T) after eliminating row x_r on column y_p.
+
+    ``x_rows`` (..., n) are the rows' generators; ``x_r`` and ``y_p`` hold
+    one generator per leading index.
+    """
+    x_r, y_p = np.asarray(x_r)[..., None], np.asarray(y_p)[..., None]
+    row_factor = (x_rows - x_r) / (x_rows + y_p)
+    col_factor = (y - y_p) / (x_r + y)
+    return schur * row_factor[..., :, None] * col_factor[..., None, :]
+
+
+def _spectrum(w: np.ndarray) -> np.ndarray:
+    """Squared singular values of the stacked W rows (..., k, K): min(k, K) per stack.
+
+    One-sided Jacobi on the narrower side's columns: rotate column pairs
+    until every pair is orthogonal to working precision, then the squared
+    column norms are the spectrum.  Unlike a bidiagonalizing SVD, whose
+    error is relative to the largest singular value, it keeps the small
+    singular values of a graded W to high relative accuracy; W is graded
+    whenever the colluders' pivots span many orders of magnitude.
+    """
+    a = np.array(w if w.shape[-2] > w.shape[-1] else np.swapaxes(w, -1, -2))
+    tol = a.shape[-2] * np.finfo(float).eps
+    for _ in range(_MAX_SWEEPS):
+        rotated = False
+        for i, j in _round_robin(a.shape[-1]):
+            ai, aj = a[..., i], a[..., j]
+            alpha = np.sum(ai * ai, axis=-2)
+            beta = np.sum(aj * aj, axis=-2)
+            gamma = np.sum(ai * aj, axis=-2)
+            active = np.abs(gamma) > tol * np.sqrt(alpha * beta)
+            if not active.any():
+                continue
+            rotated = True
+            zeta = (beta - alpha) / (2.0 * np.where(active, gamma, 1.0))
+            t = np.where(active, np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta)), 0.0)
+            cos = 1.0 / np.sqrt(1.0 + t * t)
+            sin = (cos * t)[..., None, :]
+            cos = cos[..., None, :]
+            a[..., i], a[..., j] = cos * ai - sin * aj, sin * ai + cos * aj
+        if not rotated:
+            break
+    return -np.sort(-np.sum(a * a, axis=-2), axis=-1)
+
+
+def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every pair of n columns once, as rounds of disjoint pairs (circle method)."""
+    ring = list(range(n + n % 2))
+    rounds = []
+    for _ in range(len(ring) - 1):
+        pairs = [(ring[k], ring[-1 - k]) for k in range(len(ring) // 2)]
+        pairs = [(min(p), max(p)) for p in pairs if max(p) < n]
+        if pairs:
+            rounds.append(tuple(np.array(side) for side in zip(*pairs)))
+        ring.insert(1, ring.pop())
+    return rounds
+
+
+def _subset_spectra(subsets: np.ndarray, plan: CodingPlan) -> np.ndarray:
+    """Spectra of the colluder sets ``subsets`` (m, c), with c <= T, in chunks.
+
+    Each set's rows are eliminated with complete pivoting over the noise
+    columns: the remaining row with the largest noise entry goes next.
+    """
+    K, T = plan.K, plan.T
+    y = -plan.alphas
+    out = []
+    for start in range(0, len(subsets), _CHUNK):
+        x = plan.betas[subsets[start:start + _CHUNK]]
+        m, c = x.shape
+        idx = np.arange(m)
+        schur = 1.0 / (x[..., None] + y)
+        basis, w = np.empty((m, T, c)), np.empty((m, c, K))
+        for k in range(c):
+            r = np.argmax(np.abs(schur[:, :, K:]).max(axis=2), axis=1)
+            lead, x_lead = schur[idx, r], x[idx, r]
+            schur[idx, r], x[idx, r] = schur[:, 0], x[:, 0]
+            pivot, basis[:, :, k], w[:, k] = _next_w(lead, basis[:, :, :k], w[:, :k], K)
+            if k + 1 < c:
+                schur = _eliminate(schur[:, 1:], x[:, 1:], x_lead, y[K + pivot], y)
+                x = x[:, 1:]
+        out.append(_spectrum(w))
+    return np.concatenate(out)
 
 
 def _subset_spectrum(subset: Sequence[int], plan: CodingPlan) -> np.ndarray | None:
-    """Clipped generalized eigenvalues of (S S^T, St St^T) for one colluder set.
+    """Squared singular values of W for one colluder set; None when c > T.
 
     ``subset`` holds valid worker indices in ascending order.  The spectrum
-    does not depend on s or sigma_n.  None stands for an infinite bound:
-    c > T, or a noise Gram matrix singular to working precision.
+    does not depend on s or sigma_n.
     """
-    c = len(subset)
-    if c > plan.T:
+    if len(subset) > plan.T:
         return None
-    sig, noi = _split_rows(plan, list(subset))
-    gram_noise = noi @ noi.T
-    gram_signal = sig @ sig.T
-    noise_eig = np.linalg.eigvalsh(gram_noise)
-    if noise_eig[0] <= c * np.finfo(float).eps * max(noise_eig[-1], 0.0):
-        return None
-    try:
-        eig = scipy.linalg.eigh(gram_signal, gram_noise, eigvals_only=True)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
-        return None
-    if not np.all(np.isfinite(eig)):
-        return None
-    return np.clip(eig, 0.0, None)
+    return _subset_spectra(np.array([subset], dtype=np.intp), plan)[0]
 
 
 def _bits(spectra: np.ndarray, s: float, cfg: PrivacyConfig) -> np.ndarray:
-    """sum log2(1 + gamma * eig) over the last axis, gamma = s^2 T / sigma_n^2."""
+    """sum log2(1 + gamma * eig) over the last axis, gamma = s^2 T / sigma_n^2.
+
+    log1p keeps the bits of a small gamma * eig, which 1 + gamma * eig
+    would round away, and with them the order of the candidates.
+    """
     gamma = s * s * cfg.T / (cfg.sigma_n * cfg.sigma_n)
-    return np.sum(np.log2(1.0 + gamma * spectra), axis=-1)
+    return np.sum(np.log1p(gamma * spectra), axis=-1) / math.log(2.0)
 
 
 def leakage_for_subset(subset: Sequence[int], plan: CodingPlan, cfg: PrivacyConfig) -> float:
-    """Capacity bound in bits for one colluder set; +inf on singular noise.
-
-    The noise Gram matrix is structurally singular for c > T, and can be
-    singular to working precision even for c <= T when every colluder sits
-    far from the noise nodes.  Either way some combination of the
-    observations is (numerically) noise-free, and the bound is +inf.
-    """
+    """Capacity bound in bits for one colluder set; +inf when c > T."""
     _check_compat(plan, cfg)
     # the bound is invariant under colluder reordering; canonicalize so the
     # computed value is a pure function of the subset as a set
@@ -171,66 +316,123 @@ def leakage_for_subset(subset: Sequence[int], plan: CodingPlan, cfg: PrivacyConf
     return math.inf if eig is None else float(_bits(eig, cfg.s, cfg))
 
 
+#: What ``search(s)`` returns: (bits, worst subset, subsets evaluated, the
+#: worst subset's spectrum or None for an infinite bound).
+SearchResult = tuple[float, tuple[int, ...], int, np.ndarray | None]
+
+
+class _Prefix(NamedTuple):
+    """The greedy state after one ordered prefix, with every candidate scored."""
+
+    rows: np.ndarray     # candidate workers, ascending
+    schur: np.ndarray    # (n, K+T) their Schur rows
+    basis: np.ndarray    # (T, k) orthonormal basis of the prefix's U rows
+    w: np.ndarray        # (k, K) the prefix's W rows
+    pivot: np.ndarray    # (n,) each candidate's pivot column
+    q: np.ndarray        # (n, T) each candidate's next basis vector
+    w_row: np.ndarray    # (n, K) each candidate's W row
+    spectra: np.ndarray  # (n, min(k + 1, K)) the spectrum of prefix + candidate
+
+
+def _scored(rows, schur, basis, w) -> _Prefix:
+    pivot, q, w_row = _next_w(schur, basis, w, w.shape[1])
+    if w.shape[1] == 1:
+        spectra = np.sum(w * w) + w_row * w_row
+    else:
+        spectra = _spectrum(np.concatenate(
+            [np.broadcast_to(w, (len(rows),) + w.shape), w_row[:, None]], axis=1))
+    return _Prefix(rows, schur, basis, w, pivot, q, w_row, spectra)
+
+
+def _greedy_search(plan: CodingPlan, cfg: PrivacyConfig) -> Callable[[float], SearchResult]:
+    """The greedy search of one public call: c vectorized elimination steps per s.
+
+    Each step scores every candidate of the current prefix at once and adds
+    the first maximum.  The state after each ordered prefix is kept for the
+    call, so a prefix is eliminated once however many amplitudes are probed.
+    A candidate is scored with its row eliminated last, which can leave an
+    eigenvalue far below the largest with only absolute accuracy; the
+    chosen set is therefore valued by :func:`_subset_spectrum`, with
+    complete pivoting, as :func:`leakage_for_subset` values it.  Sets
+    larger than T are structurally infinite: those steps add the smallest
+    remaining index.
+    """
+    K, T, n, c = plan.K, plan.T, plan.N, cfg.c
+    x, y = plan.betas, -plan.alphas
+    memo = {(): _scored(np.arange(n), 1.0 / (x[:, None] + y), np.empty((T, 0)), np.empty((0, K)))}
+    chosen: dict[tuple[int, ...], np.ndarray] = {}
+
+    def extend(parent: _Prefix, i: int) -> _Prefix:
+        """The state after adding candidate ``i`` of ``parent``."""
+        r = int(parent.rows[i])
+        keep = np.arange(len(parent.rows)) != i
+        rows = parent.rows[keep]
+        schur = _eliminate(parent.schur[keep], x[rows], x[r], y[K + parent.pivot[i]], y)
+        return _scored(rows, schur, np.concatenate([parent.basis, parent.q[i, :, None]], axis=1),
+                       np.concatenate([parent.w, parent.w_row[i:i + 1]]))
+
+    def search(s: float) -> SearchResult:
+        prefix: tuple[int, ...] = ()
+        state = memo[prefix]
+        evaluated = 0
+        for step in range(min(c, T)):
+            if step:
+                if prefix not in memo:
+                    memo[prefix] = extend(state, i)
+                state = memo[prefix]
+            bits = _bits(state.spectra, s, cfg)
+            i = _first_max(bits)
+            evaluated += len(state.rows)
+            prefix += (int(state.rows[i]),)
+        if c <= T:
+            subset = tuple(sorted(prefix))
+            if subset not in chosen:
+                chosen[subset] = _subset_spectrum(subset, plan)
+            return float(_bits(chosen[subset], s, cfg)), subset, evaluated, chosen[subset]
+        rest = [j for j in range(n) if j not in prefix]
+        evaluated += sum(n - step for step in range(T, c))
+        return math.inf, tuple(sorted(prefix + tuple(rest[:c - T]))), evaluated, None
+    return search
+
+
 def _make_search(plan: CodingPlan, cfg: PrivacyConfig, strategy: str, samples: int,
-                 seed: int) -> Callable[[float], tuple[float, tuple[int, ...], int]]:
+                 seed: int) -> Callable[[float], SearchResult]:
     """The worst-case search of one public call, as a function of the amplitude s.
 
-    The returned ``search(s)`` gives (bits, worst subset, subsets evaluated).
     Everything that does not depend on s is done once per call: the
-    exhaustive enumeration and the random draws are made here, and each
-    distinct subset's spectrum goes through :func:`_subset_spectrum` once,
-    into a memo that lives as long as ``search``.  Ties break toward the
-    lexicographically smallest subset, which in the greedy step and the
-    exhaustive enumeration is the first maximum.  NaN values never win.
+    exhaustive enumeration, the random draws and their spectra here, the
+    greedy prefixes the first time a probe reaches them.  Ties break toward
+    the lexicographically smallest subset.  NaN values never win.
     """
     c, n = cfg.c, plan.N
-    memo: dict[tuple[int, ...], np.ndarray | None] = {}
-
-    def values(subsets: list[tuple[int, ...]], s: float) -> np.ndarray:
-        """Leakage bits of each sorted subset at amplitude s; +inf for an infinite bound."""
-        spectra = []
-        for subset in subsets:
-            if subset not in memo:
-                memo[subset] = _subset_spectrum(subset, plan)
-            spectra.append(memo[subset])
-        finite = [i for i, eig in enumerate(spectra) if eig is not None]
-        out = np.full(len(subsets), math.inf)
-        if finite:
-            out[finite] = _bits(np.array([spectra[i] for i in finite]), s, cfg)
-        return out
-
     if strategy == GREEDY:
-        def greedy(s: float) -> tuple[float, tuple[int, ...], int]:
-            chosen: list[int] = []
-            evaluated = 0
-            for _ in range(c):
-                candidates = [j for j in range(n) if j not in chosen]
-                bits = values([tuple(sorted(chosen + [j])) for j in candidates], s)
-                i = int(np.nanargmax(bits))
-                chosen.append(candidates[i])
-                evaluated += len(candidates)
-            return float(bits[i]), tuple(sorted(chosen)), evaluated
-        return greedy
+        return _greedy_search(plan, cfg)
     if strategy == EXHAUSTIVE:
-        if math.comb(n, c) > EXHAUSTIVE_BUDGET:
+        count = math.comb(n, c)
+        if count > EXHAUSTIVE_BUDGET:
             raise ValueError(
                 f"exhaustive search over C({n},{c}) subsets exceeds the budget "
                 f"of {EXHAUSTIVE_BUDGET}; use the greedy strategy")
-        subsets = list(itertools.combinations(range(n), c))
+        subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), c)),
+                              dtype=np.intp, count=count * c).reshape(count, c)
     elif strategy == RANDOM_SAMPLED:
         if samples < 1:
             raise ValueError(f"need samples >= 1, got {samples}")
         rng = np.random.default_rng(seed)
-        subsets = [tuple(sorted(rng.choice(n, size=c, replace=False).tolist()))
-                   for _ in range(samples)]
+        draws = [np.sort(rng.choice(n, size=c, replace=False)) for _ in range(samples)]
+        # distinct draws, in lexicographic order, so the first maximum is the smallest
+        subsets = np.unique(np.array(draws, dtype=np.intp), axis=0)
+        count = samples
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
+    spectra = _subset_spectra(subsets, plan) if c <= plan.T else None
 
-    def search(s: float) -> tuple[float, tuple[int, ...], int]:
-        bits = values(subsets, s)
-        top = bits[int(np.nanargmax(bits))]
-        tied = np.flatnonzero(bits == top)
-        return float(top), min(subsets[t] for t in tied), len(subsets)
+    def search(s: float) -> SearchResult:
+        if spectra is None:
+            return math.inf, tuple(subsets[0].tolist()), count, None
+        bits = _bits(spectra, s, cfg)
+        i = _first_max(bits)
+        return float(bits[i]), tuple(subsets[i].tolist()), count, spectra[i]
     return search
 
 
@@ -245,24 +447,45 @@ def worst_case_leakage(plan: CodingPlan, cfg: PrivacyConfig, strategy: str = GRE
     counts every evaluation, repeats included.
     """
     _check_compat(plan, cfg)
-    best_val, best, evaluated = _make_search(plan, cfg, strategy, samples, seed)(cfg.s)
+    best_val, best, evaluated, _ = _make_search(plan, cfg, strategy, samples, seed)(cfg.s)
     return LeakageReport(i_L=best_val / cfg.K, I_L=best_val, worst_subset=best,
-                         strategy=strategy, subsets_evaluated=evaluated)
+                         strategy=strategy, subsets_evaluated=evaluated,
+                         reason=STRUCTURAL if cfg.c > cfg.T else None)
+
+
+def _amplitude_for(spectrum: np.ndarray, bits: float, cfg: PrivacyConfig) -> float:
+    """The s at which sum log2(1 + s^2 T / sigma_n^2 * eig) over ``spectrum`` is ``bits``."""
+    target = bits * math.log(2.0)
+    eig = spectrum[spectrum > 0]
+    if len(eig) == 1:
+        gamma = math.expm1(target) / eig[0]
+    else:
+        # Newton on the concave, increasing sum of log1p climbs to the root from
+        # any point below it, such as this one (log1p(x) <= x)
+        gamma = target / eig.sum()
+        for _ in range(_MAX_NEWTON):
+            step = (target - np.log1p(gamma * eig).sum()) / (eig / (1.0 + gamma * eig)).sum()
+            if not gamma + step > gamma:
+                break
+            gamma += step
+    return cfg.sigma_n * math.sqrt(gamma / cfg.T)
 
 
 def max_secure_amplitude(plan: CodingPlan, cfg: PrivacyConfig, bound: float,
                          strategy: str = GREEDY, tol: float = 1e-4,
                          samples: int = 1000, seed: int = 0) -> float:
-    """Largest input amplitude s with worst-case i_L <= ``bound``.
+    """Largest input amplitude s <= cfg.s with worst-case i_L <= ``bound``.
 
-    Used when a target bound fails at the configured s: the leakage is
-    strictly increasing in s, so bisection applies.  Each probe of s runs
-    the search of :func:`worst_case_leakage` (same ``strategy``,
-    ``samples`` and ``seed``).  The subsets, and their spectra, do not
-    depend on s, so they are found once per call and every probe re-sums
-    the same spectra.  Returns
-    0.0 when no positive amplitude satisfies the bound (singular noise
-    Gram, where the bound is +inf for every s > 0).
+    Each probe of s runs the search of :func:`worst_case_leakage` (same
+    ``strategy``, ``samples`` and ``seed``) on spectra computed once per
+    call.  The solver steps s down from cfg.s to where the current worst
+    set's bound equals ``bound`` -- for K = 1, s = sigma_n sqrt((2^bound -
+    1) / (T v)) -- or by at least one ulp if that is not lower, until the
+    search at s meets the bound.  The worst set can change with s (the
+    greedy path does for K >= 2), so s is then confirmed maximal to a
+    relative ``tol``, bisecting when it is not.  Returns 0.0 when no
+    positive amplitude meets the bound: c > T (the bound is +inf at every
+    s) or ``bound <= 0``.
     """
     _check_compat(plan, cfg)
     search = _make_search(plan, cfg, strategy, samples, seed)
@@ -270,16 +493,27 @@ def max_secure_amplitude(plan: CodingPlan, cfg: PrivacyConfig, bound: float,
     def leak_at(s: float) -> float:
         return search(s)[0] / cfg.K
 
-    if leak_at(cfg.s) <= bound:
+    bits, _, _, spectrum = search(cfg.s)
+    if bits / cfg.K <= bound:
         return cfg.s
-    tiny = 1e-12
-    if not leak_at(tiny) <= bound:
+    if spectrum is None or bound <= 0:
         return 0.0
-    lo, hi = tiny, cfg.s
-    while hi / lo > 1.0 + tol:
-        mid = math.sqrt(lo * hi)
-        if leak_at(mid) <= bound:
-            lo = mid
-        else:
-            hi = mid
+    lo = hi = cfg.s
+    shrink = np.finfo(float).eps
+    while bits / cfg.K > bound:
+        # the root normally meets the bound at once; a step that does not
+        # (rounding, or a new worst set) shrinks s by a doubling fraction
+        step_down = min(math.nextafter(lo, 0.0), lo * (1.0 - shrink))
+        hi, lo = lo, min(step_down, _amplitude_for(spectrum, cfg.K * bound, cfg))
+        shrink = min(2.0 * shrink, 0.5)
+        bits, _, _, spectrum = search(lo)
+    up = lo * (1.0 + tol)
+    if up < hi and leak_at(up) <= bound:
+        lo = up
+        while hi / lo > 1.0 + tol:
+            mid = math.sqrt(lo * hi)
+            if leak_at(mid) <= bound:
+                lo = mid
+            else:
+                hi = mid
     return lo

@@ -34,3 +34,30 @@ def encode_share_mp(beta, alphas, data_values, noise_values):
 def sigma_entry_mp(beta, alphas, column):
     """q_column(beta) over the full alpha list."""
     return berrut_basis_mp(beta, alphas)[column]
+
+
+def leakage_spectrum_mp(plan, subset, dps=80):
+    """Eigenvalues of S^T (N N^T)^-1 S for one colluder set, at ``dps`` digits.
+
+    S and N are the data and noise columns of the Berrut basis at the
+    colluders' encoder nodes; the plan's float64 nodes are taken as exact.
+    The K eigenvalues come from ``mp.eigsy``, largest first.
+    """
+    with mp.workdps(dps):
+        alphas = [mp.mpf(float(a)) for a in plan.alphas]
+        rows = [berrut_basis_mp(mp.mpf(float(plan.betas[j])), alphas) for j in subset]
+        data = mp.matrix([row[:plan.K] for row in rows])
+        noise = mp.matrix([row[plan.K:] for row in rows])
+        inner = data.T * mp.inverse(noise * noise.T) * data
+        eigs = mp.eigsy((inner + inner.T) / 2, eigvals_only=True)
+        return sorted(eigs, reverse=True)
+
+
+def leakage_mp(plan, subset, gamma, dps=80):
+    """Leakage bound in bits of one colluder set, at ``dps`` digits.
+
+    The published Gram form, log2 det(I_K + gamma S^T (N N^T)^-1 S).
+    """
+    with mp.workdps(dps):
+        return mp.fsum(mp.log(1 + mp.mpf(gamma) * e, 2)
+                       for e in leakage_spectrum_mp(plan, subset, dps))

@@ -286,3 +286,69 @@ def test_cli_run_seed_override_changes_output_dir_content(tmp_path, capsys):
     capsys.readouterr()
     with open(tmp_path / "f" / "summary.json") as fh:
         assert json.load(fh)["config"]["seed"] == 99
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def diverging_spec(tmp_path):
+    # an MSE run (no accuracy) whose c=3 cell diverges to a non-finite loss
+    # and whose c=3 > T=2 leakage bound is structurally infinite
+    return {"scheme": "dldd_secure_training", "seed": 0, "rounds": 6,
+            "network": {"nodes": 6}, "plan": {"K": 1},
+            "privacy": {"sigma_n": 5.0, "T": 2, "c": [2, 3]},
+            "training": {"loss": "mse", "hidden": [3, 4], "activation": "relu",
+                         "epochs_per_round": 2, "samples": 60},
+            "output": str(tmp_path / "diverged")}
+
+
+def test_summary_is_strict_json_with_nulls(tmp_path):
+    with np.errstate(all="ignore"):
+        summary = run_experiment(spec_from_dict(diverging_spec(tmp_path)))
+    loaded = _strict_json((tmp_path / "diverged" / "summary.json").read_text())
+    assert loaded == summary
+    finite, diverged = loaded["cells"]
+    assert finite["final_accuracy"] is None and diverged["final_accuracy"] is None
+    assert np.isfinite(finite["final_loss"]) and finite["diverged"] is False
+    assert diverged["final_loss"] is None and diverged["diverged"] is True
+    assert finite["leakage"]["reason"] is None and finite["leakage"]["i_L"] > 0
+    assert diverged["leakage"]["i_L"] is None and diverged["leakage"]["I_L"] is None
+    assert diverged["leakage"]["reason"] == "structural: c > T"
+    assert diverged["leakage"]["meets_epsilon"] is False
+    # rounds.csv keeps the raw values
+    with open(tmp_path / "diverged" / "rounds.csv", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["cell"] == "1"]
+    assert rows[-1]["loss"] in ("nan", "inf") and rows[-1]["accuracy"] == "nan"
+
+
+def test_cli_run_prints_null_values(tmp_path, capsys):
+    path = tmp_path / "diverged.yaml"
+    path.write_text(yaml.safe_dump(diverging_spec(tmp_path)))
+    with np.errstate(all="ignore"):
+        assert main(["run", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "cell 1: final_loss=n/a final_accuracy=n/a i_L=n/a" in out
+
+
+def test_cli_leakage_prints_strict_json_for_an_infinite_bound(capsys):
+    assert main(["leakage", "--N", "10", "--K", "1", "--T", "2", "--sigma", "1.0",
+                 "--c", "3", "--report-max-s"]) == 0
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["i_L"] is None and payload["reason"] == "structural: c > T"
+    assert payload["meets_epsilon"] is False and payload["max_s_for_epsilon"] == 0.0
+
+
+def test_import_does_not_load_scipy():
+    # scipy is only the benchmark's dependency (the ``bench`` extra)
+    import os
+    import subprocess
+    import sys
+
+    import pbacc
+    src = os.path.dirname(os.path.dirname(pbacc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, pbacc, pbacc.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -21,7 +21,7 @@ from pbacc.privacy import (
     worst_case_leakage,
 )
 
-from oracles import sigma_entry_mp
+from oracles import leakage_mp, leakage_spectrum_mp, sigma_entry_mp
 
 
 def cfg(K=1, T=30, sigma_n=10.0, c=10, s=1.0, epsilon=1.0):
@@ -66,18 +66,21 @@ def test_build_sigmas_rejects_bad_subsets():
 
 
 def test_large_noise_drives_leakage_to_zero():
-    # capacity vanishes as noise dominates, as long as the colluders' noise
-    # Gram has full numerical rank.  With the noise block a unit away from
-    # the encoder interval that holds only for small colluder sets: the noise
-    # basis is so smooth over the encoder nodes that every 10-node Gram is
-    # rank-deficient in float64, and those subsets report +inf at any sigma.
+    # capacity vanishes as noise dominates
     plan = make_plan(1, 30, 50)
     sweep = [worst_case_leakage(plan, cfg(sigma_n=sg, c=2), strategy=GREEDY).i_L
              for sg in (1e4, 1e6, 1e8)]
     assert sweep[0] > sweep[1] > sweep[2] >= 0.0
     assert sweep[2] < 1e-6
+    # ten colluders see an ill-conditioned (cond ~ 5e15) but full-rank noise
+    # block: the bound is finite, 67.439058087 bits at sigma = 1e6, and still
+    # falls with sigma
     worst10 = worst_case_leakage(plan, cfg(sigma_n=1e6, c=10), strategy=GREEDY)
-    assert worst10.i_L == math.inf
+    oracle = leakage_mp(plan, worst10.worst_subset, 30 / 1e12)
+    assert math.isfinite(worst10.i_L) and worst10.reason is None
+    assert abs(worst10.i_L - oracle) <= 1e-10 * oracle
+    assert abs(worst10.i_L - 67.439058087) < 1e-8
+    assert worst_case_leakage(plan, cfg(sigma_n=1e8, c=10), strategy=GREEDY).i_L < worst10.i_L
 
 
 def test_scalar_closed_form_c1_k1_t1():
@@ -243,7 +246,7 @@ def test_report_round_trips_to_dict():
     assert record["worst_subset"] == list(report.worst_subset)
 
 
-# -- per-subset reference: every search calls the public leakage_for_subset --
+# -- per-subset reference: the same kernel, one public call per subset --
 
 def reference_search(plan, config, strategy, samples=1000, seed=0):
     """The worst-case search as a loop over subsets, one public call each."""
@@ -284,37 +287,17 @@ def reference_search(plan, config, strategy, samples=1000, seed=0):
                 best, best_val = subset, v
     return LeakageReport(i_L=best_val / config.K, I_L=best_val,
                          worst_subset=tuple(sorted(best)), strategy=strategy,
-                         subsets_evaluated=evaluated)
+                         subsets_evaluated=evaluated,
+                         reason=privacy.STRUCTURAL if c > config.T else None)
 
 
-def reference_amplitude(plan, config, bound, strategy, samples=1000, seed=0, tol=1e-4):
-    """Bisection on s with one full reference search per probe."""
-    def leak_at(s):
-        scaled = cfg(K=config.K, T=config.T, sigma_n=config.sigma_n, c=config.c, s=s)
-        return reference_search(plan, scaled, strategy, samples, seed).i_L
-
-    if leak_at(config.s) <= bound:
-        return config.s
-    tiny = 1e-12
-    if not leak_at(tiny) <= bound:
-        return 0.0
-    lo, hi = tiny, config.s
-    while hi / lo > 1.0 + tol:
-        mid = math.sqrt(lo * hi)
-        if leak_at(mid) <= bound:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-#: (K, T, N, c): all finite; c > T; numerically singular subsets at c <= T
-#: (30 of the 210 for K=1, 6 of the 28 for K=2); mixed.
+#: (K, T, N, c): c <= T; c > T (structurally infinite); c = T, whose noise
+#: blocks are numerically singular to a Gram pencil (30 of the 210 subsets
+#: for K=1, 6 of the 28 for K=2).
 REFERENCE_PLANS = [(1, 4, 10, 2), (1, 2, 8, 3), (1, 6, 10, 6),
                    (2, 3, 9, 2), (2, 2, 7, 3), (2, 6, 8, 6)]
-#: (K, T, N, c) for the amplitude solver: four that bisect, and two where
-#: every s > 0 leaks +inf (c > T; a pair of K=2 colluders whose noise Gram
-#: is numerically singular)
+#: (K, T, N, c) for the amplitude solver: four that solve, one c > T where
+#: every s > 0 leaks +inf, and a K=2 pair that a Gram pencil called singular
 AMPLITUDE_PLANS = [(1, 4, 10, 2), (1, 6, 10, 3), (2, 6, 10, 3), (2, 6, 8, 4),
                    (1, 2, 8, 3), (2, 3, 9, 2)]
 #: random draws: more draws than C(8, 2) = 28 subsets, so some repeat
@@ -338,20 +321,32 @@ def test_search_matches_per_subset_reference(K, T, N, c, strategy):
         want = reference_search(plan, config, strategy, **_draws(strategy))
         assert repr(got) == repr(want)
         assert not math.isnan(got.I_L)
-        if c > T:
-            assert got.I_L == math.inf
+        assert math.isinf(got.I_L) == (c > T)
 
 
 def test_reference_plans_cover_infinite_and_repeated_subsets():
+    assert any(c > T for _, T, _, c in REFERENCE_PLANS)
+    assert any(c > T for _, T, _, c in AMPLITUDE_PLANS)
+    # c = T: every subset is finite, including the 30 a Gram pencil called singular
     plan = make_plan(1, 6, 10)
     config = cfg(K=1, T=6, sigma_n=1.0, c=6)
     values = [leakage_for_subset(sub, plan, config)
               for sub in itertools.combinations(range(10), 6)]
-    assert 0 < sum(map(math.isinf, values)) < len(values)
+    assert len(values) == 210 and all(map(math.isfinite, values))
     rng = np.random.default_rng(RANDOM_DRAWS["seed"])
     draws = [tuple(sorted(rng.choice(8, size=2, replace=False).tolist()))
              for _ in range(RANDOM_DRAWS["samples"])]
     assert len(set(draws)) < len(draws)
+
+
+def test_batched_kernel_matches_one_subset_at_a_time():
+    for K, T, N, c in [(1, 6, 10, 4), (2, 6, 9, 3), (3, 5, 8, 5), (10, 30, 50, 2)]:
+        plan = make_plan(K, T, N)
+        subsets = np.array(list(itertools.combinations(range(N), c))[:300])
+        batched = privacy._subset_spectra(subsets, plan)
+        assert batched.shape == (len(subsets), min(c, K))
+        for subset, spectrum in zip(subsets, batched):
+            np.testing.assert_array_equal(privacy._subset_spectrum(subset.tolist(), plan), spectrum)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -359,26 +354,47 @@ def test_reference_plans_cover_infinite_and_repeated_subsets():
 def test_amplitude_matches_per_subset_reference(K, T, N, c, strategy):
     plan = make_plan(K, T, N)
     config = cfg(K=K, T=T, sigma_n=1.0, c=c)
+    tol = 1e-4
+
+    def reference_at(s):
+        scaled = cfg(K=K, T=T, sigma_n=1.0, c=c, s=s)
+        return reference_search(plan, scaled, strategy, **_draws(strategy)).i_L
+
     for bound in (0.05, 3.0):
-        got = max_secure_amplitude(plan, config, bound, strategy=strategy, **_draws(strategy))
-        want = reference_amplitude(plan, config, bound, strategy, **_draws(strategy))
-        assert repr(got) == repr(want)
+        got = max_secure_amplitude(plan, config, bound, strategy=strategy, tol=tol,
+                                   **_draws(strategy))
+        if c > T:
+            assert got == 0.0
+            continue
+        assert 0.0 < got < 1.0
+        at = cfg(K=K, T=T, sigma_n=1.0, c=c, s=got)
+        assert worst_case_leakage(plan, at, strategy=strategy, **_draws(strategy)).i_L <= bound
+        # the reference agrees that s meets the bound, and that s is maximal
+        # to the solver's tolerance
+        assert reference_at(got) <= bound < reference_at(got * (1 + tol))
 
 
 def test_amplitude_solver_computes_each_spectrum_once(monkeypatch):
-    kernel, make_search, default_rng = privacy._subset_spectrum, privacy._make_search, np.random.default_rng
-    spectra, evaluations, draws = [], [], []
+    eliminate, spectra_of, make_search = (privacy._eliminate, privacy._subset_spectra,
+                                          privacy._make_search)
+    default_rng = np.random.default_rng
+    eliminations, chunks, probes, draws = [], [], [], []
 
-    def counting_kernel(subset, plan):
-        spectra.append(tuple(int(j) for j in subset))
-        return kernel(subset, plan)
+    def counting_eliminate(schur, *args):
+        if schur.ndim == 2:  # a greedy step; the batched kernel passes (m, n, K+T)
+            eliminations.append(1)
+        return eliminate(schur, *args)
+
+    def counting_spectra(subsets, plan):
+        chunks.append(tuple(map(tuple, subsets.tolist())))
+        return spectra_of(subsets, plan)
 
     def counting_make_search(*args):
         search = make_search(*args)
 
         def counting_search(s):
             result = search(s)
-            evaluations.append(result[2])
+            probes.append(s)
             return result
         return counting_search
 
@@ -390,28 +406,41 @@ def test_amplitude_solver_computes_each_spectrum_once(monkeypatch):
             draws.append(1)
             return self.rng.choice(*args, **kwargs)
 
-    monkeypatch.setattr(privacy, "_subset_spectrum", counting_kernel)
+    monkeypatch.setattr(privacy, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(privacy, "_subset_spectra", counting_spectra)
     monkeypatch.setattr(privacy, "_make_search", counting_make_search)
     monkeypatch.setattr(np.random, "default_rng", CountingRng)
-    plan = make_plan(2, 6, 10)
-    config = cfg(K=2, T=6, sigma_n=1.0, c=3)
-    for strategy in STRATEGIES:
-        spectra.clear()
-        evaluations.clear()
-        draws.clear()
-        s_max = max_secure_amplitude(plan, config, 0.25, strategy=strategy, samples=50)
+
+    def solve(K, T, N, c, strategy, bound, **kwargs):
+        for log in (eliminations, chunks, probes, draws):
+            log.clear()
+        s_max = max_secure_amplitude(make_plan(K, T, N), cfg(K=K, T=T, sigma_n=1.0, c=c),
+                                     bound, strategy=strategy, **kwargs)
         assert 0.0 < s_max < 1.0
-        assert len(evaluations) > 10  # a bisection, not an early return
-        assert len(spectra) == len(set(spectra))  # one kernel call per distinct subset
-        assert len(spectra) < sum(evaluations)
-        # the random subsets are drawn once per call, not once per probe
+
+    # the probes: cfg.s, the root on the worst set's spectrum (again if the
+    # worst set changed), and the check one tol above it
+    # K=1: the greedy path does not depend on s, so the c - 1 eliminations
+    # of its one path, and the one valuation of the set it picks, serve
+    # every probe
+    solve(1, 30, 50, 10, GREEDY, 0.6)
+    assert 3 <= len(probes) <= 4 and len(eliminations) == 9 and len(chunks) == 1
+    # K=2: the path changes with s, but a prefix is never eliminated, and a
+    # picked set never valued, twice
+    solve(2, 10, 50, 6, GREEDY, 0.6)
+    assert 3 <= len(probes) <= 5 and len(eliminations) < 5 * len(probes)
+    assert len(chunks) == len(set(chunks)) <= len(probes)
+    # exhaustive and random: one batched elimination per call, drawn once
+    for strategy in (EXHAUSTIVE, RANDOM_SAMPLED):
+        solve(2, 6, 10, 3, strategy, 0.25, samples=50)
+        assert 3 <= len(probes) <= 4 and len(chunks) == 1
         assert len(draws) == (50 if strategy == RANDOM_SAMPLED else 0)
-    # the memo lives for one call: a second search computes its spectra again
-    spectra.clear()
+    # the memo lives for one call: a second search eliminates its prefixes again
+    eliminations.clear()
+    plan, config = make_plan(1, 30, 50), cfg(c=10)
     worst_case_leakage(plan, config, strategy=GREEDY)
-    first = len(spectra)
     worst_case_leakage(plan, config, strategy=GREEDY)
-    assert len(spectra) == 2 * first
+    assert len(eliminations) == 2 * 9
 
 
 def test_amplitude_solver_uses_the_given_random_draws():
@@ -423,3 +452,82 @@ def test_amplitude_solver_uses_the_given_random_draws():
     above = cfg(K=1, T=4, sigma_n=1.0, c=2, s=1.001 * s_max)
     assert worst_case_leakage(plan, at, strategy=RANDOM_SAMPLED, **draws).i_L <= 0.25
     assert worst_case_leakage(plan, above, strategy=RANDOM_SAMPLED, **draws).i_L > 0.25
+
+
+def test_k1_amplitude_is_the_closed_form():
+    # s = sigma_n sqrt((2^bound - 1) / (T v)) on the worst set's spectrum v,
+    # to within the few ulps the solver steps down to meet the bound
+    plan = make_plan(1, 30, 50)
+    config = cfg(sigma_n=10.0, c=10)
+    report = worst_case_leakage(plan, config, strategy=GREEDY)
+    v = privacy._subset_spectrum(report.worst_subset, plan)[0]
+    closed = 10.0 * math.sqrt((2 ** 0.6 - 1) / (30 * v))
+    s_max = max_secure_amplitude(plan, config, 0.6, strategy=GREEDY)
+    assert s_max == pytest.approx(closed, rel=1e-13)
+    at = cfg(sigma_n=10.0, c=10, s=s_max)
+    assert worst_case_leakage(plan, at, strategy=GREEDY).i_L <= 0.6
+    assert worst_case_leakage(plan, cfg(sigma_n=10.0, c=10, s=s_max * (1 + 1e-12)),
+                              strategy=GREEDY).i_L > 0.6
+
+
+# -- the 80-digit oracle: the Gram formula in mpmath, never the library path --
+
+#: (N, K, T, sigma_n, c) of the paper's leakage table
+TABLE_ROWS = [(50, 1, 30, 10.0, 10), (50, 10, 30, 30.0, 10),
+              (30, 1, 18, 10.0, 6), (70, 1, 42, 10.0, 14)]
+
+
+@pytest.mark.parametrize("N,K,T,sigma_n,c", TABLE_ROWS)
+def test_table_rows_match_the_oracle(N, K, T, sigma_n, c):
+    plan = make_plan(K, T, N)
+    report = worst_case_leakage(plan, cfg(K=K, T=T, sigma_n=sigma_n, c=c), strategy=GREEDY)
+    oracle = leakage_mp(plan, report.worst_subset, T / sigma_n ** 2)
+    assert math.isfinite(report.I_L) and report.reason is None
+    assert abs(report.I_L - oracle) <= 1e-10 * oracle
+    # every eigenvalue, across the 57 decades of the K=10 row's spectrum
+    assert_spectrum_matches_oracle(plan, report.worst_subset)
+
+
+def assert_spectrum_matches_oracle(plan, subset):
+    got = privacy._subset_spectrum(list(subset), plan)
+    want = leakage_spectrum_mp(plan, subset)[:len(got)]
+    assert len(got) == min(len(subset), plan.K)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-10 * w
+
+
+#: (K, T, N, c, shift) of the small exhaustive plans, c <= T
+SMALL_PLANS = [(K, T, 8, c, shift) for shift in (-2.0, -1.0)
+               for K, T, c in ((1, 3, 2), (1, 4, 4), (2, 3, 3), (2, 5, 2), (3, 4, 3), (3, 5, 2))]
+
+
+@pytest.mark.parametrize("K,T,N,c,shift", SMALL_PLANS)
+def test_every_subset_of_small_plans_matches_the_oracle(K, T, N, c, shift):
+    # at shift -1 and odd T a noise node lies on encoder node -1, which is
+    # nudged 1e-9 clear of it: the smaller eigenvalues of the sets that hold
+    # it sit up to 18 decades below the largest
+    plan = make_plan(K, T, N, shift)
+    for sub in itertools.combinations(range(N), c):
+        assert_spectrum_matches_oracle(plan, sub)
+    for sigma_n in (0.5, 20.0):
+        config = cfg(K=K, T=T, sigma_n=sigma_n, c=c)
+        oracle = {sub: leakage_mp(plan, sub, T / sigma_n ** 2)
+                  for sub in itertools.combinations(range(N), c)}
+        for sub, want in oracle.items():
+            assert abs(leakage_for_subset(sub, plan, config) - want) <= 1e-10 * want
+        report = worst_case_leakage(plan, config, strategy=EXHAUSTIVE)
+        top = max(oracle.values())
+        assert abs(report.I_L - top) <= 1e-10 * top
+        assert oracle[report.worst_subset] >= top * (1 - 1e-10)
+
+
+def test_report_reason_and_json_values():
+    plan = make_plan(1, 2, 10)
+    structural = worst_case_leakage(plan, cfg(K=1, T=2, sigma_n=1.0, c=3), strategy=GREEDY)
+    assert structural.i_L == math.inf and structural.reason == "structural: c > T"
+    record = structural.to_dict()
+    assert record["i_L"] is None and record["I_L"] is None
+    assert record["reason"] == "structural: c > T"
+    finite = worst_case_leakage(plan, cfg(K=1, T=2, sigma_n=1.0, c=2), strategy=GREEDY)
+    assert finite.reason is None and finite.to_dict()["reason"] is None
+    assert finite.to_dict()["i_L"] == finite.i_L
