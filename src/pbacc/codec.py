@@ -6,11 +6,15 @@ noise blocks at the noise nodes, then the resulting rational interpolant is
 evaluated at every worker's encoder node at once, as the plan's (N, K+T)
 encoder basis applied to the stacked coefficients.  ``decode`` rebuilds the
 function values at the data nodes from whatever subset of worker results
-arrived, which is what gives the scheme its straggler tolerance.
+arrived, which is what gives the scheme its straggler tolerance.  It is one
+linear combination of the n results per data node, computed in one pass
+over the results in cache-sized blocks of coding groups, so each result is
+read once and no stacked copy of them is made.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterator, NamedTuple, Sequence
@@ -131,7 +135,7 @@ def decode(results: Sequence[tuple[float, np.ndarray]], plan: CodingPlan,
     payloads = [np.asarray(p, dtype=float) for _, p in results]
     if any(p.shape != payloads[0].shape for p in payloads):
         raise ValueError("result payloads disagree in shape")
-    return _apply_decode(rows, np.stack([payloads[i] for i in order]), out_extent)
+    return _apply_decode(rows, [payloads[i] for i in order], out_extent)
 
 
 def _decode_basis(betas: np.ndarray, plan: CodingPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -151,23 +155,57 @@ def _decode_basis(betas: np.ndarray, plan: CodingPlan) -> tuple[np.ndarray, np.n
     return order, berrut_basis_matrix(plan.alphas[:plan.K], betas[order])
 
 
-def _apply_decode(rows: np.ndarray, stack: np.ndarray, out_extent: int | None) -> np.ndarray:
-    """Apply :func:`_decode_basis` rows to results stacked in its order.
+#: Bytes of the (n, block, *rest) stack of results that ``_apply_decode``
+#: multiplies at once: half of a 2 MiB L2 cache, so the K products of a block
+#: read it from cache.
+_DECODE_BLOCK_BYTES = 1 << 20
 
-    ``stack`` is (n, G, *rest); the result is (G*K, *rest) with the K data
-    nodes re-interleaved along the leading axis, truncated to ``out_extent``.
-    One product per row: a single (K, n) product rounds differently for K >= 2.
+
+def _apply_decode(rows: np.ndarray, results: Sequence[np.ndarray] | np.ndarray,
+                  out_extent: int | None) -> np.ndarray:
+    """Apply :func:`_decode_basis` rows to the results in its order.
+
+    ``results`` is a sequence of n (G, *rest) arrays or one (n, G, *rest)
+    array; the result is (G*K, *rest) with the K data nodes re-interleaved
+    along the leading axis, truncated to ``out_extent``.
+
+    Each result is read once, in blocks of groups: the block's slice of every
+    result is copied into one reused (n, block, *rest) buffer (an array input
+    is sliced in place) and each of the K rows is one product with it.  A
+    block holds as many groups as fit ``_DECODE_BLOCK_BYTES``.  One product
+    per row, not one (K, n) product: the latter rounds differently for K >= 2.
+    When the results fit one block this is exactly the unblocked product,
+    byte for byte.  With several blocks each product is narrower, and BLAS
+    rounds some widths differently: the result is then ulp-close to the
+    unblocked one (within about 2e-14 on unit-scale data), not byte-equal.
     """
-    groups = stack.shape[1]
-    per_node = np.empty((len(rows),) + stack.shape[1:])
-    for i, row in enumerate(rows):
-        per_node[i] = np.tensordot(row, stack, axes=(0, 0))
-    out = per_node.swapaxes(0, 1).reshape((groups * len(rows),) + stack.shape[2:])
-    if out_extent is not None:
-        if not 0 < out_extent <= out.shape[0]:
-            raise ValueError(f"out_extent {out_extent} not in (0, {out.shape[0]}]")
-        out = out[:out_extent]
-    return out
+    n, K = len(results), len(rows)
+    if results[0].ndim == 0:
+        raise ValueError("result payloads are 0-d: decode needs a leading coding axis")
+    groups, rest = results[0].shape[0], results[0].shape[1:]
+    if out_extent is not None and not 0 < out_extent <= groups * K:
+        raise ValueError(f"out_extent {out_extent} not in (0, {groups * K}]")
+    width = math.prod(rest)
+    block = max(1, _DECODE_BLOCK_BYTES // (8 * n * max(width, 1)))
+    stacked = isinstance(results, np.ndarray)
+    if stacked:
+        flat = results.reshape(n, groups * width)
+    else:
+        buffer = np.empty(n * min(block, groups) * width)
+    out = np.empty((groups, K) + rest)
+    for lo in range(0, groups, block):
+        hi = min(lo + block, groups)
+        if stacked:
+            chunk = flat[:, lo * width:hi * width]
+        else:
+            chunk = buffer[:n * (hi - lo) * width].reshape((n, hi - lo) + rest)
+            for j, result in enumerate(results):
+                chunk[j] = result[lo:hi]
+            chunk = chunk.reshape(n, -1)
+        for i, row in enumerate(rows):
+            out[lo:hi, i] = np.dot(row, chunk).reshape((hi - lo,) + rest)
+    out = out.reshape((groups * K,) + rest)
+    return out if out_extent is None else out[:out_extent]
 
 
 def roundtrip_error(x: np.ndarray, f: Callable[[np.ndarray], np.ndarray],

@@ -1,10 +1,12 @@
 """Encode/decode round trips, noise handling, and the wire format."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pbacc import codec
 from pbacc.codec import (
     _apply_decode,
     _decode_basis,
@@ -170,6 +172,87 @@ def test_hoisted_decode_basis_matches_decode(K):
             stack = np.stack([results[i][1] for i in order])
             hoisted = _apply_decode(rows, stack, x.shape[0])
             assert hoisted.tobytes() == decode(results, plan, out_extent=x.shape[0]).tobytes()
+
+
+def test_decode_rejects_0d_payloads():
+    plan = make_plan(2, 0, 8)
+    with pytest.raises(ValueError, match="coding axis"):
+        decode([(0.5, 1.0), (0.2, 1.0)], plan)
+    _, rows = _decode_basis(np.array([0.5, 0.2]), plan)
+    with pytest.raises(ValueError, match="coding axis"):
+        _apply_decode(rows, np.ones(2), None)
+
+
+def test_decode_checks_out_extent_before_any_product(monkeypatch):
+    plan = make_plan(2, 0, 8)
+    results = [(0.5, np.ones((3, 2))), (0.2, np.ones((3, 2)))]
+
+    def product_ran(*args, **kwargs):
+        raise AssertionError("a product ran before out_extent was checked")
+
+    monkeypatch.setattr(np, "dot", product_ran)
+    monkeypatch.setattr(np, "tensordot", product_ran)
+    for bad in (0, -1, 7):  # 3 groups of K=2 decode to extent 6
+        with pytest.raises(ValueError, match="out_extent"):
+            decode(results, plan, out_extent=bad)
+
+
+def single_product(rows, stack):
+    """The unblocked decode: one product per row over the whole (n, G, *rest) stack."""
+    per_node = np.stack([np.tensordot(row, stack, axes=(0, 0)) for row in rows])
+    return per_node.swapaxes(0, 1).reshape((-1,) + stack.shape[2:])
+
+
+def decode_inputs(K, rest, n, groups, seed):
+    """Basis rows over n random workers and their (groups, *rest) results."""
+    plan = make_plan(K, 2, n + 3)
+    rng = np.random.default_rng(seed)
+    betas = rng.choice(plan.betas, size=n, replace=False)
+    _, rows = _decode_basis(betas, plan)
+    return rows, rng.normal(size=(n, groups) + rest)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 8])
+@pytest.mark.parametrize("rest", [(), (3,), (2, 4)])
+def test_blocked_decode_matches_the_single_product(K, rest, monkeypatch):
+    n, groups = 9, 23
+    rows, stack = decode_inputs(K, rest, n, groups, seed=K)
+    reference = single_product(rows, stack)
+    scale = np.max(np.abs(reference))
+    extent = groups * K - (K - 1)  # a padded last group
+    group_bytes = 8 * n * int(np.prod(rest))
+    # 1 and 2 groups per block, and 5 with a ragged last block of 3
+    for per_block in (1, 2, 5):
+        monkeypatch.setattr(codec, "_DECODE_BLOCK_BYTES", per_block * group_bytes)
+        for results in (list(stack), stack):
+            out = _apply_decode(rows, results, extent)
+            assert out.shape == (extent,) + rest
+            np.testing.assert_allclose(out, reference[:extent], rtol=1e-13, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 8])
+@pytest.mark.parametrize("rest", [(), (3,), (2, 4)])
+def test_one_block_decode_is_the_single_product_byte_for_byte(K, rest):
+    rows, stack = decode_inputs(K, rest, n=30, groups=17, seed=10 + K)
+    assert stack.nbytes <= codec._DECODE_BLOCK_BYTES
+    reference = single_product(rows, stack)
+    for results in (list(stack), stack, [np.asfortranarray(r) for r in stack]):
+        assert _apply_decode(rows, results, None).tobytes() == reference.tobytes()
+
+
+def test_decode_does_not_copy_the_results():
+    plan = make_plan(8, 0, 72)
+    rng = np.random.default_rng(8)
+    payloads = rng.normal(size=(64, 2048, 8))  # 64 results, 8 MiB in all
+    results = list(zip(plan.betas, payloads))
+    tracemalloc.start()
+    try:
+        out = decode(results, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (2048 * 8, 8)
+    assert peak <= payloads.nbytes / 2, f"decode peaked at {peak} bytes"
 
 
 def test_decode_basis_rejects_empty_and_duplicate_nodes():

@@ -152,6 +152,26 @@ def test_cox_gradients_match_central_differences():
     assert gap / max(1.0, np.max(np.abs(numeric))) <= 1e-5
 
 
+def cox_output_grad_reference(preds, targets):
+    """The Cox output gradient with the risk-set matrix and its transposed view."""
+    times, events = targets[:, 0], targets[:, 1]
+    eta = preds[:, 0]
+    at_risk = times[None, :] >= times[:, None]
+    exp_eta = np.exp(eta - eta.max())
+    inv_sums = events / (at_risk @ exp_eta)
+    return (-(events - exp_eta * (at_risk.T @ inv_sums)) / events.sum())[:, None]
+
+
+@pytest.mark.parametrize("n", [20, 37, 200, 1399, 1400])
+def test_cox_output_grad_is_the_transposed_risk_product_byte_for_byte(n):
+    rng = np.random.default_rng(n)
+    preds = rng.normal(size=(n, 1))
+    _, targets = make_survival(n, features=2, seed=n)
+    targets[: n // 4, 0] = targets[n // 4: 2 * (n // 4), 0]  # tied times
+    _, dpred = loss_and_output_grad(preds, targets, COX_PH)
+    assert dpred.tobytes() == cox_output_grad_reference(preds, targets).tobytes()
+
+
 def test_sgd_step_basics():
     params = init_mlp([2, 2], seed=1)
     zero = ModelParams(layers=[(np.zeros_like(w), np.zeros_like(b))
