@@ -75,7 +75,7 @@ class Shares:
 
 
 def encode(x: np.ndarray, plan: CodingPlan, noise: NoiseSpec,
-           pad: bool = True) -> tuple[Shares, list[np.ndarray]]:
+           pad: bool = True, out: np.ndarray | None = None) -> tuple[Shares, list[np.ndarray]]:
     """Encode ``x`` along its leading axis into N shares plus T noise blocks.
 
     The leading (coding) axis is processed in contiguous groups of K slices;
@@ -86,7 +86,9 @@ def encode(x: np.ndarray, plan: CodingPlan, noise: NoiseSpec,
     share payload shape, so distinct groups see independent noise entries.
 
     Returns the shares as one worker-major :class:`Shares` and the drawn
-    noise blocks.
+    noise blocks.  ``out``, a C-contiguous float64 array of the payload
+    shape (N, ceil(extent / K), *rest), receives the payloads, which are
+    then a view of it; by default they are a fresh array.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
@@ -114,8 +116,15 @@ def encode(x: np.ndarray, plan: CodingPlan, noise: NoiseSpec,
         blocks = np.empty((0, groups) + x.shape[1:])
         coeffs = stacked
 
-    payloads = np.tensordot(plan.encoder_basis, coeffs, axes=(1, 0))  # (N, groups, *rest)
-    return Shares(plan.betas, payloads), list(blocks)
+    shape = (plan.N, groups) + x.shape[1:]
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}, "
+                         f"got {out.dtype} {out.shape}")
+    # the product np.tensordot(basis, coeffs, axes=(1, 0)) makes, written into out
+    np.dot(plan.encoder_basis, coeffs.reshape(K + T, -1), out=out.reshape(plan.N, -1))
+    return Shares(plan.betas, out), list(blocks)
 
 
 def decode(results: Sequence[tuple[float, np.ndarray]], plan: CodingPlan,

@@ -190,6 +190,13 @@ def _validate(spec: ExperimentSpec) -> None:
         raise SpecError(f"unknown activation {spec.activation!r}")
     if spec.dataset not in ("two_clusters", "survival"):
         raise SpecError(f"unknown dataset {spec.dataset!r}")
+    # survival targets are (time, event) pairs, which only the Cox loss reads
+    if spec.loss == learners.COX_PH and spec.dataset != "survival":
+        raise SpecError(f"training.loss {spec.loss} needs training.dataset survival, "
+                        f"got {spec.dataset!r}")
+    if spec.dataset == "survival" and spec.loss != learners.COX_PH:
+        raise SpecError(f"training.dataset survival needs training.loss {learners.COX_PH}, "
+                        f"got {spec.loss!r}")
     if spec.samples < spec.n_nodes:
         raise SpecError("need at least one sample per node")
     if spec.features < 1:

@@ -144,24 +144,25 @@ def backward_from_output(params: ModelParams, cache, dout: np.ndarray) -> ModelP
     return ModelParams(layers=grads, activation=params.activation)
 
 
-def loss_and_output_grad(preds: np.ndarray, targets: np.ndarray, loss: str):
-    """Loss value and its gradient w.r.t. the predictions."""
-    preds = np.asarray(preds, dtype=float)
+def _loss_value(preds: np.ndarray, targets: np.ndarray, loss: str):
+    """Loss value, plus the intermediates its gradient reuses (None if it is 0).
+
+    The one place each loss is computed: ``loss_and_output_grad`` takes its
+    value from here, and ``evaluate`` uses the value alone, without
+    building the gradient.
+    """
     n = preds.shape[0]
     if loss == MSE:
         targets = np.asarray(targets, dtype=float).reshape(preds.shape)
         diff = preds - targets
-        return float(np.mean(diff * diff)), 2.0 * diff / diff.size
+        return float(np.mean(diff * diff)), diff
     if loss == SOFTMAX_CE:
         labels = np.asarray(targets).reshape(n).astype(int)
         if labels.min() < 0 or labels.max() >= preds.shape[1]:
             raise ValueError("class labels out of range for the logit width")
         shifted = preds - preds.max(axis=1, keepdims=True)
         logz = np.log(np.sum(np.exp(shifted), axis=1))
-        value = float(np.mean(logz - shifted[np.arange(n), labels]))
-        probs = np.exp(shifted) / np.exp(logz)[:, None]
-        probs[np.arange(n), labels] -= 1.0
-        return value, probs / n
+        return float(np.mean(logz - shifted[np.arange(n), labels])), (shifted, logz, labels)
     if loss == COX_PH:
         targets = np.asarray(targets, dtype=float)
         if targets.ndim != 2 or targets.shape[1] != 2 or preds.shape[1] != 1:
@@ -172,7 +173,7 @@ def loss_and_output_grad(preds: np.ndarray, targets: np.ndarray, loss: str):
         if n_events == 0:
             # The partial likelihood is a product over events.  With none it is
             # the empty product 1, so the loss and its gradient are zero.
-            return 0.0, np.zeros_like(preds)
+            return 0.0, None
         eta = preds[:, 0]
         shift = eta.max()
         exp_eta = np.exp(eta - shift)
@@ -180,15 +181,34 @@ def loss_and_output_grad(preds: np.ndarray, targets: np.ndarray, loss: str):
         risk_sums = (times[None, :] >= times[:, None]) @ exp_eta
         log_risk = np.log(risk_sums) + shift
         value = float(-np.sum(events * (eta - log_risk)) / n_events)
-        # d/d eta_j: -(1/E) [ delta_j - exp(eta_j) * sum_{i: delta_i, t_i <= t_j} 1/S_i ]
-        inv_sums = events / risk_sums
-        # the risk sets j is in (row j: t_j >= t_i), the transpose of the matrix
-        # above built as its own contiguous comparison: casting a transposed
-        # view for the product costs twice the product
-        in_risk_sets = times[:, None] >= times[None, :]
-        deta = -(events - exp_eta * (in_risk_sets @ inv_sums)) / n_events
-        return value, deta[:, None]
+        return value, (times, events, n_events, exp_eta, risk_sums)
     raise ValueError(f"unknown loss {loss!r}")
+
+
+def loss_and_output_grad(preds: np.ndarray, targets: np.ndarray, loss: str):
+    """Loss value and its gradient w.r.t. the predictions."""
+    preds = np.asarray(preds, dtype=float)
+    value, terms = _loss_value(preds, targets, loss)
+    if loss == MSE:
+        diff = terms
+        return value, 2.0 * diff / diff.size
+    if loss == SOFTMAX_CE:
+        shifted, logz, labels = terms
+        n = preds.shape[0]
+        probs = np.exp(shifted) / np.exp(logz)[:, None]
+        probs[np.arange(n), labels] -= 1.0
+        return value, probs / n
+    if terms is None:
+        return value, np.zeros_like(preds)
+    times, events, n_events, exp_eta, risk_sums = terms
+    # d/d eta_j: -(1/E) [ delta_j - exp(eta_j) * sum_{i: delta_i, t_i <= t_j} 1/S_i ]
+    inv_sums = events / risk_sums
+    # the risk sets j is in (row j: t_j >= t_i), the transpose of the matrix
+    # above built as its own contiguous comparison: casting a transposed
+    # view for the product costs twice the product
+    in_risk_sets = times[:, None] >= times[None, :]
+    deta = -(events - exp_eta * (in_risk_sets @ inv_sums)) / n_events
+    return value, deta[:, None]
 
 
 def loss_and_grad(params: ModelParams, batch: Batch, loss: str):
@@ -211,12 +231,16 @@ COORD_MEDIAN = "coord_median"
 AGG_RULES = (FEDAVG, COORD_MEDIAN)
 
 
-def aggregate(models: list[np.ndarray], rule: str = FEDAVG,
+def aggregate(models: list[np.ndarray] | np.ndarray, rule: str = FEDAVG,
               weights: list[float] | None = None) -> np.ndarray:
-    """Combine equally shaped parameter arrays into one, elementwise over the list."""
-    if not models:
+    """Combine equally shaped parameter arrays into one, elementwise over the list.
+
+    ``models`` is a list of arrays or one stacked (models, ...) array; a
+    float64 array is used as it is, without a copy.
+    """
+    if len(models) == 0:
         raise ValueError("cannot aggregate an empty model list")
-    stack = np.stack([np.asarray(m, dtype=float) for m in models])
+    stack = np.asarray(models, dtype=float)
     if rule == FEDAVG:
         if weights is None:
             return stack.mean(axis=0)
@@ -247,7 +271,7 @@ def local_train(params: ModelParams, inputs: np.ndarray, targets: np.ndarray,
 def evaluate(params: ModelParams, inputs: np.ndarray, targets: np.ndarray, loss: str):
     """Dataset loss plus accuracy (NaN for non-classification losses)."""
     preds = forward(params, inputs)
-    value, _ = loss_and_output_grad(preds, targets, loss)
+    value, _ = _loss_value(preds, targets, loss)
     if loss == SOFTMAX_CE:
         labels = np.asarray(targets).reshape(-1).astype(int)
         acc = float(np.mean(np.argmax(preds, axis=1) == labels))

@@ -1,9 +1,14 @@
 """Deterministic in-process simulation of the coded learning schemes.
 
-Transport is simulated: every message is recorded as an in-process tuple
-(sender, receiver, element count, phase tag), never serialized or sent.
-That makes the per-round communication cost an exact, reproducible count
-instead of a wall-clock measurement.
+Transport is simulated: every message is a (sender, receiver, element
+count, phase tag) tuple, never serialized or sent.  That makes the
+per-round communication cost an exact, reproducible count instead of a
+wall-clock measurement.  A round sends the same messages every time (the
+sizes follow from the model size and K), so each runner builds them once
+per run, as immutable :class:`MessageBlock` s with the node names formatted
+once, and a :class:`RoundTrace` records a block by reference.  Recording
+is O(blocks), not O(messages); the trace's message and element totals are
+running counters, and its ordered message list is built only on demand.
 
 All schemes share one round driver, ``_run_rounds``.  It numbers the rounds,
 gives each a fresh :class:`RoundTrace` and the round's fastest workers
@@ -17,13 +22,14 @@ fastest subset.  Five schemes are provided:
   master decodes the outputs, evaluates loss/gradients and steps the model.
   The N workers of a batch run as one stacked forward over the worker axis,
   and the decode basis of the round's fastest subset is built once per
-  round; the ledger still records every worker's two messages.
+  round; each batch records the same block of every worker's two messages.
 * ``uncoded_dlcd``           -- master partitions the plaintext dataset;
   from then on it is ``uncoded_dldd`` on those parts.
 * ``dldd_secure_aggregation``-- nodes own the data, train in plaintext and
   exchange encoded model shares; aggregation happens in the coded domain,
-  every holder at once over the owner axis of an (owner, holder, ...)
-  share table, and the master decodes only the aggregate.
+  every holder at once over the owner axis of one preallocated
+  (owner, holder, ...) share table that every owner's encode writes into,
+  and the master decodes only the aggregate.
 * ``dldd_secure_training``   -- the master encodes the global model at a
   single data node; workers run the full local training on encoded
   parameters and decoding natively averages the trained models.
@@ -40,7 +46,7 @@ setup trace with ``round_index`` 0 holding those messages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -93,33 +99,53 @@ class OpCount:
         self.elements += int(elements)
 
 
+class MessageBlock:
+    """An immutable run of messages, recorded as one unit.
+
+    ``elements`` is the block's total element count, summed once here.
+    """
+
+    __slots__ = ("messages", "elements")
+
+    def __init__(self, messages: Iterable[Message]):
+        self.messages = tuple(messages)
+        self.elements = sum(m.elements for m in self.messages)
+
+    def __len__(self) -> int:
+        return len(self.messages)
+
+
 @dataclass
 class RoundTrace:
-    """Everything observable about one protocol round."""
+    """Everything observable about one protocol round.
+
+    The round's messages are recorded as blocks, by reference (one block
+    object can sit in every round of a run, and more than once in one).
+    ``message_count`` and ``element_volume`` are running counters kept by
+    :meth:`record`; ``messages`` is the ordered list of every message,
+    built on demand.
+    """
 
     round_index: int
-    messages: list[Message] = field(default_factory=list)
     encode_ops: OpCount = field(default_factory=OpCount)
     decode_ops: OpCount = field(default_factory=OpCount)
     train_ops: OpCount = field(default_factory=OpCount)
     decoded_model: np.ndarray | None = None
     loss: float = float("nan")
     accuracy: float = float("nan")
+    message_count: int = field(default=0, init=False)
+    element_volume: int = field(default=0, init=False)
+    _blocks: list[MessageBlock] = field(default_factory=list, init=False, repr=False)
 
-    def send(self, sender: str, receiver: str, elements: int, phase: str) -> None:
-        self.messages.append(Message(sender, receiver, int(elements), phase))
-
-    def send_many(self, messages: Sequence[Message]) -> None:
+    def record(self, block: MessageBlock) -> None:
         """Record a prebuilt block of messages, in order."""
-        self.messages.extend(messages)
+        self._blocks.append(block)
+        self.message_count += len(block)
+        self.element_volume += block.elements
 
     @property
-    def message_count(self) -> int:
-        return len(self.messages)
-
-    @property
-    def element_volume(self) -> int:
-        return sum(m.elements for m in self.messages)
+    def messages(self) -> list[Message]:
+        return [m for block in self._blocks for m in block.messages]
 
 
 @dataclass(frozen=True)
@@ -242,6 +268,11 @@ def _run_rounds(cfg: SchemeConfig, net: NetworkConfig, model_init: ModelParams,
     return traces
 
 
+def _node_names(n: int) -> list[str]:
+    """The ledger names of nodes 0..n-1, formatted once per run."""
+    return [f"node{j}" for j in range(n)]
+
+
 def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
                              dataset: tuple[np.ndarray, np.ndarray],
                              model_init: ModelParams) -> list[RoundTrace]:
@@ -265,19 +296,21 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     if n_samples < plan.K:
         raise ValueError("dataset smaller than the coding batch size K")
     w_elems = model_init.size
+    nodes = _node_names(net.n_nodes)
 
     setup = RoundTrace(round_index=0)
     shares, _ = encode(inputs, plan, _noise_spec(cfg, net, 0))
     setup.encode_ops.add(inputs.size)
-    for j, payload in enumerate(shares.payloads):
-        setup.send("master", f"node{j}", payload.size, "dataset_share")
+    share_elems = shares.payloads[0].size
+    setup.record(MessageBlock(Message("master", node, share_elems, "dataset_share")
+                              for node in nodes))
     payloads = shares.payloads[:, :, None]  # (N, G, 1, f)
     n_workers, n_batches = payloads.shape[:2]
     # Each worker's result is one coded row of model outputs.
     result_elems = model_init.layers[-1][1].size
-    batch_messages = [m for j in range(n_workers) for m in (
-        Message("master", f"node{j}", w_elems, "model_broadcast"),
-        Message(f"node{j}", "master", result_elems, "inference_result"))]
+    batch_messages = MessageBlock(m for node in nodes for m in (
+        Message("master", node, w_elems, "model_broadcast"),
+        Message(node, "master", result_elems, "inference_result")))
 
     def step(trace, model, r, fastest):
         order, rows = _decode_basis(plan.betas[fastest], plan)
@@ -285,7 +318,7 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
         for g in range(n_batches):
             lo = g * plan.K
             valid = min(plan.K, n_samples - lo)
-            trace.send_many(batch_messages)
+            trace.record(batch_messages)
             preds = forward(model, payloads[:, g])             # (N, 1, outputs)
             trace.train_ops.count += n_workers
             trace.train_ops.elements += n_workers * w_elems
@@ -313,8 +346,8 @@ def run_uncoded_dlcd(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     row_elems = inputs.shape[1] + (targets[0].size if targets.ndim > 1 else 1)
 
     setup = RoundTrace(round_index=0)
-    for j, (x, _) in enumerate(parts):
-        setup.send("master", f"node{j}", x.shape[0] * row_elems, "dataset_part")
+    setup.record(MessageBlock(Message("master", node, x.shape[0] * row_elems, "dataset_part")
+                              for node, (x, _) in zip(_node_names(net_cfg.n_nodes), parts)))
     return [setup] + run_uncoded_dldd(scheme_cfg, net_cfg, parts, model_init)
 
 
@@ -325,38 +358,40 @@ def run_dldd_secure_aggregation(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig
 
     Nodes train in plaintext, encode their updated parameters and exchange
     one share with every other node; each node aggregates the shares it
-    received and the master decodes only the aggregate.  The shares form an
-    (owner, holder, ...) table, so one ``aggregate`` call over the owner
-    axis serves every holder.
+    received and the master decodes only the aggregate.  Every owner's
+    encode writes its shares into one (owner, holder, G) table allocated
+    once per round, so one ``aggregate`` call over the owner axis serves
+    every holder without restacking the table.
     """
     cfg, net = scheme_cfg, net_cfg
     plan = cfg.plan
     n = net.n_nodes
     _check_sizes(net, per_node_datasets, plan)
     w_elems = model_init.size
+    share_elems = -(-w_elems // plan.K)   # G = ceil(w / K): one share, one aggregate
+    nodes = _node_names(n)
+    round_messages = MessageBlock([
+        *(Message("master", node, w_elems, "model_broadcast") for node in nodes),
+        *(Message(nodes[j], nodes[i], share_elems, "share_exchange")
+          for j in range(n) for i in range(n) if i != j),
+        *(Message(node, "master", share_elems, "aggregate_result") for node in nodes)])
 
     def step(trace, model, r, fastest):
+        trace.record(round_messages)
         trained = []
-        for j, (x, y) in enumerate(per_node_datasets):
-            trace.send("master", f"node{j}", w_elems, "model_broadcast")
+        for x, y in per_node_datasets:
             local = local_train(model, x, y, cfg.loss, cfg.lr,
                                 cfg.batch_size, cfg.epochs_per_round)
             trace.train_ops.add(w_elems)
             trained.append(local.flattened_view)
 
-        # table[j][i]: share of node j's model held by node i
-        table = []
+        # table[j, i]: share of node j's model held by node i
+        table = np.empty((n, n, share_elems))
         for j in range(n):
-            shares, _ = encode(trained[j], plan, _noise_spec(cfg, net, r, j))
+            encode(trained[j], plan, _noise_spec(cfg, net, r, j), out=table[j])
             trace.encode_ops.add(w_elems)
-            for i in range(n):
-                if i != j:
-                    trace.send(f"node{j}", f"node{i}", shares.payloads[i].size, "share_exchange")
-            table.append(shares.payloads)
 
         held = aggregate(table, cfg.agg_rule)  # (holder, G): every holder over the owner axis
-        for i in range(n):
-            trace.send(f"node{i}", "master", held[i].size, "aggregate_result")
         merged = decode([(plan.betas[i], held[i]) for i in fastest], plan, out_extent=w_elems)
         trace.decode_ops.add(w_elems)
         return model.with_flat(merged)
@@ -376,21 +411,21 @@ def run_dldd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     cfg, net = scheme_cfg, net_cfg
     plan = cfg.plan
     _check_sizes(net, per_node_datasets, plan)
-    w_elems = model_init.size
+    w_elems = model_init.size   # K = 1: a share is the size of the model
+    round_messages = MessageBlock(m for node in _node_names(net.n_nodes) for m in (
+        Message("master", node, w_elems, "encoded_model"),
+        Message(node, "master", w_elems, "trained_model")))
 
     def step(trace, model, r, fastest):
+        trace.record(round_messages)
         shares, _ = encode(model.flattened_view, plan, _noise_spec(cfg, net, r))
         trace.encode_ops.add(w_elems)
         trained = []
-        for j, (x, y) in enumerate(per_node_datasets):
-            payload = shares.payloads[j]
-            trace.send("master", f"node{j}", payload.size, "encoded_model")
+        for payload, (x, y) in zip(shares.payloads, per_node_datasets):
             local = local_train(model.with_flat(payload), x, y, cfg.loss,
                                 cfg.lr, cfg.batch_size, cfg.epochs_per_round)
             trace.train_ops.add(w_elems)
-            flat = local.flattened_view
-            trace.send(f"node{j}", "master", flat.size, "trained_model")
-            trained.append(flat)
+            trained.append(local.flattened_view)
 
         merged = decode([(plan.betas[j], trained[j]) for j in fastest], plan, out_extent=w_elems)
         trace.decode_ops.add(w_elems)
@@ -406,15 +441,17 @@ def run_uncoded_dldd(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     cfg, net = scheme_cfg, net_cfg
     _check_sizes(net, per_node_datasets)
     w_elems = model_init.size
+    round_messages = MessageBlock(m for node in _node_names(net.n_nodes) for m in (
+        Message("master", node, w_elems, "model_broadcast"),
+        Message(node, "master", w_elems, "local_model")))
 
     def step(trace, model, r, fastest):
+        trace.record(round_messages)
         locals_flat = []
-        for j, (x, y) in enumerate(per_node_datasets):
-            trace.send("master", f"node{j}", w_elems, "model_broadcast")
+        for x, y in per_node_datasets:
             local = local_train(model, x, y, cfg.loss, cfg.lr,
                                 cfg.batch_size, cfg.epochs_per_round)
             trace.train_ops.add(w_elems)
-            trace.send(f"node{j}", "master", w_elems, "local_model")
             locals_flat.append(local.flattened_view)
         return model.with_flat(aggregate([locals_flat[j] for j in fastest], cfg.agg_rule))
 

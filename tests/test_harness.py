@@ -82,9 +82,20 @@ def test_spec_rejects_bad_training_field(tmp_path, section, key, value):
     ("dldd_secure_training", "privacy", "epsilon", -1.0, "privacy.epsilon"),
     ("uncoded_dldd", "training", "features", 0, "training.features"),
     ("dlcd_secure_training", "training", "hidden", [4, 0], "training.hidden"),
+    # two_clusters labels are not (time, event) pairs
+    ("uncoded_dldd", "training", "loss", "cox_ph", "training.loss cox_ph needs"),
+    ("dldd_secure_aggregation", "training", "loss", "cox_ph", "training.loss cox_ph needs"),
+    # survival targets are (time, event) pairs: neither class labels nor regression targets
+    ("uncoded_dldd", "training", "dataset", "survival", "training.dataset survival needs"),
+    ("uncoded_dldd", None, "training", {"dataset": "survival", "loss": "mse", "samples": 64},
+     "training.dataset survival needs"),
+    ("dlcd_secure_training", None, "training",
+     {"dataset": "survival", "loss": "mse", "features": 3, "samples": 64},
+     "training.dataset survival needs"),
 ], ids=["K_above_samples", "K_not_one", "drop_count_high", "drop_count_negative", "keep_n_high",
         "keep_n_zero", "strategy", "agg_uncoded", "agg_coded", "c_above_nodes", "s",
-        "epsilon", "features", "hidden"])
+        "epsilon", "features", "hidden", "cox_on_two_clusters", "cox_on_two_clusters_coded",
+        "survival_softmax", "survival_mse", "survival_mse_three_features"])
 def test_spec_rejects_bad_field_before_writing(tmp_path, scheme, section, key, value, name):
     raw = small_spec(tmp_path, scheme=scheme)
     (raw if section is None else raw[section])[key] = value

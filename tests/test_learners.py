@@ -1,8 +1,11 @@
 """Models, losses, analytic gradients, optimizer and aggregation rules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pbacc import learners
 from pbacc.learners import (
     Batch,
     COORD_MEDIAN,
@@ -234,8 +237,35 @@ def test_fedavg_is_linear():
 def test_aggregate_validation():
     with pytest.raises(ValueError):
         aggregate([], FEDAVG)
+    with pytest.raises(ValueError, match="empty"):
+        aggregate(np.empty((0, 5)), FEDAVG)
     with pytest.raises(ValueError):
         aggregate([np.ones(2), np.ones(2)], FEDAVG, weights=[0.9, 0.9])
+
+
+@pytest.mark.parametrize("rule,weights", [
+    (FEDAVG, None), (FEDAVG, "weighted"), (COORD_MEDIAN, None)],
+    ids=["fedavg", "weighted_fedavg", "coord_median"])
+@pytest.mark.parametrize("shape", [(7, 23), (6, 5, 4)], ids=["table", "rest"])
+def test_aggregate_of_an_array_is_the_list_result_byte_for_byte(rule, weights, shape):
+    stack = np.random.default_rng(11).normal(size=shape)
+    if weights == "weighted":
+        weights = np.random.default_rng(12).dirichlet(np.ones(shape[0]))
+    from_list = aggregate(list(stack), rule, weights)
+    from_array = aggregate(stack, rule, weights)
+    assert from_array.shape == shape[1:]
+    assert from_array.tobytes() == from_list.tobytes()
+
+
+def test_fedavg_of_an_array_does_not_copy_it():
+    stack = np.random.default_rng(13).normal(size=(64, 16384))  # 8 MiB
+    tracemalloc.start()
+    try:
+        aggregate(stack, FEDAVG)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stack.nbytes / 8
 
 
 def test_local_train_is_deterministic_and_learns():
@@ -256,3 +286,43 @@ def test_evaluate_accuracy_nan_for_regression():
     value, acc = evaluate(params, x, targets, COX_PH)
     assert np.isfinite(value)
     assert np.isnan(acc)
+
+
+def _loss_cases():
+    rng = np.random.default_rng(21)
+    _, labels = make_two_clusters(30, seed=22)
+    yield MSE, rng.normal(size=(30, 3)), rng.normal(size=(30, 3))
+    yield SOFTMAX_CE, rng.normal(size=(30, 2)) * 3.0, labels
+    _, survival = make_survival(40, features=2, seed=23)
+    tied = survival.copy()
+    tied[:10, 0] = tied[10:20, 0]  # tied times
+    yield COX_PH, rng.normal(size=(40, 1)), tied
+    censored = survival.copy()
+    censored[:, 1] = 0.0  # an event-free set
+    yield COX_PH, rng.normal(size=(40, 1)), censored
+
+
+@pytest.mark.parametrize("case", range(4), ids=["mse", "softmax_ce", "cox_tied", "cox_no_events"])
+def test_evaluate_loss_is_the_gradient_paths_value_byte_for_byte(case):
+    loss, preds, targets = list(_loss_cases())[case]
+    expected, _ = loss_and_output_grad(preds, targets, loss)
+    # evaluate on an identity layer whose output is preds itself
+    params = ModelParams(layers=[(np.eye(preds.shape[1]), np.zeros(preds.shape[1]))],
+                         activation=IDENTITY)
+    assert forward(params, preds).tobytes() == preds.tobytes()
+    value, _ = evaluate(params, preds, targets, loss)
+    assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+
+
+def test_cox_evaluate_does_not_run_the_gradient(monkeypatch):
+    def gradient_ran(*args, **kwargs):
+        raise AssertionError("evaluate built the gradient")
+
+    n = 1400
+    x, targets = make_survival(n, features=4, seed=31)
+    params = init_mlp([4, 16, 1], activation=TANH, seed=32)
+    expected, _ = evaluate(params, x, targets, COX_PH)
+    monkeypatch.setattr(learners, "loss_and_output_grad", gradient_ran)
+    monkeypatch.setattr(learners, "backward_from_output", gradient_ran)
+    value, acc = learners.evaluate(params, x, targets, COX_PH)
+    assert value == expected and np.isnan(acc)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pbacc import protocols
 from pbacc.codec import NoiseSpec, decode, encode
 from pbacc.interpolation import make_plan
 from pbacc.learners import (
@@ -30,6 +31,7 @@ from pbacc.protocols import (
     Message,
     NetworkConfig,
     RANDOM_DELAY,
+    SCHEMES,
     SchemeConfig,
     StragglerModel,
     UNCODED_DLCD,
@@ -386,3 +388,120 @@ def test_plan_network_size_mismatch_rejected():
     cfg = SchemeConfig(scheme=DLDD_SECURE_TRAINING, plan=plan, sigma_n=0.1, rounds=1)
     with pytest.raises(ValueError):
         run_dldd_secure_training(cfg, net(), split(x, y), model())
+
+
+def uncoded_round_ledger(n, w):
+    messages = []
+    for j in range(n):
+        messages.append(Message("master", f"node{j}", w, "model_broadcast"))
+        messages.append(Message(f"node{j}", "master", w, "local_model"))
+    return messages
+
+
+def test_uncoded_dldd_ledger_matches_the_reference():
+    x, y = make_two_clusters(40, seed=10)
+    straggler = StragglerModel(kind=DROP_SLOWEST, count=3, seed=1)
+    traces = run_uncoded_dldd(SchemeConfig(scheme=UNCODED_DLDD, rounds=3, lr=0.1),
+                              net(straggler), split(x, y), model())
+    assert [t.round_index for t in traces] == [1, 2, 3]
+    for trace in traces:
+        assert trace.messages == uncoded_round_ledger(N, model().size)
+
+
+def test_uncoded_dlcd_ledger_matches_the_reference():
+    x, y = make_two_clusters(43, features=3, seed=11)  # parts of 6 and 5 samples
+    traces = run_uncoded_dlcd(SchemeConfig(scheme=UNCODED_DLCD, rounds=2, lr=0.1),
+                              net(), (x, y), init_mlp([3, 4, 2], seed=1))
+    sizes = [len(part) for part in np.array_split(np.arange(43), N)]
+    assert sizes[:3] == [6, 6, 6] and sizes[-1] == 5
+    setup = [Message("master", f"node{j}", sizes[j] * (3 + 1), "dataset_part")
+             for j in range(N)]
+    assert [t.round_index for t in traces] == [0, 1, 2]
+    assert traces[0].messages == setup
+    for trace in traces[1:]:
+        assert trace.messages == uncoded_round_ledger(N, init_mlp([3, 4, 2], seed=1).size)
+
+
+def test_dldd_secure_training_ledger_matches_the_reference():
+    x, y = make_two_clusters(40, seed=12)
+    plan = make_plan(1, 3, N)
+    cfg = SchemeConfig(scheme=DLDD_SECURE_TRAINING, plan=plan, sigma_n=0.5, rounds=2, lr=0.1)
+    traces = run_dldd_secure_training(cfg, net(seed=2), split(x, y), model())
+    w = model().size
+    assert [t.round_index for t in traces] == [1, 2]
+    for r, trace in enumerate(traces, start=1):
+        # the share sizes do not depend on the model's values
+        shares, _ = encode(model().flattened_view, plan,
+                           NoiseSpec(cfg.sigma_n, plan.T, _derived_seed(2, r)))
+        messages = []
+        for j, share in enumerate(shares):
+            messages.append(Message("master", f"node{j}", share.payload.size, "encoded_model"))
+            messages.append(Message(f"node{j}", "master", w, "trained_model"))
+        assert trace.messages == messages
+
+
+def _run_small(scheme, rounds):
+    """One small run of ``scheme``, K=2 where the scheme allows it."""
+    x, y = make_two_clusters(25, seed=13)
+    plan = {DLCD_SECURE_TRAINING: make_plan(2, 2, N), DLDD_SECURE_AGGREGATION: make_plan(2, 2, N),
+            DLDD_SECURE_TRAINING: make_plan(1, 2, N)}.get(scheme)
+    data = (x, y) if scheme in (DLCD_SECURE_TRAINING, UNCODED_DLCD) else split(x, y)
+    cfg = SchemeConfig(scheme=scheme, plan=plan, sigma_n=0.5, rounds=rounds, lr=0.1)
+    return run_scheme(cfg, net(seed=4), data, model())
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_ledger_counters_agree_with_the_messages(scheme):
+    for trace in _run_small(scheme, rounds=2):
+        messages = trace.messages
+        assert messages
+        assert trace.message_count == len(messages)
+        assert trace.element_volume == sum(m.elements for m in messages)
+        assert all(type(m.elements) is int for m in messages)
+
+
+def test_round_blocks_are_built_once_per_run(monkeypatch):
+    built = []
+
+    class CountedBlock(protocols.MessageBlock):
+        def __init__(self, messages):
+            super().__init__(messages)
+            built.append(len(self))
+
+    monkeypatch.setattr(protocols, "MessageBlock", CountedBlock)
+    counts = {}
+    for scheme in SCHEMES:
+        for rounds in (1, 4):
+            built.clear()
+            traces = _run_small(scheme, rounds)
+            counts.setdefault(scheme, []).append(len(built))
+            per_round = [t for t in traces if t.round_index >= 1]
+            assert len(per_round) == rounds
+            # every round records the same messages, by reference
+            first = per_round[0].messages
+            for trace in per_round[1:]:
+                messages = trace.messages
+                assert len(messages) == len(first)
+                assert all(a is b for a, b in zip(messages, first)), scheme
+    # a run builds its blocks up front: four rounds build no more than one
+    assert counts == {DLCD_SECURE_TRAINING: [2, 2],  # the set-up block and the batch block
+                      UNCODED_DLCD: [2, 2],          # the set-up block and the round block
+                      DLDD_SECURE_AGGREGATION: [1, 1],
+                      DLDD_SECURE_TRAINING: [1, 1],
+                      UNCODED_DLDD: [1, 1]}
+
+
+def test_secure_aggregation_aggregates_the_share_table_as_one_array(monkeypatch):
+    seen = []
+
+    def recording_aggregate(models, rule=FEDAVG, weights=None):
+        seen.append(models)
+        return aggregate(models, rule, weights)
+
+    monkeypatch.setattr(protocols, "aggregate", recording_aggregate)
+    x, y = make_two_clusters(45, seed=14)
+    plan = make_plan(2, 2, N)
+    cfg = SchemeConfig(scheme=DLDD_SECURE_AGGREGATION, plan=plan, sigma_n=0.5, rounds=2, lr=0.1)
+    run_dldd_secure_aggregation(cfg, net(), split(x, y), model())
+    assert len(seen) == 2
+    assert all(isinstance(t, np.ndarray) and t.shape == (N, N, 11) for t in seen)
