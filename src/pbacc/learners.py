@@ -4,6 +4,16 @@ Everything here is plain real arithmetic (matrix products, elementwise
 maps), so the same code runs unchanged on plaintext and on encoded tensors;
 the only data-dependent branching lives inside the activations.  Gradients
 are hand-written reverse accumulation, checked against central differences.
+
+Samples run along axis -2 and features along axis -1, so the forward,
+backward, loss and SGD functions also take a leading node axis: ``(N, B, f)``
+inputs train N models at once (``local_train``), from one shared start model or from a stacked
+:class:`ModelParams` whose layers carry the node axis, ``(N, f, o)`` weights
+and ``(N, o)`` biases.  A stacked ``matmul`` runs one BLAS call per node
+slice, so slice k of a stacked result is byte-equal to the single-node
+computation on node k; every reduction runs within a node, over axis -1 or
+-2.  Products are never flattened across nodes: an ``(N*B, f)`` product
+can differ in the last ulp.
 """
 
 from __future__ import annotations
@@ -35,25 +45,38 @@ class ModelParams:
             raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
+    def node_shape(self) -> tuple[int, ...]:
+        """The leading node axes: ``()`` for one model, ``(N,)`` for a stack."""
+        return self.layers[0][1].shape[:-1]
+
+    @property
     def flattened_view(self) -> np.ndarray:
-        """All parameters concatenated along axis 0."""
-        return np.concatenate([t.ravel() for w, b in self.layers for t in (w, b)])
+        """All parameters of each model concatenated along the last axis."""
+        lead = self.node_shape + (-1,)
+        return np.concatenate([t.reshape(lead) for w, b in self.layers for t in (w, b)],
+                              axis=-1)
 
     @property
     def size(self) -> int:
-        return sum(w.size + b.size for w, b in self.layers)
+        """The parameter count of one model."""
+        return sum(w.shape[-2] * w.shape[-1] + b.shape[-1] for w, b in self.layers)
 
     def with_flat(self, flat: np.ndarray) -> "ModelParams":
-        """Rebuild a params object of this shape from a flat vector."""
+        """Rebuild a params object of this shape from a flat vector.
+
+        A ``(N, size)`` array of flat models gives a stack of N models.
+        """
         flat = np.asarray(flat, dtype=float)
-        if flat.shape != (self.size,):
-            raise ValueError(f"expected flat vector of length {self.size}, got {flat.shape}")
+        if flat.ndim not in (1, 2) or flat.shape[-1] != self.size:
+            raise ValueError(f"expected flat vectors of length {self.size}, got {flat.shape}")
+        lead = flat.shape[:-1]
         layers, pos = [], 0
         for w, b in self.layers:
-            nw = flat[pos:pos + w.size].reshape(w.shape)
-            pos += w.size
-            nb = flat[pos:pos + b.size].reshape(b.shape)
-            pos += b.size
+            w_shape, b_shape = w.shape[-2:], b.shape[-1:]
+            nw = flat[..., pos:pos + w_shape[0] * w_shape[1]].reshape(lead + w_shape)
+            pos += w_shape[0] * w_shape[1]
+            nb = flat[..., pos:pos + b_shape[0]].reshape(lead + b_shape)
+            pos += b_shape[0]
             layers.append((nw, nb))
         return ModelParams(layers=layers, activation=self.activation)
 
@@ -68,7 +91,8 @@ class Batch:
     targets: np.ndarray
 
     def __post_init__(self):
-        if self.inputs.shape[0] != self.targets.shape[0]:
+        lead = self.inputs.ndim - 1   # the node axes and the sample axis
+        if self.inputs.shape[:lead] != self.targets.shape[:lead]:
             raise ValueError("inputs and targets disagree in leading extent")
 
 
@@ -91,11 +115,12 @@ def _act(h: np.ndarray, kind: str) -> np.ndarray:
     return h
 
 
-def _act_grad(h: np.ndarray, kind: str) -> np.ndarray:
+def _act_grad(h: np.ndarray, out: np.ndarray, kind: str) -> np.ndarray:
+    """The activation's derivative at pre-activation ``h``, whose image is ``out``."""
     if kind == RELU:
         return (h > 0.0).astype(float)
     if kind == TANH:
-        return 1.0 - np.tanh(h) ** 2
+        return 1.0 - out ** 2
     return np.ones_like(h)
 
 
@@ -104,19 +129,21 @@ def forward_with_cache(params: ModelParams, inputs: np.ndarray):
 
     Features run along the last axis.  A stacked ``(N, B, f)`` input is one
     batched matrix product per layer, byte-equal to N separate ``(B, f)``
-    forwards; a flattened ``(N*B, f)`` product can differ in the last ulp.
+    forwards, with one shared model or a stack of N models; a flattened
+    ``(N*B, f)`` product can differ in the last ulp.
     """
     x = np.asarray(inputs, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
-    if x.shape[-1] != params.layers[0][0].shape[0]:
+    if x.shape[-1] != params.layers[0][0].shape[-2]:
         raise ValueError(f"input features {x.shape[-1]} do not match "
-                         f"first layer extent {params.layers[0][0].shape[0]}")
+                         f"first layer extent {params.layers[0][0].shape[-2]}")
     pre, post = [], [x]
     h = x
     last = len(params.layers) - 1
     for li, (w, b) in enumerate(params.layers):
-        z = h @ w + b
+        z = h @ w
+        z += b[..., None, :]
         pre.append(z)
         h = z if li == last else _act(z, params.activation)
         post.append(h)
@@ -137,78 +164,94 @@ def backward_from_output(params: ModelParams, cache, dout: np.ndarray) -> ModelP
     for li in range(last, -1, -1):
         w, _ = params.layers[li]
         if li != last:
-            delta = delta * _act_grad(pre[li], params.activation)
-        grads[li] = (post[li].T @ delta, delta.sum(axis=0))
+            delta = delta * _act_grad(pre[li], post[li + 1], params.activation)
+        grads[li] = (post[li].swapaxes(-1, -2) @ delta, delta.sum(axis=-2))
         if li > 0:
-            delta = delta @ w.T
+            delta = delta @ w.swapaxes(-1, -2)
     return ModelParams(layers=grads, activation=params.activation)
 
 
 def _loss_value(preds: np.ndarray, targets: np.ndarray, loss: str):
-    """Loss value, plus the intermediates its gradient reuses (None if it is 0).
+    """Loss value per node, plus the intermediates its gradient reuses (None if it is 0).
 
-    The one place each loss is computed: ``loss_and_output_grad`` takes its
-    value from here, and ``evaluate`` uses the value alone, without
-    building the gradient.
+    ``preds`` is ``(..., B, outputs)``; the value has the node shape ``...``
+    (a scalar for one model).  The one place each loss is computed:
+    ``loss_and_output_grad`` takes its value from here, and ``evaluate``
+    uses the value alone, without building the gradient.
     """
-    n = preds.shape[0]
     if loss == MSE:
         targets = np.asarray(targets, dtype=float).reshape(preds.shape)
         diff = preds - targets
-        return float(np.mean(diff * diff)), diff
+        # np.mean's own sum and division, without its per-call overhead
+        return np.sum(diff * diff, axis=(-2, -1)) / (diff.shape[-2] * diff.shape[-1]), diff
     if loss == SOFTMAX_CE:
-        labels = np.asarray(targets).reshape(n).astype(int)
-        if labels.min() < 0 or labels.max() >= preds.shape[1]:
+        # row-wise on the (nodes * B, C) logits, then averaged per node
+        rows = preds.reshape(-1, preds.shape[-1])
+        labels = np.asarray(targets).reshape(rows.shape[0]).astype(int)
+        if labels.min() < 0 or labels.max() >= rows.shape[1]:
             raise ValueError("class labels out of range for the logit width")
-        shifted = preds - preds.max(axis=1, keepdims=True)
-        logz = np.log(np.sum(np.exp(shifted), axis=1))
-        return float(np.mean(logz - shifted[np.arange(n), labels])), (shifted, logz, labels)
+        shifted = rows - rows.max(axis=1, keepdims=True)
+        exp_shifted = np.exp(shifted)
+        logz = np.log(np.sum(exp_shifted, axis=1))
+        nll = logz - shifted[np.arange(rows.shape[0]), labels]
+        value = np.sum(nll.reshape(preds.shape[:-1]), axis=-1) / preds.shape[-2]
+        return value, (exp_shifted, logz, labels)
     if loss == COX_PH:
         targets = np.asarray(targets, dtype=float)
-        if targets.ndim != 2 or targets.shape[1] != 2 or preds.shape[1] != 1:
+        if targets.shape != preds.shape[:-1] + (2,) or preds.shape[-1] != 1:
             raise ValueError("cox partial likelihood needs (time, event) targets "
                              "and a single risk-score output")
-        times, events = targets[:, 0], targets[:, 1]
-        n_events = events.sum()
-        if n_events == 0:
-            # The partial likelihood is a product over events.  With none it is
-            # the empty product 1, so the loss and its gradient are zero.
-            return 0.0, None
-        eta = preds[:, 0]
-        shift = eta.max()
+        times, events = targets[..., 0], targets[..., 1]
+        n_events = events.sum(axis=-1)
+        # The partial likelihood is a product over events.  A node with none
+        # has the empty product 1, so its loss and its gradient are zero.
+        has_events = n_events > 0
+        if not has_events.any():
+            return np.zeros(n_events.shape)[()], None
+        partial = not has_events.all()
+        if partial:
+            n_events = np.where(has_events, n_events, 1.0)
+        eta = preds[..., 0]
+        shift = eta.max(axis=-1, keepdims=True)
         exp_eta = np.exp(eta - shift)
         # sum over the risk set of i (row i: t_j >= t_i), shifted
-        risk_sums = (times[None, :] >= times[:, None]) @ exp_eta
+        risk_sums = ((times[..., None, :] >= times[..., :, None]) @ exp_eta[..., None])[..., 0]
         log_risk = np.log(risk_sums) + shift
-        value = float(-np.sum(events * (eta - log_risk)) / n_events)
-        return value, (times, events, n_events, exp_eta, risk_sums)
+        value = -np.sum(events * (eta - log_risk), axis=-1) / n_events
+        if partial:
+            value = np.where(has_events, value, 0.0)
+        # the mask is None when every node has an event, as one model always does
+        return value[()], (times, events, n_events, has_events if partial else None,
+                           exp_eta, risk_sums)
     raise ValueError(f"unknown loss {loss!r}")
 
 
 def loss_and_output_grad(preds: np.ndarray, targets: np.ndarray, loss: str):
-    """Loss value and its gradient w.r.t. the predictions."""
+    """Loss value and its gradient w.r.t. the predictions, per node of a stack."""
     preds = np.asarray(preds, dtype=float)
     value, terms = _loss_value(preds, targets, loss)
     if loss == MSE:
         diff = terms
-        return value, 2.0 * diff / diff.size
+        return value, 2.0 * diff / (diff.shape[-2] * diff.shape[-1])
     if loss == SOFTMAX_CE:
-        shifted, logz, labels = terms
-        n = preds.shape[0]
-        probs = np.exp(shifted) / np.exp(logz)[:, None]
-        probs[np.arange(n), labels] -= 1.0
-        return value, probs / n
+        probs, logz, labels = terms
+        probs /= np.exp(logz)[:, None]
+        probs[np.arange(labels.shape[0]), labels] -= 1.0
+        return value, (probs / preds.shape[-2]).reshape(preds.shape)
     if terms is None:
         return value, np.zeros_like(preds)
-    times, events, n_events, exp_eta, risk_sums = terms
+    times, events, n_events, has_events, exp_eta, risk_sums = terms
     # d/d eta_j: -(1/E) [ delta_j - exp(eta_j) * sum_{i: delta_i, t_i <= t_j} 1/S_i ]
     inv_sums = events / risk_sums
     # the risk sets j is in (row j: t_j >= t_i), the transpose of the matrix
     # above built as its own contiguous comparison: casting a transposed
     # view for the product costs twice the product
-    in_risk_sets = times[:, None] >= times[None, :]
-    deta = -(events - exp_eta * (in_risk_sets @ inv_sums)) / n_events
-    return value, deta[:, None]
+    in_risk_sets = times[..., :, None] >= times[..., None, :]
+    deta = -(events - exp_eta * (in_risk_sets @ inv_sums[..., None])[..., 0]) \
+        / n_events[..., None]
+    if has_events is not None:
+        deta = np.where(has_events[..., None], deta, 0.0)
+    return value, deta[..., None]
 
 
 def loss_and_grad(params: ModelParams, batch: Batch, loss: str):
@@ -219,6 +262,7 @@ def loss_and_grad(params: ModelParams, batch: Batch, loss: str):
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
+    """One step along ``grads``; per-node gradients turn a shared model into a stack."""
     if lr <= 0:
         raise ValueError(f"need lr > 0, got {lr}")
     layers = [(w - lr * gw, b - lr * gb)
@@ -251,19 +295,35 @@ def aggregate(models: list[np.ndarray] | np.ndarray, rule: str = FEDAVG,
             raise ValueError("weights must sum to 1")
         return np.tensordot(weights, stack, axes=(0, 0))
     if rule == COORD_MEDIAN:
+        if weights is not None:
+            raise ValueError("coord_median takes no weights")
         return np.median(stack, axis=0)
     raise ValueError(f"unknown aggregation rule {rule!r}")
 
 
 def local_train(params: ModelParams, inputs: np.ndarray, targets: np.ndarray,
                 loss: str, lr: float, batch_size: int, epochs: int) -> ModelParams:
-    """Sequential mini-batch SGD; batch order is fixed, so runs are repeatable."""
+    """Sequential mini-batch SGD; batch order is fixed, so runs are repeatable.
+
+    ``inputs`` is ``(n, f)`` for one node, or ``(N, n, f)`` with ``(N, n, ...)``
+    targets for N nodes of n samples each, trained at once from ``params``:
+    one shared model, or a stack of N start models.  A stack returns a stack
+    whose model k is byte-equal to training node k alone (once a step has
+    run; with n = 0 the shared start model comes back as it is).
+    """
+    if batch_size < 1:
+        raise ValueError(f"need batch_size >= 1, got {batch_size}")
+    if epochs < 1:
+        raise ValueError(f"need epochs >= 1, got {epochs}")
+    if not lr > 0:
+        raise ValueError(f"need lr > 0, got {lr}")
+    nodes = (slice(None),) * (inputs.ndim - 2)
     model = params
-    n = inputs.shape[0]
+    n = inputs.shape[-2]
     for _ in range(epochs):
         for start in range(0, n, batch_size):
-            batch = Batch(inputs[start:start + batch_size], targets[start:start + batch_size])
-            _, grads = loss_and_grad(model, batch, loss)
+            rows = nodes + (slice(start, start + batch_size),)
+            _, grads = loss_and_grad(model, Batch(inputs[rows], targets[rows]), loss)
             model = sgd_step(model, grads, lr)
     return model
 
@@ -277,7 +337,7 @@ def evaluate(params: ModelParams, inputs: np.ndarray, targets: np.ndarray, loss:
         acc = float(np.mean(np.argmax(preds, axis=1) == labels))
     else:
         acc = float("nan")
-    return value, acc
+    return float(value), acc
 
 
 def make_two_clusters(n: int, features: int = 2, separation: float = 3.0,

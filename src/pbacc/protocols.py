@@ -35,6 +35,13 @@ fastest subset.  Five schemes are provided:
   parameters and decoding natively averages the trained models.
 * ``uncoded_dldd``           -- plain federated learning.
 
+The three decentralized runners stack the node datasets once per run, one
+stack per group of equal-size datasets (``_partition`` gives at most two),
+and each round trains every group with one ``local_train`` call over the
+node axis, byte-equal to training each node alone; ``dldd_secure_training``
+starts node j from row j of ``shares.payloads``.  The trained models come
+back as one (node, w) array of flat models.
+
 The coded runners read ``encode``'s worker-major share array as it is:
 worker j's share is row j of ``shares.payloads``, and every decoded result
 is paired with its encoder node ``plan.betas[j]``.
@@ -209,6 +216,12 @@ class SchemeConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.rounds < 1:
             raise ValueError(f"need rounds >= 1, got {self.rounds}")
+        if self.batch_size < 1:
+            raise ValueError(f"need batch_size >= 1, got {self.batch_size}")
+        if self.epochs_per_round < 1:
+            raise ValueError(f"need epochs_per_round >= 1, got {self.epochs_per_round}")
+        if not self.lr > 0:
+            raise ValueError(f"need lr > 0, got {self.lr}")
         if self.scheme in CODED_SCHEMES and self.plan is None:
             raise ValueError(f"scheme {self.scheme} needs a coding plan")
         if self.scheme == DLDD_SECURE_TRAINING and self.plan.K != 1:
@@ -245,6 +258,39 @@ def _pooled(per_node_datasets) -> tuple[np.ndarray, np.ndarray]:
 def _partition(inputs: np.ndarray, targets: np.ndarray, n: int):
     """Split a dataset into n contiguous, near-equal per-node parts."""
     return [(inputs[idx], targets[idx]) for idx in np.array_split(np.arange(inputs.shape[0]), n)]
+
+
+def _node_stacks(per_node_datasets) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The nodes grouped by dataset shape, each group's data stacked once.
+
+    Returns one ``(nodes, inputs, targets)`` per group: the group's node
+    indices in node order and their datasets stacked on a leading node
+    axis.  ``_partition`` gives at most two groups.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for j, (x, y) in enumerate(per_node_datasets):
+        groups.setdefault((np.shape(x), np.shape(y)), []).append(j)
+    return [(np.array(nodes), np.stack([per_node_datasets[j][0] for j in nodes]),
+             np.stack([per_node_datasets[j][1] for j in nodes]))
+            for nodes in groups.values()]
+
+
+def _train_nodes(trace: RoundTrace, cfg: SchemeConfig, model: ModelParams, stacks,
+                 starts: np.ndarray | None = None) -> np.ndarray:
+    """Every node's local training, one stacked ``local_train`` per group.
+
+    Nodes start from ``model``, or node j from the flat model ``starts[j]``.
+    Returns the (nodes, w) array of trained flat models.
+    """
+    w_elems = model.size
+    trained = np.empty((sum(len(nodes) for nodes, _, _ in stacks), w_elems))
+    for nodes, x, y in stacks:
+        init = model if starts is None else model.with_flat(starts[nodes])
+        local = local_train(init, x, y, cfg.loss, cfg.lr, cfg.batch_size, cfg.epochs_per_round)
+        trained[nodes] = local.flattened_view
+        trace.train_ops.count += len(nodes)
+        trace.train_ops.elements += len(nodes) * w_elems
+    return trained
 
 
 def _run_rounds(cfg: SchemeConfig, net: NetworkConfig, model_init: ModelParams,
@@ -375,15 +421,11 @@ def run_dldd_secure_aggregation(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig
         *(Message(nodes[j], nodes[i], share_elems, "share_exchange")
           for j in range(n) for i in range(n) if i != j),
         *(Message(node, "master", share_elems, "aggregate_result") for node in nodes)])
+    stacks = _node_stacks(per_node_datasets)
 
     def step(trace, model, r, fastest):
         trace.record(round_messages)
-        trained = []
-        for x, y in per_node_datasets:
-            local = local_train(model, x, y, cfg.loss, cfg.lr,
-                                cfg.batch_size, cfg.epochs_per_round)
-            trace.train_ops.add(w_elems)
-            trained.append(local.flattened_view)
+        trained = _train_nodes(trace, cfg, model, stacks)
 
         # table[j, i]: share of node j's model held by node i
         table = np.empty((n, n, share_elems))
@@ -415,18 +457,13 @@ def run_dldd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     round_messages = MessageBlock(m for node in _node_names(net.n_nodes) for m in (
         Message("master", node, w_elems, "encoded_model"),
         Message(node, "master", w_elems, "trained_model")))
+    stacks = _node_stacks(per_node_datasets)
 
     def step(trace, model, r, fastest):
         trace.record(round_messages)
         shares, _ = encode(model.flattened_view, plan, _noise_spec(cfg, net, r))
         trace.encode_ops.add(w_elems)
-        trained = []
-        for payload, (x, y) in zip(shares.payloads, per_node_datasets):
-            local = local_train(model.with_flat(payload), x, y, cfg.loss,
-                                cfg.lr, cfg.batch_size, cfg.epochs_per_round)
-            trace.train_ops.add(w_elems)
-            trained.append(local.flattened_view)
-
+        trained = _train_nodes(trace, cfg, model, stacks, starts=shares.payloads)
         merged = decode([(plan.betas[j], trained[j]) for j in fastest], plan, out_extent=w_elems)
         trace.decode_ops.add(w_elems)
         return model.with_flat(merged)
@@ -444,16 +481,12 @@ def run_uncoded_dldd(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     round_messages = MessageBlock(m for node in _node_names(net.n_nodes) for m in (
         Message("master", node, w_elems, "model_broadcast"),
         Message(node, "master", w_elems, "local_model")))
+    stacks = _node_stacks(per_node_datasets)
 
     def step(trace, model, r, fastest):
         trace.record(round_messages)
-        locals_flat = []
-        for x, y in per_node_datasets:
-            local = local_train(model, x, y, cfg.loss, cfg.lr,
-                                cfg.batch_size, cfg.epochs_per_round)
-            trace.train_ops.add(w_elems)
-            locals_flat.append(local.flattened_view)
-        return model.with_flat(aggregate([locals_flat[j] for j in fastest], cfg.agg_rule))
+        trained = _train_nodes(trace, cfg, model, stacks)
+        return model.with_flat(aggregate(trained[fastest], cfg.agg_rule))
 
     return _run_rounds(cfg, net, model_init, _pooled(per_node_datasets), step)
 

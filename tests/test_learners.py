@@ -225,6 +225,12 @@ def test_coord_median_picks_middle_values():
     np.testing.assert_array_equal(aggregate(models, COORD_MEDIAN), [3.0, 6.0])
 
 
+def test_coord_median_rejects_weights():
+    models = [np.array([1.0, 9.0]), np.array([5.0, 4.0]), np.array([3.0, 6.0])]
+    with pytest.raises(ValueError, match="weights"):
+        aggregate(models, COORD_MEDIAN, weights=[0.9, 0.05, 0.05])
+
+
 def test_fedavg_is_linear():
     rng = np.random.default_rng(12)
     a = [rng.normal(size=5) for _ in range(4)]
@@ -278,6 +284,85 @@ def test_local_train_is_deterministic_and_learns():
     after, acc = evaluate(a, x, y, SOFTMAX_CE)
     assert after < before
     assert acc > 0.9
+
+
+def _node_stack(loss, nodes, n, features, seed):
+    """``nodes`` datasets of ``n`` samples each, stacked on a leading node axis."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(nodes, n, features))
+    if loss == MSE:
+        return x, rng.normal(size=(nodes, n, 2)), 2
+    if loss == SOFTMAX_CE:
+        return x, rng.integers(0, 2, size=(nodes, n)).astype(float), 2
+    _, targets = make_survival(nodes * n, features=features, seed=seed)
+    return x, targets.reshape(nodes, n, 2), 1
+
+
+@pytest.mark.parametrize("start", ["shared", "per_node"])
+@pytest.mark.parametrize("activation", [RELU, TANH, IDENTITY])
+@pytest.mark.parametrize("loss", [MSE, SOFTMAX_CE, COX_PH])
+def test_stacked_local_train_is_byte_equal_to_per_node_training(loss, activation, start):
+    nodes, n = 5, 11   # batches of 4, 4 and a short 3
+    x, y, outputs = _node_stack(loss, nodes, n, 3, seed=41)
+    init = init_mlp([3, 6, outputs], activation=activation, seed=42)
+    if start == "shared":
+        starts = [init] * nodes
+    else:
+        flats = init.flattened_view + np.random.default_rng(43).normal(0.0, 0.1, (nodes, init.size))
+        init = init.with_flat(flats)
+        starts = [init.with_flat(flat) for flat in flats]
+        assert all(w.shape[0] == nodes for w, _ in init.layers)
+    stacked = local_train(init, x, y, loss, lr=0.1, batch_size=4, epochs=2)
+    assert stacked.flattened_view.shape == (nodes, init.size)
+    for k in range(nodes):
+        alone = local_train(starts[k], x[k], y[k], loss, lr=0.1, batch_size=4, epochs=2)
+        assert stacked.flattened_view[k].tobytes() == alone.flattened_view.tobytes()
+
+
+def test_stacked_cox_training_zeroes_only_the_event_free_node():
+    x, y, _ = _node_stack(COX_PH, 4, 9, 3, seed=44)
+    y[:, :, 1] = 1.0
+    y[2, :3, 1] = 0.0   # node 2's first batch is event-free, the other nodes' are not
+    init = init_mlp([3, 4, 1], activation=TANH, seed=45)
+    preds = forward(init, x[:, :3])
+    with np.errstate(all="raise"):   # no 0/0 on the event-free node
+        value, dpred = loss_and_output_grad(preds, y[:, :3], COX_PH)
+    assert value.shape == (4,) and value[2] == 0.0 and np.all(value[[0, 1, 3]] > 0.0)
+    # the single-node path's np.zeros_like, +0.0 in every entry
+    assert dpred[2].tobytes() == np.zeros((3, 1)).tobytes()
+    assert np.all(np.any(dpred[[0, 1, 3]], axis=(1, 2)))
+    with np.errstate(all="raise"):
+        stacked = local_train(init, x, y, COX_PH, lr=0.1, batch_size=3, epochs=1)
+    for k in range(4):
+        alone = local_train(init, x[k], y[k], COX_PH, lr=0.1, batch_size=3, epochs=1)
+        assert stacked.flattened_view[k].tobytes() == alone.flattened_view.tobytes()
+
+
+def test_stacked_flatten_round_trip_is_exact():
+    params = init_mlp([4, 7, 3], activation=TANH, seed=11)
+    flats = np.random.default_rng(12).normal(size=(6, params.size))
+    stack = params.with_flat(flats)
+    assert stack.node_shape == (6,) and stack.size == params.size
+    assert stack.flattened_view.tobytes() == flats.tobytes()
+    for k in range(6):
+        one = params.with_flat(flats[k])
+        for (w1, b1), (w2, b2) in zip(one.layers, stack.layers):
+            assert w1.tobytes() == w2[k].tobytes() and b1.tobytes() == b2[k].tobytes()
+    with pytest.raises(ValueError):
+        params.with_flat(np.zeros((2, 3, params.size)))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("batch_size", 0), ("batch_size", -1), ("epochs", 0), ("lr", 0.0), ("lr", -0.1)])
+def test_local_train_rejects_bad_settings_before_any_batch(monkeypatch, field, value):
+    def batch_ran(*args, **kwargs):
+        raise AssertionError("a batch ran")
+
+    x, y = make_two_clusters(12, seed=46)
+    settings = {"lr": 0.1, "batch_size": 4, "epochs": 1} | {field: value}
+    monkeypatch.setattr(learners, "loss_and_grad", batch_ran)
+    with pytest.raises(ValueError, match=field):
+        local_train(init_mlp([2, 2], seed=47), x, y, SOFTMAX_CE, **settings)
 
 
 def test_evaluate_accuracy_nan_for_regression():

@@ -1,7 +1,8 @@
 """Byte identity of the experiment output files against committed hashes.
 
 A small spec matrix covers the five schemes, K in {1, 2, 3}, the softmax,
-MSE and Cox losses, both straggler models and one c > T cell.  Each spec
+MSE and Cox losses, both straggler models, one c > T cell, unequal node
+dataset sizes, a short last batch and two epochs per round.  Each spec
 runs through ``run_experiment`` from a scratch working directory, with the
 spec name as its relative output directory (``summary.json`` records it),
 and the SHA-256 of every ``rounds.csv``, ``summary.json`` and
@@ -83,6 +84,12 @@ SPECS = {
         "scheme": "uncoded_dldd", "seed": 12, "rounds": 2,
         "network": {"nodes": 6, "straggler": {"kind": "random_delay", "keep_n": 4, "seed": 6}},
         "training": _TRAIN | _COX | {"samples": 120}},
+    # 48 samples over 5 nodes: sizes 10, 10, 10, 9, 9, batches of 4 with a
+    # short last one, two epochs per round.
+    "uncoded_dldd_mse_epochs2": {
+        "scheme": "uncoded_dldd", "seed": 13, "rounds": 2,
+        "network": {"nodes": 5},
+        "training": _TRAIN | _MSE | {"batch_size": 4, "epochs_per_round": 2}},
 }
 
 
@@ -120,6 +127,14 @@ def test_golden_matrix_covers_the_declared_cases():
         None, "drop_slowest", "random_delay"}
     assert any(max(np.atleast_1d(s["privacy"]["c"])) > s["privacy"]["T"]
                for s in specs if "privacy" in s)
+    # the per-node datasets of the decentralized specs, as the harness splits them
+    node_runs = [(s["training"], [len(part) for part in np.array_split(
+                  np.arange(s["training"]["samples"]), s["network"]["nodes"])])
+                 for s in specs if s["scheme"] != "dlcd_secure_training"]
+    assert any(len(set(sizes)) > 1 for _, sizes in node_runs)
+    assert any(size > t["batch_size"] and size % t["batch_size"]
+               for t, sizes in node_runs for size in sizes)
+    assert any(s["training"].get("epochs_per_round", 1) > 1 for s in specs)
     assert set(_golden()["outputs"]) == set(SPECS)
 
 

@@ -95,6 +95,13 @@ def test_scheme_config_validation():
         NetworkConfig(n_nodes=4, straggler=StragglerModel(kind=DROP_SLOWEST, count=4))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("batch_size", 0), ("batch_size", -1), ("epochs_per_round", 0), ("lr", 0.0), ("lr", -0.1)])
+def test_scheme_config_rejects_bad_training_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        SchemeConfig(scheme=UNCODED_DLDD, **{field: value})
+
+
 def test_uncoded_dldd_message_accounting():
     x, y = make_two_clusters(64, seed=0)
     cfg = SchemeConfig(scheme=UNCODED_DLDD, rounds=3, lr=0.1)
@@ -505,3 +512,21 @@ def test_secure_aggregation_aggregates_the_share_table_as_one_array(monkeypatch)
     run_dldd_secure_aggregation(cfg, net(), split(x, y), model())
     assert len(seen) == 2
     assert all(isinstance(t, np.ndarray) and t.shape == (N, N, 11) for t in seen)
+
+
+@pytest.mark.parametrize("scheme", [UNCODED_DLDD, UNCODED_DLCD, DLDD_SECURE_AGGREGATION,
+                                    DLDD_SECURE_TRAINING])
+def test_a_round_trains_each_equal_size_group_in_one_call(monkeypatch, scheme):
+    calls = []
+
+    def recording_local_train(params, inputs, targets, *args):
+        calls.append((inputs.shape, params.node_shape))
+        return local_train(params, inputs, targets, *args)
+
+    monkeypatch.setattr(protocols, "local_train", recording_local_train)
+    traces = _run_small(scheme, rounds=1)   # 25 samples on 8 nodes: one of 4, seven of 3
+    assert sorted(calls) == sorted([
+        ((1, 4, 2), (1,) if scheme == DLDD_SECURE_TRAINING else ()),
+        ((7, 3, 2), (7,) if scheme == DLDD_SECURE_TRAINING else ())])
+    assert traces[-1].train_ops.count == N
+    assert traces[-1].train_ops.elements == N * model().size
