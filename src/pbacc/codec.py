@@ -88,14 +88,41 @@ def encode(x: np.ndarray, plan: CodingPlan, noise: NoiseSpec,
     Returns the shares as one worker-major :class:`Shares` and the drawn
     noise blocks.  ``out``, a C-contiguous float64 array of the payload
     shape (N, ceil(extent / K), *rest), receives the payloads, which are
-    then a view of it; by default they are a fresh array.
+    then a view of it; by default they are a fresh array.  This is
+    :func:`encode_stack` of the one tensor ``x``, byte for byte.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         raise ValueError("need a tensor of rank >= 1 to encode")
+    payloads, blocks = encode_stack(x[None], plan, noise, pad,
+                                    out=None if out is None else out[None])
+    # a copy of the blocks, so that holding them does not hold every coefficient
+    return Shares(plan.betas, payloads[0]), list(blocks[0].copy())
+
+
+def encode_stack(xs: np.ndarray, plan: CodingPlan, noise: NoiseSpec, pad: bool = True,
+                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Encode M tensors of one shape at once, each as :func:`encode` does.
+
+    ``xs`` is (M, extent, *rest): tensor m is ``xs[m]``, coded along its
+    leading axis.  The coefficients of all M are one (K+T, M, G, *rest)
+    array: the data at the K data nodes, then the noise blocks, which one
+    generator seeded ``noise.seed`` fills in place as one (T, M, G, *rest)
+    draw.  For M = 1 that is the draw :func:`encode` makes.  The shares are
+    one batched product with the (N, K+T) encoder basis, one BLAS call per
+    tensor on its strided (K+T, G·width) coefficient matrix, byte-equal to
+    the product on a contiguous copy of it.
+
+    Returns the (M, N, G, *rest) payloads, tensor-major, and the
+    (M, T, G, *rest) noise blocks, a view of the coefficients.  ``out`` is
+    as in :func:`encode`, with the leading M axis.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim < 2:
+        raise ValueError("need a stack of tensors of rank >= 1 to encode")
     if noise.T != plan.T:
         raise ValueError(f"noise spec has T={noise.T} but plan has T={plan.T}")
-    extent = x.shape[0]
+    M, extent, rest = xs.shape[0], xs.shape[1], xs.shape[2:]
     K, T = plan.K, plan.T
     groups, rem = divmod(extent, K)
     if rem:
@@ -103,28 +130,30 @@ def encode(x: np.ndarray, plan: CodingPlan, noise: NoiseSpec,
             raise ValueError(
                 f"coding-axis extent {extent} is not a multiple of K={K} and padding is disabled")
         groups += 1
-        padding = np.zeros((groups * K - extent,) + x.shape[1:])
-        x = np.concatenate([x, padding], axis=0)
+        padding = np.zeros((M, groups * K - extent) + rest)
+        xs = np.concatenate([xs, padding], axis=1)
 
-    # (K, groups, *rest): element i of group g sits at data node alpha_i.
-    stacked = x.reshape(groups, K, *x.shape[1:]).swapaxes(0, 1)
+    coeffs = np.empty((K + T, M, groups) + rest)
+    # element i of group g sits at data node alpha_i
+    coeffs[:K] = np.moveaxis(xs.reshape(M, groups, K, *rest), 2, 0)
+    blocks = coeffs[K:]
     if T > 0:
-        rng = np.random.default_rng(noise.seed)
-        blocks = rng.normal(0.0, noise.sigma_n / np.sqrt(T), size=(T, groups) + x.shape[1:])
-        coeffs = np.concatenate([stacked, blocks], axis=0)
-    else:
-        blocks = np.empty((0, groups) + x.shape[1:])
-        coeffs = stacked
+        np.random.default_rng(noise.seed).standard_normal(out=blocks)
+        # the 0 + scale * z of rng.normal(0, scale), signed zeros included
+        blocks *= noise.sigma_n / np.sqrt(T)
+        blocks += 0.0
 
-    shape = (plan.N, groups) + x.shape[1:]
+    shape = (M, plan.N, groups) + rest
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}, "
                          f"got {out.dtype} {out.shape}")
-    # the product np.tensordot(basis, coeffs, axes=(1, 0)) makes, written into out
-    np.dot(plan.encoder_basis, coeffs.reshape(K + T, -1), out=out.reshape(plan.N, -1))
-    return Shares(plan.betas, out), list(blocks)
+    # per tensor, the product np.tensordot(basis, coeffs[:, m], axes=(1, 0)) makes
+    width = groups * math.prod(rest)
+    np.matmul(plan.encoder_basis, coeffs.reshape(K + T, M, width).swapaxes(0, 1),
+              out=out.reshape(M, plan.N, width))
+    return out, blocks.swapaxes(0, 1)
 
 
 def decode(results: Sequence[tuple[float, np.ndarray]], plan: CodingPlan,

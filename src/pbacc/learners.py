@@ -14,6 +14,12 @@ slice, so slice k of a stacked result is byte-equal to the single-node
 computation on node k; every reduction runs within a node, over axis -1 or
 -2.  Products are never flattened across nodes: an ``(N*B, f)`` product
 can differ in the last ulp.
+
+The Cox partial likelihood takes Breslow's convention for tied times
+(Breslow 1974): the risk set of sample i is every j with t_j >= t_i, so a
+run of equal times shares one risk set.  Its risk sums and its gradient's
+sums over events are cumulative sums along one stable sort of each node's
+times, O(n log n) per node, with no n×n risk-set matrix.
 """
 
 from __future__ import annotations
@@ -201,7 +207,10 @@ def _loss_value(preds: np.ndarray, targets: np.ndarray, loss: str):
         if targets.shape != preds.shape[:-1] + (2,) or preds.shape[-1] != 1:
             raise ValueError("cox partial likelihood needs (time, event) targets "
                              "and a single risk-score output")
-        times, events = targets[..., 0], targets[..., 1]
+        # Every per-sample array below is in ascending time order, per node.
+        order = np.argsort(targets[..., 0], axis=-1, kind="stable")
+        times = np.take_along_axis(targets[..., 0], order, axis=-1)
+        events = np.take_along_axis(targets[..., 1], order, axis=-1)
         n_events = events.sum(axis=-1)
         # The partial likelihood is a product over events.  A node with none
         # has the empty product 1, so its loss and its gradient are zero.
@@ -211,17 +220,24 @@ def _loss_value(preds: np.ndarray, targets: np.ndarray, loss: str):
         partial = not has_events.all()
         if partial:
             n_events = np.where(has_events, n_events, 1.0)
-        eta = preds[..., 0]
+        eta = np.take_along_axis(preds[..., 0], order, axis=-1)
         shift = eta.max(axis=-1, keepdims=True)
         exp_eta = np.exp(eta - shift)
-        # sum over the risk set of i (row i: t_j >= t_i), shifted
-        risk_sums = ((times[..., None, :] >= times[..., :, None]) @ exp_eta[..., None])[..., 0]
+        # Breslow's risk set of i is every j with t_j >= t_i, ties included:
+        # the sum from the end of the order back to the first member of i's
+        # run of equal times, shifted
+        starts = np.ones(times.shape, dtype=bool)   # starts[p]: a run of equal times starts at p
+        starts[..., 1:] = times[..., 1:] != times[..., :-1]
+        pos = np.arange(times.shape[-1])
+        first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
+        tail_sums = np.cumsum(exp_eta[..., ::-1], axis=-1)[..., ::-1]
+        risk_sums = np.take_along_axis(tail_sums, first, axis=-1)
         log_risk = np.log(risk_sums) + shift
         value = -np.sum(events * (eta - log_risk), axis=-1) / n_events
         if partial:
             value = np.where(has_events, value, 0.0)
         # the mask is None when every node has an event, as one model always does
-        return value[()], (times, events, n_events, has_events if partial else None,
+        return value[()], (order, starts, events, n_events, has_events if partial else None,
                            exp_eta, risk_sums)
     raise ValueError(f"unknown loss {loss!r}")
 
@@ -240,17 +256,19 @@ def loss_and_output_grad(preds: np.ndarray, targets: np.ndarray, loss: str):
         return value, (probs / preds.shape[-2]).reshape(preds.shape)
     if terms is None:
         return value, np.zeros_like(preds)
-    times, events, n_events, has_events, exp_eta, risk_sums = terms
-    # d/d eta_j: -(1/E) [ delta_j - exp(eta_j) * sum_{i: delta_i, t_i <= t_j} 1/S_i ]
-    inv_sums = events / risk_sums
-    # the risk sets j is in (row j: t_j >= t_i), the transpose of the matrix
-    # above built as its own contiguous comparison: casting a transposed
-    # view for the product costs twice the product
-    in_risk_sets = times[..., :, None] >= times[..., None, :]
-    deta = -(events - exp_eta * (in_risk_sets @ inv_sums[..., None])[..., 0]) \
+    order, starts, events, n_events, has_events, exp_eta, risk_sums = terms
+    # d/d eta_j: -(1/E) [ delta_j - exp(eta_j) * sum_{i: delta_i, t_i <= t_j} 1/S_i ],
+    # the running sum from the start of the order to the last member of j's run
+    ends = np.roll(starts, -1, axis=-1)   # a run ends where the next starts, or at the row's end
+    pos = np.arange(ends.shape[-1])
+    last = np.minimum.accumulate(np.where(ends, pos, pos[-1])[..., ::-1], axis=-1)[..., ::-1]
+    head_sums = np.cumsum(events / risk_sums, axis=-1)
+    deta_sorted = -(events - exp_eta * np.take_along_axis(head_sums, last, axis=-1)) \
         / n_events[..., None]
     if has_events is not None:
-        deta = np.where(has_events[..., None], deta, 0.0)
+        deta_sorted = np.where(has_events[..., None], deta_sorted, 0.0)
+    deta = np.empty_like(deta_sorted)
+    np.put_along_axis(deta, order, deta_sorted, axis=-1)
     return value, deta[..., None]
 
 

@@ -44,7 +44,8 @@ gamma = s^2 T / sigma_n^2.  The greedy search keeps the Schur rows of every
 worker in one array and scores all candidates of a step at once, each as
 the last row of its set; each ordered prefix is eliminated once per public
 call, in a memo that lives as long as the call.  The exhaustive and random
-searches eliminate chunks of subsets at once, once per call.
+searches eliminate chunks of subsets at once, once per call; the random
+search draws all of its subsets in one generator call.
 ``max_secure_amplitude`` re-sums those spectra at each s it probes; for
 K = 1 it solves for s in closed form.
 """
@@ -395,6 +396,28 @@ def _greedy_search(plan: CodingPlan, cfg: PrivacyConfig) -> Callable[[float], Se
     return search
 
 
+#: Uniform keys ``_random_subsets`` draws at once: 8 MiB of them.
+_KEY_BLOCK = 1 << 20
+
+
+def _random_subsets(n: int, c: int, samples: int, seed: int) -> np.ndarray:
+    """``samples`` uniform draws of c distinct indices in [0, n), one sorted row each.
+
+    One generator draws a uniform key per (sample, index); row k holds the
+    indices of its c smallest keys, the first c of a uniform random
+    permutation.  Rows are drawn in blocks of at most ``_KEY_BLOCK`` keys
+    (one block, so one generator call, for up to ``_KEY_BLOCK // n``
+    samples); the blocks continue one stream, so the draws do not depend on
+    the block size.
+    """
+    rng = np.random.default_rng(seed)
+    rows = max(1, _KEY_BLOCK // n)
+    return np.concatenate([
+        np.sort(np.argpartition(rng.random((min(rows, samples - lo), n)), c - 1, axis=1)[:, :c],
+                axis=1)
+        for lo in range(0, samples, rows)])
+
+
 def _make_search(plan: CodingPlan, cfg: PrivacyConfig, strategy: str, samples: int,
                  seed: int) -> Callable[[float], SearchResult]:
     """The worst-case search of one public call, as a function of the amplitude s.
@@ -418,10 +441,8 @@ def _make_search(plan: CodingPlan, cfg: PrivacyConfig, strategy: str, samples: i
     elif strategy == RANDOM_SAMPLED:
         if samples < 1:
             raise ValueError(f"need samples >= 1, got {samples}")
-        rng = np.random.default_rng(seed)
-        draws = [np.sort(rng.choice(n, size=c, replace=False)) for _ in range(samples)]
         # distinct draws, in lexicographic order, so the first maximum is the smallest
-        subsets = np.unique(np.array(draws, dtype=np.intp), axis=0)
+        subsets = np.unique(_random_subsets(n, c, samples, seed), axis=0)
         count = samples
     else:
         raise ValueError(f"unknown strategy {strategy!r}")

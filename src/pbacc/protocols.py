@@ -27,9 +27,10 @@ fastest subset.  Five schemes are provided:
   from then on it is ``uncoded_dldd`` on those parts.
 * ``dldd_secure_aggregation``-- nodes own the data, train in plaintext and
   exchange encoded model shares; aggregation happens in the coded domain,
-  every holder at once over the owner axis of one preallocated
-  (owner, holder, ...) share table that every owner's encode writes into,
-  and the master decodes only the aggregate.
+  every holder at once over the owner axis of one owner-major
+  (owner, holder, ...) share table, and the master decodes only the
+  aggregate.  The table is one stacked encode of every owner's model
+  (``encode_stack``), whose noise comes from one generator per round.
 * ``dldd_secure_training``   -- the master encodes the global model at a
   single data node; workers run the full local training on encoded
   parameters and decoding natively averages the trained models.
@@ -57,7 +58,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .codec import NoiseSpec, _apply_decode, _decode_basis, decode, encode
+from .codec import NoiseSpec, _apply_decode, _decode_basis, decode, encode, encode_stack
 from .interpolation import CodingPlan
 from .learners import (
     FEDAVG,
@@ -404,10 +405,13 @@ def run_dldd_secure_aggregation(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig
 
     Nodes train in plaintext, encode their updated parameters and exchange
     one share with every other node; each node aggregates the shares it
-    received and the master decodes only the aggregate.  Every owner's
-    encode writes its shares into one (owner, holder, G) table allocated
-    once per round, so one ``aggregate`` call over the owner axis serves
-    every holder without restacking the table.
+    received and the master decodes only the aggregate.  All owners'
+    models are encoded at once (``encode_stack``): one generator, seeded
+    from the run seed and the round, draws every owner's noise, and one
+    batched product with the encoder basis writes the owner-major
+    (owner, holder, G) share table, allocated once per run, so one
+    ``aggregate`` call over the owner axis serves every holder.  The ledger
+    still counts one encode of w elements per owner.
     """
     cfg, net = scheme_cfg, net_cfg
     plan = cfg.plan
@@ -422,16 +426,14 @@ def run_dldd_secure_aggregation(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig
           for j in range(n) for i in range(n) if i != j),
         *(Message(node, "master", share_elems, "aggregate_result") for node in nodes)])
     stacks = _node_stacks(per_node_datasets)
+    table = np.empty((n, n, share_elems))   # table[j, i]: share of node j's model held by node i
 
     def step(trace, model, r, fastest):
         trace.record(round_messages)
         trained = _train_nodes(trace, cfg, model, stacks)
-
-        # table[j, i]: share of node j's model held by node i
-        table = np.empty((n, n, share_elems))
-        for j in range(n):
-            encode(trained[j], plan, _noise_spec(cfg, net, r, j), out=table[j])
-            trace.encode_ops.add(w_elems)
+        encode_stack(trained, plan, _noise_spec(cfg, net, r), out=table)
+        trace.encode_ops.count += n
+        trace.encode_ops.elements += n * w_elems
 
         held = aggregate(table, cfg.agg_rule)  # (holder, G): every holder over the owner axis
         merged = decode([(plan.betas[i], held[i]) for i in fastest], plan, out_extent=w_elems)

@@ -61,3 +61,38 @@ def leakage_mp(plan, subset, gamma, dps=80):
     with mp.workdps(dps):
         return mp.fsum(mp.log(1 + mp.mpf(gamma) * e, 2)
                        for e in leakage_spectrum_mp(plan, subset, dps))
+
+
+def cox_loss_and_grad_mp(eta, times, events):
+    """Cox partial likelihood and its gradient in the risk scores, at 50 digits.
+
+    The loss is -(1/E) sum over events i of (eta_i - log S(t_i)), with E the
+    event count and S(t) the sum of exp(eta_j) over every j with t_j >= t
+    (Breslow's convention: tied times share one risk set, censored samples
+    included).  The gradient is -(1/E) (delta_k - exp(eta_k) C(t_k)), where
+    C(t) sums 1/S(t_i) over the events i with t_i <= t.  Both sums are
+    taken one distinct time at a time, grouped by exact equality of the
+    float64 times.  Returns the loss and the per-sample gradient as mpf;
+    with no events, both are zero.
+    """
+    n = len(eta)
+    if sum(1 for d in events if d) == 0:
+        return mp.mpf(0), [mp.mpf(0)] * n
+    exp_eta = [mp.exp(mp.mpf(float(e))) for e in eta]
+    at_time = {}
+    for j, t in enumerate(times):
+        at_time.setdefault(float(t), []).append(j)
+    risk, total = {}, mp.mpf(0)
+    for t in sorted(at_time, reverse=True):
+        total += mp.fsum(exp_eta[j] for j in at_time[t])
+        risk[t] = total
+    below, total = {}, mp.mpf(0)
+    for t in sorted(at_time):
+        total += mp.fsum(1 / risk[t] for i in at_time[t] if events[i])
+        below[t] = total
+    n_events = mp.mpf(sum(1 for d in events if d))
+    loss = -mp.fsum(mp.mpf(float(eta[i])) - mp.log(risk[float(times[i])])
+                    for i in range(n) if events[i]) / n_events
+    grad = [-((1 if events[k] else 0) - exp_eta[k] * below[float(times[k])]) / n_events
+            for k in range(n)]
+    return loss, grad

@@ -13,6 +13,7 @@ from pbacc.codec import (
     NoiseSpec,
     decode,
     encode,
+    encode_stack,
     read_tensor,
     roundtrip_error,
     tensor_from_bytes,
@@ -83,6 +84,39 @@ def test_encode_applies_the_plan_encoder_basis(K, T, extent):
                              np.reshape(blocks, (T, groups, 2))])
     expected = np.tensordot(plan.encoder_basis, coeffs, axes=(1, 0))
     assert shares.payloads.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("K,T,shape", [(1, 0, (5,)), (1, 3, (22,)), (1, 42, (97,)),
+                                       (2, 3, (7, 2)), (3, 4, (7, 2, 3))])
+def test_encode_stack_is_one_draw_and_one_product_per_tensor(K, T, shape):
+    plan = make_plan(K, T, 9)
+    M = 4
+    xs = np.random.default_rng(7).standard_normal((M,) + shape)
+    noise = NoiseSpec(0.7, T, seed=8)
+    payloads, blocks = encode_stack(xs, plan, noise)
+    groups = -(-shape[0] // K)
+    assert payloads.shape == (M, 9, groups) + shape[1:]
+    # every tensor's noise from one (T, M, G, *rest) draw of one generator
+    assert blocks.shape == (M, T, groups) + shape[1:]
+    if T:
+        drawn = np.random.default_rng(8).normal(0.0, 0.7 / np.sqrt(T),
+                                                size=(T, M, groups) + shape[1:])
+        assert blocks.swapaxes(0, 1).tobytes() == drawn.tobytes()
+    for m in range(M):
+        padded = np.concatenate([xs[m], np.zeros((groups * K - shape[0],) + shape[1:])])
+        coeffs = np.concatenate([padded.reshape(groups, K, *shape[1:]).swapaxes(0, 1), blocks[m]])
+        expected = np.tensordot(plan.encoder_basis, coeffs, axes=(1, 0))
+        assert payloads[m].tobytes() == expected.tobytes()
+    # the single-tensor encode is the stack of one, byte for byte
+    one, one_blocks = encode_stack(xs[:1], plan, noise)
+    shares, first_blocks = encode(xs[0], plan, noise)
+    assert shares.payloads.tobytes() == one[0].tobytes()
+    assert np.array(first_blocks).reshape(one_blocks[0].shape).tobytes() == one_blocks[0].tobytes()
+
+
+def test_encode_stack_rejects_a_bare_tensor():
+    with pytest.raises(ValueError, match="stack"):
+        encode_stack(np.ones(4), make_plan(1, 1, 3), NoiseSpec(1.0, 1, seed=0))
 
 
 @pytest.mark.parametrize("K,T,shape", [(1, 0, (5,)), (1, 3, (22,)), (2, 3, (7, 2)),

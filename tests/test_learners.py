@@ -29,6 +29,8 @@ from pbacc.learners import (
     sgd_step,
 )
 
+from oracles import cox_loss_and_grad_mp
+
 
 def central_diff_grads(params, batch, loss, h=1e-6):
     flat = params.flattened_view
@@ -155,24 +157,68 @@ def test_cox_gradients_match_central_differences():
     assert gap / max(1.0, np.max(np.abs(numeric))) <= 1e-5
 
 
-def cox_output_grad_reference(preds, targets):
-    """The Cox output gradient with the risk-set matrix and its transposed view."""
-    times, events = targets[:, 0], targets[:, 1]
-    eta = preds[:, 0]
-    at_risk = times[None, :] >= times[:, None]
-    exp_eta = np.exp(eta - eta.max())
-    inv_sums = events / (at_risk @ exp_eta)
-    return (-(events - exp_eta * (at_risk.T @ inv_sums)) / events.sum())[:, None]
+def _survival_with_ties(n, seed):
+    """Survival targets with a block of tied times and an event tied with a censored sample."""
+    _, targets = make_survival(n, features=2, seed=seed)
+    targets[: n // 4, 0] = targets[n // 4: 2 * (n // 4), 0]  # tied times
+    targets[[1, 2], 0] = targets[3, 0]
+    targets[[1, 2, 3], 1] = [1.0, 0.0, 1.0]                  # events tied with a censored sample
+    return targets
 
 
-@pytest.mark.parametrize("n", [20, 37, 200, 1399, 1400])
-def test_cox_output_grad_is_the_transposed_risk_product_byte_for_byte(n):
+def assert_matches_cox_oracle(preds, targets, value, dpred):
+    """Loss and output gradient agree with the mpmath oracle to 1e-12 relative, entrywise."""
+    loss, grad = cox_loss_and_grad_mp(preds[:, 0], targets[:, 0], targets[:, 1])
+    grad = np.array([float(g) for g in grad])
+    assert abs(value - float(loss)) <= 1e-12 * abs(float(loss))
+    assert dpred.shape == preds.shape
+    assert np.all(np.abs(dpred[:, 0] - grad) <= 1e-12 * np.abs(grad))
+
+
+@pytest.mark.parametrize("n", [5, 20, 200, 1400])
+def test_cox_loss_and_grad_match_the_oracle_with_ties(n):
     rng = np.random.default_rng(n)
     preds = rng.normal(size=(n, 1))
-    _, targets = make_survival(n, features=2, seed=n)
-    targets[: n // 4, 0] = targets[n // 4: 2 * (n // 4), 0]  # tied times
-    _, dpred = loss_and_output_grad(preds, targets, COX_PH)
-    assert dpred.tobytes() == cox_output_grad_reference(preds, targets).tobytes()
+    targets = _survival_with_ties(n, seed=n)
+    assert len(np.unique(targets[:, 0])) < n
+    value, dpred = loss_and_output_grad(preds, targets, COX_PH)
+    assert_matches_cox_oracle(preds, targets, value, dpred)
+    # evaluate's loss is the same number: an identity layer outputs preds itself
+    identity = ModelParams(layers=[(np.eye(1), np.zeros(1))], activation=IDENTITY)
+    assert evaluate(identity, preds, targets, COX_PH)[0] == value
+
+
+def test_cox_oracle_agrees_on_an_event_free_set():
+    preds = np.random.default_rng(3).normal(size=(6, 1))
+    targets = _survival_with_ties(6, seed=3)
+    targets[:, 1] = 0.0
+    loss, grad = cox_loss_and_grad_mp(preds[:, 0], targets[:, 0], targets[:, 1])
+    value, dpred = loss_and_output_grad(preds, targets, COX_PH)
+    assert loss == 0 and all(g == 0 for g in grad)
+    assert value == 0.0 and not np.any(dpred)
+
+
+def test_stacked_cox_batch_is_per_node_training_and_matches_the_oracle():
+    nodes, n = 70, 20
+    x, _ = make_survival(nodes * n, features=4, seed=51)
+    targets = _survival_with_ties(nodes * n, seed=52)
+    targets[:: n // 2, 0] = targets[1:: n // 2, 0]   # ties inside many nodes
+    targets[3 * n:4 * n, 1] = 0.0                    # node 3 is event-free
+    x, y = x.reshape(nodes, n, 4), targets.reshape(nodes, n, 2)
+    init = init_mlp([4, 16, 1], activation=TANH, seed=53)
+    preds = forward(init, x)
+    value, dpred = loss_and_output_grad(preds, y, COX_PH)
+    assert value.shape == (nodes,) and dpred.shape == (nodes, n, 1)
+    for k in range(nodes):
+        alone_value, alone = loss_and_output_grad(preds[k], y[k], COX_PH)
+        assert value[k].tobytes() == np.float64(alone_value).tobytes()
+        assert dpred[k].tobytes() == alone.tobytes()
+        assert_matches_cox_oracle(preds[k], y[k], value[k], dpred[k])
+    assert value[3] == 0.0 and not np.any(dpred[3])
+    stacked = local_train(init, x, y, COX_PH, lr=0.1, batch_size=n, epochs=2)
+    for k in range(nodes):
+        alone = local_train(init, x[k], y[k], COX_PH, lr=0.1, batch_size=n, epochs=2)
+        assert stacked.flattened_view[k].tobytes() == alone.flattened_view.tobytes()
 
 
 def test_sgd_step_basics():

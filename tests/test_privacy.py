@@ -173,6 +173,38 @@ def test_greedy_close_to_exhaustive_on_small_configs():
     assert total == 50 and hits >= 45
 
 
+@pytest.mark.parametrize("n,c", [(200, 2), (10, 10), (7, 1), (50, 10)])
+def test_random_subsets_are_sorted_distinct_and_seeded(n, c):
+    draws = privacy._random_subsets(n, c, 500, seed=3)
+    assert draws.shape == (500, c)
+    assert np.all((draws >= 0) & (draws < n))
+    assert np.all(np.diff(draws, axis=1) > 0)   # c distinct indices, ascending
+    assert np.array_equal(privacy._random_subsets(n, c, 500, seed=3), draws)
+    if c < n:
+        assert not np.array_equal(privacy._random_subsets(n, c, 500, seed=4), draws)
+
+
+def test_random_subsets_do_not_depend_on_the_key_block(monkeypatch):
+    whole = privacy._random_subsets(30, 4, 100, seed=9)
+    monkeypatch.setattr(privacy, "_KEY_BLOCK", 7 * 30)   # blocks of 7 rows, the last of 2
+    assert np.array_equal(privacy._random_subsets(30, 4, 100, seed=9), whole)
+
+
+def test_random_subsets_draw_every_index_equally_often():
+    # each index lands in a draw with probability c/n, so its count over
+    # `samples` draws is Binomial(samples, c/n); 5 standard deviations
+    # bound all 200 counts together with probability above 0.999
+    n, c, samples = 200, 2, 20000
+    counts = np.bincount(privacy._random_subsets(n, c, samples, seed=11).ravel(), minlength=n)
+    p = c / n
+    assert np.all(np.abs(counts - samples * p) <= 5 * math.sqrt(samples * p * (1 - p)))
+    # and each pair of a 6-index line equally often: 15 pairs, chi-square with 14 dof
+    pairs = privacy._random_subsets(6, 2, 15000, seed=12)
+    freq = np.unique(pairs, axis=0, return_counts=True)[1]
+    assert len(freq) == 15
+    assert np.sum((freq - 1000) ** 2 / 1000) < 36.1   # the 0.999 quantile of chi2(14)
+
+
 def test_random_strategy_is_deterministic():
     plan = make_plan(1, 6, 20)
     config = cfg(K=1, T=6, sigma_n=2.0, c=3)
@@ -278,10 +310,9 @@ def reference_search(plan, config, strategy, samples=1000, seed=0):
             best_val = step_val
         best = chosen
     else:
-        rng = np.random.default_rng(seed)
         best, best_val = None, -math.inf
-        for _ in range(samples):
-            subset = tuple(sorted(rng.choice(n, size=c, replace=False).tolist()))
+        for row in privacy._random_subsets(n, c, samples, seed):
+            subset = tuple(row.tolist())
             v = value(list(subset))
             if v > best_val or (v == best_val and subset < best):
                 best, best_val = subset, v
@@ -333,10 +364,8 @@ def test_reference_plans_cover_infinite_and_repeated_subsets():
     values = [leakage_for_subset(sub, plan, config)
               for sub in itertools.combinations(range(10), 6)]
     assert len(values) == 210 and all(map(math.isfinite, values))
-    rng = np.random.default_rng(RANDOM_DRAWS["seed"])
-    draws = [tuple(sorted(rng.choice(8, size=2, replace=False).tolist()))
-             for _ in range(RANDOM_DRAWS["samples"])]
-    assert len(set(draws)) < len(draws)
+    draws = privacy._random_subsets(8, 2, RANDOM_DRAWS["samples"], RANDOM_DRAWS["seed"])
+    assert len(np.unique(draws, axis=0)) < len(draws)
 
 
 def test_batched_kernel_matches_one_subset_at_a_time():
@@ -402,9 +431,9 @@ def test_amplitude_solver_computes_each_spectrum_once(monkeypatch):
         def __init__(self, seed):
             self.rng = default_rng(seed)
 
-        def choice(self, *args, **kwargs):
+        def random(self, *args, **kwargs):
             draws.append(1)
-            return self.rng.choice(*args, **kwargs)
+            return self.rng.random(*args, **kwargs)
 
     monkeypatch.setattr(privacy, "_eliminate", counting_eliminate)
     monkeypatch.setattr(privacy, "_subset_spectra", counting_spectra)
@@ -434,7 +463,7 @@ def test_amplitude_solver_computes_each_spectrum_once(monkeypatch):
     for strategy in (EXHAUSTIVE, RANDOM_SAMPLED):
         solve(2, 6, 10, 3, strategy, 0.25, samples=50)
         assert 3 <= len(probes) <= 4 and len(chunks) == 1
-        assert len(draws) == (50 if strategy == RANDOM_SAMPLED else 0)
+        assert len(draws) == (1 if strategy == RANDOM_SAMPLED else 0)
     # the memo lives for one call: a second search eliminates its prefixes again
     eliminations.clear()
     plan, config = make_plan(1, 30, 50), cfg(c=10)

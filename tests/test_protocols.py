@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pbacc import protocols
-from pbacc.codec import NoiseSpec, decode, encode
+from pbacc.codec import NoiseSpec, decode, encode, encode_stack
 from pbacc.interpolation import make_plan
 from pbacc.learners import (
     COORD_MEDIAN,
@@ -285,12 +285,21 @@ def test_dlcd_secure_training_matches_the_per_share_reference():
         assert [trace.decode_ops.count, trace.decode_ops.elements] == decoded
 
 
+def round_noise(seed, r, n, plan, sigma_n, groups):
+    """Every owner's (T, G) noise blocks of round r: one (T, owner, G) draw from one generator."""
+    rng = np.random.default_rng(_derived_seed(seed, r))
+    return rng.normal(0.0, sigma_n / np.sqrt(plan.T), size=(plan.T, n, groups)).swapaxes(0, 1)
+
+
 def reference_dldd_secure_aggregation(cfg, network, data, model_init):
     """The secure-aggregation runner as per-owner encodes and per-holder aggregates.
 
-    Returns per round (loss, flat model, messages).
+    Owner j's shares are the encoder basis times its own coefficient stack:
+    its model, zero-padded and cut into groups of K, over its slice of the
+    round's noise.  Returns per round (loss, flat model, messages).
     """
     plan, n, w = cfg.plan, network.n_nodes, model_init.size
+    groups = -(-w // plan.K)
     pooled = (np.concatenate([x for x, _ in data]), np.concatenate([y for _, y in data]))
     model, rounds = model_init.copy(), []
     for r in range(1, cfg.rounds + 1):
@@ -300,18 +309,21 @@ def reference_dldd_secure_aggregation(cfg, network, data, model_init):
             local = local_train(model, x, y, cfg.loss, cfg.lr, cfg.batch_size,
                                 cfg.epochs_per_round)
             trained.append(local.flattened_view)
+        noise = round_noise(network.seed, r, n, plan, cfg.sigma_n, groups)
         owned = []  # owned[j][i]: the share of node j's model that node i holds
         for j in range(n):
-            noise = NoiseSpec(cfg.sigma_n, plan.T, _derived_seed(network.seed, r, j))
-            shares, _ = encode(trained[j], plan, noise)
+            padded = np.zeros(groups * plan.K)
+            padded[:w] = trained[j]
+            coeffs = np.concatenate([padded.reshape(groups, plan.K).T, noise[j]])
+            shares = np.dot(plan.encoder_basis, coeffs)
             owned.append([shares[i] for i in range(n)])
-            messages += [Message(f"node{j}", f"node{i}", shares[i].payload.size, "share_exchange")
+            messages += [Message(f"node{j}", f"node{i}", shares[i].size, "share_exchange")
                          for i in range(n) if i != j]
         results = []
         for i in range(n):
-            held = aggregate([owned[j][i].payload for j in range(n)], cfg.agg_rule)
+            held = aggregate([owned[j][i] for j in range(n)], cfg.agg_rule)
             messages.append(Message(f"node{i}", "master", held.size, "aggregate_result"))
-            results.append((owned[0][i].beta, held))
+            results.append((plan.betas[i], held))
         fastest = select_fastest(network, r)
         model = model.with_flat(decode([results[i] for i in fastest], plan, out_extent=w))
         loss, _ = evaluate(model, *pooled, cfg.loss)
@@ -336,6 +348,63 @@ def test_dldd_secure_aggregation_matches_the_per_share_reference(K, agg_rule):
         assert trace.decoded_model.tobytes() == flat.tobytes()
         assert trace.loss == loss
         assert trace.messages == messages
+
+
+def _recorded_round_noise(monkeypatch, n, T, sigma_n, seed, rounds=2):
+    """Run secure aggregation and return each round's (owner, T, G) noise blocks."""
+    drawn = []
+
+    def recording_encode_stack(xs, plan, noise, *args, **kwargs):
+        payloads, blocks = encode_stack(xs, plan, noise, *args, **kwargs)
+        drawn.append((noise, blocks))
+        return payloads, blocks
+
+    monkeypatch.setattr(protocols, "encode_stack", recording_encode_stack)
+    x, y = make_two_clusters(2 * n, seed=15)
+    plan = make_plan(1, T, n)
+    cfg = SchemeConfig(scheme=DLDD_SECURE_AGGREGATION, plan=plan, sigma_n=sigma_n,
+                       rounds=rounds, lr=0.1)
+    network = NetworkConfig(n_nodes=n, seed=seed)
+    traces = run_dldd_secure_aggregation(cfg, network, split(x, y, n), model())
+    assert len(drawn) == rounds
+    for r, (noise, blocks) in enumerate(drawn, start=1):
+        assert noise.seed == _derived_seed(seed, r) and noise.sigma_n == sigma_n
+        assert blocks.tobytes() == round_noise(seed, r, n, plan, sigma_n, model().size).tobytes()
+        # the ledger still counts one encode of the model per owner
+        assert [traces[r - 1].encode_ops.count, traces[r - 1].encode_ops.elements] == \
+            [n, n * model().size]
+    return [blocks for _, blocks in drawn]
+
+
+def test_round_noise_has_the_declared_moments_and_independent_owners(monkeypatch):
+    n, T, sigma_n = 70, 42, 10.0
+    rounds = _recorded_round_noise(monkeypatch, n, T, sigma_n, seed=21)
+    var = sigma_n ** 2 / T
+    for blocks in rounds:
+        assert blocks.shape == (n, T, model().size)
+        m = blocks.size   # 64,680 entries, i.i.d. N(0, sigma_n^2 / T)
+        # 5 standard errors of the sample mean and of the sample variance
+        assert abs(blocks.mean()) <= 5 * np.sqrt(var / m)
+        assert abs(blocks.var() / var - 1.0) <= 5 * np.sqrt(2.0 / m)
+        # each pair of owners: a sample correlation over 924 entries has
+        # standard deviation about 1/sqrt(924); 5 of them bound all 2,415
+        # pairs together with probability above 0.998
+        corr = np.corrcoef(blocks.reshape(n, -1))
+        off = corr[~np.eye(n, dtype=bool)]
+        assert np.max(np.abs(off)) <= 5 / np.sqrt(blocks[0].size)
+        assert abs(off.mean()) <= 5 / np.sqrt(blocks[0].size * len(off) / 2)
+    # a fresh draw in each round: the two rounds' noise is uncorrelated too
+    first, second = (b.ravel() for b in rounds)
+    assert not np.any(first == second)
+    assert abs(np.corrcoef(first, second)[0, 1]) <= 5 / np.sqrt(first.size)
+
+
+def test_round_noise_is_fixed_by_the_run_seed(monkeypatch):
+    once = _recorded_round_noise(monkeypatch, N, 3, 0.5, seed=22)
+    again = _recorded_round_noise(monkeypatch, N, 3, 0.5, seed=22)
+    other = _recorded_round_noise(monkeypatch, N, 3, 0.5, seed=23)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(once, again))
+    assert all(not np.any(a == b) for a, b in zip(once, other))
 
 
 def test_dldd_secure_aggregation_tolerates_any_subset_size():
