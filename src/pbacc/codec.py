@@ -75,7 +75,7 @@ class Shares:
 
 
 def encode(x: np.ndarray, plan: CodingPlan, noise: NoiseSpec,
-           pad: bool = True, out: np.ndarray | None = None) -> tuple[Shares, list[np.ndarray]]:
+           pad: bool = True) -> tuple[Shares, list[np.ndarray]]:
     """Encode ``x`` along its leading axis into N shares plus T noise blocks.
 
     The leading (coding) axis is processed in contiguous groups of K slices;
@@ -86,16 +86,13 @@ def encode(x: np.ndarray, plan: CodingPlan, noise: NoiseSpec,
     share payload shape, so distinct groups see independent noise entries.
 
     Returns the shares as one worker-major :class:`Shares` and the drawn
-    noise blocks.  ``out``, a C-contiguous float64 array of the payload
-    shape (N, ceil(extent / K), *rest), receives the payloads, which are
-    then a view of it; by default they are a fresh array.  This is
-    :func:`encode_stack` of the one tensor ``x``, byte for byte.
+    noise blocks.  This is :func:`encode_stack` of the one tensor ``x``,
+    byte for byte.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         raise ValueError("need a tensor of rank >= 1 to encode")
-    payloads, blocks = encode_stack(x[None], plan, noise, pad,
-                                    out=None if out is None else out[None])
+    payloads, blocks = encode_stack(x[None], plan, noise, pad)
     # a copy of the blocks, so that holding them does not hold every coefficient
     return Shares(plan.betas, payloads[0]), list(blocks[0].copy())
 
@@ -114,8 +111,9 @@ def encode_stack(xs: np.ndarray, plan: CodingPlan, noise: NoiseSpec, pad: bool =
     the product on a contiguous copy of it.
 
     Returns the (M, N, G, *rest) payloads, tensor-major, and the
-    (M, T, G, *rest) noise blocks, a view of the coefficients.  ``out`` is
-    as in :func:`encode`, with the leading M axis.
+    (M, T, G, *rest) noise blocks, a view of the coefficients.  ``out``, a
+    C-contiguous float64 array of the payload shape, receives the payloads
+    and is returned; by default they go to a fresh array.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim < 2:

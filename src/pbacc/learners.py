@@ -189,7 +189,7 @@ def _loss_value(preds: np.ndarray, targets: np.ndarray, loss: str):
         targets = np.asarray(targets, dtype=float).reshape(preds.shape)
         diff = preds - targets
         # np.mean's own sum and division, without its per-call overhead
-        return np.sum(diff * diff, axis=(-2, -1)) / (diff.shape[-2] * diff.shape[-1]), diff
+        return (diff * diff).sum(axis=(-2, -1)) / (diff.shape[-2] * diff.shape[-1]), diff
     if loss == SOFTMAX_CE:
         # row-wise on the (nodes * B, C) logits, then averaged per node
         rows = preds.reshape(-1, preds.shape[-1])
@@ -198,9 +198,9 @@ def _loss_value(preds: np.ndarray, targets: np.ndarray, loss: str):
             raise ValueError("class labels out of range for the logit width")
         shifted = rows - rows.max(axis=1, keepdims=True)
         exp_shifted = np.exp(shifted)
-        logz = np.log(np.sum(exp_shifted, axis=1))
+        logz = np.log(exp_shifted.sum(axis=1))
         nll = logz - shifted[np.arange(rows.shape[0]), labels]
-        value = np.sum(nll.reshape(preds.shape[:-1]), axis=-1) / preds.shape[-2]
+        value = nll.reshape(preds.shape[:-1]).sum(axis=-1) / preds.shape[-2]
         return value, (exp_shifted, logz, labels)
     if loss == COX_PH:
         targets = np.asarray(targets, dtype=float)

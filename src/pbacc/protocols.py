@@ -6,9 +6,14 @@ per-round communication cost an exact, reproducible count instead of a
 wall-clock measurement.  A round sends the same messages every time (the
 sizes follow from the model size and K), so each runner builds them once
 per run, as immutable :class:`MessageBlock` s with the node names formatted
-once, and a :class:`RoundTrace` records a block by reference.  Recording
-is O(blocks), not O(messages); the trace's message and element totals are
-running counters, and its ordered message list is built only on demand.
+once, and a :class:`RoundTrace` records a block by reference.  A block
+holds rules (:class:`MessageRule`: one message from every sender to every
+receiver other than itself) and explicit messages for the small per-node
+runs.  Its message and element counts come from the rules in O(1), so
+secure aggregation's N(N-1) share exchange is one rule, not N(N-1) tuples.
+Recording is O(blocks), not O(messages); the trace's message and element
+totals are running counters, and its ordered message list is expanded from
+the rules only when it is read.
 
 All schemes share one round driver, ``_run_rounds``.  It numbers the rounds,
 gives each a fresh :class:`RoundTrace` and the round's fastest workers
@@ -20,9 +25,9 @@ fastest subset.  Five schemes are provided:
 * ``dlcd_secure_training``   -- master owns the data; the dataset is encoded
   once and workers compute the model execution on encoded batches; the
   master decodes the outputs, evaluates loss/gradients and steps the model.
-  The N workers of a batch run as one stacked forward over the worker axis,
-  and the decode basis of the round's fastest subset is built once per
-  round; each batch records the same block of every worker's two messages.
+  The fastest workers' shares and decode basis are gathered and built once
+  per round; each batch runs their forwards as one stacked forward and
+  records the same block of every worker's two messages.
 * ``uncoded_dlcd``           -- master partitions the plaintext dataset;
   from then on it is ``uncoded_dldd`` on those parts.
 * ``dldd_secure_aggregation``-- nodes own the data, train in plaintext and
@@ -54,7 +59,7 @@ setup trace with ``round_index`` 0 holding those messages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -107,20 +112,59 @@ class OpCount:
         self.elements += int(elements)
 
 
+class MessageRule(NamedTuple):
+    """One message of ``elements`` from every sender to every receiver but itself.
+
+    The messages run sender-major, in the order of ``senders`` and then of
+    ``receivers``; a name in both sends no message to itself.  Names are
+    distinct within each tuple.  ``count`` is the number of messages,
+    computed without building them; ``expand`` builds them.
+    """
+
+    senders: tuple[str, ...]
+    receivers: tuple[str, ...]
+    elements: int
+    phase: str
+
+    @property
+    def count(self) -> int:
+        return (len(self.senders) * len(self.receivers)
+                - len(set(self.senders).intersection(self.receivers)))
+
+    def expand(self) -> Iterator[Message]:
+        return (Message(sender, receiver, self.elements, self.phase)
+                for sender in self.senders for receiver in self.receivers
+                if receiver != sender)
+
+
 class MessageBlock:
     """An immutable run of messages, recorded as one unit.
 
-    ``elements`` is the block's total element count, summed once here.
+    ``parts`` are :class:`MessageRule` s and iterables of explicit messages,
+    in send order.  ``len(block)`` and ``elements``, the block's total
+    element count, are summed once here, from each rule in O(1);
+    iterating the block expands its parts in order.
     """
 
-    __slots__ = ("messages", "elements")
+    __slots__ = ("_parts", "_count", "elements")
 
-    def __init__(self, messages: Iterable[Message]):
-        self.messages = tuple(messages)
-        self.elements = sum(m.elements for m in self.messages)
+    def __init__(self, *parts: MessageRule | Iterable[Message]):
+        self._parts = tuple(p if isinstance(p, MessageRule) else tuple(p) for p in parts)
+        self._count = self.elements = 0
+        for part in self._parts:
+            if isinstance(part, MessageRule):
+                self._count += part.count
+                self.elements += part.count * part.elements
+            else:
+                self._count += len(part)
+                self.elements += sum(m.elements for m in part)
 
     def __len__(self) -> int:
-        return len(self.messages)
+        return self._count
+
+    def __iter__(self) -> Iterator[Message]:
+        for part in self._parts:
+            yield from part.expand() if isinstance(part, MessageRule) else part
 
 
 @dataclass
@@ -131,7 +175,7 @@ class RoundTrace:
     object can sit in every round of a run, and more than once in one).
     ``message_count`` and ``element_volume`` are running counters kept by
     :meth:`record`; ``messages`` is the ordered list of every message,
-    built on demand.
+    expanded from the blocks' rules each time it is read.
     """
 
     round_index: int
@@ -153,7 +197,7 @@ class RoundTrace:
 
     @property
     def messages(self) -> list[Message]:
-        return [m for block in self._blocks for m in block.messages]
+        return [m for block in self._blocks for m in block]
 
 
 @dataclass(frozen=True)
@@ -315,9 +359,9 @@ def _run_rounds(cfg: SchemeConfig, net: NetworkConfig, model_init: ModelParams,
     return traces
 
 
-def _node_names(n: int) -> list[str]:
+def _node_names(n: int) -> tuple[str, ...]:
     """The ledger names of nodes 0..n-1, formatted once per run."""
-    return [f"node{j}" for j in range(n)]
+    return tuple(f"node{j}" for j in range(n))
 
 
 def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
@@ -328,12 +372,13 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     The dataset is encoded exactly once (setup trace) into one worker-major
     share array.  Per round and per encoded batch the master broadcasts the
     current model (plaintext), every worker computes the model execution on
-    its encoded batch slice -- simulated as one batched forward over the
-    worker axis -- and the master decodes the batch outputs from the fastest
-    subset, evaluates the loss on them, backpropagates through its own
-    plaintext activations and steps the model.  The fastest subset is fixed
-    within a round, so its decode basis is built once per round and applied
-    to every batch.
+    its encoded batch slice, and the master decodes the batch outputs from
+    the fastest subset, evaluates the loss on them, backpropagates through
+    its own plaintext activations and steps the model.  The fastest subset
+    is fixed within a round, so its decode basis is built and its shares are
+    gathered, in basis order, once per round.  Only their forwards run, as
+    one batched forward over the worker axis (byte-equal per worker to the
+    forward of all N); the ledger counts every worker's forward.
     """
     cfg, net = scheme_cfg, net_cfg
     plan = cfg.plan
@@ -349,8 +394,7 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     shares, _ = encode(inputs, plan, _noise_spec(cfg, net, 0))
     setup.encode_ops.add(inputs.size)
     share_elems = shares.payloads[0].size
-    setup.record(MessageBlock(Message("master", node, share_elems, "dataset_share")
-                              for node in nodes))
+    setup.record(MessageBlock(MessageRule(("master",), nodes, share_elems, "dataset_share")))
     payloads = shares.payloads[:, :, None]  # (N, G, 1, f)
     n_workers, n_batches = payloads.shape[:2]
     # Each worker's result is one coded row of model outputs.
@@ -361,15 +405,15 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
 
     def step(trace, model, r, fastest):
         order, rows = _decode_basis(plan.betas[fastest], plan)
-        used = np.asarray(fastest)[order]   # worker index of each basis position
+        used = payloads[np.asarray(fastest)[order]]   # the fastest workers' shares, in basis order
         for g in range(n_batches):
             lo = g * plan.K
             valid = min(plan.K, n_samples - lo)
             trace.record(batch_messages)
-            preds = forward(model, payloads[:, g])             # (N, 1, outputs)
+            preds = forward(model, used[:, g])             # (n, 1, outputs)
             trace.train_ops.count += n_workers
             trace.train_ops.elements += n_workers * w_elems
-            decoded = _apply_decode(rows, preds[used], valid)
+            decoded = _apply_decode(rows, preds, valid)
             trace.decode_ops.add(decoded.size)
 
             batch_x = inputs[lo:lo + valid]
@@ -420,11 +464,10 @@ def run_dldd_secure_aggregation(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig
     w_elems = model_init.size
     share_elems = -(-w_elems // plan.K)   # G = ceil(w / K): one share, one aggregate
     nodes = _node_names(n)
-    round_messages = MessageBlock([
-        *(Message("master", node, w_elems, "model_broadcast") for node in nodes),
-        *(Message(nodes[j], nodes[i], share_elems, "share_exchange")
-          for j in range(n) for i in range(n) if i != j),
-        *(Message(node, "master", share_elems, "aggregate_result") for node in nodes)])
+    round_messages = MessageBlock(
+        MessageRule(("master",), nodes, w_elems, "model_broadcast"),
+        MessageRule(nodes, nodes, share_elems, "share_exchange"),   # owner-major
+        MessageRule(nodes, ("master",), share_elems, "aggregate_result"))
     stacks = _node_stacks(per_node_datasets)
     table = np.empty((n, n, share_elems))   # table[j, i]: share of node j's model held by node i
 

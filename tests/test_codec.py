@@ -119,29 +119,14 @@ def test_encode_stack_rejects_a_bare_tensor():
         encode_stack(np.ones(4), make_plan(1, 1, 3), NoiseSpec(1.0, 1, seed=0))
 
 
-@pytest.mark.parametrize("K,T,shape", [(1, 0, (5,)), (1, 3, (22,)), (2, 3, (7, 2)),
-                                       (3, 4, (7, 2, 3))])
-def test_encode_into_out_is_the_fresh_encode_byte_for_byte(K, T, shape):
-    plan = make_plan(K, T, 9)
-    x = np.random.default_rng(5).standard_normal(shape)
-    noise = NoiseSpec(0.7, T, seed=6)
-    fresh, fresh_blocks = encode(x, plan, noise)
-    table = np.full((2,) + fresh.payloads.shape, np.nan)
-    shares, blocks = encode(x, plan, noise, out=table[1])
-    assert np.shares_memory(shares.payloads, table[1])
-    assert table[1].tobytes() == fresh.payloads.tobytes()
-    assert np.isnan(table[0]).all()
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(blocks, fresh_blocks))
-
-
-def test_encode_rejects_an_unfit_out():
+def test_encode_stack_rejects_an_unfit_out():
     plan = make_plan(2, 1, 5)
-    x = np.ones((6, 2))  # payloads (5, 3, 2)
+    xs = np.ones((1, 6, 2))  # payloads (1, 5, 3, 2)
     noise = NoiseSpec(1.0, 1, seed=0)
-    for bad in (np.empty((5, 3)), np.empty((5, 3, 2), dtype=np.float32),
-                np.empty((5, 2, 3)).swapaxes(1, 2)):
+    for bad in (np.empty((1, 5, 3)), np.empty((1, 5, 3, 2), dtype=np.float32),
+                np.empty((1, 5, 2, 3)).swapaxes(2, 3)):
         with pytest.raises(ValueError, match="out must be"):
-            encode(x, plan, noise, out=bad)
+            encode_stack(xs, plan, noise, out=bad)
 
 
 def test_encode_linearity_without_noise():

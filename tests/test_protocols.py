@@ -536,12 +536,120 @@ def test_ledger_counters_agree_with_the_messages(scheme):
         assert all(type(m.elements) is int for m in messages)
 
 
+def reference_ledger(scheme, n, samples, w, outputs):
+    """The set-up messages (None without a set-up trace) and one round's, one by one.
+
+    The schemes run as ``_run_ledger`` sets them up: two-feature two-cluster
+    data, K=2 except for secure training over decentralized data.
+    """
+    nodes = [f"node{j}" for j in range(n)]
+    K = 1 if scheme == DLDD_SECURE_TRAINING else 2
+    setup, round_messages = None, []
+    if scheme == DLCD_SECURE_TRAINING:
+        batches = -(-samples // K)
+        setup = [Message("master", node, batches * 2, "dataset_share") for node in nodes]
+        for _ in range(batches):
+            for node in nodes:
+                round_messages.append(Message("master", node, w, "model_broadcast"))
+                round_messages.append(Message(node, "master", outputs, "inference_result"))
+    elif scheme == DLDD_SECURE_AGGREGATION:
+        G = -(-w // K)
+        round_messages = [Message("master", node, w, "model_broadcast") for node in nodes]
+        for j in range(n):
+            for i in range(n):
+                if i != j:
+                    round_messages.append(Message(nodes[j], nodes[i], G, "share_exchange"))
+        round_messages += [Message(node, "master", G, "aggregate_result") for node in nodes]
+    else:
+        down, up = {DLDD_SECURE_TRAINING: ("encoded_model", "trained_model")}.get(
+            scheme, ("model_broadcast", "local_model"))
+        for node in nodes:
+            round_messages.append(Message("master", node, w, down))
+            round_messages.append(Message(node, "master", w, up))
+        if scheme == UNCODED_DLCD:
+            sizes = [len(part) for part in np.array_split(np.arange(samples), n)]
+            setup = [Message("master", node, size * (2 + 1), "dataset_part")
+                     for node, size in zip(nodes, sizes)]
+    return setup, round_messages
+
+
+def _run_ledger(scheme, n, samples=11, rounds=2):
+    x, y = make_two_clusters(samples, seed=13)
+    plan = None
+    if scheme in (DLCD_SECURE_TRAINING, DLDD_SECURE_AGGREGATION):
+        plan = make_plan(2, 1, n)
+    elif scheme == DLDD_SECURE_TRAINING:
+        plan = make_plan(1, 1, n)
+    data = (x, y) if scheme in (DLCD_SECURE_TRAINING, UNCODED_DLCD) else split(x, y, n)
+    cfg = SchemeConfig(scheme=scheme, plan=plan, sigma_n=0.5, rounds=rounds, lr=0.1)
+    return run_scheme(cfg, NetworkConfig(n_nodes=n, seed=4), data, model())
+
+
+# a coding plan needs at least two encoder nodes, so only the uncoded schemes run at N=1
+@pytest.mark.parametrize("scheme,n", [(s, n) for s in SCHEMES for n in (1, 2, 5)
+                                      if n > 1 or s in (UNCODED_DLCD, UNCODED_DLDD)])
+def test_every_ledger_matches_its_written_out_messages(scheme, n):
+    samples = 11
+    traces = _run_ledger(scheme, n, samples)
+    setup, round_messages = reference_ledger(scheme, n, samples, model().size, W_SIZES[-1])
+    n_batches = -(-samples // 2) if scheme == DLCD_SECURE_TRAINING else 0
+    expected = expected_message_counts(scheme, n, n_batches)
+    if setup is not None:
+        assert traces[0].round_index == 0
+        assert traces[0].messages == setup
+        assert traces[0].message_count == len(setup) == expected["once"]
+        assert traces[0].element_volume == sum(m.elements for m in setup)
+        traces = traces[1:]
+    assert expected["once"] == (0 if setup is None else n)
+    assert [t.round_index for t in traces] == [1, 2]
+    for trace in traces:
+        assert trace.messages == round_messages
+        assert trace.message_count == len(round_messages) == expected["per_round"]
+        assert trace.element_volume == sum(m.elements for m in round_messages)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_an_exchange_rule_is_every_ordered_pair_of_distinct_nodes(n):
+    nodes = tuple(f"node{j}" for j in range(n))
+    rule = protocols.MessageRule(nodes, nodes, 3, "share_exchange")
+    pairs = [Message(nodes[j], nodes[i], 3, "share_exchange")
+             for j in range(n) for i in range(n) if i != j]
+    assert rule.count == len(pairs) == n * (n - 1)
+    assert list(rule.expand()) == pairs
+    block = protocols.MessageBlock(protocols.MessageRule(("master",), nodes, 5, "model_broadcast"),
+                                   rule, [Message("node0", "master", 7, "aggregate_result")])
+    assert len(block) == n + n * (n - 1) + 1
+    assert block.elements == 5 * n + 3 * n * (n - 1) + 7
+    assert list(block) == ([Message("master", node, 5, "model_broadcast") for node in nodes]
+                           + pairs + [Message("node0", "master", 7, "aggregate_result")])
+
+
+def test_secure_aggregation_builds_no_message_until_its_ledger_is_read(monkeypatch):
+    built = []
+
+    class CountedMessage(Message):
+        __slots__ = ()
+
+        def __new__(cls, *fields):
+            built.append(fields)
+            return super().__new__(cls, *fields)
+
+    monkeypatch.setattr(protocols, "Message", CountedMessage)
+    n = 70
+    traces = _run_ledger(DLDD_SECURE_AGGREGATION, n, samples=140)
+    assert built == []
+    assert traces[0].message_count == expected_message_counts(DLDD_SECURE_AGGREGATION, n)["per_round"]
+    messages = traces[0].messages
+    assert len(built) == len(messages) == 2 * n + n * (n - 1)
+    assert all(type(m) is CountedMessage for m in messages)
+
+
 def test_round_blocks_are_built_once_per_run(monkeypatch):
     built = []
 
     class CountedBlock(protocols.MessageBlock):
-        def __init__(self, messages):
-            super().__init__(messages)
+        def __init__(self, *parts):
+            super().__init__(*parts)
             built.append(len(self))
 
     monkeypatch.setattr(protocols, "MessageBlock", CountedBlock)
@@ -553,12 +661,9 @@ def test_round_blocks_are_built_once_per_run(monkeypatch):
             counts.setdefault(scheme, []).append(len(built))
             per_round = [t for t in traces if t.round_index >= 1]
             assert len(per_round) == rounds
-            # every round records the same messages, by reference
+            # every round records the same messages
             first = per_round[0].messages
-            for trace in per_round[1:]:
-                messages = trace.messages
-                assert len(messages) == len(first)
-                assert all(a is b for a, b in zip(messages, first)), scheme
+            assert all(trace.messages == first for trace in per_round[1:]), scheme
     # a run builds its blocks up front: four rounds build no more than one
     assert counts == {DLCD_SECURE_TRAINING: [2, 2],  # the set-up block and the batch block
                       UNCODED_DLCD: [2, 2],          # the set-up block and the round block
