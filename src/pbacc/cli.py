@@ -6,6 +6,8 @@ Subcommands:
 * ``leakage``          -- worst-case leakage bound for a coding plan.
 * ``roundtrip``        -- encode/apply/decode error for a named function.
 * ``nodes``            -- print the node families of a coding plan.
+
+A bad spec or argument prints one ``error:`` line and exits with status 2.
 """
 
 from __future__ import annotations
@@ -83,18 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_leakage(args) -> int:
-    if args.c < 1:
-        print("error: need at least one colluder", file=sys.stderr)
-        return 2
-    try:
-        plan = make_plan(args.K, args.T, args.N, args.shift)
-        cfg = PrivacyConfig(K=args.K, T=args.T, sigma_n=args.sigma, c=args.c,
-                            s=args.s, epsilon=args.epsilon)
-        report = worst_case_leakage(plan, cfg, strategy=args.strategy,
-                                    samples=args.samples, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    plan = make_plan(args.K, args.T, args.N, args.shift)
+    cfg = PrivacyConfig(K=args.K, T=args.T, sigma_n=args.sigma, c=args.c,
+                        s=args.s, epsilon=args.epsilon)
+    report = worst_case_leakage(plan, cfg, strategy=args.strategy,
+                                samples=args.samples, seed=args.seed)
     payload = report.to_dict() | {
         "epsilon": args.epsilon,
         "meets_epsilon": bool(report.i_L <= args.epsilon),
@@ -110,18 +105,15 @@ def cmd_leakage(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    try:
-        plan = make_plan(args.K, args.T, args.N, args.shift)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    plan = make_plan(args.K, args.T, args.N, args.shift)
     extent = args.extent if args.extent is not None else 4 * args.K
+    if extent < 1:
+        raise ValueError(f"extent must be >= 1, got {extent}")
     rng = np.random.default_rng(args.seed)
     x = rng.normal(0.0, 1.0, size=extent)
     subset_size = args.subset_size if args.subset_size is not None else args.N
     if not 1 <= subset_size <= args.N:
-        print(f"error: subset size must be in [1, {args.N}]", file=sys.stderr)
-        return 2
+        raise ValueError(f"subset size must be in [1, {args.N}]")
     subset = sorted(rng.choice(args.N, size=subset_size, replace=False).tolist()) \
         if subset_size < args.N else list(range(args.N))
     noise = NoiseSpec(sigma_n=args.sigma, T=args.T, seed=args.seed)
@@ -136,11 +128,7 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_nodes(args) -> int:
-    try:
-        plan = make_plan(args.K, args.T, args.N, args.shift)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    plan = make_plan(args.K, args.T, args.N, args.shift)
     print(json.dumps({
         "data_nodes": plan.alphas[:plan.K].tolist(),
         "noise_nodes": plan.alphas[plan.K:].tolist(),
@@ -156,16 +144,9 @@ def _show(value: float | None, spec: str) -> str:
 
 
 def cmd_run(args) -> int:
-    try:
-        spec = load_spec(args.spec)
-        summary = run_experiment(spec, output_dir=args.output_dir,
-                                 seed=args.seed, strategy=args.strategy)
-    except SpecError as exc:
-        print(f"error: invalid experiment spec: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = load_spec(args.spec)
+    summary = run_experiment(spec, output_dir=args.output_dir,
+                             seed=args.seed, strategy=args.strategy)
     for cell in summary["cells"]:
         leak = cell["leakage"]
         leak_txt = f" i_L={_show(leak['i_L'], '.4g')}" if leak else ""
@@ -179,7 +160,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = {"run": cmd_run, "leakage": cmd_leakage,
                "roundtrip": cmd_roundtrip, "nodes": cmd_nodes}[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except SpecError as exc:
+        print(f"error: invalid experiment spec: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -1,22 +1,27 @@
 """Experiment configuration, orchestration and metrics emission.
 
-An experiment file is YAML (nested key-value).  The privacy section accepts
-scalars or sweep lists for sigma_n, T and c; the cartesian product of the
-sweep lists defines the experiment cells.  Per-round metrics go to a CSV
-table (one record per round, carrying the full resolved configuration) and
-per-cell results to a JSON summary, which is strict JSON: a value that is
-NaN or infinite (the accuracy of an MSE or Cox run, the loss of a diverged
-one, an infinite leakage bound) is written as null, and a cell's
-``diverged`` flag marks a non-finite final loss.  All randomness derives
-from one root seed, so reruns are byte-identical.
+An experiment file is YAML (nested key-value).  The field table
+``_FIELDS`` is the spec's only schema: each row gives one field's YAML
+path, parse, per-value check, ``ExperimentSpec`` attribute, default and
+rounds.csv column, and a key that no row names is rejected.  The privacy
+section accepts scalars or sweep lists for sigma_n, T and c; the
+cartesian product of the sweep lists defines the experiment cells.
+Per-round metrics go to a CSV table (one record per round, carrying the
+full resolved configuration) and per-cell results to a JSON summary,
+which is strict JSON: a value that is NaN or infinite (the accuracy of an
+MSE or Cox run, the loss of a diverged one, an infinite leakage bound) is
+written as null, and a cell's ``diverged`` flag marks a non-finite final
+loss.  All randomness derives from one root seed, so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, make_dataclass
 from itertools import product
 from typing import Callable, NamedTuple
 
@@ -43,28 +48,42 @@ class SpecError(ValueError):
     """Invalid experiment specification."""
 
 
-def _as_list(value) -> list:
-    if isinstance(value, list):
-        if not value:
-            raise SpecError("sweep lists must be nonempty")
-        return value
-    return [value]
+def _int(value) -> int:
+    """An integer; an integral float such as 8.0 is taken, 2.7 is refused."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"need an integer, got {value!r}")
+    return int(value)
 
 
 def _list_of(kind: Callable) -> Callable:
-    return lambda value: [kind(v) for v in _as_list(value)]
-
-
-def _as_given(value):
-    return value
+    def parse(value) -> list:
+        values = value if isinstance(value, list) else [value]
+        if not values:
+            raise ValueError("lists must be nonempty")
+        return [kind(v) for v in values]
+    return parse
 
 
 def _straggler(value) -> StragglerModel:
-    value = value or {"kind": "none"}
+    if value is None:
+        return StragglerModel()
     if isinstance(value, str):
         value = {"kind": value}
-    return StragglerModel(kind=value.get("kind", "none"), count=int(value.get("count", 0)),
-                          keep_n=int(value.get("keep_n", 0)), seed=int(value.get("seed", 0)))
+    if not isinstance(value, dict):
+        raise ValueError(f"need a kind name or a mapping, got {value!r}")
+    return StragglerModel(**{k: v if k == "kind" else _int(v) for k, v in value.items()})
+
+
+def _at_least(bound: int) -> tuple[Callable, str]:
+    return (lambda v: v >= bound), f">= {bound}"
+
+
+def _one_of(choices: tuple) -> tuple[Callable, str]:
+    return (lambda v: v in choices), f"one of {choices}"
+
+
+_POSITIVE = (lambda v: v > 0), "> 0"
+_FINITE = math.isfinite, "finite"
 
 
 class _Field(NamedTuple):
@@ -74,38 +93,55 @@ class _Field(NamedTuple):
     parse: Callable            # YAML value -> attribute value
     default: object            # YAML value used when the key is absent
     column: str | None         # rounds.csv column; None when not written there
-    coded_only: bool = False   # column left blank for uncoded schemes
+    check: tuple | None = None  # (test, requirement) every value, or list element, meets
+    coded_only: bool = False   # checked, and given a column value, for coded schemes only
+
+    @property
+    def path(self) -> str:
+        return self.key if self.section is None else f"{self.section}.{self.key}"
 
 
 #: Every spec field except ``scheme``, in rounds.csv column order.  The
 #: sweep fields (T, sigma_n, c) hold lists in the spec; their columns carry
 #: the value of the row's cell.
 _FIELDS = (
-    _Field("network", "nodes", "n_nodes", int, 8, "N"),
-    _Field("plan", "K", "K", int, 1, "K", True),
-    _Field("privacy", "T", "T_values", _list_of(int), 0, "T", True),
-    _Field("privacy", "sigma_n", "sigma_n_values", _list_of(float), 0.0, "sigma_n", True),
-    _Field("privacy", "c", "c_values", _list_of(int), 1, "c", True),
-    _Field("privacy", "s", "s", float, 1.0, "s", True),
-    _Field("privacy", "epsilon", "epsilon", float, 1.0, "epsilon", True),
-    _Field("plan", "shift", "shift", float, DEFAULT_NOISE_SHIFT, "shift", True),
-    _Field("training", "lr", "lr", float, 0.05, "lr"),
-    _Field("training", "batch_size", "batch_size", int, 10, "batch_size"),
-    _Field("training", "epochs_per_round", "epochs_per_round", int, 1, "epochs_per_round"),
-    _Field(None, "rounds", "rounds", int, 10, "rounds"),
-    _Field(None, "seed", "seed", int, 0, "seed"),
-    _Field(None, "strategy", "strategy", _as_given, GREEDY, "strategy"),
-    _Field("training", "loss", "loss", _as_given, learners.SOFTMAX_CE, "loss_kind"),
-    _Field("training", "agg", "agg_rule", _as_given, learners.FEDAVG, "agg_rule"),
-    _Field("training", "dataset", "dataset", _as_given, "two_clusters", "dataset"),
-    _Field("training", "samples", "samples", int, 400, "samples"),
-    _Field("training", "features", "features", int, 2, "features"),
-    _Field("training", "hidden", "hidden", _list_of(int), [8], "hidden"),
-    _Field("training", "activation", "activation", _as_given, learners.TANH, "activation"),
+    _Field("network", "nodes", "n_nodes", _int, 8, "N", _at_least(2)),
+    _Field("plan", "K", "K", _int, 1, "K", _at_least(1), True),
+    _Field("privacy", "T", "T_values", _list_of(_int), 0, "T", _at_least(0), True),
+    _Field("privacy", "sigma_n", "sigma_n_values", _list_of(float), 0.0, "sigma_n",
+           _at_least(0), True),
+    _Field("privacy", "c", "c_values", _list_of(_int), 1, "c", _at_least(0), True),
+    _Field("privacy", "s", "s", float, 1.0, "s", _POSITIVE, True),
+    _Field("privacy", "epsilon", "epsilon", float, 1.0, "epsilon", _POSITIVE, True),
+    _Field("plan", "shift", "shift", float, DEFAULT_NOISE_SHIFT, "shift", _FINITE, True),
+    _Field("training", "lr", "lr", float, 0.05, "lr", _POSITIVE),
+    _Field("training", "batch_size", "batch_size", _int, 10, "batch_size", _at_least(1)),
+    _Field("training", "epochs_per_round", "epochs_per_round", _int, 1, "epochs_per_round",
+           _at_least(1)),
+    _Field(None, "rounds", "rounds", _int, 10, "rounds", _at_least(1)),
+    _Field(None, "seed", "seed", _int, 0, "seed"),
+    _Field(None, "strategy", "strategy", str, GREEDY, "strategy", _one_of(STRATEGIES)),
+    _Field("training", "loss", "loss", str, learners.SOFTMAX_CE, "loss_kind",
+           _one_of(learners.LOSSES)),
+    _Field("training", "agg", "agg_rule", str, learners.FEDAVG, "agg_rule",
+           _one_of(learners.AGG_RULES)),
+    _Field("training", "dataset", "dataset", str, "two_clusters", "dataset",
+           _one_of(("two_clusters", "survival"))),
+    _Field("training", "samples", "samples", _int, 400, "samples"),
+    _Field("training", "features", "features", _int, 2, "features", _at_least(1)),
+    _Field("training", "hidden", "hidden", _list_of(_int), [8], "hidden", _at_least(1)),
+    _Field("training", "activation", "activation", str, learners.TANH, "activation",
+           _one_of(learners.ACTIVATIONS)),
     _Field("training", "separation", "separation", float, 3.0, "separation"),
     _Field("network", "straggler", "straggler", _straggler, None, None),
     _Field(None, "output", "output_dir", str, "results", None),
 )
+
+_SECTIONS = tuple(dict.fromkeys(f.section for f in _FIELDS if f.section))
+
+#: The keys an experiment file may hold, per section (None: the top level).
+_KEYS = {name: {f.key for f in _FIELDS if f.section == name} for name in (None, *_SECTIONS)}
+_KEYS[None] |= {"scheme", *_SECTIONS}
 
 #: Spec attributes swept over, in the order of a cell's (sigma_n, T, c) tuple.
 _SWEEP_ATTRS = ("sigma_n_values", "T_values", "c_values")
@@ -117,42 +153,20 @@ ROUND_COLUMNS = [
     "decode_ops", "decode_elements", "train_ops", "train_elements",
 ]
 
-
-@dataclass
-class ExperimentSpec:
-    scheme: str
-    seed: int
-    rounds: int
-    n_nodes: int
-    straggler: StragglerModel
-    K: int
-    shift: float
-    sigma_n_values: list[float]
-    T_values: list[int]
-    c_values: list[int]
-    s: float
-    epsilon: float
-    lr: float
-    batch_size: int
-    epochs_per_round: int
-    loss: str
-    agg_rule: str
-    dataset: str
-    samples: int
-    features: int
-    hidden: list[int]
-    activation: str
-    separation: float
-    output_dir: str
-    strategy: str = GREEDY
-    raw: dict = field(default_factory=dict, repr=False)
+ExperimentSpec = make_dataclass(
+    "ExperimentSpec", ["scheme", *(f.attr for f in _FIELDS)],
+    namespace={"__module__": __name__,
+               "__doc__": "A parsed experiment: ``scheme`` and one attribute per _FIELDS row."})
 
 
 def load_spec(path: str) -> ExperimentSpec:
-    if not os.path.exists(path):
-        raise SpecError(f"experiment file {path!r} does not exist")
+    if not os.path.isfile(path):
+        raise SpecError(f"experiment file {path!r} does not exist or is not a file")
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise SpecError(f"experiment file {path!r} is not valid YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise SpecError("experiment file must hold a mapping at the top level")
     return spec_from_dict(raw)
@@ -166,30 +180,38 @@ def spec_from_dict(raw: dict) -> ExperimentSpec:
     if scheme not in protocols.SCHEMES:
         raise SpecError(f"unknown scheme {scheme!r}; choose one of {protocols.SCHEMES}")
 
-    sections = {None: raw} | {f.section: raw.get(f.section) or {} for f in _FIELDS if f.section}
-    try:
-        spec = ExperimentSpec(
-            scheme=scheme, raw=raw,
-            **{f.attr: f.parse(sections[f.section].get(f.key, f.default)) for f in _FIELDS})
-    except SpecError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SpecError(str(exc)) from None
+    sections = {None: raw} | {name: {} if raw.get(name) is None else raw[name]
+                              for name in _SECTIONS}
+    for name, section in sections.items():
+        if not isinstance(section, dict):
+            raise SpecError(f"{name} must be a mapping, got {section!r}")
+        unknown = [key for key in section if key not in _KEYS[name]]
+        if unknown:
+            where = f"in {name}" if name else "at the top level"
+            raise SpecError(f"unknown key {unknown[0]!r} {where}")
+
+    values = {}
+    for f in _FIELDS:
+        try:
+            values[f.attr] = f.parse(sections[f.section].get(f.key, f.default))
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"{f.path}: {exc}") from None
+    spec = ExperimentSpec(scheme=scheme, **values)
     _validate(spec)
     return spec
 
 
 def _validate(spec: ExperimentSpec) -> None:
-    if spec.rounds < 1:
-        raise SpecError("rounds must be >= 1")
-    if spec.n_nodes < 2:
-        raise SpecError("need at least two nodes")
-    if spec.loss not in learners.LOSSES:
-        raise SpecError(f"unknown loss {spec.loss!r}")
-    if spec.activation not in learners.ACTIVATIONS:
-        raise SpecError(f"unknown activation {spec.activation!r}")
-    if spec.dataset not in ("two_clusters", "survival"):
-        raise SpecError(f"unknown dataset {spec.dataset!r}")
+    coded = spec.scheme in CODED_SCHEMES
+    for f in _FIELDS:
+        if f.check is None or f.coded_only and not coded:
+            continue
+        test, requirement = f.check
+        value = getattr(spec, f.attr)
+        for item in value if isinstance(value, list) else [value]:
+            if not test(item):
+                raise SpecError(f"{f.path} must be {requirement}, got {item!r}")
+
     # survival targets are (time, event) pairs, which only the Cox loss reads
     if spec.loss == learners.COX_PH and spec.dataset != "survival":
         raise SpecError(f"training.loss {spec.loss} needs training.dataset survival, "
@@ -198,38 +220,14 @@ def _validate(spec: ExperimentSpec) -> None:
         raise SpecError(f"training.dataset survival needs training.loss {learners.COX_PH}, "
                         f"got {spec.loss!r}")
     if spec.samples < spec.n_nodes:
-        raise SpecError("need at least one sample per node")
-    if spec.features < 1:
-        raise SpecError("training.features must be >= 1")
-    if any(width < 1 for width in spec.hidden):
-        raise SpecError("training.hidden widths must be >= 1")
-    if spec.agg_rule not in learners.AGG_RULES:
-        raise SpecError(f"unknown training.agg {spec.agg_rule!r}")
-    if spec.strategy not in STRATEGIES:
-        raise SpecError(f"unknown strategy {spec.strategy!r}; choose one of {STRATEGIES}")
+        raise SpecError("training.samples must be >= network.nodes (one sample per node)")
     try:
         NetworkConfig(n_nodes=spec.n_nodes, straggler=spec.straggler)
     except ValueError as exc:
         raise SpecError(f"network.straggler: {exc}") from None
-    if spec.batch_size < 1:
-        raise SpecError("training.batch_size must be >= 1")
-    if spec.epochs_per_round < 1:
-        raise SpecError("training.epochs_per_round must be >= 1")
-    if not spec.lr > 0:
-        raise SpecError("training.lr must be > 0")
-    if spec.scheme in CODED_SCHEMES:
-        if spec.K < 1:
-            raise SpecError("plan.K must be >= 1")
-        if any(t < 0 for t in spec.T_values):
-            raise SpecError("T values must be >= 0")
-        if any(sg < 0 for sg in spec.sigma_n_values):
-            raise SpecError("sigma_n values must be >= 0")
+    if coded:
         if any(c > spec.n_nodes for c in spec.c_values):
             raise SpecError("privacy.c must be <= network.nodes")
-        if not spec.s > 0:
-            raise SpecError("privacy.s must be > 0")
-        if not spec.epsilon > 0:
-            raise SpecError("privacy.epsilon must be > 0")
         if spec.scheme == DLCD_SECURE_TRAINING and spec.K > spec.samples:
             raise SpecError("plan.K must be <= training.samples")
         if spec.scheme == DLDD_SECURE_TRAINING and spec.K != 1:
@@ -267,22 +265,25 @@ def run_experiment(spec: ExperimentSpec, output_dir: str | None = None,
     if strategy is not None:
         spec.strategy = strategy
     _validate(spec)
+    coded = spec.scheme in CODED_SCHEMES
+    cells = list(product(*(getattr(spec, a) for a in _SWEEP_ATTRS))) if coded else [(0.0, 0, 0)]
+    try:
+        plans = [make_plan(spec.K, t_blocks, spec.n_nodes, spec.shift) if coded else None
+                 for _, t_blocks, _ in cells]
+    except ValueError as exc:  # the shifted noise nodes collide with the data nodes
+        raise SpecError(f"plan.shift: {exc}") from None
 
     os.makedirs(spec.output_dir, exist_ok=True)
     x, y = _make_dataset(spec)
     sizes = [spec.features] + spec.hidden + [_output_width(spec)]
     model_init = learners.init_mlp(sizes, spec.activation,
                                    seed=protocols._derived_seed(spec.seed, 2))
-
-    coded = spec.scheme in CODED_SCHEMES
-    cells = list(product(*(getattr(spec, a) for a in _SWEEP_ATTRS))) if coded else [(0.0, 0, 0)]
     data = (x, y) if spec.scheme in CENTRALIZED_SCHEMES \
         else protocols._partition(x, y, spec.n_nodes)
 
     round_rows: list[dict] = []
     summaries: list[dict] = []
-    for cell_index, (sigma_n, t_blocks, colluders) in enumerate(cells):
-        plan = make_plan(spec.K, t_blocks, spec.n_nodes, spec.shift) if coded else None
+    for cell_index, ((sigma_n, t_blocks, colluders), plan) in enumerate(zip(cells, plans)):
         privacy = None
         if coded and t_blocks >= 1 and sigma_n > 0 and colluders >= 1:
             privacy = PrivacyConfig(K=spec.K, T=t_blocks, sigma_n=sigma_n,

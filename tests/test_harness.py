@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +116,93 @@ def test_run_experiment_rejects_a_bad_override_before_writing(tmp_path):
 def test_load_spec_missing_file():
     with pytest.raises(SpecError):
         load_spec("/nonexistent/path.yaml")
+
+
+def test_load_spec_rejects_invalid_yaml_and_a_directory(tmp_path):
+    path = tmp_path / "broken.yaml"
+    path.write_text("scheme: [unclosed\n")
+    with pytest.raises(SpecError, match="not valid YAML"):
+        load_spec(str(path))
+    with pytest.raises(SpecError, match="not a file"):
+        load_spec(str(tmp_path))
+
+
+@pytest.mark.parametrize("section,key,value,name", [
+    (None, "plan", 3, "plan"),
+    (None, "network", [1], "network"),
+    ("network", "straggler", 5, "network.straggler"),
+    ("network", "nodes", "abc", "network.nodes"),
+], ids=["plan_scalar", "network_list", "straggler_number", "nodes_text"])
+def test_malformed_spec_names_its_path_and_writes_nothing(tmp_path, capsys, section, key,
+                                                          value, name):
+    raw = small_spec(tmp_path)
+    (raw if section is None else raw[section])[key] = value
+    with pytest.raises(SpecError, match=f"^{name}"):
+        spec_from_dict(raw)
+    spec_path = tmp_path / "bad.yaml"
+    spec_path.write_text(yaml.safe_dump(raw))
+    assert main(["run", str(spec_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid experiment spec: {name}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section,key,message", [
+    (None, "trainig", "unknown key 'trainig' at the top level"),
+    ("training", "lr_rate", "unknown key 'lr_rate' in training"),
+], ids=["section", "section_key"])
+def test_spec_rejects_a_mistyped_key(tmp_path, section, key, message):
+    raw = small_spec(tmp_path)
+    (raw if section is None else raw[section])[key] = 0.5
+    with pytest.raises(SpecError, match=message):
+        spec_from_dict(raw)
+
+
+def test_integer_fields_reject_a_fractional_value(tmp_path):
+    assert spec_from_dict(small_spec(tmp_path, rounds=8.0)).rounds == 8
+    for section, key, value, name in [
+            (None, "rounds", 2.7, "rounds"),
+            ("privacy", "T", [2, 1.5], "privacy.T"),
+            ("training", "hidden", [4, 2.5], "training.hidden"),
+            ("network", "straggler", {"kind": "drop_slowest", "count": 1.5},
+             "network.straggler")]:
+        raw = small_spec(tmp_path)
+        (raw if section is None else raw[section])[key] = value
+        with pytest.raises(SpecError, match=f"^{name}: need an integer"):
+            spec_from_dict(raw)
+
+
+def test_a_colliding_or_nan_noise_shift_fails_before_writing(tmp_path):
+    # T=2 clears the data node at shift 0, T=1 puts a noise node on it
+    raw = small_spec(tmp_path, plan={"K": 1, "shift": 0.0})
+    raw["privacy"] |= {"sigma_n": 1.0, "T": [2, 1]}
+    with pytest.raises(SpecError, match="plan.shift"):
+        run_experiment(spec_from_dict(raw))
+    assert not (tmp_path / "out").exists()
+    raw["plan"]["shift"] = float("nan")
+    with pytest.raises(SpecError, match="plan.shift must be finite"):
+        spec_from_dict(raw)
+
+
+def test_readme_example_spec_is_valid():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```yaml\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 1
+    spec = spec_from_dict(yaml.safe_load(blocks[0]))
+    assert spec.scheme == "dldd_secure_aggregation" and spec.n_nodes == 50
+
+
+@pytest.mark.parametrize("argv", [
+    ["roundtrip", "--N", "8", "--K", "1", "--T", "1", "--sigma", "-1"],
+    ["roundtrip", "--N", "8", "--K", "1", "--T", "1", "--extent", "0"],
+    ["nodes", "--N", "1", "--K", "1", "--T", "0"],
+    ["leakage", "--N", "8", "--K", "1", "--T", "2", "--sigma", "1", "--c", "1",
+     "--strategy", "random", "--samples", "0"],
+], ids=["negative_sigma", "zero_extent", "one_node", "zero_samples"])
+def test_cli_reports_a_bad_argument_on_one_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 def test_run_experiment_writes_metrics(tmp_path):
