@@ -12,6 +12,7 @@ import numpy as np
 from pbacc import (
     berrut_basis,
     berrut_eval,
+    berrut_weights,
     chebyshev_first,
     chebyshev_second,
     make_plan,
@@ -49,16 +50,16 @@ zs = np.linspace(-0.99, 0.99, 7)
 vals = np.array([berrut_eval(z, nodes, payloads)[0] for z in zs])
 print("interpolant first component over [-1, 1]:", np.round(vals, 3))
 
-# %% Why the noise block sits *below* the data interval.
-# With alternating weights, the denominator of the rational function has no
-# real zeros as long as the sign pattern alternates along the sorted node
-# line.  Appending the noise block below the data block preserves that for
-# every (K, T); a positive shift preserves it only when K + T is even.
+# %% Why the interpolant has no poles.
+# The weights alternate in sign along the sorted node line, whatever order
+# the nodes are listed in, so the denominator of the rational function has
+# no real zeros.  That holds for a noise block below the data interval (the
+# default) and above it, for odd K + T too.
 
 for shift, label in ((-2.0, "shift -2 (default)"), (+2.0, "shift +2, K+T odd")):
     plan = make_plan(K=1, T=30, N=50, shift=shift)
     alphas = plan.alphas
-    w = (-1.0) ** np.arange(len(alphas))
+    w = berrut_weights(alphas)
     zs = np.linspace(-1, 1, 200_001)
     keep = np.min(np.abs(zs[:, None] - alphas[None, :]), axis=1) > 1e-4
     denom = (w[None, :] / (zs[keep][:, None] - alphas[None, :])).sum(axis=1)

@@ -7,7 +7,8 @@ Subcommands:
 * ``roundtrip``        -- encode/apply/decode error for a named function.
 * ``nodes``            -- print the node families of a coding plan.
 
-A bad spec or argument prints one ``error:`` line and exits with status 2.
+A bad spec or argument, or a run too large to allocate, prints one
+``error:`` line and exits with status 2.
 """
 
 from __future__ import annotations
@@ -166,6 +167,8 @@ def main(argv=None) -> int:
         print(f"error: invalid experiment spec: {exc}", file=sys.stderr)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
     return 2
 
 

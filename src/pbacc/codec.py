@@ -38,8 +38,8 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if self.sigma_n < 0:
-            raise ValueError(f"need sigma_n >= 0, got {self.sigma_n}")
+        if not (self.sigma_n >= 0 and math.isfinite(self.sigma_n)):
+            raise ValueError(f"need a finite sigma_n >= 0, got {self.sigma_n}")
         if self.T < 0:
             raise ValueError(f"need T >= 0, got {self.T}")
 
@@ -74,14 +74,13 @@ class Shares:
         return (self[j] for j in range(len(self)))
 
 
-def encode(x: np.ndarray, plan: CodingPlan, noise: NoiseSpec,
-           pad: bool = True) -> tuple[Shares, list[np.ndarray]]:
+def encode(x: np.ndarray, plan: CodingPlan, noise: NoiseSpec) -> tuple[Shares, list[np.ndarray]]:
     """Encode ``x`` along its leading axis into N shares plus T noise blocks.
 
     The leading (coding) axis is processed in contiguous groups of K slices;
-    the final short group is zero-padded when ``pad`` is true (decode
-    truncates via its ``out_extent`` argument).  Each share's leading extent
-    is ceil(extent / K).  Noise is drawn once per call from ``noise.seed``
+    a final short group is zero-padded (decode truncates via its
+    ``out_extent`` argument).  Each share's leading extent is
+    ceil(extent / K).  Noise is drawn once per call from ``noise.seed``
     and shared by all encoder-node evaluations; each of the T blocks has the
     share payload shape, so distinct groups see independent noise entries.
 
@@ -92,12 +91,12 @@ def encode(x: np.ndarray, plan: CodingPlan, noise: NoiseSpec,
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         raise ValueError("need a tensor of rank >= 1 to encode")
-    payloads, blocks = encode_stack(x[None], plan, noise, pad)
+    payloads, blocks = encode_stack(x[None], plan, noise)
     # a copy of the blocks, so that holding them does not hold every coefficient
     return Shares(plan.betas, payloads[0]), list(blocks[0].copy())
 
 
-def encode_stack(xs: np.ndarray, plan: CodingPlan, noise: NoiseSpec, pad: bool = True,
+def encode_stack(xs: np.ndarray, plan: CodingPlan, noise: NoiseSpec,
                  out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Encode M tensors of one shape at once, each as :func:`encode` does.
 
@@ -124,9 +123,6 @@ def encode_stack(xs: np.ndarray, plan: CodingPlan, noise: NoiseSpec, pad: bool =
     K, T = plan.K, plan.T
     groups, rem = divmod(extent, K)
     if rem:
-        if not pad:
-            raise ValueError(
-                f"coding-axis extent {extent} is not a multiple of K={K} and padding is disabled")
         groups += 1
         padding = np.zeros((M, groups * K - extent) + rest)
         xs = np.concatenate([xs, padding], axis=1)
@@ -160,35 +156,30 @@ def decode(results: Sequence[tuple[float, np.ndarray]], plan: CodingPlan,
 
     ``results`` holds (encoder node value, payload) pairs from any nonempty
     subset of workers, for example ``[shares[j] for j in subset]``; payloads
-    must share one shape, with the coding axis leading.  Results are sorted
-    by node value descending (the natural second-kind order) before the
-    alternating weights are assigned, which keeps the decoding interpolant
-    pole-free.  The interpolant is evaluated at each of the K data nodes and
-    the outputs are re-interleaved along the leading axis; ``out_extent``
-    truncates encode-time padding.
+    must share one shape, with the coding axis leading.  The interpolant is
+    evaluated at each of the K data nodes and the outputs are re-interleaved
+    along the leading axis; ``out_extent`` truncates encode-time padding.
     """
-    order, rows = _decode_basis(np.array([float(b) for b, _ in results]), plan)
+    rows = _decode_basis(np.array([float(b) for b, _ in results]), plan)
     payloads = [np.asarray(p, dtype=float) for _, p in results]
     if any(p.shape != payloads[0].shape for p in payloads):
         raise ValueError("result payloads disagree in shape")
-    return _apply_decode(rows, [payloads[i] for i in order], out_extent)
+    return _apply_decode(rows, payloads, out_extent)
 
 
-def _decode_basis(betas: np.ndarray, plan: CodingPlan) -> tuple[np.ndarray, np.ndarray]:
+def _decode_basis(betas: np.ndarray, plan: CodingPlan) -> np.ndarray:
     """The decoding interpolant of one worker subset, evaluated at the data nodes.
 
-    ``betas`` are the subset's encoder node values in any order.  Returns the
-    descending order of ``betas`` and the (K, n) Berrut basis of the data
-    nodes over the nodes in that order; a result sitting on a data node gets
-    its indicator row.  A caller that decodes many payloads from the same
-    subset builds this once.
+    ``betas`` are the subset's encoder node values, in any order.  Returns the
+    (K, n) Berrut basis of the data nodes over them, column j for ``betas[j]``;
+    a result sitting on a data node gets its indicator row.  A caller that
+    decodes many payloads from the same subset builds this once.
     """
     if len(betas) == 0:
         raise ValueError("need at least one result to decode")
     if _has_coincident_pair(betas):
         raise ValueError("duplicate encoder node values in results")
-    order = np.argsort(-betas)
-    return order, berrut_basis_matrix(plan.alphas[:plan.K], betas[order])
+    return berrut_basis_matrix(plan.alphas[:plan.K], betas)
 
 
 #: Bytes of the (n, block, *rest) stack of results that ``_apply_decode``
@@ -199,7 +190,7 @@ _DECODE_BLOCK_BYTES = 1 << 20
 
 def _apply_decode(rows: np.ndarray, results: Sequence[np.ndarray] | np.ndarray,
                   out_extent: int | None) -> np.ndarray:
-    """Apply :func:`_decode_basis` rows to the results in its order.
+    """Apply :func:`_decode_basis` rows to the results, one result per column.
 
     ``results`` is a sequence of n (G, *rest) arrays or one (n, G, *rest)
     array; the result is (G*K, *rest) with the K data nodes re-interleaved

@@ -1,20 +1,18 @@
 """Interpolation nodes and the Berrut rational interpolant.
 
-The encoder and decoder both rest on the barycentric rational interpolant
-with alternating weights (-1)^i.  On a monotonically ordered node sequence
-this weight pattern keeps the denominator sign-alternating, so the
-interpolant has no poles on the real line.  Three node families are used:
+The encoder and decoder both rest on Berrut's barycentric rational
+interpolant, whose weights alternate in sign along the sorted node line
+(:func:`berrut_weights`).  That keeps the denominator free of real zeros
+for any distinct nodes, so the interpolant has no poles on the real line.
+This module is the only one that knows that order: callers list nodes in
+any order they like.  Three node families are used:
 
 * Chebyshev points of the first kind   -- data nodes (decode targets),
 * Chebyshev points of the second kind  -- encoder nodes (one per worker),
 * shifted Chebyshev points of the first kind -- noise nodes.
 
-The shift places the noise block outside the data interval (-1, 1).  A
-negative shift puts the noise block *below* the data block, which continues
-the alternating sign pattern of the concatenated (data, noise) node list for
-every (K, T) and therefore keeps the encoder pole-free.  A positive shift
-does the same only when K + T is even; for odd K + T the denominator gains a
-real zero between the two blocks, inside the encoder-node range.
+The shift places the noise block away from the data interval (-1, 1); it
+moves decoding accuracy against privacy, not the absence of poles.
 
 Coincidence rule.  A point z lies on node a_j when |z - a_j| is below the
 node's guard band, :data:`COINCIDENCE_GUARD` * max(1, |a_j|).  There the
@@ -26,6 +24,7 @@ which one node lies on another counts as colliding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,9 +61,15 @@ def shifted_chebyshev_first(count: int, shift: float) -> np.ndarray:
     return shift + chebyshev_first(count)
 
 
-def berrut_weights(count: int) -> np.ndarray:
-    """Alternating barycentric weights (-1)^i."""
-    return (-1.0) ** np.arange(count)
+def berrut_weights(nodes: np.ndarray) -> np.ndarray:
+    """Berrut's weights: node i gets (-1)^r, r its rank in descending order.
+
+    For a descending node list the rank is the index.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    weights = np.empty(len(nodes))
+    weights[np.argsort(-nodes, kind="stable")] = (-1.0) ** np.arange(len(nodes))
+    return weights
 
 
 def _guard_band_mask(diff: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -80,10 +85,11 @@ def _has_coincident_pair(nodes: np.ndarray) -> bool:
 
 
 def berrut_basis_matrix(zs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Berrut basis rows q_i(z) = ((-1)^i/(z-a_i)) / sum_j (-1)^j/(z-a_j), one per z.
+    """Berrut basis rows q_i(z) = (w_i/(z-a_i)) / sum_j w_j/(z-a_j), one per z.
 
-    Each row is a partition of unity: it sums to 1 up to rounding.  A point
-    on a node gets that node's indicator row (see the module docstring).
+    The w are the :func:`berrut_weights` of the nodes.  Each row is a
+    partition of unity: it sums to 1 up to rounding.  A point on a node gets
+    that node's indicator row (see the module docstring).
     """
     zs = np.asarray(zs, dtype=float)
     nodes = np.asarray(nodes, dtype=float)
@@ -95,7 +101,7 @@ def berrut_basis_matrix(zs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         rows[on_node, hits[on_node].argmax(axis=1)] = 1.0  # argmax: first hit
         rows[~on_node] = berrut_basis_matrix(zs[~on_node], nodes)
         return rows
-    terms = berrut_weights(len(nodes)) / diff
+    terms = berrut_weights(nodes) / diff
     return terms / terms.sum(axis=1, keepdims=True)
 
 
@@ -165,6 +171,8 @@ def make_plan(K: int, T: int, N: int, shift: float = DEFAULT_NOISE_SHIFT) -> Cod
         raise ValueError(f"need K >= 1, got {K}")
     if T < 0:
         raise ValueError(f"need T >= 0, got {T}")
+    if not math.isfinite(shift):
+        raise ValueError(f"need a finite shift, got {shift}")
     alphas = chebyshev_first(K)
     if T > 0:
         alphas = np.concatenate([alphas, shifted_chebyshev_first(T, shift)])

@@ -16,14 +16,14 @@ then some combination of the c observations of T noise coefficients is
 noise-free.
 
 Structured elimination.  Row h of [S | St] is the basis at encoder node
-x_h = beta_h, ((-1)^i / (x_h - a_i)) / D(x_h).  The bound is invariant
-under row scaling and column signs, so the colluders see the Cauchy matrix
-C[h, i] = 1 / (x_h + y_i) with y = -alphas.  Gaussian elimination on C, one
-colluder row at a time and pivoting on the row's largest noise entry, gives
-St = L D U and S = L D Us, with U a unit upper trapezoid whose entries are
-at most 1 in magnitude.  A set is valued with complete pivoting (GECP): the
-remaining row with the largest noise entry is eliminated next.  With
-U = L_U Q^T (LQ),
+x_h = beta_h, (w_i / (x_h - a_i)) / D(x_h) with signs w_i = +-1.  The
+bound is invariant under row scaling and column signs, so the colluders see
+the Cauchy matrix C[h, i] = 1 / (x_h + y_i) with y = -alphas.  Gaussian
+elimination on C, one colluder row at a time and pivoting on the row's
+largest noise entry, gives St = L D U and S = L D Us, with U a unit upper
+trapezoid whose entries are at most 1 in magnitude.  A set is valued
+with complete pivoting (GECP): the remaining row with the largest noise
+entry is eliminated next.  With U = L_U Q^T (LQ),
 
     S^T (St St^T)^-1 S = Us^T (U U^T)^-1 Us = W^T W,   W = L_U^-1 Us,
 
@@ -105,14 +105,12 @@ class PrivacyConfig:
             raise ValueError(f"need K >= 1, got {self.K}")
         if self.T < 1:
             raise ValueError(f"leakage bound requires T >= 1 noise blocks, got {self.T}")
-        if self.sigma_n <= 0:
-            raise ValueError(f"need sigma_n > 0, got {self.sigma_n}")
         if self.c < 1:
             raise ValueError(f"need c >= 1 colluders, got {self.c}")
-        if self.s <= 0:
-            raise ValueError(f"need s > 0, got {self.s}")
-        if self.epsilon <= 0:
-            raise ValueError(f"need epsilon > 0, got {self.epsilon}")
+        for name in ("sigma_n", "s", "epsilon"):
+            value = getattr(self, name)
+            if not value > 0 or not math.isfinite(value):
+                raise ValueError(f"need a finite {name} > 0, got {value}")
 
 
 def _finite_or_none(value: float) -> float | None:

@@ -376,7 +376,7 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     the fastest subset, evaluates the loss on them, backpropagates through
     its own plaintext activations and steps the model.  The fastest subset
     is fixed within a round, so its decode basis is built and its shares are
-    gathered, in basis order, once per round.  Only their forwards run, as
+    gathered once per round.  Only their forwards run, as
     one batched forward over the worker axis (byte-equal per worker to the
     forward of all N); the ledger counts every worker's forward.
     """
@@ -404,8 +404,8 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
         Message(node, "master", result_elems, "inference_result")))
 
     def step(trace, model, r, fastest):
-        order, rows = _decode_basis(plan.betas[fastest], plan)
-        used = payloads[np.asarray(fastest)[order]]   # the fastest workers' shares, in basis order
+        rows = _decode_basis(plan.betas[fastest], plan)
+        used = payloads[fastest]   # the fastest workers' shares
         for g in range(n_batches):
             lo = g * plan.K
             valid = min(plan.K, n_samples - lo)

@@ -10,8 +10,17 @@ import mpmath as mp
 mp.mp.dps = 50
 
 
+def berrut_signs_mp(nodes):
+    """(-1)^rank of each node, ranked in descending order along the line."""
+    signs = [0] * len(nodes)
+    for rank, i in enumerate(sorted(range(len(nodes)), key=lambda i: -mp.mpf(nodes[i]))):
+        signs[i] = (-1) ** rank
+    return signs
+
+
 def berrut_basis_mp(z, nodes):
-    terms = [((-1) ** i) / (mp.mpf(z) - mp.mpf(a)) for i, a in enumerate(nodes)]
+    signs = berrut_signs_mp(nodes)
+    terms = [sign / (mp.mpf(z) - mp.mpf(a)) for sign, a in zip(signs, nodes)]
     total = mp.fsum(terms)
     return [t / total for t in terms]
 

@@ -154,8 +154,6 @@ def test_noise_blocks_shape_and_scale():
 def test_encode_rejects_bad_arguments():
     plan = make_plan(2, 0, 8)
     with pytest.raises(ValueError):
-        encode(np.arange(5.0), plan, NO_NOISE, pad=False)
-    with pytest.raises(ValueError):
         encode(np.arange(4.0), plan, NoiseSpec(1.0, 3, 0))  # T mismatch
     with pytest.raises(ValueError):
         encode(np.float64(4.0), plan, NO_NOISE)  # no coding axis
@@ -210,19 +208,35 @@ def test_hoisted_decode_basis_matches_decode(K):
     for rep in range(3):
         subset = rng.choice(plan.N, size=int(rng.integers(1, plan.N + 1)), replace=False)
         betas = np.array([shares[j].beta for j in subset])
-        order, rows = _decode_basis(betas, plan)  # one basis, many payload sets
+        rows = _decode_basis(betas, plan)  # one basis, many payload sets
         for scale in (1.0, -2.5):
             results = [(shares[j].beta, np.tanh(scale * shares[j].payload)) for j in subset]
-            stack = np.stack([results[i][1] for i in order])
+            stack = np.stack([payload for _, payload in results])
             hoisted = _apply_decode(rows, stack, x.shape[0])
             assert hoisted.tobytes() == decode(results, plan, out_extent=x.shape[0]).tobytes()
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_decode_does_not_depend_on_result_order(K):
+    plan = make_plan(K, 3, 20)
+    rng = np.random.default_rng(20 + K)
+    x = rng.normal(size=(4 * K, 3))
+    shares, _ = encode(x, plan, NoiseSpec(0.5, 3, seed=K))
+    subset = sorted(rng.choice(plan.N, size=14, replace=False).tolist())
+    results = [(shares[j].beta, np.tanh(shares[j].payload)) for j in subset]
+    reference = decode(results, plan)
+    scale = np.max(np.abs(reference))
+    for _ in range(3):
+        permuted = [results[i] for i in rng.permutation(len(results))]
+        np.testing.assert_allclose(decode(permuted, plan), reference,
+                                   rtol=0, atol=1e-13 * scale)
 
 
 def test_decode_rejects_0d_payloads():
     plan = make_plan(2, 0, 8)
     with pytest.raises(ValueError, match="coding axis"):
         decode([(0.5, 1.0), (0.2, 1.0)], plan)
-    _, rows = _decode_basis(np.array([0.5, 0.2]), plan)
+    rows = _decode_basis(np.array([0.5, 0.2]), plan)
     with pytest.raises(ValueError, match="coding axis"):
         _apply_decode(rows, np.ones(2), None)
 
@@ -252,7 +266,7 @@ def decode_inputs(K, rest, n, groups, seed):
     plan = make_plan(K, 2, n + 3)
     rng = np.random.default_rng(seed)
     betas = rng.choice(plan.betas, size=n, replace=False)
-    _, rows = _decode_basis(betas, plan)
+    rows = _decode_basis(betas, plan)
     return rows, rng.normal(size=(n, groups) + rest)
 
 
@@ -307,6 +321,15 @@ def test_decode_basis_rejects_empty_and_duplicate_nodes():
         _decode_basis(np.array([0.5, 0.1, 0.5]), plan)
     with pytest.raises(ValueError):
         _decode_basis(np.array([0.5, 0.5 + 1e-14]), plan)
+
+
+@pytest.mark.parametrize("K, T, shift", [(2, 10, -1.0), (1, 30, 2.0), (1, 30, -2.0)])
+def test_roundtrip_has_no_poles_on_unsorted_node_lists(K, T, shift):
+    # the first two node lists are unsorted: the data nodes sit among or
+    # below the noise nodes
+    plan = make_plan(K, T, 50, shift)
+    x = np.random.default_rng(0).standard_normal(4 * K)
+    assert roundtrip_error(x, lambda v: v, plan, NoiseSpec(10.0, T, seed=1), full(plan)) < 0.2
 
 
 def test_roundtrip_identity_k1():

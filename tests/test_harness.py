@@ -205,6 +205,33 @@ def test_cli_reports_a_bad_argument_on_one_line(capsys, argv):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["nodes", "--N", "4", "--K", "1", "--T", "1", "--shift", "nan"], "shift"),
+    (["roundtrip", "--N", "8", "--K", "1", "--T", "2", "--sigma", "nan"], "sigma_n"),
+    (["leakage", "--N", "8", "--K", "1", "--T", "2", "--sigma", "nan", "--c", "1"], "sigma_n"),
+    (["leakage", "--N", "8", "--K", "1", "--T", "2", "--sigma", "1", "--c", "1",
+      "--epsilon", "nan"], "epsilon"),
+    (["leakage", "--N", "8", "--K", "1", "--T", "2", "--sigma", "1", "--c", "1",
+      "--s", "inf"], "s"),
+], ids=["nodes_shift", "roundtrip_sigma", "leakage_sigma", "leakage_epsilon", "leakage_s"])
+def test_cli_refuses_a_non_finite_value_by_name(capsys, argv, name):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert re.match(rf"error: need a finite {name}\b", captured.err)
+
+
+def test_cli_reports_an_allocation_failure_on_one_line(capsys):
+    # 2^58 float64 values are 2 EiB, past any address space: the allocation
+    # fails at once, before anything is touched
+    assert main(["roundtrip", "--N", "4", "--K", "1", "--T", "1", "--extent", str(2 ** 58)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: out of memory: ")
+
+
 def test_run_experiment_writes_metrics(tmp_path):
     spec = spec_from_dict(small_spec(tmp_path))
     summary = run_experiment(spec)

@@ -11,11 +11,14 @@ from pbacc.interpolation import (
     berrut_basis,
     berrut_basis_matrix,
     berrut_eval,
+    berrut_weights,
     chebyshev_first,
     chebyshev_second,
     make_plan,
     shifted_chebyshev_first,
 )
+
+from oracles import berrut_basis_mp
 
 # mpmath (dps=50) evaluation of the basis closed form, first-kind nodes, K=3, z=0.3
 BASIS_K3_Z03 = [0.41643764420872808813, 0.78571428571428571429, -0.20215192992301380242]
@@ -231,15 +234,33 @@ def test_basis_matrix_takes_the_limit_row_by_row():
         assert rows[i].tobytes() == berrut_basis(float(zs[i]), nodes).tobytes()
 
 
-def test_negative_default_shift_keeps_encoder_pole_free():
-    # positive shifts break sign alternation when K+T is odd; the default
-    # shift keeps the denominator bounded away from zero on [-1, 1]
-    for k, t in [(1, 30), (10, 30), (1, 18), (2, 5)]:
-        plan = make_plan(K=k, T=t, N=64)
-        alphas = plan.alphas
-        weights = (-1.0) ** np.arange(len(alphas))
-        z = np.linspace(-1.0, 1.0, 20001)
-        keep = np.min(np.abs(z[:, None] - alphas[None, :]), axis=1) > 1e-3
-        z = z[keep]
-        denom = (weights[None, :] / (z[:, None] - alphas[None, :])).sum(axis=1)
-        assert np.min(np.abs(denom)) > 1e-3
+@pytest.mark.parametrize("shift", [-2.0, -1.5, -1.0, -0.5, 2.0])
+@pytest.mark.parametrize("K, T", [(1, 30), (10, 30), (1, 18), (2, 5), (2, 10), (3, 4)])
+def test_encoder_is_pole_free_at_every_shift(shift, K, T):
+    # the weight signs alternate along the sorted line, so the denominator
+    # stays away from zero on [-1, 1] even where the node list is unsorted
+    alphas = make_plan(K=K, T=T, N=64, shift=shift).alphas
+    z = np.linspace(-1.0, 1.0, 20001)
+    z = z[np.min(np.abs(z[:, None] - alphas[None, :]), axis=1) > 1e-3]
+    denom = (berrut_weights(alphas)[None, :] / (z[:, None] - alphas[None, :])).sum(axis=1)
+    assert np.min(np.abs(denom)) > 1e-3
+
+
+def test_weights_alternate_along_the_sorted_line():
+    nodes = np.array([0.3, -0.9, 2.0, -0.1, 0.8])  # descending: 2.0, 0.8, 0.3, -0.1, -0.9
+    np.testing.assert_array_equal(berrut_weights(nodes), [1.0, 1.0, 1.0, -1.0, -1.0])
+    descending = np.sort(nodes)[::-1]
+    np.testing.assert_array_equal(berrut_weights(descending), (-1.0) ** np.arange(5))
+
+
+@pytest.mark.parametrize("K, T, N, shift", [
+    (2, 10, 50, -1.0), (1, 30, 50, 2.0), (1, 30, 50, -0.5),
+    (2, 10, 50, -1.5), (3, 4, 20, 2.0), (10, 30, 50, -1.0)])
+def test_unsorted_plan_encoder_basis_matches_the_oracle(K, T, N, shift):
+    plan = make_plan(K, T, N, shift)
+    assert np.any(np.diff(plan.alphas) > 0)  # the node list is not sorted
+    alphas = [float(a) for a in plan.alphas]
+    for j, beta in enumerate(plan.betas):
+        expected = np.array([float(q) for q in berrut_basis_mp(float(beta), alphas)])
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(plan.encoder_basis[j], expected, rtol=0, atol=1e-12 * scale)
