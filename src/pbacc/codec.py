@@ -198,9 +198,8 @@ def _apply_decode(rows: np.ndarray, results: Sequence[np.ndarray] | np.ndarray,
 
     Each result is read once, in blocks of groups: the block's slice of every
     result is copied into one reused (n, block, *rest) buffer (an array input
-    is sliced in place) and each of the K rows is one product with it.  A
-    block holds as many groups as fit ``_DECODE_BLOCK_BYTES``.  One product
-    per row, not one (K, n) product: the latter rounds differently for K >= 2.
+    is sliced in place) and :func:`_decode_rows` multiplies it by each of the
+    K rows.  A block holds as many groups as fit ``_DECODE_BLOCK_BYTES``.
     When the results fit one block this is exactly the unblocked product,
     byte for byte.  With several blocks each product is narrower, and BLAS
     rounds some widths differently: the result is then ulp-close to the
@@ -229,10 +228,21 @@ def _apply_decode(rows: np.ndarray, results: Sequence[np.ndarray] | np.ndarray,
             for j, result in enumerate(results):
                 chunk[j] = result[lo:hi]
             chunk = chunk.reshape(n, -1)
-        for i, row in enumerate(rows):
-            out[lo:hi, i] = np.dot(row, chunk).reshape((hi - lo,) + rest)
+        out[lo:hi] = _decode_rows(rows, chunk).reshape((K, hi - lo) + rest).swapaxes(0, 1)
     out = out.reshape((groups * K,) + rest)
     return out if out_extent is None else out[:out_extent]
+
+
+def _decode_rows(rows: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """The decode product: each :func:`_decode_basis` row times the (n, m) results.
+
+    Returns (K, m), row i the values at data node i.  This is the product
+    every decode makes, one block at a time in :func:`_apply_decode`; a
+    caller holding one coding group's n results as an (n, m) array calls it
+    directly, without the blocking and checks.  One ``np.dot(row, flat)`` per
+    row, not one (K, n) product: the latter rounds differently for K >= 2.
+    """
+    return np.array([np.dot(row, flat) for row in rows])
 
 
 def roundtrip_error(x: np.ndarray, f: Callable[[np.ndarray], np.ndarray],

@@ -171,7 +171,7 @@ def backward_from_output(params: ModelParams, cache, dout: np.ndarray) -> ModelP
         w, _ = params.layers[li]
         if li != last:
             delta = delta * _act_grad(pre[li], post[li + 1], params.activation)
-        grads[li] = (post[li].swapaxes(-1, -2) @ delta, delta.sum(axis=-2))
+        grads[li] = (post[li].swapaxes(-1, -2) @ delta, np.add.reduce(delta, axis=-2))
         if li > 0:
             delta = delta @ w.swapaxes(-1, -2)
     return ModelParams(layers=grads, activation=params.activation)
@@ -193,15 +193,21 @@ def _loss_value(preds: np.ndarray, targets: np.ndarray, loss: str):
     if loss == SOFTMAX_CE:
         # row-wise on the (nodes * B, C) logits, then averaged per node
         rows = preds.reshape(-1, preds.shape[-1])
-        labels = np.asarray(targets).reshape(rows.shape[0]).astype(int)
-        if labels.min() < 0 or labels.max() >= rows.shape[1]:
-            raise ValueError("class labels out of range for the logit width")
-        shifted = rows - rows.max(axis=1, keepdims=True)
+        classes = rows.shape[1]
+        # one pass over the labels: a label equals exactly one class index if
+        # it is an integer in [0, classes), and none otherwise (NaN included)
+        labels = np.asarray(targets).reshape(rows.shape[0], 1)
+        onehot = labels == np.arange(classes, dtype=float)
+        if np.count_nonzero(onehot) != rows.shape[0]:
+            bad = labels[~onehot.any(axis=1), 0][0]
+            raise ValueError(f"class label {bad} is not an integer in [0, {classes})")
+        # ufunc reductions: the ndarray methods' sums and maxima, without their wrappers
+        shifted = rows - np.maximum.reduce(rows, axis=1, keepdims=True)
         exp_shifted = np.exp(shifted)
-        logz = np.log(exp_shifted.sum(axis=1))
-        nll = logz - shifted[np.arange(rows.shape[0]), labels]
-        value = nll.reshape(preds.shape[:-1]).sum(axis=-1) / preds.shape[-2]
-        return value, (exp_shifted, logz, labels)
+        logz = np.log(np.add.reduce(exp_shifted, axis=1))
+        nll = logz - shifted[onehot]   # each row's own class, in row order
+        value = np.add.reduce(nll.reshape(preds.shape[:-1]), axis=-1) / preds.shape[-2]
+        return value, (exp_shifted, logz, onehot)
     if loss == COX_PH:
         targets = np.asarray(targets, dtype=float)
         if targets.shape != preds.shape[:-1] + (2,) or preds.shape[-1] != 1:
@@ -250,9 +256,9 @@ def loss_and_output_grad(preds: np.ndarray, targets: np.ndarray, loss: str):
         diff = terms
         return value, 2.0 * diff / (diff.shape[-2] * diff.shape[-1])
     if loss == SOFTMAX_CE:
-        probs, logz, labels = terms
+        probs, logz, onehot = terms
         probs /= np.exp(logz)[:, None]
-        probs[np.arange(labels.shape[0]), labels] -= 1.0
+        probs -= onehot   # 1 at each row's class, 0 (exactly) elsewhere
         return value, (probs / preds.shape[-2]).reshape(preds.shape)
     if terms is None:
         return value, np.zeros_like(preds)

@@ -52,6 +52,7 @@ K = 1 it solves for s in closed form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -227,9 +228,10 @@ def _spectrum(w: np.ndarray) -> np.ndarray:
         rotated = False
         for i, j in _round_robin(a.shape[-1]):
             ai, aj = a[..., i], a[..., j]
-            alpha = np.sum(ai * ai, axis=-2)
-            beta = np.sum(aj * aj, axis=-2)
-            gamma = np.sum(ai * aj, axis=-2)
+            # np.sum's own reduction, without its per-call wrapper
+            alpha = np.add.reduce(ai * ai, axis=-2)
+            beta = np.add.reduce(aj * aj, axis=-2)
+            gamma = np.add.reduce(ai * aj, axis=-2)
             active = np.abs(gamma) > tol * np.sqrt(alpha * beta)
             if not active.any():
                 continue
@@ -245,17 +247,24 @@ def _spectrum(w: np.ndarray) -> np.ndarray:
     return -np.sort(-np.sum(a * a, axis=-2), axis=-1)
 
 
-def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every pair of n columns once, as rounds of disjoint pairs (circle method)."""
+@functools.cache
+def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Every pair of n columns once, as rounds of disjoint pairs (circle method).
+
+    Built once per column count: every sweep of every spectrum reuses it.
+    """
     ring = list(range(n + n % 2))
     rounds = []
     for _ in range(len(ring) - 1):
         pairs = [(ring[k], ring[-1 - k]) for k in range(len(ring) // 2)]
         pairs = [(min(p), max(p)) for p in pairs if max(p) < n]
         if pairs:
-            rounds.append(tuple(np.array(side) for side in zip(*pairs)))
+            sides = tuple(np.array(side) for side in zip(*pairs))
+            for side in sides:
+                side.flags.writeable = False   # shared by every caller
+            rounds.append(sides)
         ring.insert(1, ring.pop())
-    return rounds
+    return tuple(rounds)
 
 
 def _subset_spectra(subsets: np.ndarray, plan: CodingPlan) -> np.ndarray:

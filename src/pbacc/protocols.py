@@ -25,9 +25,11 @@ fastest subset.  Five schemes are provided:
 * ``dlcd_secure_training``   -- master owns the data; the dataset is encoded
   once and workers compute the model execution on encoded batches; the
   master decodes the outputs, evaluates loss/gradients and steps the model.
-  The fastest workers' shares and decode basis are gathered and built once
-  per round; each batch runs their forwards as one stacked forward and
-  records the same block of every worker's two messages.
+  Everything fixed by the round's fastest subset is built once per round:
+  its decode rows, its shares gathered batch-major, the ledger and the op
+  counters.  A batch then does only its own arithmetic: the fastest
+  workers' forwards as one stacked forward, the decode product
+  (``codec._decode_rows``) and the master's step.
 * ``uncoded_dlcd``           -- master partitions the plaintext dataset;
   from then on it is ``uncoded_dldd`` on those parts.
 * ``dldd_secure_aggregation``-- nodes own the data, train in plaintext and
@@ -48,9 +50,10 @@ node axis, byte-equal to training each node alone; ``dldd_secure_training``
 starts node j from row j of ``shares.payloads``.  The trained models come
 back as one (node, w) array of flat models.
 
-The coded runners read ``encode``'s worker-major share array as it is:
-worker j's share is row j of ``shares.payloads``, and every decoded result
-is paired with its encoder node ``plan.betas[j]``.
+The coded runners read ``encode``'s worker-major share array without
+reordering it: worker j's share is row j of ``shares.payloads`` (column j of
+the batch-major view ``dlcd_secure_training`` takes), and every decoded
+result is paired with its encoder node ``plan.betas[j]``.
 
 Rounds are numbered from 1; runners with a one-time sharing phase prepend a
 setup trace with ``round_index`` 0 holding those messages.
@@ -63,7 +66,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .codec import NoiseSpec, _apply_decode, _decode_basis, decode, encode, encode_stack
+from .codec import NoiseSpec, _decode_basis, _decode_rows, decode, encode, encode_stack
 from .interpolation import CodingPlan
 from .learners import (
     FEDAVG,
@@ -374,11 +377,18 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     current model (plaintext), every worker computes the model execution on
     its encoded batch slice, and the master decodes the batch outputs from
     the fastest subset, evaluates the loss on them, backpropagates through
-    its own plaintext activations and steps the model.  The fastest subset
-    is fixed within a round, so its decode basis is built and its shares are
-    gathered once per round.  Only their forwards run, as
-    one batched forward over the worker axis (byte-equal per worker to the
-    forward of all N); the ledger counts every worker's forward.
+    its own plaintext activations and steps the model.
+
+    A batch is one coded group of K samples (the last may be short) and a
+    round is one pass over the groups, so ``batch_size`` and
+    ``epochs_per_round`` play no part here.
+
+    The fastest subset is fixed within a round, so its decode rows are built,
+    its shares gathered (batch-major) and the round's messages and op
+    counts recorded once per round.  A batch runs only the used workers'
+    forwards, as one batched forward over the worker axis (byte-equal per
+    worker to the forward of all N), and one ``np.dot`` per decode row; the
+    ledger counts every worker's forward.
     """
     cfg, net = scheme_cfg, net_cfg
     plan = cfg.plan
@@ -395,8 +405,8 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     setup.encode_ops.add(inputs.size)
     share_elems = shares.payloads[0].size
     setup.record(MessageBlock(MessageRule(("master",), nodes, share_elems, "dataset_share")))
-    payloads = shares.payloads[:, :, None]  # (N, G, 1, f)
-    n_workers, n_batches = payloads.shape[:2]
+    by_batch = shares.payloads.swapaxes(0, 1)[:, :, None]  # (G, N, 1, f): batch g's shares
+    n_batches, n_workers = by_batch.shape[:2]
     # Each worker's result is one coded row of model outputs.
     result_elems = model_init.layers[-1][1].size
     batch_messages = MessageBlock(m for node in nodes for m in (
@@ -404,25 +414,24 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
         Message(node, "master", result_elems, "inference_result")))
 
     def step(trace, model, r, fastest):
-        rows = _decode_basis(plan.betas[fastest], plan)
-        used = payloads[fastest]   # the fastest workers' shares
-        for g in range(n_batches):
-            lo = g * plan.K
-            valid = min(plan.K, n_samples - lo)
+        # Fixed for the round: the ledger, the decode rows and the used shares.
+        for _ in range(n_batches):
             trace.record(batch_messages)
-            preds = forward(model, used[:, g])             # (n, 1, outputs)
-            trace.train_ops.count += n_workers
-            trace.train_ops.elements += n_workers * w_elems
-            decoded = _apply_decode(rows, preds, valid)
-            trace.decode_ops.add(decoded.size)
-
-            batch_x = inputs[lo:lo + valid]
-            batch_y = targets[lo:lo + valid]
-            _, dpred = loss_and_output_grad(decoded, batch_y, cfg.loss)
-            _, cache = forward_with_cache(model, batch_x)
+        # every worker's forward and the master's step, per batch
+        trace.train_ops.count += n_batches * (n_workers + 1)
+        trace.train_ops.elements += n_batches * (n_workers + 1) * w_elems
+        trace.decode_ops.count += n_batches
+        trace.decode_ops.elements += n_samples * result_elems
+        rows = _decode_basis(plan.betas[fastest], plan)
+        used = by_batch[:, fastest]   # the fastest workers' shares, batch-major
+        for lo, batch_shares in zip(range(0, n_samples, plan.K), used):
+            preds = forward(model, batch_shares)             # (n, 1, outputs)
+            # the last group may be short: only its first n_samples - lo rows are data
+            decoded = _decode_rows(rows, preds.reshape(len(preds), -1))[:n_samples - lo]
+            _, dpred = loss_and_output_grad(decoded, targets[lo:lo + plan.K], cfg.loss)
+            _, cache = forward_with_cache(model, inputs[lo:lo + plan.K])
             grads = backward_from_output(model, cache, dpred)
             model = sgd_step(model, grads, cfg.lr)
-            trace.train_ops.add(w_elems)
         return model
 
     return [setup] + _run_rounds(cfg, net, model_init, dataset, step)

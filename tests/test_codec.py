@@ -10,6 +10,7 @@ from pbacc import codec
 from pbacc.codec import (
     _apply_decode,
     _decode_basis,
+    _decode_rows,
     NoiseSpec,
     decode,
     encode,
@@ -296,6 +297,16 @@ def test_one_block_decode_is_the_single_product_byte_for_byte(K, rest):
     reference = single_product(rows, stack)
     for results in (list(stack), stack, [np.asfortranarray(r) for r in stack]):
         assert _apply_decode(rows, results, None).tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_decode_rows_is_the_one_group_decode_byte_for_byte(K):
+    rows, stack = decode_inputs(K, (1, 2), n=12, groups=1, seed=30 + K)
+    # one coding group of n results, as dlcd_secure_training decodes each batch
+    out = _decode_rows(rows, stack.reshape(len(stack), -1))
+    assert out.shape == (K, 2)
+    assert out.tobytes() == _apply_decode(rows, stack, None).tobytes()
+    assert out.tobytes() == single_product(rows, stack).tobytes()
 
 
 def test_decode_does_not_copy_the_results():

@@ -107,8 +107,27 @@ def test_softmax_ce_uniform_logits_is_log_n_classes():
 
 
 def test_softmax_ce_rejects_out_of_range_labels():
-    with pytest.raises(ValueError):
-        loss_and_output_grad(np.zeros((2, 3)), np.array([0, 3]), SOFTMAX_CE)
+    logits = np.zeros((2, 3))
+    params = init_mlp([2, 3], activation=IDENTITY, seed=0)
+    for labels, bad in [
+        ([0, 3], "3"), ([-1, 2], "-1"),                       # out of range
+        ([0.0, 1.7], "1.7"), ([-0.5, 1.0], "-0.5"),           # not integers
+        ([2.0, float("nan")], "nan"),
+    ]:
+        message = f"class label {bad} is not an integer in \\[0, 3\\)"
+        with pytest.raises(ValueError, match=message):
+            loss_and_output_grad(logits, np.array(labels), SOFTMAX_CE)
+        with pytest.raises(ValueError, match=message):
+            evaluate(params, np.ones((2, 2)), np.array(labels), SOFTMAX_CE)
+
+
+def test_softmax_ce_takes_integer_valued_labels_of_any_dtype():
+    logits = np.random.default_rng(3).normal(size=(4, 3))
+    reference = loss_and_output_grad(logits, np.array([0, 2, 1, 2]), SOFTMAX_CE)
+    for labels in (np.array([0.0, 2.0, 1.0, 2.0]), np.array([[0], [2], [1], [2]]),
+                   np.array([0, 2, 1, 2], dtype=np.int8)):
+        value, grad = loss_and_output_grad(logits, labels, SOFTMAX_CE)
+        assert value == reference[0] and grad.tobytes() == reference[1].tobytes()
 
 
 def test_cox_requires_time_event_targets():

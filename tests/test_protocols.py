@@ -8,7 +8,9 @@ from pbacc.codec import NoiseSpec, decode, encode, encode_stack
 from pbacc.interpolation import make_plan
 from pbacc.learners import (
     COORD_MEDIAN,
+    COX_PH,
     FEDAVG,
+    MSE,
     Batch,
     SOFTMAX_CE,
     TANH,
@@ -20,6 +22,7 @@ from pbacc.learners import (
     init_mlp,
     local_train,
     loss_and_output_grad,
+    make_survival,
     make_two_clusters,
     sgd_step,
 )
@@ -268,18 +271,35 @@ def reference_dlcd_secure_training(cfg, network, x, y, model_init):
     return rounds
 
 
-def test_dlcd_secure_training_matches_the_per_share_reference():
-    x, y = make_two_clusters(25, seed=8)  # 13 groups of K=2, the last one padded
-    plan = make_plan(2, 2, 6)
-    cfg = SchemeConfig(scheme=DLCD_SECURE_TRAINING, plan=plan, sigma_n=0.5, rounds=2, lr=0.1)
-    network = NetworkConfig(n_nodes=6, seed=3,
-                            straggler=StragglerModel(kind=DROP_SLOWEST, count=2, seed=4))
-    traces = run_dlcd_secure_training(cfg, network, (x, y), model())
-    reference = reference_dlcd_secure_training(cfg, network, x, y, model())
+DLCD_STRAGGLERS = {
+    "none": StragglerModel(),
+    "drop_slowest": StragglerModel(kind=DROP_SLOWEST, count=2, seed=4),
+    "random_delay": StragglerModel(kind=RANDOM_DELAY, keep_n=4, seed=5),
+}
+
+
+@pytest.mark.parametrize("loss, straggler, K", [
+    *[(SOFTMAX_CE, straggler, K) for straggler in DLCD_STRAGGLERS for K in (1, 2, 3)],
+    (MSE, "drop_slowest", 2),
+    (COX_PH, "drop_slowest", 2),
+])
+def test_dlcd_secure_training_matches_the_per_share_reference(loss, straggler, K):
+    # 25 samples: K=2 and K=3 leave a short last group
+    if loss == COX_PH:
+        x, y = make_survival(25, features=2, seed=11)
+    else:
+        x, y = make_two_clusters(25, seed=8)
+    start = model() if loss == SOFTMAX_CE else init_mlp([2, 4, 1], activation=TANH, seed=12)
+    plan = make_plan(K, 2, 6)
+    cfg = SchemeConfig(scheme=DLCD_SECURE_TRAINING, plan=plan, sigma_n=0.5, rounds=2, lr=0.1,
+                       loss=loss)
+    network = NetworkConfig(n_nodes=6, seed=3, straggler=DLCD_STRAGGLERS[straggler])
+    traces = run_dlcd_secure_training(cfg, network, (x, y), start)
+    reference = reference_dlcd_secure_training(cfg, network, x, y, start)
     assert len(traces[1:]) == len(reference) == 2
-    for trace, (loss, flat, messages, train, decoded) in zip(traces[1:], reference):
+    for trace, (loss_value, flat, messages, train, decoded) in zip(traces[1:], reference):
         assert trace.decoded_model.tobytes() == flat.tobytes()
-        assert trace.loss == loss
+        assert trace.loss == loss_value
         assert trace.messages == messages
         assert [trace.train_ops.count, trace.train_ops.elements] == train
         assert [trace.decode_ops.count, trace.decode_ops.elements] == decoded
