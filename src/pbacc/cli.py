@@ -146,8 +146,10 @@ def _show(value: float | None, spec: str) -> str:
 
 def cmd_run(args) -> int:
     spec = load_spec(args.spec)
-    summary = run_experiment(spec, output_dir=args.output_dir,
-                             seed=args.seed, strategy=args.strategy)
+    for attr in ("seed", "output_dir", "strategy"):   # command-line overrides
+        if getattr(args, attr) is not None:
+            setattr(spec, attr, getattr(args, attr))
+    summary = run_experiment(spec)
     for cell in summary["cells"]:
         leak = cell["leakage"]
         leak_txt = f" i_L={_show(leak['i_L'], '.4g')}" if leak else ""

@@ -188,18 +188,18 @@ def _decode_basis(betas: np.ndarray, plan: CodingPlan) -> np.ndarray:
 _DECODE_BLOCK_BYTES = 1 << 20
 
 
-def _apply_decode(rows: np.ndarray, results: Sequence[np.ndarray] | np.ndarray,
+def _apply_decode(rows: np.ndarray, results: Sequence[np.ndarray],
                   out_extent: int | None) -> np.ndarray:
     """Apply :func:`_decode_basis` rows to the results, one result per column.
 
-    ``results`` is a sequence of n (G, *rest) arrays or one (n, G, *rest)
-    array; the result is (G*K, *rest) with the K data nodes re-interleaved
-    along the leading axis, truncated to ``out_extent``.
+    ``results`` is a sequence of n (G, *rest) arrays; the result is
+    (G*K, *rest) with the K data nodes re-interleaved along the leading
+    axis, truncated to ``out_extent``.
 
     Each result is read once, in blocks of groups: the block's slice of every
-    result is copied into one reused (n, block, *rest) buffer (an array input
-    is sliced in place) and :func:`_decode_rows` multiplies it by each of the
-    K rows.  A block holds as many groups as fit ``_DECODE_BLOCK_BYTES``.
+    result is copied into one reused (n, block, *rest) buffer and
+    :func:`_decode_rows` multiplies it by each of the K rows.  A block holds
+    as many groups as fit ``_DECODE_BLOCK_BYTES``.
     When the results fit one block this is exactly the unblocked product,
     byte for byte.  With several blocks each product is narrower, and BLAS
     rounds some widths differently: the result is then ulp-close to the
@@ -213,22 +213,15 @@ def _apply_decode(rows: np.ndarray, results: Sequence[np.ndarray] | np.ndarray,
         raise ValueError(f"out_extent {out_extent} not in (0, {groups * K}]")
     width = math.prod(rest)
     block = max(1, _DECODE_BLOCK_BYTES // (8 * n * max(width, 1)))
-    stacked = isinstance(results, np.ndarray)
-    if stacked:
-        flat = results.reshape(n, groups * width)
-    else:
-        buffer = np.empty(n * min(block, groups) * width)
+    buffer = np.empty(n * min(block, groups) * width)
     out = np.empty((groups, K) + rest)
     for lo in range(0, groups, block):
         hi = min(lo + block, groups)
-        if stacked:
-            chunk = flat[:, lo * width:hi * width]
-        else:
-            chunk = buffer[:n * (hi - lo) * width].reshape((n, hi - lo) + rest)
-            for j, result in enumerate(results):
-                chunk[j] = result[lo:hi]
-            chunk = chunk.reshape(n, -1)
-        out[lo:hi] = _decode_rows(rows, chunk).reshape((K, hi - lo) + rest).swapaxes(0, 1)
+        chunk = buffer[:n * (hi - lo) * width].reshape((n, hi - lo) + rest)
+        for j, result in enumerate(results):
+            chunk[j] = result[lo:hi]
+        product = _decode_rows(rows, chunk.reshape(n, -1))
+        out[lo:hi] = product.reshape((K, hi - lo) + rest).swapaxes(0, 1)
     out = out.reshape((groups * K,) + rest)
     return out if out_extent is None else out[:out_extent]
 

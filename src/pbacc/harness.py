@@ -31,7 +31,7 @@ import yaml
 from . import learners, protocols
 from .codec import write_tensor
 from .interpolation import DEFAULT_NOISE_SHIFT, make_plan
-from .privacy import GREEDY, STRATEGIES, PrivacyConfig, worst_case_leakage
+from .privacy import GREEDY, STRATEGIES, PrivacyConfig, _finite_or_none, worst_case_leakage
 from .protocols import (
     CENTRALIZED_SCHEMES,
     CODED_SCHEMES,
@@ -255,16 +255,9 @@ def _output_width(spec: ExperimentSpec) -> int:
     return spec.features
 
 
-def run_experiment(spec: ExperimentSpec, output_dir: str | None = None,
-                   seed: int | None = None, strategy: str | None = None) -> dict:
+def run_experiment(spec: ExperimentSpec) -> dict:
     """Run every sweep cell, write rounds.csv and summary.json, return the summary."""
-    if seed is not None:
-        spec.seed = int(seed)
-    if output_dir is not None:
-        spec.output_dir = output_dir
-    if strategy is not None:
-        spec.strategy = strategy
-    _validate(spec)
+    _validate(spec)   # again: a field may have been set after parsing
     coded = spec.scheme in CODED_SCHEMES
     cells = list(product(*(getattr(spec, a) for a in _SWEEP_ATTRS))) if coded else [(0.0, 0, 0)]
     try:
@@ -320,10 +313,10 @@ def run_experiment(spec: ExperimentSpec, output_dir: str | None = None,
         setup = [t for t in traces if t.round_index == 0]
         write_tensor(os.path.join(spec.output_dir, f"model_cell{cell_index}.bin"),
                      per_round[-1].decoded_model)
-        final_loss = _json_number(per_round[-1].loss)
+        final_loss = _finite_or_none(per_round[-1].loss)
         summaries.append(base | {
             "final_loss": final_loss,
-            "final_accuracy": _json_number(per_round[-1].accuracy),
+            "final_accuracy": _finite_or_none(per_round[-1].accuracy),
             "diverged": final_loss is None,
             "messages_per_round": per_round[0].message_count,
             "elements_per_round": per_round[0].element_volume,
@@ -345,11 +338,6 @@ def run_experiment(spec: ExperimentSpec, output_dir: str | None = None,
         json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return summary
-
-
-def _json_number(value: float) -> float | None:
-    """``value``, or None where it is NaN or infinite, which JSON cannot carry."""
-    return float(value) if np.isfinite(value) else None
 
 
 def _fmt(value) -> str:

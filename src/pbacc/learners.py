@@ -299,8 +299,7 @@ COORD_MEDIAN = "coord_median"
 AGG_RULES = (FEDAVG, COORD_MEDIAN)
 
 
-def aggregate(models: list[np.ndarray] | np.ndarray, rule: str = FEDAVG,
-              weights: list[float] | None = None) -> np.ndarray:
+def aggregate(models: list[np.ndarray] | np.ndarray, rule: str = FEDAVG) -> np.ndarray:
     """Combine equally shaped parameter arrays into one, elementwise over the list.
 
     ``models`` is a list of arrays or one stacked (models, ...) array; a
@@ -310,17 +309,8 @@ def aggregate(models: list[np.ndarray] | np.ndarray, rule: str = FEDAVG,
         raise ValueError("cannot aggregate an empty model list")
     stack = np.asarray(models, dtype=float)
     if rule == FEDAVG:
-        if weights is None:
-            return stack.mean(axis=0)
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (len(models),):
-            raise ValueError("one weight per model required")
-        if abs(weights.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
-        return np.tensordot(weights, stack, axes=(0, 0))
+        return stack.mean(axis=0)
     if rule == COORD_MEDIAN:
-        if weights is not None:
-            raise ValueError("coord_median takes no weights")
         return np.median(stack, axis=0)
     raise ValueError(f"unknown aggregation rule {rule!r}")
 

@@ -115,7 +115,8 @@ class PrivacyConfig:
 
 
 def _finite_or_none(value: float) -> float | None:
-    return value if math.isfinite(value) else None
+    """``value``, or None where it is NaN or infinite, which JSON cannot carry."""
+    return float(value) if math.isfinite(value) else None
 
 
 @dataclass(frozen=True)

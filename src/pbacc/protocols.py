@@ -3,31 +3,30 @@
 Transport is simulated: every message is a (sender, receiver, element
 count, phase tag) tuple, never serialized or sent.  That makes the
 per-round communication cost an exact, reproducible count instead of a
-wall-clock measurement.  A round sends the same messages every time (the
-sizes follow from the model size and K), so each runner builds them once
-per run, as immutable :class:`MessageBlock` s with the node names formatted
-once, and a :class:`RoundTrace` records a block by reference.  A block
-holds rules (:class:`MessageRule`: one message from every sender to every
-receiver other than itself) and explicit messages for the small per-node
-runs.  Its message and element counts come from the rules in O(1), so
-secure aggregation's N(N-1) share exchange is one rule, not N(N-1) tuples.
-Recording is O(blocks), not O(messages); the trace's message and element
-totals are running counters, and its ordered message list is expanded from
-the rules only when it is read.
+wall-clock measurement.  Every round of a run sends the same messages
+(their sizes follow from the model size and K) and does the same encode,
+decode and train ops, so each runner declares that cost once per run, as
+a :class:`RoundTrace` ledger holding the round's :class:`MessageBlock` s
+by reference and its :class:`OpCount` s.  A block is a run of
+:class:`MessageRule` s (one message from every sender to every receiver
+other than itself; a single message is a one-to-one rule), each counted
+in O(1), so secure aggregation's N(N-1) share exchange is one rule, not
+N(N-1) tuples; a trace's message list is expanded only when it is read.
 
 All schemes share one round driver, ``_run_rounds``.  It numbers the rounds,
-gives each a fresh :class:`RoundTrace` and the round's fastest workers
-(:func:`select_fastest`), evaluates the resulting model and records it as the
-round's decoded model.  A scheme supplies only its per-round ``step``
-closure: who encodes, who trains, what is sent and what is decoded from the
-fastest subset.  Five schemes are provided:
+hands ``step`` the model and the round's fastest workers
+(:func:`select_fastest`), evaluates the model ``step`` returns and makes the
+round's trace from the runner's ledger.  A scheme supplies its ledger and a
+per-round ``step`` closure that only moves the model: who encodes, who
+trains and what is decoded from the fastest subset.  Five schemes are
+provided:
 
 * ``dlcd_secure_training``   -- master owns the data; the dataset is encoded
   once and workers compute the model execution on encoded batches; the
   master decodes the outputs, evaluates loss/gradients and steps the model.
   Everything fixed by the round's fastest subset is built once per round:
-  its decode rows, its shares gathered batch-major, the ledger and the op
-  counters.  A batch then does only its own arithmetic: the fastest
+  its decode rows and its shares gathered batch-major.  A batch then does
+  only its own arithmetic: the fastest
   workers' forwards as one stacked forward, the decode product
   (``codec._decode_rows``) and the master's step.
 * ``uncoded_dlcd``           -- master partitions the plaintext dataset;
@@ -56,13 +55,13 @@ the batch-major view ``dlcd_secure_training`` takes), and every decoded
 result is paired with its encoder node ``plan.betas[j]``.
 
 Rounds are numbered from 1; runners with a one-time sharing phase prepend a
-setup trace with ``round_index`` 0 holding those messages.
+setup trace with ``round_index`` 0 holding those messages and ops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,14 +104,11 @@ class Message(NamedTuple):
     phase: str
 
 
-@dataclass
-class OpCount:
+class OpCount(NamedTuple):
+    """``count`` operations over ``elements`` elements in all."""
+
     count: int = 0
     elements: int = 0
-
-    def add(self, elements: int) -> None:
-        self.count += 1
-        self.elements += int(elements)
 
 
 class MessageRule(NamedTuple):
@@ -141,66 +137,74 @@ class MessageRule(NamedTuple):
 
 
 class MessageBlock:
-    """An immutable run of messages, recorded as one unit.
+    """An immutable run of messages: :class:`MessageRule` s in send order.
 
-    ``parts`` are :class:`MessageRule` s and iterables of explicit messages,
-    in send order.  ``len(block)`` and ``elements``, the block's total
-    element count, are summed once here, from each rule in O(1);
-    iterating the block expands its parts in order.
+    ``len(block)`` and ``elements``, the block's total element count, are
+    summed once here, from each rule in O(1); iterating the block expands
+    its rules in order.
     """
 
-    __slots__ = ("_parts", "_count", "elements")
+    __slots__ = ("_rules", "_count", "elements")
 
-    def __init__(self, *parts: MessageRule | Iterable[Message]):
-        self._parts = tuple(p if isinstance(p, MessageRule) else tuple(p) for p in parts)
-        self._count = self.elements = 0
-        for part in self._parts:
-            if isinstance(part, MessageRule):
-                self._count += part.count
-                self.elements += part.count * part.elements
-            else:
-                self._count += len(part)
-                self.elements += sum(m.elements for m in part)
+    def __init__(self, *rules: MessageRule):
+        self._rules = rules
+        self._count = sum(rule.count for rule in rules)
+        self.elements = sum(rule.count * rule.elements for rule in rules)
 
     def __len__(self) -> int:
         return self._count
 
     def __iter__(self) -> Iterator[Message]:
-        for part in self._parts:
-            yield from part.expand() if isinstance(part, MessageRule) else part
+        for rule in self._rules:
+            yield from rule.expand()
 
 
-@dataclass
+def _node_names(n: int) -> tuple[str, ...]:
+    """The ledger names of nodes 0..n-1, formatted when a run builds its ledger."""
+    return tuple(f"node{j}" for j in range(n))
+
+
+def _round_trips(n: int, down: tuple[int, str], up: tuple[int, str]) -> MessageBlock:
+    """One message from the master to each of n nodes and one back, node by node.
+
+    ``down`` and ``up`` are the (elements, phase) of the two messages.
+    """
+    return MessageBlock(*(rule for node in _node_names(n) for rule in (
+        MessageRule(("master",), (node,), *down), MessageRule((node,), ("master",), *up))))
+
+
+@dataclass(frozen=True)
 class RoundTrace:
     """Everything observable about one protocol round.
 
-    The round's messages are recorded as blocks, by reference (one block
-    object can sit in every round of a run, and more than once in one).
-    ``message_count`` and ``element_volume`` are running counters kept by
-    :meth:`record`; ``messages`` is the ordered list of every message,
-    expanded from the blocks' rules each time it is read.
+    A runner declares its round's ledger once: the round's message blocks,
+    by reference (one block can sit in every round, and more than once in
+    one), and its op counts.  Each round's trace is that ledger with
+    ``round_index``, ``decoded_model``, ``loss`` and ``accuracy`` replaced.
+    ``message_count`` and ``element_volume`` are summed over the blocks;
+    ``messages`` expands the blocks' rules, in order, each time it is read.
     """
 
-    round_index: int
-    encode_ops: OpCount = field(default_factory=OpCount)
-    decode_ops: OpCount = field(default_factory=OpCount)
-    train_ops: OpCount = field(default_factory=OpCount)
+    round_index: int = 0
+    blocks: tuple[MessageBlock, ...] = ()
+    encode_ops: OpCount = OpCount()
+    decode_ops: OpCount = OpCount()
+    train_ops: OpCount = OpCount()
     decoded_model: np.ndarray | None = None
     loss: float = float("nan")
     accuracy: float = float("nan")
-    message_count: int = field(default=0, init=False)
-    element_volume: int = field(default=0, init=False)
-    _blocks: list[MessageBlock] = field(default_factory=list, init=False, repr=False)
 
-    def record(self, block: MessageBlock) -> None:
-        """Record a prebuilt block of messages, in order."""
-        self._blocks.append(block)
-        self.message_count += len(block)
-        self.element_volume += block.elements
+    @property
+    def message_count(self) -> int:
+        return sum(len(block) for block in self.blocks)
+
+    @property
+    def element_volume(self) -> int:
+        return sum(block.elements for block in self.blocks)
 
     @property
     def messages(self) -> list[Message]:
-        return [m for block in self._blocks for m in block]
+        return [m for block in self.blocks for m in block]
 
 
 @dataclass(frozen=True)
@@ -323,48 +327,40 @@ def _node_stacks(per_node_datasets) -> list[tuple[np.ndarray, np.ndarray, np.nda
             for nodes in groups.values()]
 
 
-def _train_nodes(trace: RoundTrace, cfg: SchemeConfig, model: ModelParams, stacks,
+def _train_nodes(cfg: SchemeConfig, model: ModelParams, stacks,
                  starts: np.ndarray | None = None) -> np.ndarray:
     """Every node's local training, one stacked ``local_train`` per group.
 
     Nodes start from ``model``, or node j from the flat model ``starts[j]``.
     Returns the (nodes, w) array of trained flat models.
     """
-    w_elems = model.size
-    trained = np.empty((sum(len(nodes) for nodes, _, _ in stacks), w_elems))
+    trained = np.empty((sum(len(nodes) for nodes, _, _ in stacks), model.size))
     for nodes, x, y in stacks:
         init = model if starts is None else model.with_flat(starts[nodes])
         local = local_train(init, x, y, cfg.loss, cfg.lr, cfg.batch_size, cfg.epochs_per_round)
         trained[nodes] = local.flattened_view
-        trace.train_ops.count += len(nodes)
-        trace.train_ops.elements += len(nodes) * w_elems
     return trained
 
 
 def _run_rounds(cfg: SchemeConfig, net: NetworkConfig, model_init: ModelParams,
-                eval_set: tuple[np.ndarray, np.ndarray],
-                step: Callable[[RoundTrace, ModelParams, int, list[int]], ModelParams]
+                eval_set: tuple[np.ndarray, np.ndarray], ledger: RoundTrace,
+                step: Callable[[ModelParams, int, list[int]], ModelParams]
                 ) -> list[RoundTrace]:
     """The round loop every scheme shares.
 
-    Each round gets a fresh trace and the round's fastest workers; ``step``
-    records the round's messages and work on the trace and returns the next
-    model, which is then evaluated on ``eval_set``.
+    ``step`` takes the model, the round number and the round's fastest
+    workers and returns the next model, which is evaluated on ``eval_set``.
+    Each round's trace is ``ledger``, the messages and ops every round
+    costs, with the round's number, model and metrics filled in.
     """
     traces = []
     model = model_init.copy()
     for r in range(1, cfg.rounds + 1):
-        trace = RoundTrace(round_index=r)
-        model = step(trace, model, r, select_fastest(net, r))
-        trace.loss, trace.accuracy = evaluate(model, *eval_set, cfg.loss)
-        trace.decoded_model = model.flattened_view
-        traces.append(trace)
+        model = step(model, r, select_fastest(net, r))
+        loss, accuracy = evaluate(model, *eval_set, cfg.loss)
+        traces.append(replace(ledger, round_index=r, decoded_model=model.flattened_view,
+                              loss=loss, accuracy=accuracy))
     return traces
-
-
-def _node_names(n: int) -> tuple[str, ...]:
-    """The ledger names of nodes 0..n-1, formatted once per run."""
-    return tuple(f"node{j}" for j in range(n))
 
 
 def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
@@ -383,12 +379,11 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     round is one pass over the groups, so ``batch_size`` and
     ``epochs_per_round`` play no part here.
 
-    The fastest subset is fixed within a round, so its decode rows are built,
-    its shares gathered (batch-major) and the round's messages and op
-    counts recorded once per round.  A batch runs only the used workers'
-    forwards, as one batched forward over the worker axis (byte-equal per
-    worker to the forward of all N), and one ``np.dot`` per decode row; the
-    ledger counts every worker's forward.
+    The fastest subset is fixed within a round, so its decode rows are built
+    and its shares gathered (batch-major) once per round.  A batch runs only
+    the used workers' forwards, as one batched forward over the worker axis
+    (byte-equal per worker to the forward of all N), and one ``np.dot`` per
+    decode row; the ledger counts every worker's forward.
     """
     cfg, net = scheme_cfg, net_cfg
     plan = cfg.plan
@@ -400,28 +395,24 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     w_elems = model_init.size
     nodes = _node_names(net.n_nodes)
 
-    setup = RoundTrace(round_index=0)
     shares, _ = encode(inputs, plan, _noise_spec(cfg, net, 0))
-    setup.encode_ops.add(inputs.size)
-    share_elems = shares.payloads[0].size
-    setup.record(MessageBlock(MessageRule(("master",), nodes, share_elems, "dataset_share")))
+    setup = RoundTrace(
+        blocks=(MessageBlock(MessageRule(("master",), nodes, shares.payloads[0].size,
+                                         "dataset_share")),),
+        encode_ops=OpCount(1, inputs.size))
     by_batch = shares.payloads.swapaxes(0, 1)[:, :, None]  # (G, N, 1, f): batch g's shares
     n_batches, n_workers = by_batch.shape[:2]
     # Each worker's result is one coded row of model outputs.
     result_elems = model_init.layers[-1][1].size
-    batch_messages = MessageBlock(m for node in nodes for m in (
-        Message("master", node, w_elems, "model_broadcast"),
-        Message(node, "master", result_elems, "inference_result")))
+    batch_messages = _round_trips(net.n_nodes, (w_elems, "model_broadcast"),
+                                  (result_elems, "inference_result"))
+    train_ops = n_batches * (n_workers + 1)   # every worker's forward and the master's step
+    ledger = RoundTrace(blocks=(batch_messages,) * n_batches,
+                        train_ops=OpCount(train_ops, train_ops * w_elems),
+                        decode_ops=OpCount(n_batches, n_samples * result_elems))
 
-    def step(trace, model, r, fastest):
-        # Fixed for the round: the ledger, the decode rows and the used shares.
-        for _ in range(n_batches):
-            trace.record(batch_messages)
-        # every worker's forward and the master's step, per batch
-        trace.train_ops.count += n_batches * (n_workers + 1)
-        trace.train_ops.elements += n_batches * (n_workers + 1) * w_elems
-        trace.decode_ops.count += n_batches
-        trace.decode_ops.elements += n_samples * result_elems
+    def step(model, r, fastest):
+        # Fixed for the round: the decode rows and the used shares.
         rows = _decode_basis(plan.betas[fastest], plan)
         used = by_batch[:, fastest]   # the fastest workers' shares, batch-major
         for lo, batch_shares in zip(range(0, n_samples, plan.K), used):
@@ -434,7 +425,7 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
             model = sgd_step(model, grads, cfg.lr)
         return model
 
-    return [setup] + _run_rounds(cfg, net, model_init, dataset, step)
+    return [setup] + _run_rounds(cfg, net, model_init, dataset, ledger, step)
 
 
 def run_uncoded_dlcd(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
@@ -445,9 +436,9 @@ def run_uncoded_dlcd(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     parts = _partition(inputs, targets, net_cfg.n_nodes)
     row_elems = inputs.shape[1] + (targets[0].size if targets.ndim > 1 else 1)
 
-    setup = RoundTrace(round_index=0)
-    setup.record(MessageBlock(Message("master", node, x.shape[0] * row_elems, "dataset_part")
-                              for node, (x, _) in zip(_node_names(net_cfg.n_nodes), parts)))
+    setup = RoundTrace(blocks=(MessageBlock(*(
+        MessageRule(("master",), (node,), x.shape[0] * row_elems, "dataset_part")
+        for node, (x, _) in zip(_node_names(net_cfg.n_nodes), parts))),))
     return [setup] + run_uncoded_dldd(scheme_cfg, net_cfg, parts, model_init)
 
 
@@ -473,26 +464,24 @@ def run_dldd_secure_aggregation(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig
     w_elems = model_init.size
     share_elems = -(-w_elems // plan.K)   # G = ceil(w / K): one share, one aggregate
     nodes = _node_names(n)
-    round_messages = MessageBlock(
-        MessageRule(("master",), nodes, w_elems, "model_broadcast"),
-        MessageRule(nodes, nodes, share_elems, "share_exchange"),   # owner-major
-        MessageRule(nodes, ("master",), share_elems, "aggregate_result"))
+    ledger = RoundTrace(
+        blocks=(MessageBlock(
+            MessageRule(("master",), nodes, w_elems, "model_broadcast"),
+            MessageRule(nodes, nodes, share_elems, "share_exchange"),   # owner-major
+            MessageRule(nodes, ("master",), share_elems, "aggregate_result")),),
+        train_ops=OpCount(n, n * w_elems), encode_ops=OpCount(n, n * w_elems),
+        decode_ops=OpCount(1, w_elems))
     stacks = _node_stacks(per_node_datasets)
     table = np.empty((n, n, share_elems))   # table[j, i]: share of node j's model held by node i
 
-    def step(trace, model, r, fastest):
-        trace.record(round_messages)
-        trained = _train_nodes(trace, cfg, model, stacks)
+    def step(model, r, fastest):
+        trained = _train_nodes(cfg, model, stacks)
         encode_stack(trained, plan, _noise_spec(cfg, net, r), out=table)
-        trace.encode_ops.count += n
-        trace.encode_ops.elements += n * w_elems
-
         held = aggregate(table, cfg.agg_rule)  # (holder, G): every holder over the owner axis
         merged = decode([(plan.betas[i], held[i]) for i in fastest], plan, out_extent=w_elems)
-        trace.decode_ops.add(w_elems)
         return model.with_flat(merged)
 
-    return _run_rounds(cfg, net, model_init, _pooled(per_node_datasets), step)
+    return _run_rounds(cfg, net, model_init, _pooled(per_node_datasets), ledger, step)
 
 
 def run_dldd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
@@ -507,22 +496,21 @@ def run_dldd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     cfg, net = scheme_cfg, net_cfg
     plan = cfg.plan
     _check_sizes(net, per_node_datasets, plan)
+    n = net.n_nodes
     w_elems = model_init.size   # K = 1: a share is the size of the model
-    round_messages = MessageBlock(m for node in _node_names(net.n_nodes) for m in (
-        Message("master", node, w_elems, "encoded_model"),
-        Message(node, "master", w_elems, "trained_model")))
+    ledger = RoundTrace(
+        blocks=(_round_trips(n, (w_elems, "encoded_model"), (w_elems, "trained_model")),),
+        encode_ops=OpCount(1, w_elems), train_ops=OpCount(n, n * w_elems),
+        decode_ops=OpCount(1, w_elems))
     stacks = _node_stacks(per_node_datasets)
 
-    def step(trace, model, r, fastest):
-        trace.record(round_messages)
+    def step(model, r, fastest):
         shares, _ = encode(model.flattened_view, plan, _noise_spec(cfg, net, r))
-        trace.encode_ops.add(w_elems)
-        trained = _train_nodes(trace, cfg, model, stacks, starts=shares.payloads)
+        trained = _train_nodes(cfg, model, stacks, starts=shares.payloads)
         merged = decode([(plan.betas[j], trained[j]) for j in fastest], plan, out_extent=w_elems)
-        trace.decode_ops.add(w_elems)
         return model.with_flat(merged)
 
-    return _run_rounds(cfg, net, model_init, _pooled(per_node_datasets), step)
+    return _run_rounds(cfg, net, model_init, _pooled(per_node_datasets), ledger, step)
 
 
 def run_uncoded_dldd(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
@@ -531,18 +519,18 @@ def run_uncoded_dldd(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     """Plain federated learning: plaintext local training plus aggregation."""
     cfg, net = scheme_cfg, net_cfg
     _check_sizes(net, per_node_datasets)
+    n = net.n_nodes
     w_elems = model_init.size
-    round_messages = MessageBlock(m for node in _node_names(net.n_nodes) for m in (
-        Message("master", node, w_elems, "model_broadcast"),
-        Message(node, "master", w_elems, "local_model")))
+    ledger = RoundTrace(
+        blocks=(_round_trips(n, (w_elems, "model_broadcast"), (w_elems, "local_model")),),
+        train_ops=OpCount(n, n * w_elems))
     stacks = _node_stacks(per_node_datasets)
 
-    def step(trace, model, r, fastest):
-        trace.record(round_messages)
-        trained = _train_nodes(trace, cfg, model, stacks)
+    def step(model, r, fastest):
+        trained = _train_nodes(cfg, model, stacks)
         return model.with_flat(aggregate(trained[fastest], cfg.agg_rule))
 
-    return _run_rounds(cfg, net, model_init, _pooled(per_node_datasets), step)
+    return _run_rounds(cfg, net, model_init, _pooled(per_node_datasets), ledger, step)
 
 
 def run_scheme(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig, data,

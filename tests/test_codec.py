@@ -213,7 +213,7 @@ def test_hoisted_decode_basis_matches_decode(K):
         for scale in (1.0, -2.5):
             results = [(shares[j].beta, np.tanh(scale * shares[j].payload)) for j in subset]
             stack = np.stack([payload for _, payload in results])
-            hoisted = _apply_decode(rows, stack, x.shape[0])
+            hoisted = _apply_decode(rows, list(stack), x.shape[0])
             assert hoisted.tobytes() == decode(results, plan, out_extent=x.shape[0]).tobytes()
 
 
@@ -239,7 +239,7 @@ def test_decode_rejects_0d_payloads():
         decode([(0.5, 1.0), (0.2, 1.0)], plan)
     rows = _decode_basis(np.array([0.5, 0.2]), plan)
     with pytest.raises(ValueError, match="coding axis"):
-        _apply_decode(rows, np.ones(2), None)
+        _apply_decode(rows, list(np.ones(2)), None)
 
 
 def test_decode_checks_out_extent_before_any_product(monkeypatch):
@@ -283,10 +283,9 @@ def test_blocked_decode_matches_the_single_product(K, rest, monkeypatch):
     # 1 and 2 groups per block, and 5 with a ragged last block of 3
     for per_block in (1, 2, 5):
         monkeypatch.setattr(codec, "_DECODE_BLOCK_BYTES", per_block * group_bytes)
-        for results in (list(stack), stack):
-            out = _apply_decode(rows, results, extent)
-            assert out.shape == (extent,) + rest
-            np.testing.assert_allclose(out, reference[:extent], rtol=1e-13, atol=1e-13 * scale)
+        out = _apply_decode(rows, list(stack), extent)
+        assert out.shape == (extent,) + rest
+        np.testing.assert_allclose(out, reference[:extent], rtol=1e-13, atol=1e-13 * scale)
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 8])
@@ -295,7 +294,7 @@ def test_one_block_decode_is_the_single_product_byte_for_byte(K, rest):
     rows, stack = decode_inputs(K, rest, n=30, groups=17, seed=10 + K)
     assert stack.nbytes <= codec._DECODE_BLOCK_BYTES
     reference = single_product(rows, stack)
-    for results in (list(stack), stack, [np.asfortranarray(r) for r in stack]):
+    for results in (list(stack), [np.asfortranarray(r) for r in stack]):
         assert _apply_decode(rows, results, None).tobytes() == reference.tobytes()
 
 
@@ -305,7 +304,7 @@ def test_decode_rows_is_the_one_group_decode_byte_for_byte(K):
     # one coding group of n results, as dlcd_secure_training decodes each batch
     out = _decode_rows(rows, stack.reshape(len(stack), -1))
     assert out.shape == (K, 2)
-    assert out.tobytes() == _apply_decode(rows, stack, None).tobytes()
+    assert out.tobytes() == _apply_decode(rows, list(stack), None).tobytes()
     assert out.tobytes() == single_product(rows, stack).tobytes()
 
 

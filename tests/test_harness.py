@@ -108,8 +108,9 @@ def test_spec_rejects_bad_field_before_writing(tmp_path, scheme, section, key, v
 
 def test_run_experiment_rejects_a_bad_override_before_writing(tmp_path):
     spec = spec_from_dict(small_spec(tmp_path))
+    spec.strategy = "bogus"
     with pytest.raises(SpecError, match="strategy"):
-        run_experiment(spec, strategy="bogus")
+        run_experiment(spec)
     assert not (tmp_path / "out").exists()
 
 

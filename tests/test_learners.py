@@ -290,12 +290,6 @@ def test_coord_median_picks_middle_values():
     np.testing.assert_array_equal(aggregate(models, COORD_MEDIAN), [3.0, 6.0])
 
 
-def test_coord_median_rejects_weights():
-    models = [np.array([1.0, 9.0]), np.array([5.0, 4.0]), np.array([3.0, 6.0])]
-    with pytest.raises(ValueError, match="weights"):
-        aggregate(models, COORD_MEDIAN, weights=[0.9, 0.05, 0.05])
-
-
 def test_fedavg_is_linear():
     rng = np.random.default_rng(12)
     a = [rng.normal(size=5) for _ in range(4)]
@@ -310,20 +304,14 @@ def test_aggregate_validation():
         aggregate([], FEDAVG)
     with pytest.raises(ValueError, match="empty"):
         aggregate(np.empty((0, 5)), FEDAVG)
-    with pytest.raises(ValueError):
-        aggregate([np.ones(2), np.ones(2)], FEDAVG, weights=[0.9, 0.9])
 
 
-@pytest.mark.parametrize("rule,weights", [
-    (FEDAVG, None), (FEDAVG, "weighted"), (COORD_MEDIAN, None)],
-    ids=["fedavg", "weighted_fedavg", "coord_median"])
+@pytest.mark.parametrize("rule", [FEDAVG, COORD_MEDIAN], ids=["fedavg", "coord_median"])
 @pytest.mark.parametrize("shape", [(7, 23), (6, 5, 4)], ids=["table", "rest"])
-def test_aggregate_of_an_array_is_the_list_result_byte_for_byte(rule, weights, shape):
+def test_aggregate_of_an_array_is_the_list_result_byte_for_byte(rule, shape):
     stack = np.random.default_rng(11).normal(size=shape)
-    if weights == "weighted":
-        weights = np.random.default_rng(12).dirichlet(np.ones(shape[0]))
-    from_list = aggregate(list(stack), rule, weights)
-    from_array = aggregate(stack, rule, weights)
+    from_list = aggregate(list(stack), rule)
+    from_array = aggregate(stack, rule)
     assert from_array.shape == shape[1:]
     assert from_array.tobytes() == from_list.tobytes()
 

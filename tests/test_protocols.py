@@ -628,6 +628,39 @@ def test_every_ledger_matches_its_written_out_messages(scheme, n):
         assert trace.element_volume == sum(m.elements for m in round_messages)
 
 
+def reference_ops(scheme, n, samples, w, features, outputs):
+    """The (encode, decode, train) ops of ``_run_ledger``'s runs, as (count, elements).
+
+    Returns the set-up trace's ops (None without a set-up trace) and one
+    round's, from N, K, the model size w and the dataset size alone.
+    """
+    K = 1 if scheme == DLDD_SECURE_TRAINING else 2
+    none = (0, 0)
+    trained = (n, n * w)   # every node trains the model once
+    if scheme == DLCD_SECURE_TRAINING:
+        batches = -(-samples // K)
+        forwards = batches * (n + 1)   # per batch, every worker's forward and the master's step
+        return (((1, samples * features), none, none),
+                (none, (batches, samples * outputs), (forwards, forwards * w)))
+    if scheme == DLDD_SECURE_AGGREGATION:
+        return None, ((n, n * w), (1, w), trained)
+    if scheme == DLDD_SECURE_TRAINING:
+        return None, ((1, w), (1, w), trained)
+    return ((none, none, none) if scheme == UNCODED_DLCD else None), (none, none, trained)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_every_trace_counts_its_ops_in_closed_form(scheme):
+    n, samples, features = 5, 11, 2
+    traces = _run_ledger(scheme, n, samples, rounds=3)
+    setup, per_round = reference_ops(scheme, n, samples, model().size, features, W_SIZES[-1])
+    expected = ([] if setup is None else [(0, setup)]) + [(r, per_round) for r in (1, 2, 3)]
+    assert [(t.round_index, (t.encode_ops, t.decode_ops, t.train_ops)) for t in traces] \
+        == expected
+    assert all(type(v) is int for t in traces
+               for ops in (t.encode_ops, t.decode_ops, t.train_ops) for v in ops)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_an_exchange_rule_is_every_ordered_pair_of_distinct_nodes(n):
     nodes = tuple(f"node{j}" for j in range(n))
@@ -637,7 +670,8 @@ def test_an_exchange_rule_is_every_ordered_pair_of_distinct_nodes(n):
     assert rule.count == len(pairs) == n * (n - 1)
     assert list(rule.expand()) == pairs
     block = protocols.MessageBlock(protocols.MessageRule(("master",), nodes, 5, "model_broadcast"),
-                                   rule, [Message("node0", "master", 7, "aggregate_result")])
+                                   rule, protocols.MessageRule(("node0",), ("master",), 7,
+                                                               "aggregate_result"))
     assert len(block) == n + n * (n - 1) + 1
     assert block.elements == 5 * n + 3 * n * (n - 1) + 7
     assert list(block) == ([Message("master", node, 5, "model_broadcast") for node in nodes]
@@ -695,9 +729,9 @@ def test_round_blocks_are_built_once_per_run(monkeypatch):
 def test_secure_aggregation_aggregates_the_share_table_as_one_array(monkeypatch):
     seen = []
 
-    def recording_aggregate(models, rule=FEDAVG, weights=None):
+    def recording_aggregate(models, rule=FEDAVG):
         seen.append(models)
-        return aggregate(models, rule, weights)
+        return aggregate(models, rule)
 
     monkeypatch.setattr(protocols, "aggregate", recording_aggregate)
     x, y = make_two_clusters(45, seed=14)
