@@ -15,6 +15,16 @@ computation on node k; every reduction runs within a node, over axis -1 or
 -2.  Products are never flattened across nodes: an ``(N*B, f)`` product
 can differ in the last ulp.
 
+A loss is split so that training pays only for its gradient.  A dataset's
+targets are checked and converted once (``_prepare_targets``: softmax
+labels validated and one-hot encoded, Cox pairs shape-checked, MSE targets
+made float), and every batch scores against a slice of them.  Each loss's
+intermediates are computed in one place (``_loss_terms``); the gradient
+(``output_grad``) and the value (``_loss_value``) both read them, and the
+value is computed only where it is read: ``evaluate`` and the public
+``loss_and_output_grad`` and ``loss_and_grad``.  No training step computes
+a value or scans raw labels.
+
 The Cox partial likelihood takes Breslow's convention for tied times
 (Breslow 1974): the risk set of sample i is every j with t_j >= t_i, so a
 run of equal times shares one risk set.  Its risk sums and its gradient's
@@ -177,92 +187,123 @@ def backward_from_output(params: ModelParams, cache, dout: np.ndarray) -> ModelP
     return ModelParams(layers=grads, activation=params.activation)
 
 
-def _loss_value(preds: np.ndarray, targets: np.ndarray, loss: str):
-    """Loss value per node, plus the intermediates its gradient reuses (None if it is 0).
+def _prepare_targets(targets: np.ndarray, loss: str, outputs: tuple[int, ...]) -> np.ndarray:
+    """Check and convert a dataset's targets once, for every batch cut from it.
 
-    ``preds`` is ``(..., B, outputs)``; the value has the node shape ``...``
-    (a scalar for one model).  The one place each loss is computed:
-    ``loss_and_output_grad`` takes its value from here, and ``evaluate``
-    uses the value alone, without building the gradient.
+    ``outputs`` is the shape of the predictions the targets are scored
+    against, ``(..., n, outputs)``.  The result has the samples on the same
+    axis as the predictions, so a batch's targets are the same slice of it:
+    MSE targets as floats in that shape; softmax labels as a boolean one-hot
+    of that shape, each row True at its label's class; Cox ``(time, event)``
+    pairs as floats, ``(..., n, 2)``.
     """
     if loss == MSE:
-        targets = np.asarray(targets, dtype=float).reshape(preds.shape)
-        diff = preds - targets
-        # np.mean's own sum and division, without its per-call overhead
-        return (diff * diff).sum(axis=(-2, -1)) / (diff.shape[-2] * diff.shape[-1]), diff
+        return np.asarray(targets, dtype=float).reshape(outputs)
     if loss == SOFTMAX_CE:
-        # row-wise on the (nodes * B, C) logits, then averaged per node
-        rows = preds.reshape(-1, preds.shape[-1])
-        classes = rows.shape[1]
-        # one pass over the labels: a label equals exactly one class index if
-        # it is an integer in [0, classes), and none otherwise (NaN included)
-        labels = np.asarray(targets).reshape(rows.shape[0], 1)
+        classes = outputs[-1]
+        # a label equals exactly one class index if it is an integer in
+        # [0, classes), and none otherwise (NaN included)
+        labels = np.asarray(targets).reshape(outputs[:-1] + (1,))
         onehot = labels == np.arange(classes, dtype=float)
-        if np.count_nonzero(onehot) != rows.shape[0]:
-            bad = labels[~onehot.any(axis=1), 0][0]
+        if np.count_nonzero(onehot) != labels.size:
+            bad = labels[..., 0][~onehot.any(axis=-1)][0]
             raise ValueError(f"class label {bad} is not an integer in [0, {classes})")
-        # ufunc reductions: the ndarray methods' sums and maxima, without their wrappers
-        shifted = rows - np.maximum.reduce(rows, axis=1, keepdims=True)
-        exp_shifted = np.exp(shifted)
-        logz = np.log(np.add.reduce(exp_shifted, axis=1))
-        nll = logz - shifted[onehot]   # each row's own class, in row order
-        value = np.add.reduce(nll.reshape(preds.shape[:-1]), axis=-1) / preds.shape[-2]
-        return value, (exp_shifted, logz, onehot)
+        return onehot
     if loss == COX_PH:
         targets = np.asarray(targets, dtype=float)
-        if targets.shape != preds.shape[:-1] + (2,) or preds.shape[-1] != 1:
+        if targets.shape != outputs[:-1] + (2,) or outputs[-1] != 1:
             raise ValueError("cox partial likelihood needs (time, event) targets "
                              "and a single risk-score output")
-        # Every per-sample array below is in ascending time order, per node.
-        order = np.argsort(targets[..., 0], axis=-1, kind="stable")
-        times = np.take_along_axis(targets[..., 0], order, axis=-1)
-        events = np.take_along_axis(targets[..., 1], order, axis=-1)
-        n_events = events.sum(axis=-1)
-        # The partial likelihood is a product over events.  A node with none
-        # has the empty product 1, so its loss and its gradient are zero.
-        has_events = n_events > 0
-        if not has_events.any():
-            return np.zeros(n_events.shape)[()], None
-        partial = not has_events.all()
-        if partial:
-            n_events = np.where(has_events, n_events, 1.0)
-        eta = np.take_along_axis(preds[..., 0], order, axis=-1)
-        shift = eta.max(axis=-1, keepdims=True)
-        exp_eta = np.exp(eta - shift)
-        # Breslow's risk set of i is every j with t_j >= t_i, ties included:
-        # the sum from the end of the order back to the first member of i's
-        # run of equal times, shifted
-        starts = np.ones(times.shape, dtype=bool)   # starts[p]: a run of equal times starts at p
-        starts[..., 1:] = times[..., 1:] != times[..., :-1]
-        pos = np.arange(times.shape[-1])
-        first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
-        tail_sums = np.cumsum(exp_eta[..., ::-1], axis=-1)[..., ::-1]
-        risk_sums = np.take_along_axis(tail_sums, first, axis=-1)
-        log_risk = np.log(risk_sums) + shift
-        value = -np.sum(events * (eta - log_risk), axis=-1) / n_events
-        if partial:
-            value = np.where(has_events, value, 0.0)
-        # the mask is None when every node has an event, as one model always does
-        return value[()], (order, starts, events, n_events, has_events if partial else None,
-                           exp_eta, risk_sums)
+        return targets
     raise ValueError(f"unknown loss {loss!r}")
 
 
-def loss_and_output_grad(preds: np.ndarray, targets: np.ndarray, loss: str):
-    """Loss value and its gradient w.r.t. the predictions, per node of a stack."""
-    preds = np.asarray(preds, dtype=float)
-    value, terms = _loss_value(preds, targets, loss)
+def _loss_terms(preds: np.ndarray, prepared: np.ndarray, loss: str):
+    """The intermediates a loss's value and its gradient share (None if both are 0).
+
+    ``preds`` is ``(..., B, outputs)`` and ``prepared`` the batch's slice of
+    :func:`_prepare_targets`.  Each loss is computed here once; only
+    :func:`_loss_value` turns the terms into a value, and only
+    :func:`_terms_grad` into a gradient.
+    """
+    if loss == MSE:
+        return preds - prepared
+    if loss == SOFTMAX_CE:
+        # ufunc reductions: the ndarray methods' sums and maxima, without their wrappers
+        shifted = preds - np.maximum.reduce(preds, axis=-1, keepdims=True)
+        exp_shifted = np.exp(shifted)
+        logz = np.log(np.add.reduce(exp_shifted, axis=-1, keepdims=True))
+        return shifted, exp_shifted, logz
+    if loss != COX_PH:
+        raise ValueError(f"unknown loss {loss!r}")
+    # Cox: every per-sample array below is in ascending time order, per node.
+    order = np.argsort(prepared[..., 0], axis=-1, kind="stable")
+    times = np.take_along_axis(prepared[..., 0], order, axis=-1)
+    events = np.take_along_axis(prepared[..., 1], order, axis=-1)
+    n_events = events.sum(axis=-1)
+    # The partial likelihood is a product over events.  A node with none
+    # has the empty product 1, so its loss and its gradient are zero.
+    has_events = n_events > 0
+    if not has_events.any():
+        return None
+    partial = not has_events.all()
+    if partial:
+        n_events = np.where(has_events, n_events, 1.0)
+    eta = np.take_along_axis(preds[..., 0], order, axis=-1)
+    shift = eta.max(axis=-1, keepdims=True)
+    exp_eta = np.exp(eta - shift)
+    # Breslow's risk set of i is every j with t_j >= t_i, ties included:
+    # the sum from the end of the order back to the first member of i's
+    # run of equal times, shifted
+    starts = np.ones(times.shape, dtype=bool)   # starts[p]: a run of equal times starts at p
+    starts[..., 1:] = times[..., 1:] != times[..., :-1]
+    pos = np.arange(times.shape[-1])
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
+    tail_sums = np.cumsum(exp_eta[..., ::-1], axis=-1)[..., ::-1]
+    risk_sums = np.take_along_axis(tail_sums, first, axis=-1)
+    # the mask is None when every node has an event, as one model always does
+    return (order, starts, events, n_events, has_events if partial else None,
+            eta, shift, exp_eta, risk_sums)
+
+
+def _loss_value(preds: np.ndarray, prepared: np.ndarray, loss: str, terms):
+    """The loss value per node, from the batch's :func:`_loss_terms`.
+
+    The value has the node shape ``...`` (a scalar for one model).  Only
+    ``evaluate`` and ``loss_and_output_grad`` call this; no training step does.
+    """
     if loss == MSE:
         diff = terms
-        return value, 2.0 * diff / (diff.shape[-2] * diff.shape[-1])
+        # np.mean's own sum and division, without its per-call overhead
+        return (diff * diff).sum(axis=(-2, -1)) / (diff.shape[-2] * diff.shape[-1])
     if loss == SOFTMAX_CE:
-        probs, logz, onehot = terms
-        probs /= np.exp(logz)[:, None]
-        probs -= onehot   # 1 at each row's class, 0 (exactly) elsewhere
-        return value, (probs / preds.shape[-2]).reshape(preds.shape)
+        shifted, _, logz = terms
+        nll = logz[..., 0] - shifted[prepared].reshape(preds.shape[:-1])   # each row's own class
+        return np.add.reduce(nll, axis=-1) / preds.shape[-2]
     if terms is None:
-        return value, np.zeros_like(preds)
-    order, starts, events, n_events, has_events, exp_eta, risk_sums = terms
+        return np.zeros(preds.shape[:-2])[()]
+    _, _, events, n_events, has_events, eta, shift, _, risk_sums = terms
+    log_risk = np.log(risk_sums) + shift
+    value = -np.sum(events * (eta - log_risk), axis=-1) / n_events
+    if has_events is not None:
+        value = np.where(has_events, value, 0.0)
+    return value[()]
+
+
+def _terms_grad(preds: np.ndarray, prepared: np.ndarray, loss: str, terms) -> np.ndarray:
+    """The loss gradient w.r.t. ``preds`` from its :func:`_loss_terms`, which it may overwrite."""
+    if loss == MSE:
+        diff = terms
+        return 2.0 * diff / (diff.shape[-2] * diff.shape[-1])
+    if loss == SOFTMAX_CE:
+        _, probs, logz = terms
+        probs /= np.exp(logz)
+        probs -= prepared   # 1 at each row's class, 0 (exactly) elsewhere
+        probs /= preds.shape[-2]
+        return probs
+    if terms is None:
+        return np.zeros_like(preds)
+    order, starts, events, n_events, has_events, _, _, exp_eta, risk_sums = terms
     # d/d eta_j: -(1/E) [ delta_j - exp(eta_j) * sum_{i: delta_i, t_i <= t_j} 1/S_i ],
     # the running sum from the start of the order to the last member of j's run
     ends = np.roll(starts, -1, axis=-1)   # a run ends where the next starts, or at the row's end
@@ -275,7 +316,30 @@ def loss_and_output_grad(preds: np.ndarray, targets: np.ndarray, loss: str):
         deta_sorted = np.where(has_events[..., None], deta_sorted, 0.0)
     deta = np.empty_like(deta_sorted)
     np.put_along_axis(deta, order, deta_sorted, axis=-1)
-    return value, deta[..., None]
+    return deta[..., None]
+
+
+def output_grad(preds: np.ndarray, prepared: np.ndarray, loss: str) -> np.ndarray:
+    """The loss gradient w.r.t. the predictions, per node of a stack, and no value.
+
+    ``prepared`` is the batch's slice of :func:`_prepare_targets`, so no
+    label is checked or converted here.  This is all a training step
+    computes of its loss.
+    """
+    return _terms_grad(preds, prepared, loss, _loss_terms(preds, prepared, loss))
+
+
+def loss_and_output_grad(preds: np.ndarray, targets: np.ndarray, loss: str):
+    """Loss value and its gradient w.r.t. the predictions, per node of a stack.
+
+    Prepares ``targets`` and computes the loss's terms once for both; the
+    gradient is byte-equal to :func:`output_grad` on the prepared targets.
+    """
+    preds = np.asarray(preds, dtype=float)
+    prepared = _prepare_targets(targets, loss, preds.shape)
+    terms = _loss_terms(preds, prepared, loss)
+    return (_loss_value(preds, prepared, loss, terms),
+            _terms_grad(preds, prepared, loss, terms))
 
 
 def loss_and_grad(params: ModelParams, batch: Batch, loss: str):
@@ -324,6 +388,11 @@ def local_train(params: ModelParams, inputs: np.ndarray, targets: np.ndarray,
     one shared model, or a stack of N start models.  A stack returns a stack
     whose model k is byte-equal to training node k alone (once a step has
     run; with n = 0 the shared start model comes back as it is).
+
+    The targets are checked and prepared once per call, so a bad label is
+    rejected before any batch runs.  A step is the forward, the gradient
+    alone (``output_grad`` on the batch's slice of the prepared targets),
+    the backward and the SGD update; no loss value is computed.
     """
     if batch_size < 1:
         raise ValueError(f"need batch_size >= 1, got {batch_size}")
@@ -331,13 +400,18 @@ def local_train(params: ModelParams, inputs: np.ndarray, targets: np.ndarray,
         raise ValueError(f"need epochs >= 1, got {epochs}")
     if not lr > 0:
         raise ValueError(f"need lr > 0, got {lr}")
+    lead = inputs.shape[:-1]   # the node axes and the sample axis
+    if np.shape(targets)[:len(lead)] != lead:
+        raise ValueError("inputs and targets disagree in leading extent")
+    prepared = _prepare_targets(targets, loss, lead + params.layers[-1][1].shape[-1:])
     nodes = (slice(None),) * (inputs.ndim - 2)
+    batches = [nodes + (slice(start, start + batch_size),)
+               for start in range(0, lead[-1], batch_size)]
     model = params
-    n = inputs.shape[-2]
     for _ in range(epochs):
-        for start in range(0, n, batch_size):
-            rows = nodes + (slice(start, start + batch_size),)
-            _, grads = loss_and_grad(model, Batch(inputs[rows], targets[rows]), loss)
+        for rows in batches:
+            preds, cache = forward_with_cache(model, inputs[rows])
+            grads = backward_from_output(model, cache, output_grad(preds, prepared[rows], loss))
             model = sgd_step(model, grads, lr)
     return model
 
@@ -345,7 +419,8 @@ def local_train(params: ModelParams, inputs: np.ndarray, targets: np.ndarray,
 def evaluate(params: ModelParams, inputs: np.ndarray, targets: np.ndarray, loss: str):
     """Dataset loss plus accuracy (NaN for non-classification losses)."""
     preds = forward(params, inputs)
-    value, _ = _loss_value(preds, targets, loss)
+    prepared = _prepare_targets(targets, loss, preds.shape)
+    value = _loss_value(preds, prepared, loss, _loss_terms(preds, prepared, loss))
     if loss == SOFTMAX_CE:
         labels = np.asarray(targets).reshape(-1).astype(int)
         acc = float(np.mean(np.argmax(preds, axis=1) == labels))

@@ -24,11 +24,12 @@ provided:
 * ``dlcd_secure_training``   -- master owns the data; the dataset is encoded
   once and workers compute the model execution on encoded batches; the
   master decodes the outputs, evaluates loss/gradients and steps the model.
-  Everything fixed by the round's fastest subset is built once per round:
-  its decode rows and its shares gathered batch-major.  A batch then does
-  only its own arithmetic: the fastest
-  workers' forwards as one stacked forward, the decode product
-  (``codec._decode_rows``) and the master's step.
+  The targets are prepared once per run, and everything fixed by the
+  round's fastest subset once per round: its decode rows and its shares
+  gathered batch-major.  A batch then does only its own arithmetic: the
+  fastest workers' forwards as one stacked forward, the decode product
+  (``codec._decode_rows``) and the master's step, which computes the loss
+  gradient but no loss value.
 * ``uncoded_dlcd``           -- master partitions the plaintext dataset;
   from then on it is ``uncoded_dldd`` on those parts.
 * ``dldd_secure_aggregation``-- nodes own the data, train in plaintext and
@@ -70,13 +71,15 @@ from .interpolation import CodingPlan
 from .learners import (
     FEDAVG,
     ModelParams,
+    _prepare_targets,
     aggregate,
     backward_from_output,
     evaluate,
     forward,
     forward_with_cache,
     local_train,
-    loss_and_output_grad,
+    loss_and_output_grad,  # noqa: F401 -- uncalled; bench/tracer.py patches it by this name
+    output_grad,
     sgd_step,
 )
 
@@ -373,7 +376,11 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     current model (plaintext), every worker computes the model execution on
     its encoded batch slice, and the master decodes the batch outputs from
     the fastest subset, evaluates the loss on them, backpropagates through
-    its own plaintext activations and steps the model.
+    its own plaintext activations and steps the model.  The targets are
+    checked and prepared once per run, before the encode, so a bad label is
+    rejected before any batch runs; a batch computes only the loss gradient
+    (``output_grad`` on its slice of the prepared targets), and the loss
+    value is read once per round, from ``evaluate``.
 
     A batch is one coded group of K samples (the last may be short) and a
     round is one pass over the groups, so ``batch_size`` and
@@ -392,6 +399,9 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     n_samples = inputs.shape[0]
     if n_samples < plan.K:
         raise ValueError("dataset smaller than the coding batch size K")
+    # Each worker's result is one coded row of model outputs.
+    result_elems = model_init.layers[-1][1].size
+    prepared = _prepare_targets(targets, cfg.loss, (n_samples, result_elems))
     w_elems = model_init.size
     nodes = _node_names(net.n_nodes)
 
@@ -402,8 +412,6 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
         encode_ops=OpCount(1, inputs.size))
     by_batch = shares.payloads.swapaxes(0, 1)[:, :, None]  # (G, N, 1, f): batch g's shares
     n_batches, n_workers = by_batch.shape[:2]
-    # Each worker's result is one coded row of model outputs.
-    result_elems = model_init.layers[-1][1].size
     batch_messages = _round_trips(net.n_nodes, (w_elems, "model_broadcast"),
                                   (result_elems, "inference_result"))
     train_ops = n_batches * (n_workers + 1)   # every worker's forward and the master's step
@@ -419,7 +427,7 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
             preds = forward(model, batch_shares)             # (n, 1, outputs)
             # the last group may be short: only its first n_samples - lo rows are data
             decoded = _decode_rows(rows, preds.reshape(len(preds), -1))[:n_samples - lo]
-            _, dpred = loss_and_output_grad(decoded, targets[lo:lo + plan.K], cfg.loss)
+            dpred = output_grad(decoded, prepared[lo:lo + plan.K], cfg.loss)
             _, cache = forward_with_cache(model, inputs[lo:lo + plan.K])
             grads = backward_from_output(model, cache, dpred)
             model = sgd_step(model, grads, cfg.lr)

@@ -12,6 +12,7 @@ from pbacc.learners import (
     COX_PH,
     FEDAVG,
     IDENTITY,
+    LOSSES,
     MSE,
     ModelParams,
     RELU,
@@ -26,6 +27,7 @@ from pbacc.learners import (
     loss_and_output_grad,
     make_survival,
     make_two_clusters,
+    output_grad,
     sgd_step,
 )
 
@@ -413,7 +415,8 @@ def test_local_train_rejects_bad_settings_before_any_batch(monkeypatch, field, v
 
     x, y = make_two_clusters(12, seed=46)
     settings = {"lr": 0.1, "batch_size": 4, "epochs": 1} | {field: value}
-    monkeypatch.setattr(learners, "loss_and_grad", batch_ran)
+    monkeypatch.setattr(learners, "forward_with_cache", batch_ran)
+    monkeypatch.setattr(learners, "output_grad", batch_ran)
     with pytest.raises(ValueError, match=field):
         local_train(init_mlp([2, 2], seed=47), x, y, SOFTMAX_CE, **settings)
 
@@ -452,6 +455,94 @@ def test_evaluate_loss_is_the_gradient_paths_value_byte_for_byte(case):
     assert np.float64(value).tobytes() == np.float64(expected).tobytes()
 
 
+def _stacked(case, nodes=2):
+    """A ``_loss_cases`` case as a stack of ``nodes`` equal node datasets.
+
+    The tied Cox case's second node has no event, so the stack mixes nodes
+    with and without events.
+    """
+    loss, preds, targets = list(_loss_cases())[case]
+    preds = preds.reshape(nodes, -1, preds.shape[-1])
+    targets = targets.reshape(preds.shape[:2] + targets.shape[1:])
+    if case == 2:
+        targets = targets.copy()
+        targets[1, :, 1] = 0.0
+    return loss, preds, targets
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one", "stacked"])
+@pytest.mark.parametrize("case", range(4), ids=["mse", "softmax_ce", "cox_tied", "cox_no_events"])
+def test_output_grad_is_the_gradient_of_loss_and_output_grad_byte_for_byte(case, stacked):
+    loss, preds, targets = _stacked(case) if stacked else list(_loss_cases())[case]
+    prepared = learners._prepare_targets(targets, loss, preds.shape)
+    _, expected = loss_and_output_grad(preds, targets, loss)
+    assert output_grad(preds, prepared, loss).tobytes() == expected.tobytes()
+    # a batch is the same slice of the inputs and of the prepared targets
+    rows = (slice(None),) * (preds.ndim - 2) + (slice(3, 11),)
+    _, expected = loss_and_output_grad(preds[rows], targets[rows], loss)
+    assert output_grad(preds[rows], prepared[rows], loss).tobytes() == expected.tobytes()
+
+
+def test_every_loss_entry_point_rejects_an_unknown_loss():
+    x, y = make_two_clusters(6, seed=52)
+    params = init_mlp([2, 2], seed=53)
+    preds = forward(params, x)
+    prepared = learners._prepare_targets(y, SOFTMAX_CE, preds.shape)
+    for call in (lambda: output_grad(preds, prepared, "hinge"),
+                 lambda: loss_and_output_grad(preds, y, "hinge"),
+                 lambda: evaluate(params, x, y, "hinge"),
+                 lambda: local_train(params, x, y, "hinge", lr=0.1, batch_size=2, epochs=1)):
+        with pytest.raises(ValueError, match="unknown loss 'hinge'"):
+            call()
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(learners, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(learners, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("loss", LOSSES)
+@pytest.mark.parametrize("stacked", [False, True], ids=["one", "stacked"])
+def test_local_train_prepares_targets_once_and_computes_no_loss_value(monkeypatch, loss, stacked):
+    x, y = make_survival(24, features=3, seed=48) if loss == COX_PH else \
+        make_two_clusters(24, features=3, seed=48)
+    if loss == MSE:
+        y = np.column_stack([y, -y])
+    outputs = {MSE: 2, SOFTMAX_CE: 2, COX_PH: 1}[loss]
+    if stacked:
+        x, y = x.reshape(3, 8, 3), y.reshape((3, 8) + y.shape[1:])
+    init = init_mlp([3, 4, outputs], activation=TANH, seed=49)
+    expected = local_train(init, x, y, loss, lr=0.1, batch_size=3, epochs=2)
+    prepared = _count_calls(monkeypatch, "_prepare_targets")
+    values = _count_calls(monkeypatch, "_loss_value")
+    steps = _count_calls(monkeypatch, "output_grad")
+    trained = local_train(init, x, y, loss, lr=0.1, batch_size=3, epochs=2)
+    assert trained.flattened_view.tobytes() == expected.flattened_view.tobytes()
+    batches = -(-x.shape[-2] // 3)
+    assert (len(prepared), len(values), len(steps)) == (1, 0, 2 * batches)
+
+
+@pytest.mark.parametrize("bad", [1.7, np.nan, 2.0])
+def test_local_train_rejects_a_bad_label_before_any_batch(monkeypatch, bad):
+    def batch_ran(*args, **kwargs):
+        raise AssertionError("a batch ran")
+
+    x, y = make_two_clusters(12, seed=50)
+    y[7] = bad   # after the first batch of 4
+    monkeypatch.setattr(learners, "forward_with_cache", batch_ran)
+    for inputs, labels in ((x, y), (x.reshape(2, 6, 2), y.reshape(2, 6))):
+        with pytest.raises(ValueError, match=rf"class label {bad} is not an integer in \[0, 2\)"):
+            local_train(init_mlp([2, 2], seed=51), inputs, labels, SOFTMAX_CE,
+                        lr=0.1, batch_size=4, epochs=1)
+
+
 def test_cox_evaluate_does_not_run_the_gradient(monkeypatch):
     def gradient_ran(*args, **kwargs):
         raise AssertionError("evaluate built the gradient")
@@ -460,7 +551,8 @@ def test_cox_evaluate_does_not_run_the_gradient(monkeypatch):
     x, targets = make_survival(n, features=4, seed=31)
     params = init_mlp([4, 16, 1], activation=TANH, seed=32)
     expected, _ = evaluate(params, x, targets, COX_PH)
-    monkeypatch.setattr(learners, "loss_and_output_grad", gradient_ran)
+    monkeypatch.setattr(learners, "output_grad", gradient_ran)
+    monkeypatch.setattr(learners, "_terms_grad", gradient_ran)
     monkeypatch.setattr(learners, "backward_from_output", gradient_ran)
     value, acc = learners.evaluate(params, x, targets, COX_PH)
     assert value == expected and np.isnan(acc)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pbacc import protocols
+from pbacc import learners, protocols
 from pbacc.codec import NoiseSpec, decode, encode, encode_stack
 from pbacc.interpolation import make_plan
 from pbacc.learners import (
@@ -303,6 +303,50 @@ def test_dlcd_secure_training_matches_the_per_share_reference(loss, straggler, K
         assert trace.messages == messages
         assert [trace.train_ops.count, trace.train_ops.elements] == train
         assert [trace.decode_ops.count, trace.decode_ops.elements] == decoded
+
+
+def test_dlcd_secure_training_computes_a_loss_value_only_per_round(monkeypatch):
+    x, y = make_two_clusters(25, seed=8)
+    cfg = SchemeConfig(scheme=DLCD_SECURE_TRAINING, plan=make_plan(2, 2, 6), sigma_n=0.5,
+                       rounds=3, lr=0.1)
+    network = NetworkConfig(n_nodes=6, seed=3)
+    expected = run_dlcd_secure_training(cfg, network, (x, y), model())
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(learners, "_loss_value")
+    counted(learners, "_prepare_targets")       # evaluate's, once per round
+    counted(protocols, "_prepare_targets")      # the runner's, once per run
+    counted(protocols, "output_grad")
+    traces = run_dlcd_secure_training(cfg, network, (x, y), model())
+    assert [t.decoded_model.tobytes() for t in traces[1:]] == \
+        [t.decoded_model.tobytes() for t in expected[1:]]
+    # one prepare per run, then per round 13 batch gradients and one evaluate
+    assert calls == ["_prepare_targets"] + (
+        ["output_grad"] * 13 + ["_prepare_targets", "_loss_value"]) * cfg.rounds
+
+
+@pytest.mark.parametrize("bad", [1.7, np.nan, 2.0])
+def test_dlcd_secure_training_rejects_a_bad_label_before_any_batch(monkeypatch, bad):
+    def batch_ran(*args, **kwargs):
+        raise AssertionError("a batch ran")
+
+    x, y = make_two_clusters(25, seed=8)
+    y[7] = bad   # in the fourth coded group of K=2
+    cfg = SchemeConfig(scheme=DLCD_SECURE_TRAINING, plan=make_plan(2, 2, 6), sigma_n=0.5,
+                       rounds=1, lr=0.1)
+    monkeypatch.setattr(protocols, "forward", batch_ran)
+    monkeypatch.setattr(protocols, "forward_with_cache", batch_ran)
+    with pytest.raises(ValueError, match=rf"class label {bad} is not an integer in \[0, 2\)"):
+        run_dlcd_secure_training(cfg, NetworkConfig(n_nodes=6, seed=3), (x, y), model())
 
 
 def round_noise(seed, r, n, plan, sigma_n, groups):
