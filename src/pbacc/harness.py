@@ -55,6 +55,14 @@ def _int(value) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    """A finite float; an infinity or a NaN is refused."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"need a finite number, got {value!r}")
+    return value
+
+
 def _list_of(kind: Callable) -> Callable:
     def parse(value) -> list:
         values = value if isinstance(value, list) else [value]
@@ -83,7 +91,6 @@ def _one_of(choices: tuple) -> tuple[Callable, str]:
 
 
 _POSITIVE = (lambda v: v > 0), "> 0"
-_FINITE = math.isfinite, "finite"
 
 
 class _Field(NamedTuple):
@@ -108,18 +115,18 @@ _FIELDS = (
     _Field("network", "nodes", "n_nodes", _int, 8, "N", _at_least(2)),
     _Field("plan", "K", "K", _int, 1, "K", _at_least(1), True),
     _Field("privacy", "T", "T_values", _list_of(_int), 0, "T", _at_least(0), True),
-    _Field("privacy", "sigma_n", "sigma_n_values", _list_of(float), 0.0, "sigma_n",
+    _Field("privacy", "sigma_n", "sigma_n_values", _list_of(_float), 0.0, "sigma_n",
            _at_least(0), True),
     _Field("privacy", "c", "c_values", _list_of(_int), 1, "c", _at_least(0), True),
-    _Field("privacy", "s", "s", float, 1.0, "s", _POSITIVE, True),
-    _Field("privacy", "epsilon", "epsilon", float, 1.0, "epsilon", _POSITIVE, True),
-    _Field("plan", "shift", "shift", float, DEFAULT_NOISE_SHIFT, "shift", _FINITE, True),
-    _Field("training", "lr", "lr", float, 0.05, "lr", _POSITIVE),
+    _Field("privacy", "s", "s", _float, 1.0, "s", _POSITIVE, True),
+    _Field("privacy", "epsilon", "epsilon", _float, 1.0, "epsilon", _POSITIVE, True),
+    _Field("plan", "shift", "shift", _float, DEFAULT_NOISE_SHIFT, "shift", coded_only=True),
+    _Field("training", "lr", "lr", _float, 0.05, "lr", _POSITIVE),
     _Field("training", "batch_size", "batch_size", _int, 10, "batch_size", _at_least(1)),
     _Field("training", "epochs_per_round", "epochs_per_round", _int, 1, "epochs_per_round",
            _at_least(1)),
     _Field(None, "rounds", "rounds", _int, 10, "rounds", _at_least(1)),
-    _Field(None, "seed", "seed", _int, 0, "seed"),
+    _Field(None, "seed", "seed", _int, 0, "seed", _at_least(0)),
     _Field(None, "strategy", "strategy", str, GREEDY, "strategy", _one_of(STRATEGIES)),
     _Field("training", "loss", "loss", str, learners.SOFTMAX_CE, "loss_kind",
            _one_of(learners.LOSSES)),
@@ -132,7 +139,7 @@ _FIELDS = (
     _Field("training", "hidden", "hidden", _list_of(_int), [8], "hidden", _at_least(1)),
     _Field("training", "activation", "activation", str, learners.TANH, "activation",
            _one_of(learners.ACTIVATIONS)),
-    _Field("training", "separation", "separation", float, 3.0, "separation"),
+    _Field("training", "separation", "separation", _float, 3.0, "separation"),
     _Field("network", "straggler", "straggler", _straggler, None, None),
     _Field(None, "output", "output_dir", str, "results", None),
 )

@@ -15,15 +15,14 @@ computation on node k; every reduction runs within a node, over axis -1 or
 -2.  Products are never flattened across nodes: an ``(N*B, f)`` product
 can differ in the last ulp.
 
-A loss is split so that training pays only for its gradient.  A dataset's
-targets are checked and converted once (``_prepare_targets``: softmax
-labels validated and one-hot encoded, Cox pairs shape-checked, MSE targets
-made float), and every batch scores against a slice of them.  Each loss's
-intermediates are computed in one place (``_loss_terms``); the gradient
-(``output_grad``) and the value (``_loss_value``) both read them, and the
-value is computed only where it is read: ``evaluate`` and the public
-``loss_and_output_grad`` and ``loss_and_grad``.  No training step computes
-a value or scans raw labels.
+Training pays only for a loss's gradient.  A dataset's targets are checked
+against the predictions' shape and converted once (``_prepare_targets``:
+MSE targets made float, softmax labels validated and one-hot encoded, Cox
+pairs shape-checked), and every batch scores against a slice of them.  Each
+loss is one block of ``_loss_kernel``: its intermediates, then the value or
+the gradient, whichever the caller asked for.  Training steps ask for the
+gradient (``output_grad``); ``evaluate`` asks for the value.  No training
+step computes a value or scans raw labels.
 
 The Cox partial likelihood takes Breslow's convention for tied times
 (Breslow 1974): the risk set of sample i is every j with t_j >= t_i, so a
@@ -99,17 +98,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(layers=[(w.copy(), b.copy()) for w, b in self.layers],
                            activation=self.activation)
-
-
-@dataclass(frozen=True)
-class Batch:
-    inputs: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self):
-        lead = self.inputs.ndim - 1   # the node axes and the sample axis
-        if self.inputs.shape[:lead] != self.targets.shape[:lead]:
-            raise ValueError("inputs and targets disagree in leading extent")
 
 
 def init_mlp(sizes: list[int], activation: str = RELU, seed: int = 0) -> ModelParams:
@@ -191,62 +179,81 @@ def _prepare_targets(targets: np.ndarray, loss: str, outputs: tuple[int, ...]) -
     """Check and convert a dataset's targets once, for every batch cut from it.
 
     ``outputs`` is the shape of the predictions the targets are scored
-    against, ``(..., n, outputs)``.  The result has the samples on the same
-    axis as the predictions, so a batch's targets are the same slice of it:
-    MSE targets as floats in that shape; softmax labels as a boolean one-hot
-    of that shape, each row True at its label's class; Cox ``(time, event)``
+    against, ``(..., n, outputs)``; the targets must share its node and
+    sample axes.  The result has the samples on the same axis as the
+    predictions, so a batch's targets are the same slice of it: MSE targets
+    as floats in that shape (a trailing output axis of 1 may be left off);
+    softmax labels, ``(..., n)`` or ``(..., n, 1)``, as a boolean one-hot of
+    that shape, each row True at its label's class; Cox ``(time, event)``
     pairs as floats, ``(..., n, 2)``.
     """
+    targets = np.asarray(targets)
+    lead = outputs[:-1]   # the node axes and the sample axis
+    misfit = f"targets of shape {targets.shape} do not fit predictions of shape {outputs}"
     if loss == MSE:
+        if targets.shape != outputs and (targets.shape != lead or outputs[-1] != 1):
+            raise ValueError(misfit)
         return np.asarray(targets, dtype=float).reshape(outputs)
     if loss == SOFTMAX_CE:
+        if targets.shape not in (lead, lead + (1,)):
+            raise ValueError(misfit)
         classes = outputs[-1]
         # a label equals exactly one class index if it is an integer in
         # [0, classes), and none otherwise (NaN included)
-        labels = np.asarray(targets).reshape(outputs[:-1] + (1,))
+        labels = targets.reshape(lead + (1,))
         onehot = labels == np.arange(classes, dtype=float)
         if np.count_nonzero(onehot) != labels.size:
             bad = labels[..., 0][~onehot.any(axis=-1)][0]
             raise ValueError(f"class label {bad} is not an integer in [0, {classes})")
         return onehot
     if loss == COX_PH:
-        targets = np.asarray(targets, dtype=float)
-        if targets.shape != outputs[:-1] + (2,) or outputs[-1] != 1:
+        if targets.shape != lead + (2,) or outputs[-1] != 1:
             raise ValueError("cox partial likelihood needs (time, event) targets "
-                             "and a single risk-score output")
-        return targets
+                             f"and a single risk-score output: {misfit}")
+        return np.asarray(targets, dtype=float)
     raise ValueError(f"unknown loss {loss!r}")
 
 
-def _loss_terms(preds: np.ndarray, prepared: np.ndarray, loss: str):
-    """The intermediates a loss's value and its gradient share (None if both are 0).
+def _loss_kernel(preds: np.ndarray, prepared: np.ndarray, loss: str, value: bool):
+    """The loss value per node if ``value``, else its gradient w.r.t. ``preds``.
 
     ``preds`` is ``(..., B, outputs)`` and ``prepared`` the batch's slice of
-    :func:`_prepare_targets`.  Each loss is computed here once; only
-    :func:`_loss_value` turns the terms into a value, and only
-    :func:`_terms_grad` into a gradient.
+    :func:`_prepare_targets`.  Each loss is one block: the intermediates
+    its value and its gradient share, then the one of the two asked for.
+    The value has the node shape ``...`` (a scalar for one model).
     """
     if loss == MSE:
-        return preds - prepared
+        diff = preds - prepared
+        count = diff.shape[-2] * diff.shape[-1]
+        if value:
+            # np.mean's own sum and division, without its per-call overhead
+            return (diff * diff).sum(axis=(-2, -1)) / count
+        return 2.0 * diff / count
     if loss == SOFTMAX_CE:
         # ufunc reductions: the ndarray methods' sums and maxima, without their wrappers
         shifted = preds - np.maximum.reduce(preds, axis=-1, keepdims=True)
-        exp_shifted = np.exp(shifted)
-        logz = np.log(np.add.reduce(exp_shifted, axis=-1, keepdims=True))
-        return shifted, exp_shifted, logz
+        probs = np.exp(shifted)
+        logz = np.log(np.add.reduce(probs, axis=-1, keepdims=True))
+        if value:
+            nll = logz[..., 0] - shifted[prepared].reshape(preds.shape[:-1])   # each row's own class
+            return np.add.reduce(nll, axis=-1) / preds.shape[-2]
+        probs /= np.exp(logz)
+        probs -= prepared   # 1 at each row's class, 0 (exactly) elsewhere
+        probs /= preds.shape[-2]
+        return probs
     if loss != COX_PH:
         raise ValueError(f"unknown loss {loss!r}")
     # Cox: every per-sample array below is in ascending time order, per node.
     order = np.argsort(prepared[..., 0], axis=-1, kind="stable")
     times = np.take_along_axis(prepared[..., 0], order, axis=-1)
     events = np.take_along_axis(prepared[..., 1], order, axis=-1)
-    n_events = events.sum(axis=-1)
+    n_events = events.sum(axis=-1, keepdims=True)
     # The partial likelihood is a product over events.  A node with none
     # has the empty product 1, so its loss and its gradient are zero.
     has_events = n_events > 0
     if not has_events.any():
-        return None
-    partial = not has_events.all()
+        return np.zeros(preds.shape[:-2])[()] if value else np.zeros_like(preds)
+    partial = not has_events.all()   # never for one model
     if partial:
         n_events = np.where(has_events, n_events, 1.0)
     eta = np.take_along_axis(preds[..., 0], order, axis=-1)
@@ -261,61 +268,23 @@ def _loss_terms(preds: np.ndarray, prepared: np.ndarray, loss: str):
     first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
     tail_sums = np.cumsum(exp_eta[..., ::-1], axis=-1)[..., ::-1]
     risk_sums = np.take_along_axis(tail_sums, first, axis=-1)
-    # the mask is None when every node has an event, as one model always does
-    return (order, starts, events, n_events, has_events if partial else None,
-            eta, shift, exp_eta, risk_sums)
-
-
-def _loss_value(preds: np.ndarray, prepared: np.ndarray, loss: str, terms):
-    """The loss value per node, from the batch's :func:`_loss_terms`.
-
-    The value has the node shape ``...`` (a scalar for one model).  Only
-    ``evaluate`` and ``loss_and_output_grad`` call this; no training step does.
-    """
-    if loss == MSE:
-        diff = terms
-        # np.mean's own sum and division, without its per-call overhead
-        return (diff * diff).sum(axis=(-2, -1)) / (diff.shape[-2] * diff.shape[-1])
-    if loss == SOFTMAX_CE:
-        shifted, _, logz = terms
-        nll = logz[..., 0] - shifted[prepared].reshape(preds.shape[:-1])   # each row's own class
-        return np.add.reduce(nll, axis=-1) / preds.shape[-2]
-    if terms is None:
-        return np.zeros(preds.shape[:-2])[()]
-    _, _, events, n_events, has_events, eta, shift, _, risk_sums = terms
-    log_risk = np.log(risk_sums) + shift
-    value = -np.sum(events * (eta - log_risk), axis=-1) / n_events
-    if has_events is not None:
-        value = np.where(has_events, value, 0.0)
-    return value[()]
-
-
-def _terms_grad(preds: np.ndarray, prepared: np.ndarray, loss: str, terms) -> np.ndarray:
-    """The loss gradient w.r.t. ``preds`` from its :func:`_loss_terms`, which it may overwrite."""
-    if loss == MSE:
-        diff = terms
-        return 2.0 * diff / (diff.shape[-2] * diff.shape[-1])
-    if loss == SOFTMAX_CE:
-        _, probs, logz = terms
-        probs /= np.exp(logz)
-        probs -= prepared   # 1 at each row's class, 0 (exactly) elsewhere
-        probs /= preds.shape[-2]
-        return probs
-    if terms is None:
-        return np.zeros_like(preds)
-    order, starts, events, n_events, has_events, _, _, exp_eta, risk_sums = terms
-    # d/d eta_j: -(1/E) [ delta_j - exp(eta_j) * sum_{i: delta_i, t_i <= t_j} 1/S_i ],
-    # the running sum from the start of the order to the last member of j's run
-    ends = np.roll(starts, -1, axis=-1)   # a run ends where the next starts, or at the row's end
-    pos = np.arange(ends.shape[-1])
-    last = np.minimum.accumulate(np.where(ends, pos, pos[-1])[..., ::-1], axis=-1)[..., ::-1]
-    head_sums = np.cumsum(events / risk_sums, axis=-1)
-    deta_sorted = -(events - exp_eta * np.take_along_axis(head_sums, last, axis=-1)) \
-        / n_events[..., None]
-    if has_events is not None:
-        deta_sorted = np.where(has_events[..., None], deta_sorted, 0.0)
-    deta = np.empty_like(deta_sorted)
-    np.put_along_axis(deta, order, deta_sorted, axis=-1)
+    if value:
+        log_risk = np.log(risk_sums) + shift
+        out = -np.sum(events * (eta - log_risk), axis=-1, keepdims=True)
+    else:
+        # d/d eta_j: -(1/E) [ delta_j - exp(eta_j) * sum_{i: delta_i, t_i <= t_j} 1/S_i ],
+        # the running sum from the start of the order to the last member of j's run
+        ends = np.roll(starts, -1, axis=-1)   # a run ends where the next starts, or at the row's end
+        last = np.minimum.accumulate(np.where(ends, pos, pos[-1])[..., ::-1], axis=-1)[..., ::-1]
+        head_sums = np.cumsum(events / risk_sums, axis=-1)
+        out = -(events - exp_eta * np.take_along_axis(head_sums, last, axis=-1))
+    out = out / n_events
+    if partial:
+        out = np.where(has_events, out, 0.0)
+    if value:
+        return out[..., 0][()]
+    deta = np.empty_like(out)
+    np.put_along_axis(deta, order, out, axis=-1)
     return deta[..., None]
 
 
@@ -326,26 +295,25 @@ def output_grad(preds: np.ndarray, prepared: np.ndarray, loss: str) -> np.ndarra
     label is checked or converted here.  This is all a training step
     computes of its loss.
     """
-    return _terms_grad(preds, prepared, loss, _loss_terms(preds, prepared, loss))
+    return _loss_kernel(preds, prepared, loss, value=False)
 
 
 def loss_and_output_grad(preds: np.ndarray, targets: np.ndarray, loss: str):
     """Loss value and its gradient w.r.t. the predictions, per node of a stack.
 
-    Prepares ``targets`` and computes the loss's terms once for both; the
-    gradient is byte-equal to :func:`output_grad` on the prepared targets.
+    Prepares ``targets`` once for both; the gradient is byte-equal to
+    :func:`output_grad` on the prepared targets.
     """
     preds = np.asarray(preds, dtype=float)
     prepared = _prepare_targets(targets, loss, preds.shape)
-    terms = _loss_terms(preds, prepared, loss)
-    return (_loss_value(preds, prepared, loss, terms),
-            _terms_grad(preds, prepared, loss, terms))
+    return (_loss_kernel(preds, prepared, loss, value=True),
+            _loss_kernel(preds, prepared, loss, value=False))
 
 
-def loss_and_grad(params: ModelParams, batch: Batch, loss: str):
+def loss_and_grad(params: ModelParams, inputs: np.ndarray, targets: np.ndarray, loss: str):
     """Analytic loss and parameter gradients on one batch."""
-    preds, cache = forward_with_cache(params, batch.inputs)
-    value, dpred = loss_and_output_grad(preds, batch.targets, loss)
+    preds, cache = forward_with_cache(params, inputs)
+    value, dpred = loss_and_output_grad(preds, targets, loss)
     return value, backward_from_output(params, cache, dpred)
 
 
@@ -401,8 +369,6 @@ def local_train(params: ModelParams, inputs: np.ndarray, targets: np.ndarray,
     if not lr > 0:
         raise ValueError(f"need lr > 0, got {lr}")
     lead = inputs.shape[:-1]   # the node axes and the sample axis
-    if np.shape(targets)[:len(lead)] != lead:
-        raise ValueError("inputs and targets disagree in leading extent")
     prepared = _prepare_targets(targets, loss, lead + params.layers[-1][1].shape[-1:])
     nodes = (slice(None),) * (inputs.ndim - 2)
     batches = [nodes + (slice(start, start + batch_size),)
@@ -420,10 +386,10 @@ def evaluate(params: ModelParams, inputs: np.ndarray, targets: np.ndarray, loss:
     """Dataset loss plus accuracy (NaN for non-classification losses)."""
     preds = forward(params, inputs)
     prepared = _prepare_targets(targets, loss, preds.shape)
-    value = _loss_value(preds, prepared, loss, _loss_terms(preds, prepared, loss))
-    if loss == SOFTMAX_CE:
-        labels = np.asarray(targets).reshape(-1).astype(int)
-        acc = float(np.mean(np.argmax(preds, axis=1) == labels))
+    value = _loss_kernel(preds, prepared, loss, value=True)
+    if loss == SOFTMAX_CE:   # the share of rows whose top class is their label's
+        top = np.argmax(preds, axis=-1)[..., None]
+        acc = float(np.mean(np.take_along_axis(prepared, top, axis=-1)))
     else:
         acc = float("nan")
     return float(value), acc

@@ -516,6 +516,10 @@ def max_secure_amplitude(plan: CodingPlan, cfg: PrivacyConfig, bound: float,
     positive amplitude meets the bound: c > T (the bound is +inf at every
     s) or ``bound <= 0``.
     """
+    if math.isnan(bound):
+        raise ValueError("need a bound that is not NaN")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"need a finite tol > 0, got {tol}")
     _check_compat(plan, cfg)
     search = _make_search(plan, cfg, strategy, samples, seed)
 

@@ -220,6 +220,8 @@ class StragglerModel:
     def __post_init__(self):
         if self.kind not in (STRAGGLER_NONE, DROP_SLOWEST, RANDOM_DELAY):
             raise ValueError(f"unknown straggler model {self.kind!r}")
+        if self.seed < 0:
+            raise ValueError(f"need a straggler seed >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

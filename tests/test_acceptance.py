@@ -10,7 +10,6 @@ from pbacc.codec import NoiseSpec, encode, roundtrip_error
 from pbacc.harness import run_experiment, spec_from_dict
 from pbacc.interpolation import berrut_eval, make_plan
 from pbacc.learners import (
-    Batch,
     COX_PH,
     IDENTITY,
     MSE,
@@ -295,15 +294,15 @@ def test_criterion_6_privacy_monotonicity():
 # 7. Gradient correctness
 
 
-def _central_diff(params, batch, loss, h=1e-6):
+def _central_diff(params, x, targets, loss, h=1e-6):
     flat = params.flattened_view
     out = np.empty_like(flat)
     for i in range(flat.size):
         plus, minus = flat.copy(), flat.copy()
         plus[i] += h
         minus[i] -= h
-        lp, _ = loss_and_grad(params.with_flat(plus), batch, loss)
-        lm, _ = loss_and_grad(params.with_flat(minus), batch, loss)
+        lp, _ = loss_and_grad(params.with_flat(plus), x, targets, loss)
+        lm, _ = loss_and_grad(params.with_flat(minus), x, targets, loss)
         out[i] = (lp - lm) / (2 * h)
     return out
 
@@ -327,9 +326,8 @@ def test_criterion_7_gradient_correctness():
             targets = rng.normal(size=(6, width)) if loss == MSE \
                 else rng.integers(0, width, size=6)
         params = init_mlp(sizes, activation=activation, seed=1000 + trial)
-        batch = Batch(x, targets)
-        _, grads = loss_and_grad(params, batch, loss)
-        numeric = _central_diff(params, batch, loss)
+        _, grads = loss_and_grad(params, x, targets, loss)
+        numeric = _central_diff(params, x, targets, loss)
         gap = np.max(np.abs(grads.flattened_view - numeric))
         rel = gap / max(1.0, np.max(np.abs(numeric)))
         worst = max(worst, rel)

@@ -180,8 +180,38 @@ def test_a_colliding_or_nan_noise_shift_fails_before_writing(tmp_path):
         run_experiment(spec_from_dict(raw))
     assert not (tmp_path / "out").exists()
     raw["plan"]["shift"] = float("nan")
-    with pytest.raises(SpecError, match="plan.shift must be finite"):
+    with pytest.raises(SpecError, match="^plan.shift: need a finite number, got nan"):
         spec_from_dict(raw)
+
+
+@pytest.mark.parametrize("section,key", [
+    ("training", "lr"), ("training", "separation"), ("privacy", "sigma_n"),
+    ("privacy", "s"), ("privacy", "epsilon"), ("plan", "shift"),
+], ids=["lr", "separation", "sigma_n", "s", "epsilon", "shift"])
+def test_float_fields_reject_an_infinite_value_before_writing(tmp_path, section, key):
+    raw = small_spec(tmp_path)
+    raw[section][key] = float("inf")
+    with pytest.raises(SpecError, match=rf"^{section}\.{key}: need a finite number, got inf"):
+        run_experiment(spec_from_dict(raw))
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seeds_are_refused_by_field_before_writing(tmp_path, capsys):
+    with pytest.raises(SpecError, match=r"^seed must be >= 0, got -3"):
+        spec_from_dict(small_spec(tmp_path, seed=-3))
+    raw = small_spec(tmp_path)
+    raw["network"]["straggler"] = {"kind": "drop_slowest", "count": 1, "seed": -1}
+    with pytest.raises(SpecError, match=r"^network\.straggler: need a straggler seed >= 0"):
+        spec_from_dict(raw)
+    # a command-line seed is checked before the output directory is made
+    spec_path = tmp_path / "exp.yaml"
+    spec_path.write_text(yaml.safe_dump(small_spec(tmp_path)))
+    assert main(["run", str(spec_path), "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert "seed must be >= 0" in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_readme_example_spec_is_valid():

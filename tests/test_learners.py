@@ -1,5 +1,6 @@
 """Models, losses, analytic gradients, optimizer and aggregation rules."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 from pbacc import learners
 from pbacc.learners import (
-    Batch,
     COORD_MEDIAN,
     COX_PH,
     FEDAVG,
@@ -34,15 +34,15 @@ from pbacc.learners import (
 from oracles import cox_loss_and_grad_mp
 
 
-def central_diff_grads(params, batch, loss, h=1e-6):
+def central_diff_grads(params, x, targets, loss, h=1e-6):
     flat = params.flattened_view
     out = np.empty_like(flat)
     for i in range(flat.size):
         plus, minus = flat.copy(), flat.copy()
         plus[i] += h
         minus[i] -= h
-        lp, _ = loss_and_grad(params.with_flat(plus), batch, loss)
-        lm, _ = loss_and_grad(params.with_flat(minus), batch, loss)
+        lp, _ = loss_and_grad(params.with_flat(plus), x, targets, loss)
+        lm, _ = loss_and_grad(params.with_flat(minus), x, targets, loss)
         out[i] = (lp - lm) / (2 * h)
     return out
 
@@ -95,7 +95,7 @@ def test_stacked_forward_is_byte_equal_to_separate_forwards(activation, hidden, 
 def test_mse_zero_at_perfect_prediction():
     params = ModelParams(layers=[(np.eye(2), np.zeros(2))], activation=IDENTITY)
     x = np.array([[1.0, 2.0], [3.0, -1.0]])
-    value, grads = loss_and_grad(params, Batch(x, x.copy()), MSE)
+    value, grads = loss_and_grad(params, x, x.copy(), MSE)
     assert value == 0.0
     for gw, gb in grads.layers:
         assert np.array_equal(gw, np.zeros_like(gw))
@@ -136,7 +136,7 @@ def test_cox_requires_time_event_targets():
     params = init_mlp([3, 1], activation=IDENTITY, seed=0)
     x = np.random.default_rng(2).normal(size=(5, 3))
     with pytest.raises(ValueError):
-        loss_and_grad(params, Batch(x, np.ones(5)), COX_PH)
+        loss_and_grad(params, x, np.ones(5), COX_PH)
 
 
 def test_cox_event_free_batch_is_zero_and_leaves_weights_unchanged():
@@ -158,11 +158,11 @@ def test_gradients_match_central_differences():
         params = init_mlp(sizes, activation=activation, seed=100 + trial)
         x = rng.normal(size=(6, 3))
         if trial % 3 == 0:
-            batch, loss = Batch(x, rng.normal(size=(6, 2))), MSE
+            y, loss = rng.normal(size=(6, 2)), MSE
         else:
-            batch, loss = Batch(x, rng.integers(0, 2, size=6)), SOFTMAX_CE
-        _, grads = loss_and_grad(params, batch, loss)
-        numeric = central_diff_grads(params, batch, loss)
+            y, loss = rng.integers(0, 2, size=6), SOFTMAX_CE
+        _, grads = loss_and_grad(params, x, y, loss)
+        numeric = central_diff_grads(params, x, y, loss)
         gap = np.max(np.abs(grads.flattened_view - numeric))
         assert gap / max(1.0, np.max(np.abs(numeric))) <= 1e-5
 
@@ -171,9 +171,8 @@ def test_cox_gradients_match_central_differences():
     rng = np.random.default_rng(4)
     x, targets = make_survival(12, features=3, seed=8)
     params = init_mlp([3, 1], activation=IDENTITY, seed=3)
-    batch = Batch(x, targets)
-    _, grads = loss_and_grad(params, batch, COX_PH)
-    numeric = central_diff_grads(params, batch, COX_PH)
+    _, grads = loss_and_grad(params, x, targets, COX_PH)
+    numeric = central_diff_grads(params, x, targets, COX_PH)
     gap = np.max(np.abs(grads.flattened_view - numeric))
     assert gap / max(1.0, np.max(np.abs(numeric))) <= 1e-5
 
@@ -508,6 +507,19 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _record_kernel(monkeypatch):
+    """Record each ``_loss_kernel`` call as "value" or "gradient", whichever it computed."""
+    calls = []
+    original = learners._loss_kernel
+
+    def kernel(preds, prepared, loss, value):
+        calls.append("value" if value else "gradient")
+        return original(preds, prepared, loss, value)
+
+    monkeypatch.setattr(learners, "_loss_kernel", kernel)
+    return calls
+
+
 @pytest.mark.parametrize("loss", LOSSES)
 @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stacked"])
 def test_local_train_prepares_targets_once_and_computes_no_loss_value(monkeypatch, loss, stacked):
@@ -521,12 +533,13 @@ def test_local_train_prepares_targets_once_and_computes_no_loss_value(monkeypatc
     init = init_mlp([3, 4, outputs], activation=TANH, seed=49)
     expected = local_train(init, x, y, loss, lr=0.1, batch_size=3, epochs=2)
     prepared = _count_calls(monkeypatch, "_prepare_targets")
-    values = _count_calls(monkeypatch, "_loss_value")
+    kernel = _record_kernel(monkeypatch)
     steps = _count_calls(monkeypatch, "output_grad")
     trained = local_train(init, x, y, loss, lr=0.1, batch_size=3, epochs=2)
     assert trained.flattened_view.tobytes() == expected.flattened_view.tobytes()
     batches = -(-x.shape[-2] // 3)
-    assert (len(prepared), len(values), len(steps)) == (1, 0, 2 * batches)
+    assert (len(prepared), len(steps)) == (1, 2 * batches)
+    assert kernel == ["gradient"] * (2 * batches)
 
 
 @pytest.mark.parametrize("bad", [1.7, np.nan, 2.0])
@@ -543,6 +556,48 @@ def test_local_train_rejects_a_bad_label_before_any_batch(monkeypatch, bad):
                         lr=0.1, batch_size=4, epochs=1)
 
 
+def _misfit_cases():
+    """Targets that do not fit (4, outputs) predictions: (loss, outputs, targets)."""
+    _, labels = make_two_clusters(4, seed=54)
+    _, survival = make_survival(4, features=3, seed=55)
+    mse = np.random.default_rng(56).normal(size=(4, 2))
+    yield MSE, 2, mse.T                         # transposed
+    yield SOFTMAX_CE, 2, labels.reshape(1, 4)   # one row of labels
+    yield MSE, 2, mse[:3]                       # a sample count that does not match
+    yield SOFTMAX_CE, 2, labels[:3]
+    yield COX_PH, 1, survival[:3]
+
+
+@pytest.mark.parametrize("case", range(5), ids=["mse_transposed", "softmax_row", "mse_short",
+                                                "softmax_short", "cox_short"])
+def test_mis_shaped_targets_are_rejected_naming_both_shapes(monkeypatch, case):
+    def batch_ran(*args, **kwargs):
+        raise AssertionError("a batch ran")
+
+    loss, outputs, targets = list(_misfit_cases())[case]
+    x = np.random.default_rng(57).normal(size=(4, 3))
+    params = init_mlp([3, outputs], activation=IDENTITY, seed=58)
+    preds = forward(params, x)
+    message = rf"{re.escape(str(targets.shape))}.*{re.escape(str(preds.shape))}"
+    with pytest.raises(ValueError, match=message):
+        evaluate(params, x, targets, loss)
+    with pytest.raises(ValueError, match=message):
+        loss_and_output_grad(preds, targets, loss)
+    monkeypatch.setattr(learners, "forward_with_cache", batch_ran)
+    with pytest.raises(ValueError, match=message):
+        local_train(params, x, targets, loss, lr=0.1, batch_size=2, epochs=1)
+
+
+def test_mse_targets_may_leave_off_a_trailing_output_axis_of_1():
+    preds = np.random.default_rng(59).normal(size=(5, 1))
+    targets = np.random.default_rng(60).normal(size=5)
+    value, grad = loss_and_output_grad(preds, targets, MSE)
+    column = loss_and_output_grad(preds, targets[:, None], MSE)
+    assert value == column[0] and grad.tobytes() == column[1].tobytes()
+    with pytest.raises(ValueError, match=r"\(5,\).*\(5, 2\)"):
+        loss_and_output_grad(np.zeros((5, 2)), targets, MSE)
+
+
 def test_cox_evaluate_does_not_run_the_gradient(monkeypatch):
     def gradient_ran(*args, **kwargs):
         raise AssertionError("evaluate built the gradient")
@@ -552,7 +607,8 @@ def test_cox_evaluate_does_not_run_the_gradient(monkeypatch):
     params = init_mlp([4, 16, 1], activation=TANH, seed=32)
     expected, _ = evaluate(params, x, targets, COX_PH)
     monkeypatch.setattr(learners, "output_grad", gradient_ran)
-    monkeypatch.setattr(learners, "_terms_grad", gradient_ran)
     monkeypatch.setattr(learners, "backward_from_output", gradient_ran)
+    kernel = _record_kernel(monkeypatch)
     value, acc = learners.evaluate(params, x, targets, COX_PH)
     assert value == expected and np.isnan(acc)
+    assert kernel == ["value"]

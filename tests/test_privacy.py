@@ -239,6 +239,19 @@ def test_max_secure_amplitude_reports_consistent_value():
     assert worst_case_leakage(plan, above, strategy=EXHAUSTIVE).i_L > bound
 
 
+@pytest.mark.parametrize("bound, tol", [
+    (math.nan, 1e-4), (1.0, 0.0), (1.0, -1e-4), (1.0, math.nan), (1.0, math.inf)],
+    ids=["nan_bound", "zero_tol", "negative_tol", "nan_tol", "infinite_tol"])
+def test_max_secure_amplitude_rejects_bad_arguments_before_any_search(monkeypatch, bound, tol):
+    def search_ran(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    # the search is never reached, so a tol that would stall the bisection cannot hang here
+    monkeypatch.setattr(privacy, "_make_search", search_ran)
+    with pytest.raises(ValueError, match="bound" if math.isnan(bound) else "tol"):
+        max_secure_amplitude(make_plan(2, 10, 50), cfg(K=2, T=10, c=3), bound, tol=tol)
+
+
 def test_max_secure_amplitude_zero_when_gram_singular():
     # more colluders than noise blocks: the bound is infinite for every s > 0
     plan = make_plan(1, 2, 10)

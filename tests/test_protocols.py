@@ -11,7 +11,6 @@ from pbacc.learners import (
     COX_PH,
     FEDAVG,
     MSE,
-    Batch,
     SOFTMAX_CE,
     TANH,
     aggregate,
@@ -230,9 +229,8 @@ def test_dlcd_secure_training_matches_centralized_sgd_when_identity_coded():
     twin = model()
     for trace in traces[1:]:
         for g in range(x.shape[0]):
-            batch = Batch(x[g:g + 1], y[g:g + 1])
-            preds, cache = forward_with_cache(twin, batch.inputs)
-            _, dpred = loss_and_output_grad(preds, batch.targets, SOFTMAX_CE)
+            preds, cache = forward_with_cache(twin, x[g:g + 1])
+            _, dpred = loss_and_output_grad(preds, y[g:g + 1], SOFTMAX_CE)
             twin = sgd_step(twin, backward_from_output(twin, cache, dpred), cfg.lr)
         np.testing.assert_allclose(trace.decoded_model, twin.flattened_view,
                                    rtol=1e-9, atol=1e-11)
@@ -322,16 +320,23 @@ def test_dlcd_secure_training_computes_a_loss_value_only_per_round(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(learners, "_loss_value")
+    original_kernel = learners._loss_kernel
+
+    def kernel(preds, prepared, loss, value):
+        calls.append("value" if value else "gradient")
+        return original_kernel(preds, prepared, loss, value)
+
+    monkeypatch.setattr(learners, "_loss_kernel", kernel)
     counted(learners, "_prepare_targets")       # evaluate's, once per round
     counted(protocols, "_prepare_targets")      # the runner's, once per run
     counted(protocols, "output_grad")
     traces = run_dlcd_secure_training(cfg, network, (x, y), model())
     assert [t.decoded_model.tobytes() for t in traces[1:]] == \
         [t.decoded_model.tobytes() for t in expected[1:]]
-    # one prepare per run, then per round 13 batch gradients and one evaluate
+    # one prepare per run, then per round 13 batch gradients and one evaluate,
+    # which computes the loss value alone
     assert calls == ["_prepare_targets"] + (
-        ["output_grad"] * 13 + ["_prepare_targets", "_loss_value"]) * cfg.rounds
+        ["output_grad", "gradient"] * 13 + ["_prepare_targets", "value"]) * cfg.rounds
 
 
 @pytest.mark.parametrize("bad", [1.7, np.nan, 2.0])
