@@ -24,6 +24,14 @@ the gradient, whichever the caller asked for.  Training steps ask for the
 gradient (``output_grad``); ``evaluate`` asks for the value.  No training
 step computes a value or scans raw labels.
 
+There is one backward, ``_layer_grads``: it yields each layer's gradient,
+last layer first.  ``backward_from_output`` collects it into a gradient
+model; training steps descend in place instead (``_descend``), writing
+each layer's update into the model's own arrays as its gradient arrives,
+byte-equal to ``sgd_step`` on the collected gradients.  ``local_train``
+copies its start model once per call into arrays it owns, so a caller's
+model is never written.
+
 The Cox partial likelihood takes Breslow's convention for tied times
 (Breslow 1974): the risk set of sample i is every j with t_j >= t_i, so a
 run of equal times shares one risk set.  Its risk sums and its gradient's
@@ -159,20 +167,45 @@ def forward(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     return out
 
 
-def backward_from_output(params: ModelParams, cache, dout: np.ndarray) -> ModelParams:
-    """Backpropagate a gradient w.r.t. the network output to all parameters."""
+def _layer_grads(params: ModelParams, cache, dout: np.ndarray):
+    """Yield each layer's ``(index, gw, gb)``, last layer first: the one backward.
+
+    A layer is yielded only after the delta it passes down has been
+    computed, so the caller may update that layer's arrays in place.
+    """
     pre, post = cache
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
     delta = np.asarray(dout, dtype=float)
     last = len(params.layers) - 1
     for li in range(last, -1, -1):
-        w, _ = params.layers[li]
         if li != last:
             delta = delta * _act_grad(pre[li], post[li + 1], params.activation)
-        grads[li] = (post[li].swapaxes(-1, -2) @ delta, np.add.reduce(delta, axis=-2))
+        gw, gb = post[li].swapaxes(-1, -2) @ delta, np.add.reduce(delta, axis=-2)
         if li > 0:
-            delta = delta @ w.swapaxes(-1, -2)
+            delta = delta @ params.layers[li][0].swapaxes(-1, -2)
+        yield li, gw, gb
+
+
+def backward_from_output(params: ModelParams, cache, dout: np.ndarray) -> ModelParams:
+    """Backpropagate a gradient w.r.t. the network output to all parameters."""
+    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
+    for li, gw, gb in _layer_grads(params, cache, dout):
+        grads[li] = (gw, gb)
     return ModelParams(layers=grads, activation=params.activation)
+
+
+def _descend(params: ModelParams, cache, dout: np.ndarray, lr: float) -> None:
+    """One SGD step written into ``params``' own arrays, layer by layer.
+
+    Byte-equal to ``sgd_step(params, backward_from_output(params, cache,
+    dout), lr)``: ``lr * gw`` is the same product either way.  ``params``
+    must own its arrays, already in the gradients' node shape.
+    """
+    for li, gw, gb in _layer_grads(params, cache, dout):
+        w, b = params.layers[li]
+        gw *= lr
+        w -= gw
+        gb *= lr
+        b -= gb
 
 
 def _prepare_targets(targets: np.ndarray, loss: str, outputs: tuple[int, ...]) -> np.ndarray:
@@ -189,14 +222,13 @@ def _prepare_targets(targets: np.ndarray, loss: str, outputs: tuple[int, ...]) -
     """
     targets = np.asarray(targets)
     lead = outputs[:-1]   # the node axes and the sample axis
-    misfit = f"targets of shape {targets.shape} do not fit predictions of shape {outputs}"
     if loss == MSE:
         if targets.shape != outputs and (targets.shape != lead or outputs[-1] != 1):
-            raise ValueError(misfit)
+            raise ValueError(_misfit(targets, outputs))
         return np.asarray(targets, dtype=float).reshape(outputs)
     if loss == SOFTMAX_CE:
         if targets.shape not in (lead, lead + (1,)):
-            raise ValueError(misfit)
+            raise ValueError(_misfit(targets, outputs))
         classes = outputs[-1]
         # a label equals exactly one class index if it is an integer in
         # [0, classes), and none otherwise (NaN included)
@@ -209,9 +241,14 @@ def _prepare_targets(targets: np.ndarray, loss: str, outputs: tuple[int, ...]) -
     if loss == COX_PH:
         if targets.shape != lead + (2,) or outputs[-1] != 1:
             raise ValueError("cox partial likelihood needs (time, event) targets "
-                             f"and a single risk-score output: {misfit}")
+                             f"and a single risk-score output: {_misfit(targets, outputs)}")
         return np.asarray(targets, dtype=float)
     raise ValueError(f"unknown loss {loss!r}")
+
+
+def _misfit(targets: np.ndarray, outputs: tuple[int, ...]) -> str:
+    """The shape error of :func:`_prepare_targets`, formatted only when raised."""
+    return f"targets of shape {targets.shape} do not fit predictions of shape {outputs}"
 
 
 def _loss_kernel(preds: np.ndarray, prepared: np.ndarray, loss: str, value: bool):
@@ -318,7 +355,10 @@ def loss_and_grad(params: ModelParams, inputs: np.ndarray, targets: np.ndarray, 
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
-    """One step along ``grads``; per-node gradients turn a shared model into a stack."""
+    """One step along ``grads``; per-node gradients turn a shared model into a stack.
+
+    The functional reference for the in-place step training runs (``_descend``).
+    """
     if lr <= 0:
         raise ValueError(f"need lr > 0, got {lr}")
     layers = [(w - lr * gw, b - lr * gb)
@@ -353,14 +393,17 @@ def local_train(params: ModelParams, inputs: np.ndarray, targets: np.ndarray,
 
     ``inputs`` is ``(n, f)`` for one node, or ``(N, n, f)`` with ``(N, n, ...)``
     targets for N nodes of n samples each, trained at once from ``params``:
-    one shared model, or a stack of N start models.  A stack returns a stack
+    one shared model, or a stack of N start models (a stack of any other
+    node shape is rejected).  A stack returns a stack
     whose model k is byte-equal to training node k alone (once a step has
-    run; with n = 0 the shared start model comes back as it is).
+    run; with n = 0 the start model comes back as it is).
 
     The targets are checked and prepared once per call, so a bad label is
-    rejected before any batch runs.  A step is the forward, the gradient
-    alone (``output_grad`` on the batch's slice of the prepared targets),
-    the backward and the SGD update; no loss value is computed.
+    rejected before any batch runs.  The start model is copied once, into
+    arrays of the inputs' node shape that the returned model owns, and
+    ``params`` is never written.  A step is the forward, the gradient alone
+    (``output_grad`` on the batch's slice of the prepared targets) and the
+    backward descended in place (``_descend``); no loss value is computed.
     """
     if batch_size < 1:
         raise ValueError(f"need batch_size >= 1, got {batch_size}")
@@ -370,29 +413,42 @@ def local_train(params: ModelParams, inputs: np.ndarray, targets: np.ndarray,
         raise ValueError(f"need lr > 0, got {lr}")
     lead = inputs.shape[:-1]   # the node axes and the sample axis
     prepared = _prepare_targets(targets, loss, lead + params.layers[-1][1].shape[-1:])
+    node_shape = lead[:-1]
+    if params.node_shape not in ((), node_shape):
+        raise ValueError(f"a stack of {params.node_shape} start models does not fit "
+                         f"inputs of node shape {node_shape}")
     nodes = (slice(None),) * (inputs.ndim - 2)
     batches = [nodes + (slice(start, start + batch_size),)
                for start in range(0, lead[-1], batch_size)]
-    model = params
+    if not batches:
+        return params
+    model = ModelParams([(np.array(np.broadcast_to(w, node_shape + w.shape[-2:]), float, order="C"),
+                          np.array(np.broadcast_to(b, node_shape + b.shape[-1:]), float, order="C"))
+                         for w, b in params.layers], params.activation)
     for _ in range(epochs):
         for rows in batches:
             preds, cache = forward_with_cache(model, inputs[rows])
-            grads = backward_from_output(model, cache, output_grad(preds, prepared[rows], loss))
-            model = sgd_step(model, grads, lr)
+            _descend(model, cache, output_grad(preds, prepared[rows], loss), lr)
     return model
 
 
 def evaluate(params: ModelParams, inputs: np.ndarray, targets: np.ndarray, loss: str):
-    """Dataset loss plus accuracy (NaN for non-classification losses)."""
+    """Dataset loss plus accuracy (NaN for non-classification losses).
+
+    Floats for one model; for a stack, or stacked inputs, node-shaped
+    arrays whose entry k scores node k alone.
+    """
     preds = forward(params, inputs)
     prepared = _prepare_targets(targets, loss, preds.shape)
     value = _loss_kernel(preds, prepared, loss, value=True)
-    if loss == SOFTMAX_CE:   # the share of rows whose top class is their label's
+    if loss == SOFTMAX_CE:   # the share of each node's rows whose top class is their label's
         top = np.argmax(preds, axis=-1)[..., None]
-        acc = float(np.mean(np.take_along_axis(prepared, top, axis=-1)))
+        acc = np.mean(np.take_along_axis(prepared, top, axis=-1), axis=(-2, -1))
     else:
-        acc = float("nan")
-    return float(value), acc
+        acc = np.full(preds.shape[:-2], np.nan)
+    if preds.ndim == 2:
+        return float(value), float(acc)
+    return value, acc
 
 
 def make_two_clusters(n: int, features: int = 2, separation: float = 3.0,

@@ -29,7 +29,9 @@ provided:
   gathered batch-major.  A batch then does only its own arithmetic: the
   fastest workers' forwards as one stacked forward, the decode product
   (``codec._decode_rows``) and the master's step, which computes the loss
-  gradient but no loss value.
+  gradient but no loss value and descends in place.  With K = 1 the
+  master's plaintext sample has a share's shape, so it rides in the
+  workers' stacked forward as one more slot.
 * ``uncoded_dlcd``           -- master partitions the plaintext dataset;
   from then on it is ``uncoded_dldd`` on those parts.
 * ``dldd_secure_aggregation``-- nodes own the data, train in plaintext and
@@ -71,16 +73,17 @@ from .interpolation import CodingPlan
 from .learners import (
     FEDAVG,
     ModelParams,
+    _descend,
     _prepare_targets,
     aggregate,
-    backward_from_output,
+    backward_from_output,  # noqa: F401 -- uncalled; bench/tracer.py patches it by this name
     evaluate,
-    forward,
+    forward,  # noqa: F401 -- uncalled; bench/tracer.py patches it by this name
     forward_with_cache,
     local_train,
     loss_and_output_grad,  # noqa: F401 -- uncalled; bench/tracer.py patches it by this name
     output_grad,
-    sgd_step,
+    sgd_step,  # noqa: F401 -- uncalled; bench/tracer.py patches it by this name
 )
 
 DLCD_SECURE_TRAINING = "dlcd_secure_training"
@@ -354,12 +357,13 @@ def _run_rounds(cfg: SchemeConfig, net: NetworkConfig, model_init: ModelParams,
     """The round loop every scheme shares.
 
     ``step`` takes the model, the round number and the round's fastest
-    workers and returns the next model, which is evaluated on ``eval_set``.
+    workers and returns the next model, which is evaluated on ``eval_set``;
+    it never writes the model it is given, so ``model_init`` is not copied.
     Each round's trace is ``ledger``, the messages and ops every round
     costs, with the round's number, model and metrics filled in.
     """
     traces = []
-    model = model_init.copy()
+    model = model_init
     for r in range(1, cfg.rounds + 1):
         model = step(model, r, select_fastest(net, r))
         loss, accuracy = evaluate(model, *eval_set, cfg.loss)
@@ -392,7 +396,13 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     and its shares gathered (batch-major) once per round.  A batch runs only
     the used workers' forwards, as one batched forward over the worker axis
     (byte-equal per worker to the forward of all N), and one ``np.dot`` per
-    decode row; the ledger counts every worker's forward.
+    decode row; the ledger counts every worker's forward.  With K = 1 the
+    master's own ``(1, f)`` sample is one more slot of that forward, after
+    the N workers' shares in the batch-major table, and the master
+    backpropagates through that slot's slice of the cache; for K >= 2 it
+    runs its own forward, since a ``(K, f)`` product is not byte-equal to K
+    ``(1, f)`` slices.  The model is copied once per round and stepped in
+    place.
     """
     cfg, net = scheme_cfg, net_cfg
     plan = cfg.plan
@@ -414,6 +424,9 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
         encode_ops=OpCount(1, inputs.size))
     by_batch = shares.payloads.swapaxes(0, 1)[:, :, None]  # (G, N, 1, f): batch g's shares
     n_batches, n_workers = by_batch.shape[:2]
+    fold = plan.K == 1   # the master's (1, f) sample rides in the workers' forward, slot N
+    if fold:
+        by_batch = np.concatenate([by_batch, np.asarray(inputs, float)[:, None, None]], axis=1)
     batch_messages = _round_trips(net.n_nodes, (w_elems, "model_broadcast"),
                                   (result_elems, "inference_result"))
     train_ops = n_batches * (n_workers + 1)   # every worker's forward and the master's step
@@ -422,17 +435,21 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
                         decode_ops=OpCount(n_batches, n_samples * result_elems))
 
     def step(model, r, fastest):
+        model = model.copy()   # descended in place, batch by batch
         # Fixed for the round: the decode rows and the used shares.
         rows = _decode_basis(plan.betas[fastest], plan)
-        used = by_batch[:, fastest]   # the fastest workers' shares, batch-major
+        n = len(fastest)
+        used = by_batch[:, fastest + [n_workers] if fold else fastest]   # batch-major
         for lo, batch_shares in zip(range(0, n_samples, plan.K), used):
-            preds = forward(model, batch_shares)             # (n, 1, outputs)
+            preds, cache = forward_with_cache(model, batch_shares)   # (n[+1], 1, outputs)
             # the last group may be short: only its first n_samples - lo rows are data
-            decoded = _decode_rows(rows, preds.reshape(len(preds), -1))[:n_samples - lo]
+            decoded = _decode_rows(rows, preds[:n].reshape(n, -1))[:n_samples - lo]
             dpred = output_grad(decoded, prepared[lo:lo + plan.K], cfg.loss)
-            _, cache = forward_with_cache(model, inputs[lo:lo + plan.K])
-            grads = backward_from_output(model, cache, dpred)
-            model = sgd_step(model, grads, cfg.lr)
+            if fold:   # the master's forward is slot n of the stacked one
+                cache = tuple([a[n] for a in part] for part in cache)
+            else:
+                _, cache = forward_with_cache(model, inputs[lo:lo + plan.K])
+            _descend(model, cache, dpred, cfg.lr)
         return model
 
     return [setup] + _run_rounds(cfg, net, model_init, dataset, ledger, step)

@@ -19,8 +19,10 @@ from pbacc.learners import (
     SOFTMAX_CE,
     TANH,
     aggregate,
+    backward_from_output,
     evaluate,
     forward,
+    forward_with_cache,
     init_mlp,
     local_train,
     loss_and_grad,
@@ -612,3 +614,82 @@ def test_cox_evaluate_does_not_run_the_gradient(monkeypatch):
     value, acc = learners.evaluate(params, x, targets, COX_PH)
     assert value == expected and np.isnan(acc)
     assert kernel == ["value"]
+
+
+def _reference_backward(params, cache, dout):
+    """The layer recursion written out as one loop: the reference for the one backward."""
+    pre, post = cache
+    grads = [None] * len(params.layers)
+    delta = np.asarray(dout, dtype=float)
+    last = len(params.layers) - 1
+    for li in range(last, -1, -1):
+        w, _ = params.layers[li]
+        if li != last:
+            delta = delta * learners._act_grad(pre[li], post[li + 1], params.activation)
+        grads[li] = (post[li].swapaxes(-1, -2) @ delta, np.add.reduce(delta, axis=-2))
+        if li > 0:
+            delta = delta @ w.swapaxes(-1, -2)
+    return ModelParams(layers=grads, activation=params.activation)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one", "stacked"])
+@pytest.mark.parametrize("activation", [RELU, TANH, IDENTITY])
+@pytest.mark.parametrize("loss", LOSSES)
+def test_the_in_place_step_is_the_functional_step_byte_for_byte(loss, activation, stacked):
+    x, y, outputs = _node_stack(loss, 3, 7, 3, seed=61)
+    params = init_mlp([3, 5, 4, outputs], activation=activation, seed=62)
+    if stacked:   # three different models, their layers views of one array
+        flats = np.random.default_rng(63).normal(0.0, 0.5, (3, params.size))
+        params = params.with_flat(flats)
+    else:
+        x, y = x[0], y[0]
+    preds, cache = forward_with_cache(params, x)
+    dout = output_grad(preds, learners._prepare_targets(y, loss, preds.shape), loss)
+    grads = backward_from_output(params, cache, dout)
+    reference = _reference_backward(params, cache, dout)
+    assert grads.flattened_view.tobytes() == reference.flattened_view.tobytes()
+    _, via_loss = loss_and_grad(params, x, y, loss)
+    assert via_loss.flattened_view.tobytes() == reference.flattened_view.tobytes()
+    expected = sgd_step(params, grads, 0.1)
+    owned = params.copy()
+    learners._descend(owned, cache, dout, 0.1)
+    assert owned.flattened_view.tobytes() == expected.flattened_view.tobytes()
+
+
+@pytest.mark.parametrize("loss", LOSSES)
+def test_evaluate_scores_a_stack_node_by_node(loss):
+    x, y, outputs = _node_stack(loss, 3, 8, 3, seed=64)
+    init = init_mlp([3, 4, outputs], activation=TANH, seed=65)
+    stack = local_train(init, x, y, loss, lr=0.1, batch_size=3, epochs=1)
+    value, acc = evaluate(stack, x, y, loss)
+    assert value.shape == acc.shape == (3,)
+    for k in range(3):
+        alone = ModelParams([(w[k], b[k]) for w, b in stack.layers], stack.activation)
+        node_value, node_acc = evaluate(alone, x[k], y[k], loss)
+        assert type(node_value) is float and type(node_acc) is float
+        assert value[k].tobytes() == np.float64(node_value).tobytes()
+        assert acc[k].tobytes() == np.float64(node_acc).tobytes()
+
+
+def test_local_train_never_writes_its_start_model():
+    x, y, _ = _node_stack(SOFTMAX_CE, 3, 8, 2, seed=66)
+    shared = init_mlp([2, 4, 2], activation=TANH, seed=67)
+    flats = shared.flattened_view + np.random.default_rng(68).normal(0.0, 0.1, (3, shared.size))
+    stack = shared.with_flat(flats)   # its layers are views of the caller's flats
+    kept = shared.flattened_view.tobytes(), flats.tobytes()
+    for start, inputs, labels in ((shared, x[0], y[0]), (shared, x, y), (stack, x, y)):
+        trained = local_train(start, inputs, labels, SOFTMAX_CE, lr=0.1, batch_size=3, epochs=2)
+        assert trained.flattened_view.tobytes() != start.flattened_view.tobytes()
+        assert (shared.flattened_view.tobytes(), flats.tobytes()) == kept
+    # with no sample there is no step, and the start comes back as it is
+    assert local_train(stack, x[:, :0], y[:, :0], SOFTMAX_CE, lr=0.1, batch_size=3,
+                       epochs=1) is stack
+
+
+def test_local_train_rejects_a_stack_that_does_not_fit_the_inputs():
+    x, y, _ = _node_stack(SOFTMAX_CE, 4, 6, 2, seed=69)
+    init = init_mlp([2, 3, 2], activation=TANH, seed=70)
+    stack = init.with_flat(np.tile(init.flattened_view, (3, 1)))
+    for inputs, labels in ((x[0], y[0]), (x, y)):
+        with pytest.raises(ValueError, match=r"stack of \(3,\) start models .* node shape"):
+            local_train(stack, inputs, labels, SOFTMAX_CE, lr=0.1, batch_size=3, epochs=1)

@@ -278,8 +278,7 @@ DLCD_STRAGGLERS = {
 
 @pytest.mark.parametrize("loss, straggler, K", [
     *[(SOFTMAX_CE, straggler, K) for straggler in DLCD_STRAGGLERS for K in (1, 2, 3)],
-    (MSE, "drop_slowest", 2),
-    (COX_PH, "drop_slowest", 2),
+    *[(loss, "drop_slowest", K) for loss in (MSE, COX_PH) for K in (1, 2)],
 ])
 def test_dlcd_secure_training_matches_the_per_share_reference(loss, straggler, K):
     # 25 samples: K=2 and K=3 leave a short last group
@@ -593,6 +592,20 @@ def _run_small(scheme, rounds):
     data = (x, y) if scheme in (DLCD_SECURE_TRAINING, UNCODED_DLCD) else split(x, y)
     cfg = SchemeConfig(scheme=scheme, plan=plan, sigma_n=0.5, rounds=rounds, lr=0.1)
     return run_scheme(cfg, net(seed=4), data, model())
+
+
+@pytest.mark.parametrize("scheme,K", [(s, 2) for s in SCHEMES if s != DLDD_SECURE_TRAINING]
+                         + [(DLDD_SECURE_TRAINING, 1), (DLCD_SECURE_TRAINING, 1)])
+def test_no_scheme_writes_the_callers_start_model(scheme, K):
+    x, y = make_two_clusters(25, seed=13)
+    plan = make_plan(K, 2, N) if scheme in protocols.CODED_SCHEMES else None
+    data = (x, y) if scheme in protocols.CENTRALIZED_SCHEMES else split(x, y)
+    cfg = SchemeConfig(scheme=scheme, plan=plan, sigma_n=0.5, rounds=2, lr=0.1)
+    start = model()
+    kept = [(w.tobytes(), b.tobytes()) for w, b in start.layers]
+    traces = run_scheme(cfg, net(seed=4), data, start)
+    assert traces[-1].decoded_model.tobytes() != start.flattened_view.tobytes()
+    assert [(w.tobytes(), b.tobytes()) for w, b in start.layers] == kept
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
