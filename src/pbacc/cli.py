@@ -46,8 +46,15 @@ def _add_plan_args(parser: argparse.ArgumentParser) -> None:
                         help="noise-node shift (default %(default)s)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors take :func:`main`'s one-line ``error:`` path, in every subcommand too."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pbacc")
+    parser = _Parser(prog="pbacc")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment spec file")
@@ -63,9 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_leak.add_argument("--s", type=float, default=1.0, help="input amplitude bound")
     p_leak.add_argument("--epsilon", type=float, default=1.0, help="target bits/element")
     p_leak.add_argument("--strategy", choices=STRATEGIES, default=GREEDY)
-    p_leak.add_argument("--samples", type=int, default=1000,
-                        help="draws for the random strategy")
-    p_leak.add_argument("--seed", type=int, default=0)
     p_leak.add_argument("--report-max-s", action="store_true",
                         help="when the bound fails at the given s, also report the "
                              "largest s that satisfies epsilon")
@@ -89,8 +93,7 @@ def cmd_leakage(args) -> int:
     plan = make_plan(args.K, args.T, args.N, args.shift)
     cfg = PrivacyConfig(K=args.K, T=args.T, sigma_n=args.sigma, c=args.c,
                         s=args.s, epsilon=args.epsilon)
-    report = worst_case_leakage(plan, cfg, strategy=args.strategy,
-                                samples=args.samples, seed=args.seed)
+    report = worst_case_leakage(plan, cfg, strategy=args.strategy)
     payload = report.to_dict() | {
         "epsilon": args.epsilon,
         "meets_epsilon": bool(report.i_L <= args.epsilon),
@@ -99,14 +102,14 @@ def cmd_leakage(args) -> int:
     }
     if args.report_max_s and report.i_L > args.epsilon:
         payload["max_s_for_epsilon"] = max_secure_amplitude(
-            plan, cfg, args.epsilon, strategy=args.strategy,
-            samples=args.samples, seed=args.seed)
+            plan, cfg, args.epsilon, strategy=args.strategy)
     print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 
 def cmd_roundtrip(args) -> int:
     plan = make_plan(args.K, args.T, args.N, args.shift)
+    noise = NoiseSpec(sigma_n=args.sigma, T=args.T, seed=args.seed)
     extent = args.extent if args.extent is not None else 4 * args.K
     if extent < 1:
         raise ValueError(f"extent must be >= 1, got {extent}")
@@ -117,7 +120,6 @@ def cmd_roundtrip(args) -> int:
         raise ValueError(f"subset size must be in [1, {args.N}]")
     subset = sorted(rng.choice(args.N, size=subset_size, replace=False).tolist()) \
         if subset_size < args.N else list(range(args.N))
-    noise = NoiseSpec(sigma_n=args.sigma, T=args.T, seed=args.seed)
     err = roundtrip_error(x, FUNCTIONS[args.function], plan, noise, subset)
     print(json.dumps({
         "function": args.function, "max_relative_error": err,
@@ -160,11 +162,11 @@ def cmd_run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handler = {"run": cmd_run, "leakage": cmd_leakage,
-               "roundtrip": cmd_roundtrip, "nodes": cmd_nodes}[args.command]
+    handlers = {"run": cmd_run, "leakage": cmd_leakage,
+                "roundtrip": cmd_roundtrip, "nodes": cmd_nodes}
     try:
-        return handler(args)
+        args = build_parser().parse_args(argv)
+        return handlers[args.command](args)
     except SpecError as exc:
         print(f"error: invalid experiment spec: {exc}", file=sys.stderr)
     except ValueError as exc:

@@ -15,6 +15,7 @@ read once and no stacked copy of them is made.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterator, NamedTuple, Sequence
@@ -42,6 +43,10 @@ class NoiseSpec:
             raise ValueError(f"need a finite sigma_n >= 0, got {self.sigma_n}")
         if self.T < 0:
             raise ValueError(f"need T >= 0, got {self.T}")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"need an integer noise seed, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"need a noise seed >= 0, got {self.seed}")
 
 
 class Share(NamedTuple):

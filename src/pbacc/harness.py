@@ -272,6 +272,15 @@ def run_experiment(spec: ExperimentSpec) -> dict:
                  for _, t_blocks, _ in cells]
     except ValueError as exc:  # the shifted noise nodes collide with the data nodes
         raise SpecError(f"plan.shift: {exc}") from None
+    try:
+        scheme_cfgs = [SchemeConfig(
+            scheme=spec.scheme, plan=plan, sigma_n=sigma_n if coded else 0.0,
+            lr=spec.lr, batch_size=spec.batch_size,
+            epochs_per_round=spec.epochs_per_round, rounds=spec.rounds,
+            loss=spec.loss, agg_rule=spec.agg_rule)
+            for (sigma_n, _, _), plan in zip(cells, plans)]
+    except ValueError as exc:  # _validate has checked every other field SchemeConfig checks
+        raise SpecError(f"training.agg: {exc}") from None
 
     os.makedirs(spec.output_dir, exist_ok=True)
     x, y = _make_dataset(spec)
@@ -283,16 +292,12 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 
     round_rows: list[dict] = []
     summaries: list[dict] = []
-    for cell_index, ((sigma_n, t_blocks, colluders), plan) in enumerate(zip(cells, plans)):
+    for cell_index, ((sigma_n, t_blocks, colluders), scheme_cfg) in enumerate(
+            zip(cells, scheme_cfgs)):
         privacy = None
         if coded and t_blocks >= 1 and sigma_n > 0 and colluders >= 1:
             privacy = PrivacyConfig(K=spec.K, T=t_blocks, sigma_n=sigma_n,
                                     c=colluders, s=spec.s, epsilon=spec.epsilon)
-        scheme_cfg = SchemeConfig(
-            scheme=spec.scheme, plan=plan, sigma_n=sigma_n if coded else 0.0,
-            lr=spec.lr, batch_size=spec.batch_size,
-            epochs_per_round=spec.epochs_per_round, rounds=spec.rounds,
-            loss=spec.loss, agg_rule=spec.agg_rule)
         net_cfg = NetworkConfig(n_nodes=spec.n_nodes, straggler=spec.straggler,
                                 seed=protocols._derived_seed(spec.seed, 3, cell_index))
         traces = run_scheme(scheme_cfg, net_cfg, data, model_init)
@@ -313,7 +318,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 
         leakage = None
         if privacy is not None:
-            report = worst_case_leakage(plan, privacy, strategy=spec.strategy)
+            report = worst_case_leakage(scheme_cfg.plan, privacy, strategy=spec.strategy)
             leakage = report.to_dict() | {"meets_epsilon": bool(report.i_L <= spec.epsilon)}
 
         per_round = [t for t in traces if t.round_index >= 1]

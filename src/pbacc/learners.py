@@ -186,7 +186,12 @@ def _layer_grads(params: ModelParams, cache, dout: np.ndarray):
 
 
 def backward_from_output(params: ModelParams, cache, dout: np.ndarray) -> ModelParams:
-    """Backpropagate a gradient w.r.t. the network output to all parameters."""
+    """Backpropagate a gradient w.r.t. the network output to all parameters.
+
+    No runner calls it: training descends in place (``_descend``).  It stays
+    as the tests' functional reference for the gradients, and
+    ``bench/tracer.py`` patches it by name through ``protocols``.
+    """
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
     for li, gw, gb in _layer_grads(params, cache, dout):
         grads[li] = (gw, gb)
@@ -339,7 +344,9 @@ def loss_and_output_grad(preds: np.ndarray, targets: np.ndarray, loss: str):
     """Loss value and its gradient w.r.t. the predictions, per node of a stack.
 
     Prepares ``targets`` once for both; the gradient is byte-equal to
-    :func:`output_grad` on the prepared targets.
+    :func:`output_grad` on the prepared targets.  No runner calls it: it is
+    the tests' functional reference for a loss, and ``bench/tracer.py``
+    patches it by name through ``protocols``.
     """
     preds = np.asarray(preds, dtype=float)
     prepared = _prepare_targets(targets, loss, preds.shape)
@@ -347,17 +354,12 @@ def loss_and_output_grad(preds: np.ndarray, targets: np.ndarray, loss: str):
             _loss_kernel(preds, prepared, loss, value=False))
 
 
-def loss_and_grad(params: ModelParams, inputs: np.ndarray, targets: np.ndarray, loss: str):
-    """Analytic loss and parameter gradients on one batch."""
-    preds, cache = forward_with_cache(params, inputs)
-    value, dpred = loss_and_output_grad(preds, targets, loss)
-    return value, backward_from_output(params, cache, dpred)
-
-
 def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     """One step along ``grads``; per-node gradients turn a shared model into a stack.
 
-    The functional reference for the in-place step training runs (``_descend``).
+    No runner calls it: it is the tests' functional reference for the
+    in-place step training runs (``_descend``), and ``bench/tracer.py``
+    patches it by name through ``protocols``.
     """
     if lr <= 0:
         raise ValueError(f"need lr > 0, got {lr}")

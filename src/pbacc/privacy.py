@@ -43,9 +43,8 @@ sigma_n; the bound at amplitude s is sum_i log2(1 + gamma * lambda_i) with
 gamma = s^2 T / sigma_n^2.  The greedy search keeps the Schur rows of every
 worker in one array and scores all candidates of a step at once, each as
 the last row of its set; each ordered prefix is eliminated once per public
-call, in a memo that lives as long as the call.  The exhaustive and random
-searches eliminate chunks of subsets at once, once per call; the random
-search draws all of its subsets in one generator call.
+call, in a memo that lives as long as the call.  The exhaustive search
+eliminates chunks of subsets at once, once per call.
 ``max_secure_amplitude`` re-sums those spectra at each s it probes; for
 K = 1 it solves for s in closed form.
 """
@@ -67,8 +66,7 @@ from .interpolation import (
 
 EXHAUSTIVE = "exhaustive"
 GREEDY = "greedy"
-RANDOM_SAMPLED = "random"
-STRATEGIES = (EXHAUSTIVE, GREEDY, RANDOM_SAMPLED)
+STRATEGIES = (EXHAUSTIVE, GREEDY)
 
 #: Largest number of subsets the exhaustive strategy will enumerate.
 EXHAUSTIVE_BUDGET = 1_000_000
@@ -76,7 +74,7 @@ EXHAUSTIVE_BUDGET = 1_000_000
 #: ``LeakageReport.reason`` of an infinite bound.
 STRUCTURAL = "structural: c > T"
 
-#: Subsets eliminated together by the exhaustive and random searches.
+#: Subsets eliminated together by the exhaustive search.
 _CHUNK = 2048
 
 #: Cap on the one-sided Jacobi sweeps of :func:`_spectrum`; a few suffice.
@@ -404,56 +402,27 @@ def _greedy_search(plan: CodingPlan, cfg: PrivacyConfig) -> Callable[[float], Se
     return search
 
 
-#: Uniform keys ``_random_subsets`` draws at once: 8 MiB of them.
-_KEY_BLOCK = 1 << 20
-
-
-def _random_subsets(n: int, c: int, samples: int, seed: int) -> np.ndarray:
-    """``samples`` uniform draws of c distinct indices in [0, n), one sorted row each.
-
-    One generator draws a uniform key per (sample, index); row k holds the
-    indices of its c smallest keys, the first c of a uniform random
-    permutation.  Rows are drawn in blocks of at most ``_KEY_BLOCK`` keys
-    (one block, so one generator call, for up to ``_KEY_BLOCK // n``
-    samples); the blocks continue one stream, so the draws do not depend on
-    the block size.
-    """
-    rng = np.random.default_rng(seed)
-    rows = max(1, _KEY_BLOCK // n)
-    return np.concatenate([
-        np.sort(np.argpartition(rng.random((min(rows, samples - lo), n)), c - 1, axis=1)[:, :c],
-                axis=1)
-        for lo in range(0, samples, rows)])
-
-
-def _make_search(plan: CodingPlan, cfg: PrivacyConfig, strategy: str, samples: int,
-                 seed: int) -> Callable[[float], SearchResult]:
+def _make_search(plan: CodingPlan, cfg: PrivacyConfig,
+                 strategy: str) -> Callable[[float], SearchResult]:
     """The worst-case search of one public call, as a function of the amplitude s.
 
     Everything that does not depend on s is done once per call: the
-    exhaustive enumeration, the random draws and their spectra here, the
-    greedy prefixes the first time a probe reaches them.  Ties break toward
-    the lexicographically smallest subset.  NaN values never win.
+    exhaustive enumeration and its spectra here, the greedy prefixes the
+    first time a probe reaches them.  Ties break toward the
+    lexicographically smallest subset.  NaN values never win.
     """
     c, n = cfg.c, plan.N
     if strategy == GREEDY:
         return _greedy_search(plan, cfg)
-    if strategy == EXHAUSTIVE:
-        count = math.comb(n, c)
-        if count > EXHAUSTIVE_BUDGET:
-            raise ValueError(
-                f"exhaustive search over C({n},{c}) subsets exceeds the budget "
-                f"of {EXHAUSTIVE_BUDGET}; use the greedy strategy")
-        subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), c)),
-                              dtype=np.intp, count=count * c).reshape(count, c)
-    elif strategy == RANDOM_SAMPLED:
-        if samples < 1:
-            raise ValueError(f"need samples >= 1, got {samples}")
-        # distinct draws, in lexicographic order, so the first maximum is the smallest
-        subsets = np.unique(_random_subsets(n, c, samples, seed), axis=0)
-        count = samples
-    else:
+    if strategy != EXHAUSTIVE:
         raise ValueError(f"unknown strategy {strategy!r}")
+    count = math.comb(n, c)
+    if count > EXHAUSTIVE_BUDGET:
+        raise ValueError(
+            f"exhaustive search over C({n},{c}) subsets exceeds the budget "
+            f"of {EXHAUSTIVE_BUDGET}; use the greedy strategy")
+    subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), c)),
+                          dtype=np.intp, count=count * c).reshape(count, c)
     spectra = _subset_spectra(subsets, plan) if c <= plan.T else None
 
     def search(s: float) -> SearchResult:
@@ -465,18 +434,18 @@ def _make_search(plan: CodingPlan, cfg: PrivacyConfig, strategy: str, samples: i
     return search
 
 
-def worst_case_leakage(plan: CodingPlan, cfg: PrivacyConfig, strategy: str = GREEDY,
-                       samples: int = 1000, seed: int = 0) -> LeakageReport:
+def worst_case_leakage(plan: CodingPlan, cfg: PrivacyConfig,
+                       strategy: str = GREEDY) -> LeakageReport:
     """Maximize the leakage bound over colluder sets of size c.
 
-    ``exhaustive`` enumerates every subset (budgeted); ``greedy`` grows the
-    set one node at a time, locally optimally; ``random`` draws ``samples``
-    seeded subsets.  Ties break toward the lexicographically smallest
-    subset, so every strategy is deterministic.  ``subsets_evaluated``
-    counts every evaluation, repeats included.
+    ``exhaustive`` enumerates every subset (budgeted) and so finds the worst
+    case; ``greedy`` grows the set one node at a time, locally optimally,
+    and can miss it.  Ties break toward the lexicographically smallest
+    subset, so both strategies are deterministic.  ``subsets_evaluated``
+    counts every candidate set valued.
     """
     _check_compat(plan, cfg)
-    best_val, best, evaluated, _ = _make_search(plan, cfg, strategy, samples, seed)(cfg.s)
+    best_val, best, evaluated, _ = _make_search(plan, cfg, strategy)(cfg.s)
     return LeakageReport(i_L=best_val / cfg.K, I_L=best_val, worst_subset=best,
                          strategy=strategy, subsets_evaluated=evaluated,
                          reason=STRUCTURAL if cfg.c > cfg.T else None)
@@ -501,27 +470,25 @@ def _amplitude_for(spectrum: np.ndarray, bits: float, cfg: PrivacyConfig) -> flo
 
 
 def max_secure_amplitude(plan: CodingPlan, cfg: PrivacyConfig, bound: float,
-                         strategy: str = GREEDY, tol: float = 1e-4,
-                         samples: int = 1000, seed: int = 0) -> float:
+                         strategy: str = GREEDY, tol: float = 1e-4) -> float:
     """Largest input amplitude s <= cfg.s with worst-case i_L <= ``bound``.
 
     Each probe of s runs the search of :func:`worst_case_leakage` (same
-    ``strategy``, ``samples`` and ``seed``) on spectra computed once per
-    call.  The solver steps s down from cfg.s to where the current worst
-    set's bound equals ``bound`` -- for K = 1, s = sigma_n sqrt((2^bound -
-    1) / (T v)) -- or by at least one ulp if that is not lower, until the
-    search at s meets the bound.  The worst set can change with s (the
-    greedy path does for K >= 2), so s is then confirmed maximal to a
-    relative ``tol``, bisecting when it is not.  Returns 0.0 when no
-    positive amplitude meets the bound: c > T (the bound is +inf at every
-    s) or ``bound <= 0``.
+    ``strategy``) on spectra computed once per call.  The solver steps s
+    down from cfg.s to where the current worst set's bound equals ``bound``
+    -- for K = 1, s = sigma_n sqrt((2^bound - 1) / (T v)) -- or by at least
+    one ulp if that is not lower, until the search at s meets the bound.
+    The worst set can change with s (the greedy path does for K >= 2), so
+    s is then confirmed maximal to a relative ``tol``, bisecting when it is
+    not.  Returns 0.0 when no positive amplitude meets the bound: c > T
+    (the bound is +inf at every s) or ``bound <= 0``.
     """
     if math.isnan(bound):
         raise ValueError("need a bound that is not NaN")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"need a finite tol > 0, got {tol}")
     _check_compat(plan, cfg)
-    search = _make_search(plan, cfg, strategy, samples, seed)
+    search = _make_search(plan, cfg, strategy)
 
     def leak_at(s: float) -> float:
         return search(s)[0] / cfg.K

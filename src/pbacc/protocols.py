@@ -97,6 +97,10 @@ SCHEMES = (DLCD_SECURE_TRAINING, DLDD_SECURE_AGGREGATION, DLDD_SECURE_TRAINING,
 CODED_SCHEMES = (DLCD_SECURE_TRAINING, DLDD_SECURE_AGGREGATION, DLDD_SECURE_TRAINING)
 #: Schemes whose data sits at the master as one (inputs, targets) pair.
 CENTRALIZED_SCHEMES = (DLCD_SECURE_TRAINING, UNCODED_DLCD)
+#: Schemes that merge the nodes' models with ``SchemeConfig.agg_rule``.  The
+#: secure training schemes never read it: DLCD trains one model at the
+#: master, and DLDD secure training's decode averages the trained models.
+AGGREGATING_SCHEMES = (DLDD_SECURE_AGGREGATION, UNCODED_DLCD, UNCODED_DLDD)
 
 STRAGGLER_NONE = "none"
 DROP_SLOWEST = "drop_slowest"
@@ -287,6 +291,9 @@ class SchemeConfig:
         if self.scheme == DLDD_SECURE_TRAINING and self.plan.K != 1:
             raise ValueError("secure training over decentralized data encodes the "
                              "model at a single data node; the plan must have K=1")
+        if self.agg_rule != FEDAVG and self.scheme not in AGGREGATING_SCHEMES:
+            raise ValueError(f"{self.scheme} does not aggregate with an agg_rule, so it takes "
+                             f"only {FEDAVG!r}, got {self.agg_rule!r}")
 
 
 def _derived_seed(root: int, *key: int) -> int:

@@ -17,7 +17,6 @@ from pbacc.learners import (
     SOFTMAX_CE,
     TANH,
     init_mlp,
-    loss_and_grad,
     make_survival,
     make_two_clusters,
 )
@@ -45,6 +44,7 @@ from pbacc.protocols import (
 )
 
 from oracles import leakage_mp
+from references import central_diff_grads, loss_and_grad
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -294,19 +294,6 @@ def test_criterion_6_privacy_monotonicity():
 # 7. Gradient correctness
 
 
-def _central_diff(params, x, targets, loss, h=1e-6):
-    flat = params.flattened_view
-    out = np.empty_like(flat)
-    for i in range(flat.size):
-        plus, minus = flat.copy(), flat.copy()
-        plus[i] += h
-        minus[i] -= h
-        lp, _ = loss_and_grad(params.with_flat(plus), x, targets, loss)
-        lm, _ = loss_and_grad(params.with_flat(minus), x, targets, loss)
-        out[i] = (lp - lm) / (2 * h)
-    return out
-
-
 def test_criterion_7_gradient_correctness():
     rng = np.random.default_rng(4242)
     worst = 0.0
@@ -327,7 +314,7 @@ def test_criterion_7_gradient_correctness():
                 else rng.integers(0, width, size=6)
         params = init_mlp(sizes, activation=activation, seed=1000 + trial)
         _, grads = loss_and_grad(params, x, targets, loss)
-        numeric = _central_diff(params, x, targets, loss)
+        numeric = central_diff_grads(params, x, targets, loss)
         gap = np.max(np.abs(grads.flattened_view - numeric))
         rel = gap / max(1.0, np.max(np.abs(numeric)))
         worst = max(worst, rel)

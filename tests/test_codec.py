@@ -1,6 +1,7 @@
 """Encode/decode round trips, noise handling, and the wire format."""
 
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -61,6 +62,13 @@ def test_encode_matches_extended_precision_oracle():
     for share in shares:
         expected = encode_share_mp(float(share.beta), alphas, [1.0, 2.0], noise_scalars)
         assert abs(float(share.payload[0]) - float(expected)) <= 1e-12 * max(1.0, abs(float(expected)))
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-3, "need a noise seed >= 0, got -3"), (2.5, "need an integer noise seed, got 2.5")])
+def test_noise_spec_rejects_a_bad_seed_when_built(seed, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        NoiseSpec(sigma_n=1.0, T=1, seed=seed)
 
 
 def test_encode_deterministic_per_seed():

@@ -12,7 +12,6 @@ import yaml
 from pbacc.cli import main
 from pbacc.harness import SpecError, load_spec, run_experiment, spec_from_dict
 from pbacc.interpolation import make_plan
-from pbacc.privacy import PrivacyConfig, worst_case_leakage
 
 
 def small_spec(tmp_path, **overrides):
@@ -77,8 +76,15 @@ def test_spec_rejects_bad_training_field(tmp_path, section, key, value):
     ("dldd_secure_training", "network", "straggler",
      {"kind": "random_delay", "keep_n": 0}, "network.straggler"),
     ("dldd_secure_aggregation", None, "strategy", "bogus", "strategy"),
+    ("dldd_secure_aggregation", None, "strategy", "random",
+     r"^strategy must be one of \('exhaustive', 'greedy'\), got 'random'$"),
     ("uncoded_dldd", "training", "agg", "mode", "training.agg"),
     ("dldd_secure_aggregation", "training", "agg", "mode", "training.agg"),
+    # the secure training schemes never read the aggregation rule
+    ("dlcd_secure_training", "training", "agg", "coord_median",
+     r"^training\.agg: dlcd_secure_training .* got 'coord_median'$"),
+    ("dldd_secure_training", "training", "agg", "coord_median",
+     r"^training\.agg: dldd_secure_training .* got 'coord_median'$"),
     ("dldd_secure_aggregation", "privacy", "c", [2, 9], "privacy.c"),
     ("dldd_secure_aggregation", "privacy", "s", 0.0, "privacy.s"),
     ("dldd_secure_training", "privacy", "epsilon", -1.0, "privacy.epsilon"),
@@ -95,7 +101,8 @@ def test_spec_rejects_bad_training_field(tmp_path, section, key, value):
      {"dataset": "survival", "loss": "mse", "features": 3, "samples": 64},
      "training.dataset survival needs"),
 ], ids=["K_above_samples", "K_not_one", "drop_count_high", "drop_count_negative", "keep_n_high",
-        "keep_n_zero", "strategy", "agg_uncoded", "agg_coded", "c_above_nodes", "s",
+        "keep_n_zero", "strategy", "strategy_random", "agg_uncoded", "agg_coded",
+        "agg_median_dlcd", "agg_median_dldd_training", "c_above_nodes", "s",
         "epsilon", "features", "hidden", "cox_on_two_clusters", "cox_on_two_clusters_coded",
         "survival_softmax", "survival_mse", "survival_mse_three_features"])
 def test_spec_rejects_bad_field_before_writing(tmp_path, scheme, section, key, value, name):
@@ -212,6 +219,9 @@ def test_negative_seeds_are_refused_by_field_before_writing(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
     assert "seed must be >= 0" in captured.err
     assert not (tmp_path / "out").exists()
+    # the codec's noise seed is checked where it is built, and named
+    assert main(["roundtrip", "--N", "8", "--K", "1", "--T", "1", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: need a noise seed >= 0, got -1\n"
 
 
 def test_readme_example_spec_is_valid():
@@ -222,18 +232,30 @@ def test_readme_example_spec_is_valid():
     assert spec.scheme == "dldd_secure_aggregation" and spec.n_nodes == 50
 
 
-@pytest.mark.parametrize("argv", [
-    ["roundtrip", "--N", "8", "--K", "1", "--T", "1", "--sigma", "-1"],
-    ["roundtrip", "--N", "8", "--K", "1", "--T", "1", "--extent", "0"],
-    ["nodes", "--N", "1", "--K", "1", "--T", "0"],
-    ["leakage", "--N", "8", "--K", "1", "--T", "2", "--sigma", "1", "--c", "1",
-     "--strategy", "random", "--samples", "0"],
-], ids=["negative_sigma", "zero_extent", "one_node", "zero_samples"])
-def test_cli_reports_a_bad_argument_on_one_line(capsys, argv):
+@pytest.mark.parametrize("argv, named", [
+    (["roundtrip", "--N", "8", "--K", "1", "--T", "1", "--sigma", "-1"], "sigma_n"),
+    (["roundtrip", "--N", "8", "--K", "1", "--T", "1", "--extent", "0"], "extent"),
+    (["nodes", "--N", "1", "--K", "1", "--T", "0"], "count"),
+    (["leakage", "--N", "8", "--K", "1", "--T", "2", "--sigma", "1", "--c", "1",
+      "--strategy", "random"], "--strategy: invalid choice: 'random'"),
+    # refused as an argument, before the spec file is looked for
+    (["run", "experiment.yaml", "--strategy", "random"], "--strategy: invalid choice: 'random'"),
+], ids=["negative_sigma", "zero_extent", "one_node", "strategy_random", "run_strategy_random"])
+def test_cli_reports_a_bad_argument_on_one_line(capsys, argv, named):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert named in captured.err
+
+
+def test_cli_help_lists_two_strategies_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["leakage", "-h"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert "--strategy {exhaustive,greedy}" in text
+    assert "--samples" not in text and "--seed" not in text
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -376,25 +398,6 @@ def test_cli_leakage_max_s_report(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["meets_epsilon"] is False
     assert 0.0 <= payload["max_s_for_epsilon"] < 1.0
-
-
-def test_cli_max_s_solves_against_the_printed_search(capsys):
-    # the amplitude must come from the same random draws (samples, seed) as
-    # the printed i_L, not from the solver's own default draws
-    argv = ["leakage", "--N", "12", "--K", "1", "--T", "4", "--sigma", "1.0", "--c", "2",
-            "--epsilon", "0.25", "--strategy", "random", "--samples", "3", "--seed", "3",
-            "--report-max-s"]
-    assert main(argv) == 0
-    payload = json.loads(capsys.readouterr().out)
-    s_max = payload["max_s_for_epsilon"]
-    plan = make_plan(1, 4, 12)
-
-    def i_L(s):
-        config = PrivacyConfig(K=1, T=4, sigma_n=1.0, c=2, s=s)
-        return worst_case_leakage(plan, config, strategy="random", samples=3, seed=3).i_L
-
-    assert payload["i_L"] == i_L(1.0) > 0.25
-    assert i_L(s_max) <= 0.25 < i_L(1.001 * s_max)
 
 
 def test_cli_roundtrip_identity(capsys):

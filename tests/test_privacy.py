@@ -11,7 +11,6 @@ from pbacc.interpolation import make_plan
 from pbacc.privacy import (
     EXHAUSTIVE,
     GREEDY,
-    RANDOM_SAMPLED,
     STRATEGIES,
     LeakageReport,
     PrivacyConfig,
@@ -173,49 +172,6 @@ def test_greedy_close_to_exhaustive_on_small_configs():
     assert total == 50 and hits >= 45
 
 
-@pytest.mark.parametrize("n,c", [(200, 2), (10, 10), (7, 1), (50, 10)])
-def test_random_subsets_are_sorted_distinct_and_seeded(n, c):
-    draws = privacy._random_subsets(n, c, 500, seed=3)
-    assert draws.shape == (500, c)
-    assert np.all((draws >= 0) & (draws < n))
-    assert np.all(np.diff(draws, axis=1) > 0)   # c distinct indices, ascending
-    assert np.array_equal(privacy._random_subsets(n, c, 500, seed=3), draws)
-    if c < n:
-        assert not np.array_equal(privacy._random_subsets(n, c, 500, seed=4), draws)
-
-
-def test_random_subsets_do_not_depend_on_the_key_block(monkeypatch):
-    whole = privacy._random_subsets(30, 4, 100, seed=9)
-    monkeypatch.setattr(privacy, "_KEY_BLOCK", 7 * 30)   # blocks of 7 rows, the last of 2
-    assert np.array_equal(privacy._random_subsets(30, 4, 100, seed=9), whole)
-
-
-def test_random_subsets_draw_every_index_equally_often():
-    # each index lands in a draw with probability c/n, so its count over
-    # `samples` draws is Binomial(samples, c/n); 5 standard deviations
-    # bound all 200 counts together with probability above 0.999
-    n, c, samples = 200, 2, 20000
-    counts = np.bincount(privacy._random_subsets(n, c, samples, seed=11).ravel(), minlength=n)
-    p = c / n
-    assert np.all(np.abs(counts - samples * p) <= 5 * math.sqrt(samples * p * (1 - p)))
-    # and each pair of a 6-index line equally often: 15 pairs, chi-square with 14 dof
-    pairs = privacy._random_subsets(6, 2, 15000, seed=12)
-    freq = np.unique(pairs, axis=0, return_counts=True)[1]
-    assert len(freq) == 15
-    assert np.sum((freq - 1000) ** 2 / 1000) < 36.1   # the 0.999 quantile of chi2(14)
-
-
-def test_random_strategy_is_deterministic():
-    plan = make_plan(1, 6, 20)
-    config = cfg(K=1, T=6, sigma_n=2.0, c=3)
-    a = worst_case_leakage(plan, config, strategy=RANDOM_SAMPLED, samples=100, seed=5)
-    b = worst_case_leakage(plan, config, strategy=RANDOM_SAMPLED, samples=100, seed=5)
-    assert a == b
-    assert a.subsets_evaluated == 100
-    exact = worst_case_leakage(plan, config, strategy=EXHAUSTIVE)
-    assert a.I_L <= exact.I_L + 1e-9
-
-
 def test_greedy_is_deterministic_and_reports_subset():
     plan = make_plan(1, 30, 50)
     a = worst_case_leakage(plan, cfg(), strategy=GREEDY)
@@ -223,6 +179,16 @@ def test_greedy_is_deterministic_and_reports_subset():
     assert a == b
     assert len(a.worst_subset) == 10
     assert a.worst_subset == tuple(sorted(a.worst_subset))
+
+
+def test_sampled_colluder_sets_are_not_a_strategy():
+    # a sample of colluder sets only bounds the worst case from below
+    assert STRATEGIES == (EXHAUSTIVE, GREEDY)
+    plan, config = make_plan(1, 6, 20), cfg(K=1, T=6, sigma_n=2.0, c=3)
+    with pytest.raises(ValueError, match=r"^unknown strategy 'random'$"):
+        worst_case_leakage(plan, config, strategy="random")
+    with pytest.raises(ValueError, match=r"^unknown strategy 'random'$"):
+        max_secure_amplitude(plan, config, 0.25, strategy="random")
 
 
 def test_max_secure_amplitude_reports_consistent_value():
@@ -293,7 +259,7 @@ def test_report_round_trips_to_dict():
 
 # -- per-subset reference: the same kernel, one public call per subset --
 
-def reference_search(plan, config, strategy, samples=1000, seed=0):
+def reference_search(plan, config, strategy):
     """The worst-case search as a loop over subsets, one public call each."""
     c, n = config.c, plan.N
     evaluated = 0
@@ -309,7 +275,7 @@ def reference_search(plan, config, strategy, samples=1000, seed=0):
             v = value(list(subset))
             if v > best_val:
                 best, best_val = subset, v
-    elif strategy == GREEDY:
+    else:
         chosen = []
         for _ in range(c):
             step_best, step_val = None, -math.inf
@@ -322,13 +288,6 @@ def reference_search(plan, config, strategy, samples=1000, seed=0):
             chosen.append(step_best)
             best_val = step_val
         best = chosen
-    else:
-        best, best_val = None, -math.inf
-        for row in privacy._random_subsets(n, c, samples, seed):
-            subset = tuple(row.tolist())
-            v = value(list(subset))
-            if v > best_val or (v == best_val and subset < best):
-                best, best_val = subset, v
     return LeakageReport(i_L=best_val / config.K, I_L=best_val,
                          worst_subset=tuple(sorted(best)), strategy=strategy,
                          subsets_evaluated=evaluated,
@@ -344,12 +303,6 @@ REFERENCE_PLANS = [(1, 4, 10, 2), (1, 2, 8, 3), (1, 6, 10, 6),
 #: every s > 0 leaks +inf, and a K=2 pair that a Gram pencil called singular
 AMPLITUDE_PLANS = [(1, 4, 10, 2), (1, 6, 10, 3), (2, 6, 10, 3), (2, 6, 8, 4),
                    (1, 2, 8, 3), (2, 3, 9, 2)]
-#: random draws: more draws than C(8, 2) = 28 subsets, so some repeat
-RANDOM_DRAWS = {"samples": 40, "seed": 4}
-
-
-def _draws(strategy):
-    return RANDOM_DRAWS if strategy == RANDOM_SAMPLED else {}
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -361,8 +314,8 @@ def test_search_matches_per_subset_reference(K, T, N, c, strategy):
     assert 1e-170 * 1e-170 == 0.0
     for sigma_n, s in ((0.5, 1.0), (5.0, 1.0), (1.0, 1e-170)):
         config = cfg(K=K, T=T, sigma_n=sigma_n, c=c, s=s)
-        got = worst_case_leakage(plan, config, strategy=strategy, **_draws(strategy))
-        want = reference_search(plan, config, strategy, **_draws(strategy))
+        got = worst_case_leakage(plan, config, strategy=strategy)
+        want = reference_search(plan, config, strategy)
         assert repr(got) == repr(want)
         assert not math.isnan(got.I_L)
         assert math.isinf(got.I_L) == (c > T)
@@ -377,8 +330,6 @@ def test_reference_plans_cover_infinite_and_repeated_subsets():
     values = [leakage_for_subset(sub, plan, config)
               for sub in itertools.combinations(range(10), 6)]
     assert len(values) == 210 and all(map(math.isfinite, values))
-    draws = privacy._random_subsets(8, 2, RANDOM_DRAWS["samples"], RANDOM_DRAWS["seed"])
-    assert len(np.unique(draws, axis=0)) < len(draws)
 
 
 def test_batched_kernel_matches_one_subset_at_a_time():
@@ -400,17 +351,16 @@ def test_amplitude_matches_per_subset_reference(K, T, N, c, strategy):
 
     def reference_at(s):
         scaled = cfg(K=K, T=T, sigma_n=1.0, c=c, s=s)
-        return reference_search(plan, scaled, strategy, **_draws(strategy)).i_L
+        return reference_search(plan, scaled, strategy).i_L
 
     for bound in (0.05, 3.0):
-        got = max_secure_amplitude(plan, config, bound, strategy=strategy, tol=tol,
-                                   **_draws(strategy))
+        got = max_secure_amplitude(plan, config, bound, strategy=strategy, tol=tol)
         if c > T:
             assert got == 0.0
             continue
         assert 0.0 < got < 1.0
         at = cfg(K=K, T=T, sigma_n=1.0, c=c, s=got)
-        assert worst_case_leakage(plan, at, strategy=strategy, **_draws(strategy)).i_L <= bound
+        assert worst_case_leakage(plan, at, strategy=strategy).i_L <= bound
         # the reference agrees that s meets the bound, and that s is maximal
         # to the solver's tolerance
         assert reference_at(got) <= bound < reference_at(got * (1 + tol))
@@ -419,8 +369,7 @@ def test_amplitude_matches_per_subset_reference(K, T, N, c, strategy):
 def test_amplitude_solver_computes_each_spectrum_once(monkeypatch):
     eliminate, spectra_of, make_search = (privacy._eliminate, privacy._subset_spectra,
                                           privacy._make_search)
-    default_rng = np.random.default_rng
-    eliminations, chunks, probes, draws = [], [], [], []
+    eliminations, chunks, probes = [], [], []
 
     def counting_eliminate(schur, *args):
         if schur.ndim == 2:  # a greedy step; the batched kernel passes (m, n, K+T)
@@ -440,24 +389,15 @@ def test_amplitude_solver_computes_each_spectrum_once(monkeypatch):
             return result
         return counting_search
 
-    class CountingRng:
-        def __init__(self, seed):
-            self.rng = default_rng(seed)
-
-        def random(self, *args, **kwargs):
-            draws.append(1)
-            return self.rng.random(*args, **kwargs)
-
     monkeypatch.setattr(privacy, "_eliminate", counting_eliminate)
     monkeypatch.setattr(privacy, "_subset_spectra", counting_spectra)
     monkeypatch.setattr(privacy, "_make_search", counting_make_search)
-    monkeypatch.setattr(np.random, "default_rng", CountingRng)
 
-    def solve(K, T, N, c, strategy, bound, **kwargs):
-        for log in (eliminations, chunks, probes, draws):
+    def solve(K, T, N, c, strategy, bound):
+        for log in (eliminations, chunks, probes):
             log.clear()
         s_max = max_secure_amplitude(make_plan(K, T, N), cfg(K=K, T=T, sigma_n=1.0, c=c),
-                                     bound, strategy=strategy, **kwargs)
+                                     bound, strategy=strategy)
         assert 0.0 < s_max < 1.0
 
     # the probes: cfg.s, the root on the worst set's spectrum (again if the
@@ -472,28 +412,15 @@ def test_amplitude_solver_computes_each_spectrum_once(monkeypatch):
     solve(2, 10, 50, 6, GREEDY, 0.6)
     assert 3 <= len(probes) <= 5 and len(eliminations) < 5 * len(probes)
     assert len(chunks) == len(set(chunks)) <= len(probes)
-    # exhaustive and random: one batched elimination per call, drawn once
-    for strategy in (EXHAUSTIVE, RANDOM_SAMPLED):
-        solve(2, 6, 10, 3, strategy, 0.25, samples=50)
-        assert 3 <= len(probes) <= 4 and len(chunks) == 1
-        assert len(draws) == (1 if strategy == RANDOM_SAMPLED else 0)
+    # exhaustive: one batched elimination per call
+    solve(2, 6, 10, 3, EXHAUSTIVE, 0.25)
+    assert 3 <= len(probes) <= 4 and len(chunks) == 1
     # the memo lives for one call: a second search eliminates its prefixes again
     eliminations.clear()
     plan, config = make_plan(1, 30, 50), cfg(c=10)
     worst_case_leakage(plan, config, strategy=GREEDY)
     worst_case_leakage(plan, config, strategy=GREEDY)
     assert len(eliminations) == 2 * 9
-
-
-def test_amplitude_solver_uses_the_given_random_draws():
-    plan = make_plan(1, 4, 12)
-    config = cfg(K=1, T=4, sigma_n=1.0, c=2)
-    draws = {"samples": 3, "seed": 3}
-    s_max = max_secure_amplitude(plan, config, 0.25, strategy=RANDOM_SAMPLED, **draws)
-    at = cfg(K=1, T=4, sigma_n=1.0, c=2, s=s_max)
-    above = cfg(K=1, T=4, sigma_n=1.0, c=2, s=1.001 * s_max)
-    assert worst_case_leakage(plan, at, strategy=RANDOM_SAMPLED, **draws).i_L <= 0.25
-    assert worst_case_leakage(plan, above, strategy=RANDOM_SAMPLED, **draws).i_L > 0.25
 
 
 def test_k1_amplitude_is_the_closed_form():

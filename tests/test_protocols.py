@@ -1,5 +1,7 @@
 """Scheme simulations: message accounting, degeneracy, stragglers, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,22 @@ def test_scheme_config_validation():
         SchemeConfig(scheme=DLDD_SECURE_TRAINING, plan=make_plan(2, 0, N))
     with pytest.raises(ValueError):
         NetworkConfig(n_nodes=4, straggler=StragglerModel(kind=DROP_SLOWEST, count=4))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_only_an_aggregating_scheme_takes_a_median(scheme):
+    x, y = make_two_clusters(25, seed=13)
+    plan = make_plan(1, 2, N) if scheme in protocols.CODED_SCHEMES else None
+    data = (x, y) if scheme in protocols.CENTRALIZED_SCHEMES else split(x, y)
+    cfg = SchemeConfig(scheme=scheme, plan=plan, sigma_n=0.5, rounds=2, lr=0.1)
+    if scheme not in protocols.AGGREGATING_SCHEMES:
+        with pytest.raises(ValueError, match=rf"^{scheme} .* only 'fedavg', got 'coord_median'$"):
+            replace(cfg, agg_rule=COORD_MEDIAN)
+        return
+    # where it is taken, the rule moves the model
+    mean, median = (run_scheme(replace(cfg, agg_rule=rule), net(seed=4), data, model())[-1]
+                    .decoded_model for rule in (FEDAVG, COORD_MEDIAN))
+    assert mean.tobytes() != median.tobytes()
 
 
 @pytest.mark.parametrize("field,value", [
