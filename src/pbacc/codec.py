@@ -8,8 +8,9 @@ encoder basis applied to the stacked coefficients.  ``decode`` rebuilds the
 function values at the data nodes from whatever subset of worker results
 arrived, which is what gives the scheme its straggler tolerance.  It is one
 linear combination of the n results per data node, computed in one pass
-over the results in cache-sized blocks of coding groups, so each result is
-read once and no stacked copy of them is made.
+over the results: they are copied per span of blocks into one staging
+buffer and multiplied per cache-sized block of coding groups, so each
+result is read once and no stacked copy of them is made.
 """
 
 from __future__ import annotations
@@ -188,9 +189,13 @@ def _decode_basis(betas: np.ndarray, plan: CodingPlan) -> np.ndarray:
 
 
 #: Bytes of the (n, block, *rest) stack of results that ``_apply_decode``
-#: multiplies at once: half of a 2 MiB L2 cache, so the K products of a block
-#: read it from cache.
+#: multiplies at once (results are copied per span, multiplied per block):
+#: half of a 2 MiB L2 cache, so the K products of a block read it from cache.
 _DECODE_BLOCK_BYTES = 1 << 20
+#: Bytes of the span of whole blocks that ``_apply_decode`` copies from each
+#: result at once, capped at 1/8 of the results' bytes; a span is at least
+#: one block.
+_GATHER_BYTES = 8 << 20
 
 
 def _apply_decode(rows: np.ndarray, results: Sequence[np.ndarray],
@@ -201,14 +206,19 @@ def _apply_decode(rows: np.ndarray, results: Sequence[np.ndarray],
     (G*K, *rest) with the K data nodes re-interleaved along the leading
     axis, truncated to ``out_extent``.
 
-    Each result is read once, in blocks of groups: the block's slice of every
-    result is copied into one reused (n, block, *rest) buffer and
-    :func:`_decode_rows` multiplies it by each of the K rows.  A block holds
-    as many groups as fit ``_DECODE_BLOCK_BYTES``.
+    Each result is read once, copied per span and multiplied per block.  A
+    block holds as many groups as fit ``_DECODE_BLOCK_BYTES``, a span as many
+    whole blocks as fit ``_GATHER_BYTES`` (at most 1/8 of the results' bytes,
+    at least one block); a ragged last block is a span of its own.  Each
+    result's slice of a span is copied with one assignment into a reused
+    (span, n, block, *rest) buffer, and :func:`_decode_rows` multiplies each
+    block's (n, block, *rest) stack by the K rows.
     When the results fit one block this is exactly the unblocked product,
     byte for byte.  With several blocks each product is narrower, and BLAS
     rounds some widths differently: the result is then ulp-close to the
     unblocked one (within about 2e-14 on unit-scale data), not byte-equal.
+    The span only sets how many copies are made; the bytes are those of
+    copying and multiplying one block at a time.
     """
     n, K = len(results), len(rows)
     if results[0].ndim == 0:
@@ -217,16 +227,27 @@ def _apply_decode(rows: np.ndarray, results: Sequence[np.ndarray],
     if out_extent is not None and not 0 < out_extent <= groups * K:
         raise ValueError(f"out_extent {out_extent} not in (0, {groups * K}]")
     width = math.prod(rest)
-    block = max(1, _DECODE_BLOCK_BYTES // (8 * n * max(width, 1)))
-    buffer = np.empty(n * min(block, groups) * width)
+    group_bytes = 8 * n * max(width, 1)  # one group of every result
+    block = max(1, min(groups, _DECODE_BLOCK_BYTES // group_bytes))
+    whole = groups - groups % block  # the groups in whole blocks
+    gather = min(_GATHER_BYTES, group_bytes * groups // 8)
+    span = max(1, gather // (group_bytes * block))
+    spans = [(lo, min(lo + span * block, whole)) for lo in range(0, whole, span * block)]
+    if whole < groups:
+        spans.append((whole, groups))
+    buffer = np.empty(span * n * block * width)
     out = np.empty((groups, K) + rest)
-    for lo in range(0, groups, block):
-        hi = min(lo + block, groups)
-        chunk = buffer[:n * (hi - lo) * width].reshape((n, hi - lo) + rest)
-        for j, result in enumerate(results):
-            chunk[j] = result[lo:hi]
-        product = _decode_rows(rows, chunk.reshape(n, -1))
-        out[lo:hi] = product.reshape((K, hi - lo) + rest).swapaxes(0, 1)
+    for lo, hi in spans:
+        size = min(block, hi - lo)
+        nb = (hi - lo) // size
+        stage = buffer[:nb * n * size * width].reshape((nb, n, size) + rest)
+        piece = (nb, size) + rest
+        for dst, result in zip(stage.swapaxes(0, 1), results):
+            dst[...] = result[lo:hi].reshape(piece)
+        dest = out[lo:hi].reshape((nb, size, K) + rest)
+        for b in range(nb):
+            product = _decode_rows(rows, stage[b].reshape(n, -1))
+            dest[b] = product.reshape((K, size) + rest).swapaxes(0, 1)
     out = out.reshape((groups * K,) + rest)
     return out if out_extent is None else out[:out_extent]
 

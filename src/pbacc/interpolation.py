@@ -171,6 +171,8 @@ def make_plan(K: int, T: int, N: int, shift: float = DEFAULT_NOISE_SHIFT) -> Cod
         raise ValueError(f"need K >= 1, got {K}")
     if T < 0:
         raise ValueError(f"need T >= 0, got {T}")
+    if N < 2:
+        raise ValueError(f"need N >= 2 workers (one encoder node each), got {N}")
     if not math.isfinite(shift):
         raise ValueError(f"need a finite shift, got {shift}")
     alphas = chebyshev_first(K)

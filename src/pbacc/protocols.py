@@ -490,6 +490,13 @@ def run_dldd_secure_aggregation(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig
     (owner, holder, G) share table, allocated once per run, so one
     ``aggregate`` call over the owner axis serves every holder.  The ledger
     still counts one encode of w elements per owner.
+
+    With ``coord_median`` the result is the Berrut decode of the holders'
+    coordinate medians of noisy shares, not a share of the models' median:
+    the median is not linear, so once the shares carry noise it does not
+    pass through the code.  At N=20, K=1, T=4 it is 2.1% off the models'
+    median at sigma_n=0 (the decode's own error) and 7-13% off per round at
+    sigma_n=10 on two_clusters models (sup-norm, relative).
     """
     cfg, net = scheme_cfg, net_cfg
     plan = cfg.plan

@@ -306,6 +306,41 @@ def test_one_block_decode_is_the_single_product_byte_for_byte(K, rest):
         assert _apply_decode(rows, results, None).tobytes() == reference.tobytes()
 
 
+@pytest.mark.parametrize("K", [1, 2, 3, 8])
+@pytest.mark.parametrize("rest", [(), (3,), (2, 4)])
+def test_span_decode_is_each_block_decoded_alone_byte_for_byte(K, rest, monkeypatch):
+    n, groups, block = 9, 59, 2
+    rows, stack = decode_inputs(K, rest, n, groups, seed=40 + K)
+    group_bytes = 8 * n * int(np.prod(rest))
+    # 29 blocks of 2 groups and a ragged group: 9 spans of 3 blocks, a span
+    # of 2 and the ragged block alone
+    monkeypatch.setattr(codec, "_DECODE_BLOCK_BYTES", block * group_bytes)
+    monkeypatch.setattr(codec, "_GATHER_BYTES", 3 * block * group_bytes)
+    assert stack.nbytes // 8 >= codec._GATHER_BYTES
+    for results in (list(stack), [np.asfortranarray(r) for r in stack]):
+        reference = np.concatenate([
+            _apply_decode(rows, [r[lo:lo + block] for r in results], None)
+            for lo in range(0, groups, block)])
+        assert _apply_decode(rows, results, None).tobytes() == reference.tobytes()
+
+
+def test_decode_staging_stays_within_the_gather_budget(monkeypatch):
+    n, groups, rest = 16, 4096, (8,)
+    rows, stack = decode_inputs(2, rest, n, groups, seed=50)
+    group_bytes = 8 * n * 8
+    # blocks of 16 groups, spans of 16 blocks: 256 KiB of the 4 MiB of results
+    monkeypatch.setattr(codec, "_DECODE_BLOCK_BYTES", 16 * group_bytes)
+    monkeypatch.setattr(codec, "_GATHER_BYTES", 256 * group_bytes)
+    results = list(stack)
+    tracemalloc.start()
+    try:
+        out = _apply_decode(rows, results, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= codec._GATHER_BYTES + out.nbytes + (64 << 10), f"decode peaked at {peak} bytes"
+
+
 @pytest.mark.parametrize("K", [1, 2, 3])
 def test_decode_rows_is_the_one_group_decode_byte_for_byte(K):
     rows, stack = decode_inputs(K, (1, 2), n=12, groups=1, seed=30 + K)

@@ -235,12 +235,16 @@ def test_readme_example_spec_is_valid():
 @pytest.mark.parametrize("argv, named", [
     (["roundtrip", "--N", "8", "--K", "1", "--T", "1", "--sigma", "-1"], "sigma_n"),
     (["roundtrip", "--N", "8", "--K", "1", "--T", "1", "--extent", "0"], "extent"),
-    (["nodes", "--N", "1", "--K", "1", "--T", "0"], "count"),
+    (["nodes", "--N", "1", "--K", "1", "--T", "0"], "need N >= 2 workers"),
+    (["leakage", "--N", "1", "--K", "1", "--T", "0", "--sigma", "1", "--c", "1"],
+     "need N >= 2 workers"),
+    (["roundtrip", "--N", "1", "--K", "1", "--T", "0"], "need N >= 2 workers"),
     (["leakage", "--N", "8", "--K", "1", "--T", "2", "--sigma", "1", "--c", "1",
       "--strategy", "random"], "--strategy: invalid choice: 'random'"),
     # refused as an argument, before the spec file is looked for
     (["run", "experiment.yaml", "--strategy", "random"], "--strategy: invalid choice: 'random'"),
-], ids=["negative_sigma", "zero_extent", "one_node", "strategy_random", "run_strategy_random"])
+], ids=["negative_sigma", "zero_extent", "one_node", "leakage_one_node", "roundtrip_one_node",
+        "strategy_random", "run_strategy_random"])
 def test_cli_reports_a_bad_argument_on_one_line(capsys, argv, named):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -4,6 +4,8 @@ Frozen reference values were computed with a 50-digit mpmath evaluation of
 the same closed forms (see tests/oracles.py for the oracle used at runtime).
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,12 @@ def test_plan_rejects_colliding_noise_shift():
     # shift 0 with K=1, T=1 puts the noise node on the data node
     with pytest.raises(ValueError):
         make_plan(K=1, T=1, N=8, shift=0.0)
+
+
+def test_plan_names_the_worker_count_when_below_two():
+    with pytest.raises(ValueError, match=re.escape(
+            "need N >= 2 workers (one encoder node each), got 1")):
+        make_plan(1, 0, 1)
 
 
 def test_plan_perturbs_encoder_nodes_on_collision():
