@@ -211,8 +211,10 @@ def _apply_decode(rows: np.ndarray, results: Sequence[np.ndarray],
     whole blocks as fit ``_GATHER_BYTES`` (at most 1/8 of the results' bytes,
     at least one block); a ragged last block is a span of its own.  Each
     result's slice of a span is copied with one assignment into a reused
-    (span, n, block, *rest) buffer, and :func:`_decode_rows` multiplies each
-    block's (n, block, *rest) stack by the K rows.
+    (span, n, block, *rest) buffer; a span of one block is the results'
+    slices end to end, so it is filled by one ``np.concatenate``.
+    :func:`_decode_rows` multiplies each block's (n, block, *rest) stack by
+    the K rows, into one reused (K, block * width) array.
     When the results fit one block this is exactly the unblocked product,
     byte for byte.  With several blocks each product is narrower, and BLAS
     rounds some widths differently: the result is then ulp-close to the
@@ -236,32 +238,45 @@ def _apply_decode(rows: np.ndarray, results: Sequence[np.ndarray],
     if whole < groups:
         spans.append((whole, groups))
     buffer = np.empty(span * n * block * width)
+    products = np.empty(K * block * width)
     out = np.empty((groups, K) + rest)
     for lo, hi in spans:
         size = min(block, hi - lo)
         nb = (hi - lo) // size
         stage = buffer[:nb * n * size * width].reshape((nb, n, size) + rest)
-        piece = (nb, size) + rest
-        for dst, result in zip(stage.swapaxes(0, 1), results):
-            dst[...] = result[lo:hi].reshape(piece)
+        if nb == 1:   # the results' slices end to end are the block's stack: one copy
+            pieces = results if size == groups else [result[lo:hi] for result in results]
+            np.concatenate(pieces, out=stage.reshape((n * size,) + rest))
+        else:
+            piece = (nb, size) + rest
+            for dst, result in zip(stage.swapaxes(0, 1), results):
+                dst[...] = result[lo:hi].reshape(piece)
+        product = products[:K * size * width].reshape(K, size * width)
         dest = out[lo:hi].reshape((nb, size, K) + rest)
         for b in range(nb):
-            product = _decode_rows(rows, stage[b].reshape(n, -1))
+            _decode_rows(rows, stage[b].reshape(n, -1), product)
             dest[b] = product.reshape((K, size) + rest).swapaxes(0, 1)
     out = out.reshape((groups * K,) + rest)
     return out if out_extent is None else out[:out_extent]
 
 
-def _decode_rows(rows: np.ndarray, flat: np.ndarray) -> np.ndarray:
+def _decode_rows(rows: np.ndarray, flat: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """The decode product: each :func:`_decode_basis` row times the (n, m) results.
 
-    Returns (K, m), row i the values at data node i.  This is the product
-    every decode makes, one block at a time in :func:`_apply_decode`; a
-    caller holding one coding group's n results as an (n, m) array calls it
-    directly, without the blocking and checks.  One ``np.dot(row, flat)`` per
+    Returns (K, m), row i the values at data node i, written into ``out``,
+    a C-contiguous float64 (K, m) array, if given (by default a fresh one).
+    This is the product every decode makes, one block at a time in
+    :func:`_apply_decode`; a caller holding one coding group's n results as
+    an (n, m) array calls it directly, without the blocking and checks, and
+    can reuse one ``out`` for every group.  One ``np.dot(row, flat)`` per
     row, not one (K, n) product: the latter rounds differently for K >= 2.
     """
-    return np.array([np.dot(row, flat) for row in rows])
+    if out is None:
+        out = np.empty((len(rows), flat.shape[1]))
+    for row, dest in zip(rows, out):
+        np.dot(row, flat, out=dest)
+    return out
 
 
 def roundtrip_error(x: np.ndarray, f: Callable[[np.ndarray], np.ndarray],

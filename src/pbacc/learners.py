@@ -119,11 +119,12 @@ def init_mlp(sizes: list[int], activation: str = RELU, seed: int = 0) -> ModelPa
     return ModelParams(layers=layers, activation=activation)
 
 
-def _act(h: np.ndarray, kind: str) -> np.ndarray:
+def _act(h: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
+    """The activation of ``h``, written into ``out`` if given (identity returns ``h``)."""
     if kind == RELU:
-        return np.maximum(h, 0.0)
+        return np.maximum(h, 0.0, out=out)
     if kind == TANH:
-        return np.tanh(h)
+        return np.tanh(h, out=out)
     return h
 
 
@@ -136,13 +137,22 @@ def _act_grad(h: np.ndarray, out: np.ndarray, kind: str) -> np.ndarray:
     return np.ones_like(h)
 
 
-def forward_with_cache(params: ModelParams, inputs: np.ndarray):
+def forward_with_cache(params: ModelParams, inputs: np.ndarray, cache=None):
     """Affine+activation chain; returns output and the per-layer cache.
 
     Features run along the last axis.  A stacked ``(N, B, f)`` input is one
     batched matrix product per layer, byte-equal to N separate ``(B, f)``
     forwards, with one shared model or a stack of N models; a flattened
     ``(N*B, f)`` product can differ in the last ulp.
+
+    The cache is ``(pre, post)``: each layer's pre-activation, and the
+    input followed by each layer's output (the last layer's output, and an
+    identity activation's, is its pre-activation array itself; relu and tanh
+    write distinct arrays, since relu's gradient reads ``pre``).  Given the
+    cache of an earlier call on inputs of the same shape, this writes the
+    matmul, bias and activation results into its arrays, points its input
+    slot ``post[0]`` at ``inputs`` and returns that same cache, byte-equal
+    to a fresh call.
     """
     x = np.asarray(inputs, dtype=float)
     if x.ndim == 1:
@@ -150,16 +160,16 @@ def forward_with_cache(params: ModelParams, inputs: np.ndarray):
     if x.shape[-1] != params.layers[0][0].shape[-2]:
         raise ValueError(f"input features {x.shape[-1]} do not match "
                          f"first layer extent {params.layers[0][0].shape[-2]}")
-    pre, post = [], [x]
-    h = x
     last = len(params.layers) - 1
+    if cache is None:
+        cache = ([None] * (last + 1), [None] * (last + 2))
+    pre, post = cache
+    post[0] = h = x
     for li, (w, b) in enumerate(params.layers):
-        z = h @ w
+        z = pre[li] = np.matmul(h, w, out=pre[li])
         z += b[..., None, :]
-        pre.append(z)
-        h = z if li == last else _act(z, params.activation)
-        post.append(h)
-    return h, (pre, post)
+        h = post[li + 1] = z if li == last else _act(z, params.activation, out=post[li + 1])
+    return h, cache
 
 
 def forward(params: ModelParams, inputs: np.ndarray) -> np.ndarray:

@@ -24,14 +24,17 @@ provided:
 * ``dlcd_secure_training``   -- master owns the data; the dataset is encoded
   once and workers compute the model execution on encoded batches; the
   master decodes the outputs, evaluates loss/gradients and steps the model.
-  The targets are prepared once per run, and everything fixed by the
-  round's fastest subset once per round: its decode rows and its shares
-  gathered batch-major.  A batch then does only its own arithmetic: the
-  fastest workers' forwards as one stacked forward, the decode product
-  (``codec._decode_rows``) and the master's step, which computes the loss
-  gradient but no loss value and descends in place.  With K = 1 the
-  master's plaintext sample has a share's shape, so it rides in the
-  workers' stacked forward as one more slot.
+  The targets and the decode's output array are prepared once per run, and
+  everything fixed by the round's fastest subset once per round: its decode
+  rows, its shares gathered batch-major, the stacked forward's cache (its
+  activation arrays, which every batch's forward rewrites in place) and the
+  views of it a batch reads.  A batch then does only its own arithmetic:
+  the fastest workers' forwards as one stacked forward, the decode product
+  (``codec._decode_rows``, into the reused output) and the master's step,
+  which computes the loss gradient but no loss value and descends in place.
+  With K = 1 the master's plaintext sample has a share's shape, so it rides
+  in the workers' stacked forward as one more slot, whose cache views are
+  taken once per round; only their input slot moves, batch by batch.
 * ``uncoded_dlcd``           -- master partitions the plaintext dataset;
   from then on it is ``uncoded_dldd`` on those parts.
 * ``dldd_secure_aggregation``-- nodes own the data, train in plaintext and
@@ -150,16 +153,17 @@ class MessageBlock:
     """An immutable run of messages: :class:`MessageRule` s in send order.
 
     ``len(block)`` and ``elements``, the block's total element count, are
-    summed once here, from each rule in O(1); iterating the block expands
-    its rules in order.
+    summed once here, from each rule's count, taken once and in O(1);
+    iterating the block expands its rules in order.
     """
 
     __slots__ = ("_rules", "_count", "elements")
 
     def __init__(self, *rules: MessageRule):
         self._rules = rules
-        self._count = sum(rule.count for rule in rules)
-        self.elements = sum(rule.count * rule.elements for rule in rules)
+        counts = [rule.count for rule in rules]
+        self._count = sum(counts)
+        self.elements = sum(count * rule.elements for count, rule in zip(counts, rules))
 
     def __len__(self) -> int:
         return self._count
@@ -403,13 +407,18 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     and its shares gathered (batch-major) once per round.  A batch runs only
     the used workers' forwards, as one batched forward over the worker axis
     (byte-equal per worker to the forward of all N), and one ``np.dot`` per
-    decode row; the ledger counts every worker's forward.  With K = 1 the
-    master's own ``(1, f)`` sample is one more slot of that forward, after
-    the N workers' shares in the batch-major table, and the master
-    backpropagates through that slot's slice of the cache; for K >= 2 it
-    runs its own forward, since a ``(K, f)`` product is not byte-equal to K
-    ``(1, f)`` slices.  The model is copied once per round and stepped in
-    place.
+    decode row; the ledger counts every worker's forward.  Every batch of a
+    round has the same shapes: the round's first forward allocates its cache
+    and each later one writes into it (``forward_with_cache``'s ``cache``),
+    the workers' results are one view of it taken per round, and each decode
+    is written into one ``(K, outputs)`` array allocated per run.  With K = 1
+    the master's own ``(1, f)`` sample is one more slot of that forward,
+    after the N workers' shares in the batch-major table, and the master
+    backpropagates through views of that slot of the cache, taken once per
+    round; per batch only their input slot is pointed at the batch's
+    sample.  For K >= 2 the master runs its own forward, since a ``(K, f)``
+    product is not byte-equal to K ``(1, f)`` slices.  The model is copied
+    once per round and stepped in place.
     """
     cfg, net = scheme_cfg, net_cfg
     plan = cfg.plan
@@ -441,22 +450,30 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
                         train_ops=OpCount(train_ops, train_ops * w_elems),
                         decode_ops=OpCount(n_batches, n_samples * result_elems))
 
+    decoded = np.empty((plan.K, result_elems))   # each batch's decode, written in place
+
     def step(model, r, fastest):
         model = model.copy()   # descended in place, batch by batch
-        # Fixed for the round: the decode rows and the used shares.
+        # Fixed for the round: the decode rows, the used shares and, from the
+        # first batch on, the forward's arrays and the views of them it reads.
         rows = _decode_basis(plan.betas[fastest], plan)
         n = len(fastest)
         used = by_batch[:, fastest + [n_workers] if fold else fastest]   # batch-major
+        cache = None
         for lo, batch_shares in zip(range(0, n_samples, plan.K), used):
-            preds, cache = forward_with_cache(model, batch_shares)   # (n[+1], 1, outputs)
+            preds, cache = forward_with_cache(model, batch_shares, cache)   # (n[+1], 1, outputs)
+            if lo == 0:   # the round's first forward allocated the cache
+                results = preds[:n].reshape(n, -1)
+                if fold:   # the master's forward is slot n of the stacked one
+                    master = tuple([a[n] for a in part] for part in cache)
+            _decode_rows(rows, results, decoded)
             # the last group may be short: only its first n_samples - lo rows are data
-            decoded = _decode_rows(rows, preds[:n].reshape(n, -1))[:n_samples - lo]
-            dpred = output_grad(decoded, prepared[lo:lo + plan.K], cfg.loss)
-            if fold:   # the master's forward is slot n of the stacked one
-                cache = tuple([a[n] for a in part] for part in cache)
+            dpred = output_grad(decoded[:n_samples - lo], prepared[lo:lo + plan.K], cfg.loss)
+            if fold:
+                master[1][0] = batch_shares[n]   # the input slot: this batch's sample
             else:
-                _, cache = forward_with_cache(model, inputs[lo:lo + plan.K])
-            _descend(model, cache, dpred, cfg.lr)
+                _, master = forward_with_cache(model, inputs[lo:lo + plan.K])
+            _descend(model, master, dpred, cfg.lr)
         return model
 
     return [setup] + _run_rounds(cfg, net, model_init, dataset, ledger, step)

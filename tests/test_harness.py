@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from pbacc.cli import main
-from pbacc.harness import SpecError, load_spec, run_experiment, spec_from_dict
+from pbacc.harness import SpecError, _rewrite, load_spec, run_experiment, spec_from_dict
 from pbacc.interpolation import make_plan
 
 
@@ -323,14 +323,35 @@ def spec_size_of(summary) -> int:
 
 
 def test_rerun_is_byte_identical(tmp_path):
-    raw = small_spec(tmp_path, output=str(tmp_path / "a"))
+    out = tmp_path / "a"
+    raw = small_spec(tmp_path, output=str(out))
     first = run_experiment(spec_from_dict(raw))
-    captured = {name: (tmp_path / "a" / name).read_bytes()
-                for name in ("rounds.csv", "summary.json")}
-    second = run_experiment(spec_from_dict(raw))
-    assert first == second
-    for name, blob in captured.items():
-        assert (tmp_path / "a" / name).read_bytes() == blob
+    captured = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(captured) == ["model_cell0.bin", "model_cell1.bin", "rounds.csv",
+                                "summary.json"]
+    # a rerun rewrites the files in place: over themselves, over longer
+    # files and over shorter ones it leaves exactly a fresh run's bytes
+    for stale in (lambda blob: blob, lambda blob: blob + b"stale tail\n" * 50,
+                  lambda blob: blob[:len(blob) // 2]):
+        for name, blob in captured.items():
+            (out / name).write_bytes(stale(blob))
+        assert run_experiment(spec_from_dict(raw)) == first
+        for name, blob in captured.items():
+            assert (out / name).read_bytes() == blob, name
+
+
+@pytest.mark.parametrize("mode", ["wb", "w"])
+def test_a_failed_rewrite_leaves_no_stale_tail(tmp_path, mode):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"the old contents, longer than the new\n" * 20)
+    with pytest.raises(RuntimeError, match="mid-write"):
+        with _rewrite(str(path), mode) as fh:
+            fh.write(b"new" if mode == "wb" else "new")
+            raise RuntimeError("mid-write")
+    assert path.read_bytes() == b"new"
+    with _rewrite(str(tmp_path / "absent.bin"), mode) as fh:   # created if absent
+        fh.write(b"made" if mode == "wb" else "made")
+    assert (tmp_path / "absent.bin").read_bytes() == b"made"
 
 
 def test_sigma_sweep_emits_strictly_safer_rows(tmp_path):

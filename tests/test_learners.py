@@ -621,6 +621,29 @@ def _reference_backward(params, cache, dout):
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stacked"])
 @pytest.mark.parametrize("activation", [RELU, TANH, IDENTITY])
+def test_a_forward_into_a_given_cache_is_a_fresh_forward_byte_for_byte(activation, stacked):
+    rng = np.random.default_rng(66)
+    shape = (4, 3, 3) if stacked else (3, 3)   # stacked: four slots of three samples
+    first, second = rng.normal(size=shape), rng.normal(size=shape)
+    params = init_mlp([3, 5, 4, 2], activation=activation, seed=67)
+    _, cache = forward_with_cache(params, first)
+    pre, post = cache
+    arrays = [*pre, *post[1:]]
+    out, given = forward_with_cache(params, second, cache)
+    assert given is cache and given[1][0] is second and out is post[-1]
+    assert all(a is b for a, b in zip([*pre, *post[1:]], arrays))   # written in place
+    fresh_out, (fresh_pre, fresh_post) = forward_with_cache(params, second)
+    assert out.tobytes() == fresh_out.tobytes()
+    for mine, theirs in zip([*pre, *post], [*fresh_pre, *fresh_post]):
+        assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+    # the same arrays alias: only identity's and the last layer's output is its pre
+    assert [post[li + 1] is pre[li] for li in range(3)] == \
+        [fresh_post[li + 1] is fresh_pre[li] for li in range(3)] == \
+        [activation == IDENTITY, activation == IDENTITY, True]
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one", "stacked"])
+@pytest.mark.parametrize("activation", [RELU, TANH, IDENTITY])
 @pytest.mark.parametrize("loss", LOSSES)
 def test_the_in_place_step_is_the_functional_step_byte_for_byte(loss, activation, stacked):
     x, y, outputs = _node_stack(loss, 3, 7, 3, seed=61)

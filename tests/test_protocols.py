@@ -12,7 +12,9 @@ from pbacc.learners import (
     COORD_MEDIAN,
     COX_PH,
     FEDAVG,
+    IDENTITY,
     MSE,
+    RELU,
     SOFTMAX_CE,
     TANH,
     aggregate,
@@ -294,17 +296,25 @@ DLCD_STRAGGLERS = {
 }
 
 
-@pytest.mark.parametrize("loss, straggler, K", [
-    *[(SOFTMAX_CE, straggler, K) for straggler in DLCD_STRAGGLERS for K in (1, 2, 3)],
-    *[(loss, "drop_slowest", K) for loss in (MSE, COX_PH) for K in (1, 2)],
-])
-def test_dlcd_secure_training_matches_the_per_share_reference(loss, straggler, K):
+DLCD_CASES = [
+    *[(SOFTMAX_CE, straggler, K, TANH) for straggler in DLCD_STRAGGLERS for K in (1, 2, 3)],
+    *[(loss, "drop_slowest", K, TANH) for loss in (MSE, COX_PH) for K in (1, 2)],
+    *[(SOFTMAX_CE, straggler, K, activation) for activation in (RELU, IDENTITY)
+      for straggler in DLCD_STRAGGLERS for K in (1, 2)],
+]
+
+
+# tanh is the models' usual activation: its cases are named without it
+@pytest.mark.parametrize("loss, straggler, K, activation", DLCD_CASES, ids=[
+    "-".join(map(str, case if case[3] != TANH else case[:3])) for case in DLCD_CASES])
+def test_dlcd_secure_training_matches_the_per_share_reference(loss, straggler, K, activation):
     # 25 samples: K=2 and K=3 leave a short last group
     if loss == COX_PH:
         x, y = make_survival(25, features=2, seed=11)
     else:
         x, y = make_two_clusters(25, seed=8)
-    start = model() if loss == SOFTMAX_CE else init_mlp([2, 4, 1], activation=TANH, seed=12)
+    sizes, seed = (W_SIZES, 42) if loss == SOFTMAX_CE else ([2, 4, 1], 12)
+    start = init_mlp(sizes, activation=activation, seed=seed)
     plan = make_plan(K, 2, 6)
     cfg = SchemeConfig(scheme=DLCD_SECURE_TRAINING, plan=plan, sigma_n=0.5, rounds=2, lr=0.1,
                        loss=loss)
