@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -147,10 +148,8 @@ def _show(value: float | None, spec: str) -> str:
 
 
 def cmd_run(args) -> int:
-    spec = load_spec(args.spec)
-    for attr in ("seed", "output_dir", "strategy"):   # command-line overrides
-        if getattr(args, attr) is not None:
-            setattr(spec, attr, getattr(args, attr))
+    overrides = {attr: getattr(args, attr) for attr in ("seed", "output_dir", "strategy")}
+    spec = replace(load_spec(args.spec), **{k: v for k, v in overrides.items() if v is not None})
     summary = run_experiment(spec)
     for cell in summary["cells"]:
         leak = cell["leakage"]

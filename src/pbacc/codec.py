@@ -260,23 +260,19 @@ def _apply_decode(rows: np.ndarray, results: Sequence[np.ndarray],
     return out if out_extent is None else out[:out_extent]
 
 
-def _decode_rows(rows: np.ndarray, flat: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def _decode_rows(rows: np.ndarray, flat: np.ndarray, out: np.ndarray) -> None:
     """The decode product: each :func:`_decode_basis` row times the (n, m) results.
 
-    Returns (K, m), row i the values at data node i, written into ``out``,
-    a C-contiguous float64 (K, m) array, if given (by default a fresh one).
-    This is the product every decode makes, one block at a time in
-    :func:`_apply_decode`; a caller holding one coding group's n results as
-    an (n, m) array calls it directly, without the blocking and checks, and
-    can reuse one ``out`` for every group.  One ``np.dot(row, flat)`` per
-    row, not one (K, n) product: the latter rounds differently for K >= 2.
+    Writes (K, m), row i the values at data node i, into ``out``, a
+    C-contiguous float64 (K, m) array.  This is the product every decode
+    makes, one block at a time in :func:`_apply_decode`; a caller holding one
+    coding group's n results as an (n, m) array calls it directly, without
+    the blocking and checks, and can reuse one ``out`` for every group.  One
+    ``np.dot(row, flat)`` per row, not one (K, n) product: the latter rounds
+    differently for K >= 2.
     """
-    if out is None:
-        out = np.empty((len(rows), flat.shape[1]))
     for row, dest in zip(rows, out):
         np.dot(row, flat, out=dest)
-    return out
 
 
 def roundtrip_error(x: np.ndarray, f: Callable[[np.ndarray], np.ndarray],

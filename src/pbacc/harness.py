@@ -6,13 +6,18 @@ path, parse, per-value check, ``ExperimentSpec`` attribute, default and
 rounds.csv column, and a key that no row names is rejected.  The privacy
 section accepts scalars or sweep lists for sigma_n, T and c; the
 cartesian product of the sweep lists defines the experiment cells.
-Per-round metrics go to a CSV table (one record per round, carrying the
-full resolved configuration) and per-cell results to a JSON summary,
-which is strict JSON: a value that is NaN or infinite (the accuracy of an
-MSE or Cox run, the loss of a diverged one, an infinite leakage bound) is
-written as null, and a cell's ``diverged`` flag marks a non-finite final
-loss.  All randomness derives from one root seed, so reruns are
-byte-identical.
+``ExperimentSpec`` is frozen and parses and checks its fields once, when
+built (``dataclasses.replace`` builds a checked variant).  ``run_experiment``
+first builds all that can fail from the spec alone (each cell's plan,
+scheme config and leakage report), then trains every cell, and only then
+writes the output files, so a failed run leaves an existing directory's
+files as they were.  Per-round metrics go to a CSV table (one record per
+round, carrying the full resolved configuration) and per-cell results to
+a JSON summary, which is strict JSON: a value that is NaN or infinite
+(the accuracy of an MSE or Cox run, the loss of a diverged one, an
+infinite leakage bound) is written as null, and a cell's ``diverged``
+flag marks a non-finite final loss.  All randomness derives from one
+root seed, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, make_dataclass
+from dataclasses import asdict, fields, make_dataclass
 from itertools import product
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -31,7 +37,7 @@ import yaml
 
 from . import learners, protocols
 from .codec import write_tensor
-from .interpolation import DEFAULT_NOISE_SHIFT, make_plan
+from .interpolation import DEFAULT_NOISE_SHIFT, CodingPlan, make_plan
 from .privacy import GREEDY, STRATEGIES, PrivacyConfig, _finite_or_none, worst_case_leakage
 from .protocols import (
     CENTRALIZED_SCHEMES,
@@ -65,21 +71,27 @@ def _float(value) -> float:
 
 
 def _list_of(kind: Callable) -> Callable:
-    def parse(value) -> list:
-        values = value if isinstance(value, list) else [value]
+    def parse(value) -> tuple:
+        values = value if isinstance(value, (list, tuple)) else [value]
         if not values:
             raise ValueError("lists must be nonempty")
-        return [kind(v) for v in values]
+        return tuple(kind(v) for v in values)
     return parse
 
 
 def _straggler(value) -> StragglerModel:
     if value is None:
         return StragglerModel()
+    if isinstance(value, StragglerModel):
+        return value
     if isinstance(value, str):
         value = {"kind": value}
     if not isinstance(value, dict):
         raise ValueError(f"need a kind name or a mapping, got {value!r}")
+    known = [f.name for f in fields(StragglerModel)]
+    unknown = [key for key in value if key not in known]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}; the keys are {', '.join(known)}")
     return StragglerModel(**{k: v if k == "kind" else _int(v) for k, v in value.items()})
 
 
@@ -110,7 +122,7 @@ class _Field(NamedTuple):
 
 
 #: Every spec field except ``scheme``, in rounds.csv column order.  The
-#: sweep fields (T, sigma_n, c) hold lists in the spec; their columns carry
+#: sweep fields (T, sigma_n, c) hold tuples in the spec; their columns carry
 #: the value of the row's cell.
 _FIELDS = (
     _Field("network", "nodes", "n_nodes", _int, 8, "N", _at_least(2)),
@@ -154,17 +166,17 @@ _KEYS[None] |= {"scheme", *_SECTIONS}
 #: Spec attributes swept over, in the order of a cell's (sigma_n, T, c) tuple.
 _SWEEP_ATTRS = ("sigma_n_values", "T_values", "c_values")
 
-ROUND_COLUMNS = [
-    "scheme", "cell", *(f.column for f in _FIELDS if f.column),
-    "round", "loss", "accuracy",
-    "messages", "elements", "encode_ops", "encode_elements",
-    "decode_ops", "decode_elements", "train_ops", "train_elements",
-]
+#: rounds.csv's columns after the configuration: each RoundTrace attribute path.
+_TRACE_COLUMNS = {
+    "round": "round_index", "loss": "loss", "accuracy": "accuracy",
+    "messages": "message_count", "elements": "element_volume",
+    "encode_ops": "encode_ops.count", "encode_elements": "encode_ops.elements",
+    "decode_ops": "decode_ops.count", "decode_elements": "decode_ops.elements",
+    "train_ops": "train_ops.count", "train_elements": "train_ops.elements",
+}
+_trace_values = attrgetter(*_TRACE_COLUMNS.values())
 
-ExperimentSpec = make_dataclass(
-    "ExperimentSpec", ["scheme", *(f.attr for f in _FIELDS)],
-    namespace={"__module__": __name__,
-               "__doc__": "A parsed experiment: ``scheme`` and one attribute per _FIELDS row."})
+ROUND_COLUMNS = ["scheme", "cell", *(f.column for f in _FIELDS if f.column), *_TRACE_COLUMNS]
 
 
 def load_spec(path: str) -> ExperimentSpec:
@@ -185,9 +197,6 @@ def spec_from_dict(raw: dict) -> ExperimentSpec:
         scheme = raw["scheme"]
     except KeyError:
         raise SpecError("missing required key 'scheme'") from None
-    if scheme not in protocols.SCHEMES:
-        raise SpecError(f"unknown scheme {scheme!r}; choose one of {protocols.SCHEMES}")
-
     sections = {None: raw} | {name: {} if raw.get(name) is None else raw[name]
                               for name in _SECTIONS}
     for name, section in sections.items():
@@ -197,26 +206,30 @@ def spec_from_dict(raw: dict) -> ExperimentSpec:
         if unknown:
             where = f"in {name}" if name else "at the top level"
             raise SpecError(f"unknown key {unknown[0]!r} {where}")
-
-    values = {}
-    for f in _FIELDS:
-        try:
-            values[f.attr] = f.parse(sections[f.section].get(f.key, f.default))
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"{f.path}: {exc}") from None
-    spec = ExperimentSpec(scheme=scheme, **values)
-    _validate(spec)
-    return spec
+    return ExperimentSpec(scheme=scheme, **{f.attr: sections[f.section].get(f.key, f.default)
+                                            for f in _FIELDS})
 
 
 def _validate(spec: ExperimentSpec) -> None:
+    """``ExperimentSpec.__post_init__``: parse each field in place, then check the spec.
+
+    Parsing is idempotent, so a spec made by ``dataclasses.replace`` passes
+    through the same parse and checks as one read from a file.
+    """
+    if spec.scheme not in protocols.SCHEMES:
+        raise SpecError(f"unknown scheme {spec.scheme!r}; choose one of {protocols.SCHEMES}")
+    for f in _FIELDS:
+        try:
+            object.__setattr__(spec, f.attr, f.parse(getattr(spec, f.attr)))  # while built
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"{f.path}: {exc}") from None
     coded = spec.scheme in CODED_SCHEMES
     for f in _FIELDS:
         if f.check is None or f.coded_only and not coded:
             continue
         test, requirement = f.check
         value = getattr(spec, f.attr)
-        for item in value if isinstance(value, list) else [value]:
+        for item in value if isinstance(value, tuple) else [value]:
             if not test(item):
                 raise SpecError(f"{f.path} must be {requirement}, got {item!r}")
 
@@ -243,6 +256,12 @@ def _validate(spec: ExperimentSpec) -> None:
                             "the model at a single data node")
 
 
+ExperimentSpec = make_dataclass(
+    "ExperimentSpec", ["scheme", *(f.attr for f in _FIELDS)], frozen=True,
+    namespace={"__module__": __name__, "__post_init__": _validate,
+               "__doc__": "A checked experiment: ``scheme`` and one attribute per _FIELDS row."})
+
+
 def _make_dataset(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
     data_seed = protocols._derived_seed(spec.seed, 1)
     if spec.dataset == "two_clusters":
@@ -264,8 +283,7 @@ def _output_width(spec: ExperimentSpec) -> int:
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
-    """Run every sweep cell, write rounds.csv and summary.json, return the summary."""
-    _validate(spec)   # again: a field may have been set after parsing
+    """Build and check every cell, train them all, write the outputs; return the summary."""
     coded = spec.scheme in CODED_SCHEMES
     cells = list(product(*(getattr(spec, a) for a in _SWEEP_ATTRS))) if coded else [(0.0, 0, 0)]
     try:
@@ -282,50 +300,29 @@ def run_experiment(spec: ExperimentSpec) -> dict:
             for (sigma_n, _, _), plan in zip(cells, plans)]
     except ValueError as exc:  # _validate has checked every other field SchemeConfig checks
         raise SpecError(f"training.agg: {exc}") from None
+    try:
+        leakages = [_leakage(spec, plan, cell) for plan, cell in zip(plans, cells)]
+    except ValueError as exc:  # the exhaustive search exceeds its budget
+        raise SpecError(f"strategy: {exc}") from None
 
-    os.makedirs(spec.output_dir, exist_ok=True)
     x, y = _make_dataset(spec)
-    sizes = [spec.features] + spec.hidden + [_output_width(spec)]
-    model_init = learners.init_mlp(sizes, spec.activation,
-                                   seed=protocols._derived_seed(spec.seed, 2))
+    model_init = learners.init_mlp([spec.features, *spec.hidden, _output_width(spec)],
+                                   spec.activation, seed=protocols._derived_seed(spec.seed, 2))
     data = (x, y) if spec.scheme in CENTRALIZED_SCHEMES \
         else protocols._partition(x, y, spec.n_nodes)
 
     round_rows: list[dict] = []
     summaries: list[dict] = []
-    for cell_index, ((sigma_n, t_blocks, colluders), scheme_cfg) in enumerate(
-            zip(cells, scheme_cfgs)):
-        privacy = None
-        if coded and t_blocks >= 1 and sigma_n > 0 and colluders >= 1:
-            privacy = PrivacyConfig(K=spec.K, T=t_blocks, sigma_n=sigma_n,
-                                    c=colluders, s=spec.s, epsilon=spec.epsilon)
+    models: list[np.ndarray] = []
+    for cell_index, (cell, scheme_cfg, leakage) in enumerate(zip(cells, scheme_cfgs, leakages)):
         net_cfg = NetworkConfig(n_nodes=spec.n_nodes, straggler=spec.straggler,
                                 seed=protocols._derived_seed(spec.seed, 3, cell_index))
         traces = run_scheme(scheme_cfg, net_cfg, data, model_init)
-
-        base = _base_row(spec, cell_index, (sigma_n, t_blocks, colluders))
-        for trace in traces:
-            round_rows.append(base | {
-                "round": trace.round_index,
-                "loss": trace.loss, "accuracy": trace.accuracy,
-                "messages": trace.message_count, "elements": trace.element_volume,
-                "encode_ops": trace.encode_ops.count,
-                "encode_elements": trace.encode_ops.elements,
-                "decode_ops": trace.decode_ops.count,
-                "decode_elements": trace.decode_ops.elements,
-                "train_ops": trace.train_ops.count,
-                "train_elements": trace.train_ops.elements,
-            })
-
-        leakage = None
-        if privacy is not None:
-            report = worst_case_leakage(scheme_cfg.plan, privacy, strategy=spec.strategy)
-            leakage = report.to_dict() | {"meets_epsilon": bool(report.i_L <= spec.epsilon)}
-
+        base = _base_row(spec, cell_index, cell)
+        round_rows += [base | dict(zip(_TRACE_COLUMNS, _trace_values(t))) for t in traces]
         per_round = [t for t in traces if t.round_index >= 1]
         setup = [t for t in traces if t.round_index == 0]
-        with _rewrite(os.path.join(spec.output_dir, f"model_cell{cell_index}.bin"), "wb") as fh:
-            write_tensor(fh, per_round[-1].decoded_model)
+        models.append(per_round[-1].decoded_model)
         final_loss = _finite_or_none(per_round[-1].loss)
         summaries.append(base | {
             "final_loss": final_loss,
@@ -338,19 +335,31 @@ def run_experiment(spec: ExperimentSpec) -> dict:
             "leakage": leakage,
         })
 
-    rounds_path = os.path.join(spec.output_dir, "rounds.csv")
-    with _rewrite(rounds_path, "w", newline="") as fh:
+    os.makedirs(spec.output_dir, exist_ok=True)
+    for cell_index, model in enumerate(models):
+        with _rewrite(os.path.join(spec.output_dir, f"model_cell{cell_index}.bin"), "wb") as fh:
+            write_tensor(fh, model)
+    with _rewrite(os.path.join(spec.output_dir, "rounds.csv"), "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=ROUND_COLUMNS)
         writer.writeheader()
-        for row in round_rows:
-            writer.writerow({k: _fmt(row.get(k, "")) for k in ROUND_COLUMNS})
-
+        writer.writerows({k: repr(v) if isinstance(v, float) else str(v) for k, v in row.items()}
+                         for row in round_rows)
     summary = {"config": _resolved_config(spec), "cells": summaries}
-    summary_path = os.path.join(spec.output_dir, "summary.json")
-    with _rewrite(summary_path, "w") as fh:
+    with _rewrite(os.path.join(spec.output_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return summary
+
+
+def _leakage(spec: ExperimentSpec, plan: CodingPlan | None, cell: tuple) -> dict | None:
+    """A cell's summary.json leakage report; None for a cell without noise or colluders."""
+    sigma_n, t_blocks, colluders = cell
+    if plan is None or t_blocks < 1 or sigma_n <= 0 or colluders < 1:
+        return None
+    privacy = PrivacyConfig(K=spec.K, T=t_blocks, sigma_n=sigma_n, c=colluders,
+                            s=spec.s, epsilon=spec.epsilon)
+    report = worst_case_leakage(plan, privacy, strategy=spec.strategy)
+    return report.to_dict() | {"meets_epsilon": bool(report.i_L <= spec.epsilon)}
 
 
 @contextmanager
@@ -374,12 +383,6 @@ def _rewrite(path: str, mode: str, **kwargs):
             fh.truncate()
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _base_row(spec: ExperimentSpec, cell_index: int, cell: tuple) -> dict:
     """The configuration columns of one cell's rounds.csv rows."""
     coded = spec.scheme in CODED_SCHEMES
@@ -397,6 +400,8 @@ def _resolved_config(spec: ExperimentSpec) -> dict:
         value = getattr(spec, f.attr)
         if isinstance(value, StragglerModel):
             value = asdict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
         section = config if f.section is None else config.setdefault(f.section, {})
         section[f.key] = value
     return config

@@ -143,7 +143,6 @@ class CodingPlan:
     K: int
     T: int
     N: int
-    shift: float
     alphas: np.ndarray
     betas: np.ndarray
     encoder_basis: np.ndarray
@@ -189,5 +188,5 @@ def make_plan(K: int, T: int, N: int, shift: float = DEFAULT_NOISE_SHIFT) -> Cod
     basis = berrut_basis_matrix(betas, alphas)
     for array in (alphas, betas, basis):
         array.flags.writeable = False
-    return CodingPlan(K=K, T=T, N=N, shift=shift, alphas=alphas, betas=betas,
+    return CodingPlan(K=K, T=T, N=N, alphas=alphas, betas=betas,
                       encoder_basis=basis, perturbed=tuple(np.flatnonzero(collides).tolist()))

@@ -477,15 +477,14 @@ def make_two_clusters(n: int, features: int = 2, separation: float = 3.0,
     return x[perm], y[perm]
 
 
-def make_survival(n: int, features: int = 4, seed: int = 0,
-                  censor_rate: float = 0.3) -> tuple[np.ndarray, np.ndarray]:
-    """Exponential survival times with log-linear hazard and random censoring."""
+def make_survival(n: int, features: int = 4, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Exponential survival times with log-linear hazard and 30% random censoring."""
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, 1.0, size=(n, features))
     coef = rng.normal(0.0, 0.5, size=features)
     hazard = np.exp(x @ coef)
     times = rng.exponential(1.0 / hazard)
-    events = (rng.random(n) > censor_rate).astype(float)
+    events = (rng.random(n) > 0.3).astype(float)
     if events.sum() == 0:
         events[0] = 1.0
     return x, np.column_stack([times, events])

@@ -77,6 +77,9 @@ STRUCTURAL = "structural: c > T"
 #: Subsets eliminated together by the exhaustive search.
 _CHUNK = 2048
 
+#: Relative precision to which :func:`max_secure_amplitude` confirms its s.
+_AMPLITUDE_TOL = 1e-4
+
 #: Cap on the one-sided Jacobi sweeps of :func:`_spectrum`; a few suffice.
 _MAX_SWEEPS = 30
 
@@ -470,7 +473,7 @@ def _amplitude_for(spectrum: np.ndarray, bits: float, cfg: PrivacyConfig) -> flo
 
 
 def max_secure_amplitude(plan: CodingPlan, cfg: PrivacyConfig, bound: float,
-                         strategy: str = GREEDY, tol: float = 1e-4) -> float:
+                         strategy: str = GREEDY) -> float:
     """Largest input amplitude s <= cfg.s with worst-case i_L <= ``bound``.
 
     Each probe of s runs the search of :func:`worst_case_leakage` (same
@@ -479,14 +482,12 @@ def max_secure_amplitude(plan: CodingPlan, cfg: PrivacyConfig, bound: float,
     -- for K = 1, s = sigma_n sqrt((2^bound - 1) / (T v)) -- or by at least
     one ulp if that is not lower, until the search at s meets the bound.
     The worst set can change with s (the greedy path does for K >= 2), so
-    s is then confirmed maximal to a relative ``tol``, bisecting when it is
-    not.  Returns 0.0 when no positive amplitude meets the bound: c > T
-    (the bound is +inf at every s) or ``bound <= 0``.
+    s is then confirmed maximal to a relative :data:`_AMPLITUDE_TOL`,
+    bisecting when it is not.  Returns 0.0 when no positive amplitude meets
+    the bound: c > T (the bound is +inf at every s) or ``bound <= 0``.
     """
     if math.isnan(bound):
         raise ValueError("need a bound that is not NaN")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"need a finite tol > 0, got {tol}")
     _check_compat(plan, cfg)
     search = _make_search(plan, cfg, strategy)
 
@@ -507,10 +508,10 @@ def max_secure_amplitude(plan: CodingPlan, cfg: PrivacyConfig, bound: float,
         hi, lo = lo, min(step_down, _amplitude_for(spectrum, cfg.K * bound, cfg))
         shrink = min(2.0 * shrink, 0.5)
         bits, _, _, spectrum = search(lo)
-    up = lo * (1.0 + tol)
+    up = lo * (1.0 + _AMPLITUDE_TOL)
     if up < hi and leak_at(up) <= bound:
         lo = up
-        while hi / lo > 1.0 + tol:
+        while hi / lo > 1.0 + _AMPLITUDE_TOL:
             mid = math.sqrt(lo * hi)
             if leak_at(mid) <= bound:
                 lo = mid

@@ -345,8 +345,8 @@ def test_decode_staging_stays_within_the_gather_budget(monkeypatch):
 def test_decode_rows_is_the_one_group_decode_byte_for_byte(K):
     rows, stack = decode_inputs(K, (1, 2), n=12, groups=1, seed=30 + K)
     # one coding group of n results, as dlcd_secure_training decodes each batch
-    out = _decode_rows(rows, stack.reshape(len(stack), -1))
-    assert out.shape == (K, 2)
+    out = np.empty((K, 2))
+    _decode_rows(rows, stack.reshape(len(stack), -1), out)
     assert out.tobytes() == _apply_decode(rows, list(stack), None).tobytes()
     assert out.tobytes() == single_product(rows, stack).tobytes()
 

@@ -3,12 +3,14 @@
 import csv
 import json
 import re
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from pbacc import harness
 from pbacc.cli import main
 from pbacc.harness import SpecError, _rewrite, load_spec, run_experiment, spec_from_dict
 from pbacc.interpolation import make_plan
@@ -115,10 +117,87 @@ def test_spec_rejects_bad_field_before_writing(tmp_path, scheme, section, key, v
 
 def test_run_experiment_rejects_a_bad_override_before_writing(tmp_path):
     spec = spec_from_dict(small_spec(tmp_path))
-    spec.strategy = "bogus"
     with pytest.raises(SpecError, match="strategy"):
-        run_experiment(spec)
+        run_experiment(replace(spec, strategy="bogus"))
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("attr, value, name", [
+    ("strategy", "bogus", "strategy"),
+    ("seed", -1, "seed"),
+    ("n_nodes", 1, "network.nodes"),
+    ("hidden", (4, 0), "training.hidden"),
+    ("c_values", (2, 9), "privacy.c"),
+    ("scheme", "bogus", "unknown scheme 'bogus'"),
+    # the field parse runs too: a replaced value is refused as in a file
+    ("seed", 2.5, "seed: need an integer"),
+    ("lr", float("inf"), "training.lr: need a finite number"),
+    ("sigma_n_values", (), "privacy.sigma_n: lists must be nonempty"),
+], ids=["strategy", "seed", "nodes", "hidden", "c", "scheme", "seed_fraction", "lr_inf",
+        "sigma_n_empty"])
+def test_a_spec_is_frozen_and_a_replaced_field_is_checked(tmp_path, attr, value, name):
+    spec = spec_from_dict(small_spec(tmp_path))
+    with pytest.raises(FrozenInstanceError):
+        setattr(spec, attr, value)
+    with pytest.raises(SpecError, match=f"^{re.escape(name)}"):
+        replace(spec, **{attr: value})
+
+
+def test_replace_parses_a_value_as_a_file_does(tmp_path):
+    spec = spec_from_dict(small_spec(tmp_path))
+    variant = replace(spec, seed=12, rounds=3.0, hidden=[4, 3.0])
+    assert (variant.seed, variant.rounds, variant.hidden) == (12, 3, (4, 3))
+    assert type(variant.rounds) is int and spec.seed == 11
+
+
+def _two_cell_run(tmp_path) -> tuple:
+    """A written two-cell run (N=40, c in {2, 12}) and its four files' bytes."""
+    raw = small_spec(tmp_path, network={"nodes": 40})
+    raw["privacy"] |= {"sigma_n": 1.0, "c": [2, 12]}
+    spec = spec_from_dict(raw)
+    run_experiment(spec)
+    files = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()}
+    assert sorted(files) == ["model_cell0.bin", "model_cell1.bin", "rounds.csv",
+                             "summary.json"]
+    return spec, files
+
+
+def _count_runs(monkeypatch, fail_at: int | None = None) -> list:
+    """Patch ``harness.run_scheme`` to log its calls, raising at call ``fail_at``."""
+    calls, run_scheme = [], harness.run_scheme
+
+    def counted(*args):
+        calls.append(args)
+        if len(calls) - 1 == fail_at:
+            raise RuntimeError("training failed")
+        return run_scheme(*args)
+
+    monkeypatch.setattr(harness, "run_scheme", counted)
+    return calls
+
+
+def test_a_rerun_over_the_exhaustive_budget_fails_before_training(tmp_path, monkeypatch):
+    spec, files = _two_cell_run(tmp_path)
+    calls = _count_runs(monkeypatch)
+    # cell 0's C(40, 2) subsets are within the budget, cell 1's C(40, 12) are not
+    with pytest.raises(SpecError, match=r"^strategy: exhaustive search over C\(40,12\)"):
+        run_experiment(replace(spec, seed=12, strategy="exhaustive"))
+    assert calls == []
+    assert {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()} == files
+
+
+def test_a_run_that_fails_in_a_later_cell_writes_nothing(tmp_path, monkeypatch):
+    spec, files = _two_cell_run(tmp_path)
+    calls = _count_runs(monkeypatch, fail_at=1)
+    with pytest.raises(RuntimeError, match="training failed"):
+        run_experiment(replace(spec, seed=12))
+    assert len(calls) == 2
+    assert {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()} == files
+    # the same rerun, not failing, rewrites every file
+    run_experiment(replace(spec, seed=12))
+    rerun = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()}
+    assert rerun.keys() == files.keys()
+    assert all(rerun[name] != blob for name, blob in files.items())
 
 
 def test_load_spec_missing_file():
@@ -154,13 +233,15 @@ def test_malformed_spec_names_its_path_and_writes_nothing(tmp_path, capsys, sect
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("section,key,message", [
-    (None, "trainig", "unknown key 'trainig' at the top level"),
-    ("training", "lr_rate", "unknown key 'lr_rate' in training"),
-], ids=["section", "section_key"])
-def test_spec_rejects_a_mistyped_key(tmp_path, section, key, message):
+@pytest.mark.parametrize("section,key,value,message", [
+    (None, "trainig", 0.5, "unknown key 'trainig' at the top level"),
+    ("training", "lr_rate", 0.5, "unknown key 'lr_rate' in training"),
+    ("network", "straggler", {"kind": "drop_slowest", "cnt": 2},
+     r"^network\.straggler: unknown key 'cnt'; the keys are kind, count, keep_n, seed$"),
+], ids=["section", "section_key", "straggler_key"])
+def test_spec_rejects_a_mistyped_key(tmp_path, section, key, value, message):
     raw = small_spec(tmp_path)
-    (raw if section is None else raw[section])[key] = 0.5
+    (raw if section is None else raw[section])[key] = value
     with pytest.raises(SpecError, match=message):
         spec_from_dict(raw)
 
