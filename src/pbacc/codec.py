@@ -10,7 +10,11 @@ arrived, which is what gives the scheme its straggler tolerance.  It is one
 linear combination of the n results per data node, computed in one pass
 over the results: they are copied per span of blocks into one staging
 buffer and multiplied per cache-sized block of coding groups, so each
-result is read once and no stacked copy of them is made.
+result is read once and no stacked copy of them is made.  Results that fit
+one block (every decode the protocols make) are multiplied by one dot per
+data node, whose bytes the golden outputs pin; results that span blocks
+are multiplied by one (K, n) product per block, which reads the staged
+block once instead of K times.
 """
 
 from __future__ import annotations
@@ -164,8 +168,10 @@ def decode(results: Sequence[tuple[float, np.ndarray]], plan: CodingPlan,
     subset of workers, for example ``[shares[j] for j in subset]``; payloads
     must share one shape, with the coding axis leading.  The interpolant is
     evaluated at each of the K data nodes and the outputs are re-interleaved
-    along the leading axis; ``out_extent`` truncates encode-time padding.
+    along the leading axis; ``out_extent``, an integer, truncates encode-time
+    padding.  ``results`` is read once, so an iterator will do.
     """
+    results = list(results)
     rows = _decode_basis(np.array([float(b) for b, _ in results]), plan)
     payloads = [np.asarray(p, dtype=float) for _, p in results]
     if any(p.shape != payloads[0].shape for p in payloads):
@@ -190,7 +196,7 @@ def _decode_basis(betas: np.ndarray, plan: CodingPlan) -> np.ndarray:
 
 #: Bytes of the (n, block, *rest) stack of results that ``_apply_decode``
 #: multiplies at once (results are copied per span, multiplied per block):
-#: half of a 2 MiB L2 cache, so the K products of a block read it from cache.
+#: half of a 2 MiB L2 cache, so a block's products read it from cache.
 _DECODE_BLOCK_BYTES = 1 << 20
 #: Bytes of the span of whole blocks that ``_apply_decode`` copies from each
 #: result at once, capped at 1/8 of the results' bytes; a span is at least
@@ -213,27 +219,33 @@ def _apply_decode(rows: np.ndarray, results: Sequence[np.ndarray],
     result's slice of a span is copied with one assignment into a reused
     (span, n, block, *rest) buffer; a span of one block is the results'
     slices end to end, so it is filled by one ``np.concatenate``.
-    :func:`_decode_rows` multiplies each block's (n, block, *rest) stack by
-    the K rows, into one reused (K, block * width) array.
-    When the results fit one block this is exactly the unblocked product,
-    byte for byte.  With several blocks each product is narrower, and BLAS
-    rounds some widths differently: the result is then ulp-close to the
-    unblocked one (within about 2e-14 on unit-scale data), not byte-equal.
-    The span only sets how many copies are made; the bytes are those of
-    copying and multiplying one block at a time.
+    Each block's (n, block, *rest) stack is multiplied by the K rows into
+    one reused (K, block * width) array.  When the results fit one block,
+    :func:`_decode_rows` makes the product, one dot per row, and the result
+    is exactly the unblocked product, byte for byte.  With several blocks
+    one ``np.matmul`` of the (K, n) rows makes it, so the block is read
+    once, not K times; for K = 1 that is the dot's bytes.  Its rounding
+    differs from the dots', and each product is narrower than the unblocked
+    one, so the result is ulp-close to the unblocked one (within about
+    2e-14 on unit-scale data), not byte-equal.  The span only sets how many
+    copies are made; the bytes are those of copying and multiplying one
+    block at a time.
     """
     n, K = len(results), len(rows)
     if results[0].ndim == 0:
         raise ValueError("result payloads are 0-d: decode needs a leading coding axis")
     groups, rest = results[0].shape[0], results[0].shape[1:]
-    if out_extent is not None and not 0 < out_extent <= groups * K:
-        raise ValueError(f"out_extent {out_extent} not in (0, {groups * K}]")
+    if out_extent is not None and (isinstance(out_extent, bool)
+                                   or not isinstance(out_extent, numbers.Integral)
+                                   or not 0 < out_extent <= groups * K):
+        raise ValueError(f"out_extent {out_extent!r} is not an integer in (0, {groups * K}]")
     width = math.prod(rest)
     group_bytes = 8 * n * max(width, 1)  # one group of every result
     block = max(1, min(groups, _DECODE_BLOCK_BYTES // group_bytes))
     whole = groups - groups % block  # the groups in whole blocks
     gather = min(_GATHER_BYTES, group_bytes * groups // 8)
     span = max(1, gather // (group_bytes * block))
+    multiply = np.matmul if groups > block else _decode_rows
     spans = [(lo, min(lo + span * block, whole)) for lo in range(0, whole, span * block)]
     if whole < groups:
         spans.append((whole, groups))
@@ -254,7 +266,7 @@ def _apply_decode(rows: np.ndarray, results: Sequence[np.ndarray],
         product = products[:K * size * width].reshape(K, size * width)
         dest = out[lo:hi].reshape((nb, size, K) + rest)
         for b in range(nb):
-            _decode_rows(rows, stage[b].reshape(n, -1), product)
+            multiply(rows, stage[b].reshape(n, -1), product)
             dest[b] = product.reshape((K, size) + rest).swapaxes(0, 1)
     out = out.reshape((groups * K,) + rest)
     return out if out_extent is None else out[:out_extent]
@@ -264,12 +276,13 @@ def _decode_rows(rows: np.ndarray, flat: np.ndarray, out: np.ndarray) -> None:
     """The decode product: each :func:`_decode_basis` row times the (n, m) results.
 
     Writes (K, m), row i the values at data node i, into ``out``, a
-    C-contiguous float64 (K, m) array.  This is the product every decode
-    makes, one block at a time in :func:`_apply_decode`; a caller holding one
-    coding group's n results as an (n, m) array calls it directly, without
-    the blocking and checks, and can reuse one ``out`` for every group.  One
-    ``np.dot(row, flat)`` per row, not one (K, n) product: the latter rounds
-    differently for K >= 2.
+    C-contiguous float64 (K, m) array.  This is the product of every decode
+    whose results fit one block in :func:`_apply_decode`; a caller holding
+    one coding group's n results as an (n, m) array calls it directly,
+    without the blocking and checks, and can reuse one ``out`` for every
+    group.  One ``np.dot(row, flat)`` per row, not one (K, n) product: the
+    latter rounds differently for K >= 2, and the golden outputs pin these
+    bytes.
     """
     for row, dest in zip(rows, out):
         np.dot(row, flat, out=dest)

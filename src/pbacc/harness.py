@@ -44,6 +44,8 @@ from .protocols import (
     CODED_SCHEMES,
     DLCD_SECURE_TRAINING,
     DLDD_SECURE_TRAINING,
+    DROP_SLOWEST,
+    RANDOM_DELAY,
     NetworkConfig,
     SchemeConfig,
     StragglerModel,
@@ -82,8 +84,9 @@ def _list_of(kind: Callable) -> Callable:
 def _straggler(value) -> StragglerModel:
     if value is None:
         return StragglerModel()
-    if isinstance(value, StragglerModel):
-        return value
+    if isinstance(value, StragglerModel):  # a replaced spec's: its set fields are its keys
+        value = {f.name: getattr(value, f.name) for f in fields(value)
+                 if f.name == "kind" or getattr(value, f.name) != f.default}
     if isinstance(value, str):
         value = {"kind": value}
     if not isinstance(value, dict):
@@ -92,7 +95,12 @@ def _straggler(value) -> StragglerModel:
     unknown = [key for key in value if key not in known]
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r}; the keys are {', '.join(known)}")
-    return StragglerModel(**{k: v if k == "kind" else _int(v) for k, v in value.items()})
+    model = StragglerModel(**{k: v if k == "kind" else _int(v) for k, v in value.items()})
+    reads = {DROP_SLOWEST: ("kind", "count", "seed"), RANDOM_DELAY: ("kind", "keep_n", "seed")}
+    unread = [key for key in value if key not in reads.get(model.kind, ("kind",))]
+    if unread:
+        raise ValueError(f"key {unread[0]!r} has no effect under kind {model.kind!r}")
+    return model
 
 
 def _at_least(bound: int) -> tuple[Callable, str]:

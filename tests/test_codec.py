@@ -258,10 +258,28 @@ def test_decode_checks_out_extent_before_any_product(monkeypatch):
         raise AssertionError("a product ran before out_extent was checked")
 
     monkeypatch.setattr(np, "dot", product_ran)
+    monkeypatch.setattr(np, "matmul", product_ran)
     monkeypatch.setattr(np, "tensordot", product_ran)
     for bad in (0, -1, 7):  # 3 groups of K=2 decode to extent 6
         with pytest.raises(ValueError, match="out_extent"):
             decode(results, plan, out_extent=bad)
+
+
+def test_decode_takes_only_an_integer_out_extent():
+    plan = make_plan(2, 0, 8)
+    results = [(0.5, np.ones((3, 2))), (0.2, np.ones((3, 2)))]
+    for bad in (5.0, True, "5"):
+        with pytest.raises(ValueError, match=r"^out_extent .* is not an integer in \(0, 6\]$"):
+            decode(results, plan, out_extent=bad)
+    assert decode(results, plan, out_extent=np.int64(5)).shape == (5, 2)
+
+
+def test_decode_reads_an_iterator_of_results_once():
+    plan = make_plan(3, 1, 9)
+    payloads = np.random.default_rng(5).normal(size=(6, 4, 2))
+    results = list(zip(plan.betas[:6], payloads))
+    assert (decode((r for r in results), plan, out_extent=11).tobytes()
+            == decode(results, plan, out_extent=11).tobytes())
 
 
 def single_product(rows, stack):
@@ -306,9 +324,25 @@ def test_one_block_decode_is_the_single_product_byte_for_byte(K, rest):
         assert _apply_decode(rows, results, None).tobytes() == reference.tobytes()
 
 
+def per_block_products(rows, results, block, product):
+    """The blocked decode's reference: ``product(rows, flat)`` per block of groups."""
+    decoded = []
+    for lo in range(0, len(results[0]), block):
+        stack = np.stack([r[lo:lo + block] for r in results])
+        flat = product(rows, stack.reshape(len(stack), -1))
+        decoded.append(flat.reshape((len(rows),) + stack.shape[1:]).swapaxes(0, 1))
+    return np.concatenate(decoded).reshape((-1,) + results[0].shape[1:])
+
+
+def per_row_dots(rows, flat):
+    out = np.empty((len(rows), flat.shape[1]))
+    _decode_rows(rows, flat, out)
+    return out
+
+
 @pytest.mark.parametrize("K", [1, 2, 3, 8])
 @pytest.mark.parametrize("rest", [(), (3,), (2, 4)])
-def test_span_decode_is_each_block_decoded_alone_byte_for_byte(K, rest, monkeypatch):
+def test_span_decode_is_one_matmul_per_block_byte_for_byte(K, rest, monkeypatch):
     n, groups, block = 9, 59, 2
     rows, stack = decode_inputs(K, rest, n, groups, seed=40 + K)
     group_bytes = 8 * n * int(np.prod(rest))
@@ -318,10 +352,31 @@ def test_span_decode_is_each_block_decoded_alone_byte_for_byte(K, rest, monkeypa
     monkeypatch.setattr(codec, "_GATHER_BYTES", 3 * block * group_bytes)
     assert stack.nbytes // 8 >= codec._GATHER_BYTES
     for results in (list(stack), [np.asfortranarray(r) for r in stack]):
-        reference = np.concatenate([
-            _apply_decode(rows, [r[lo:lo + block] for r in results], None)
-            for lo in range(0, groups, block)])
+        reference = per_block_products(rows, results, block, np.matmul)
         assert _apply_decode(rows, results, None).tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("K", [1, 2, 8])
+def test_decode_takes_one_product_per_block_past_one_block(K, monkeypatch):
+    n, rest = 8, (4,)
+    groups = codec._DECODE_BLOCK_BYTES // (8 * n * 4)  # results of exactly one block
+    rows, stack = decode_inputs(K, rest, n, groups + 1, seed=60 + K)
+    one_block = [r[:groups] for r in stack]
+    assert sum(r.nbytes for r in one_block) == codec._DECODE_BLOCK_BYTES
+    dots = per_block_products(rows, one_block, groups, per_row_dots)
+    assert _apply_decode(rows, one_block, None).tobytes() == dots.tobytes()
+
+    def no_dots(*args):
+        raise AssertionError("a decode of two blocks made per-row dots")
+
+    results = list(stack)  # one group more: a block and a ragged group
+    matmuls = per_block_products(rows, results, groups, np.matmul)
+    with monkeypatch.context() as patch:
+        patch.setattr(codec, "_decode_rows", no_dots)
+        out = _apply_decode(rows, results, None)
+    assert out.tobytes() == matmuls.tobytes()
+    if K == 1:  # and a K = 1 product is the per-row dot's bytes
+        assert out.tobytes() == per_block_products(rows, results, groups, per_row_dots).tobytes()
 
 
 def test_decode_staging_stays_within_the_gather_budget(monkeypatch):

@@ -14,6 +14,7 @@ from pbacc import harness
 from pbacc.cli import main
 from pbacc.harness import SpecError, _rewrite, load_spec, run_experiment, spec_from_dict
 from pbacc.interpolation import make_plan
+from pbacc.protocols import StragglerModel
 
 
 def small_spec(tmp_path, **overrides):
@@ -133,8 +134,10 @@ def test_run_experiment_rejects_a_bad_override_before_writing(tmp_path):
     ("seed", 2.5, "seed: need an integer"),
     ("lr", float("inf"), "training.lr: need a finite number"),
     ("sigma_n_values", (), "privacy.sigma_n: lists must be nonempty"),
+    ("straggler", StragglerModel(kind="none", keep_n=5),
+     "network.straggler: key 'keep_n' has no effect under kind 'none'"),
 ], ids=["strategy", "seed", "nodes", "hidden", "c", "scheme", "seed_fraction", "lr_inf",
-        "sigma_n_empty"])
+        "sigma_n_empty", "straggler_unread"])
 def test_a_spec_is_frozen_and_a_replaced_field_is_checked(tmp_path, attr, value, name):
     spec = spec_from_dict(small_spec(tmp_path))
     with pytest.raises(FrozenInstanceError):
@@ -148,6 +151,8 @@ def test_replace_parses_a_value_as_a_file_does(tmp_path):
     variant = replace(spec, seed=12, rounds=3.0, hidden=[4, 3.0])
     assert (variant.seed, variant.rounds, variant.hidden) == (12, 3, (4, 3))
     assert type(variant.rounds) is int and spec.seed == 11
+    straggler = StragglerModel(kind="drop_slowest", count=2, seed=3)
+    assert replace(spec, straggler=straggler).straggler == straggler
 
 
 def _two_cell_run(tmp_path) -> tuple:
@@ -238,7 +243,19 @@ def test_malformed_spec_names_its_path_and_writes_nothing(tmp_path, capsys, sect
     ("training", "lr_rate", 0.5, "unknown key 'lr_rate' in training"),
     ("network", "straggler", {"kind": "drop_slowest", "cnt": 2},
      r"^network\.straggler: unknown key 'cnt'; the keys are kind, count, keep_n, seed$"),
-], ids=["section", "section_key", "straggler_key"])
+    ("network", "straggler", {"kind": "none", "count": 3, "keep_n": 5},
+     r"^network\.straggler: key 'count' has no effect under kind 'none'$"),
+    ("network", "straggler", {"kind": "none", "seed": 1},
+     r"^network\.straggler: key 'seed' has no effect under kind 'none'$"),
+    ("network", "straggler", {"count": 2},
+     r"^network\.straggler: key 'count' has no effect under kind 'none'$"),
+    ("network", "straggler", {"kind": "drop_slowest", "count": 2, "keep_n": 5},
+     r"^network\.straggler: key 'keep_n' has no effect under kind 'drop_slowest'$"),
+    ("network", "straggler", {"kind": "random_delay", "keep_n": 4, "count": 1},
+     r"^network\.straggler: key 'count' has no effect under kind 'random_delay'$"),
+], ids=["section", "section_key", "straggler_key", "straggler_none_count",
+        "straggler_none_seed", "straggler_default_kind", "straggler_drop_keep_n",
+        "straggler_delay_count"])
 def test_spec_rejects_a_mistyped_key(tmp_path, section, key, value, message):
     raw = small_spec(tmp_path)
     (raw if section is None else raw[section])[key] = value
