@@ -120,11 +120,15 @@ def init_mlp(sizes: list[int], activation: str = RELU, seed: int = 0) -> ModelPa
 
 
 def _act(h: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
-    """The activation of ``h``, written into ``out`` if given (identity returns ``h``)."""
+    """The activation of ``h``, written into ``out`` if given (identity returns ``h``).
+
+    ``out`` is passed on only when given: even as ``out=None`` the keyword
+    costs a ufunc call about 0.03 us, which every fresh forward would pay.
+    """
     if kind == RELU:
-        return np.maximum(h, 0.0, out=out)
+        return np.maximum(h, 0.0) if out is None else np.maximum(h, 0.0, out=out)
     if kind == TANH:
-        return np.tanh(h, out=out)
+        return np.tanh(h) if out is None else np.tanh(h, out=out)
     return h
 
 

@@ -1,5 +1,6 @@
 """Experiment specs, metrics files, determinism, and the CLI surface."""
 
+import copy
 import csv
 import json
 import re
@@ -14,6 +15,7 @@ from pbacc import harness
 from pbacc.cli import main
 from pbacc.harness import SpecError, _rewrite, load_spec, run_experiment, spec_from_dict
 from pbacc.interpolation import make_plan
+from pbacc.privacy import LeakageReport, PrivacyConfig, worst_case_leakage
 from pbacc.protocols import StragglerModel
 
 
@@ -203,6 +205,120 @@ def test_a_run_that_fails_in_a_later_cell_writes_nothing(tmp_path, monkeypatch):
     rerun = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()}
     assert rerun.keys() == files.keys()
     assert all(rerun[name] != blob for name, blob in files.items())
+
+
+@pytest.fixture
+def fresh_memo():
+    """An empty leakage memo, emptied again afterwards, so a test sees only its searches."""
+    harness._searched.cache_clear()
+    yield
+    harness._searched.cache_clear()
+
+
+def _count_searches(monkeypatch) -> list:
+    """Patch ``harness.worst_case_leakage`` to log the privacy config of each search."""
+    calls, search = [], harness.worst_case_leakage
+
+    def counted(plan, cfg, strategy):
+        calls.append(cfg)
+        return search(plan, cfg, strategy=strategy)
+
+    monkeypatch.setattr(harness, "worst_case_leakage", counted)
+    return calls
+
+
+def _one_cell_spec(tmp_path):
+    """``small_spec`` at sigma_n 5 alone: N=8, K=1, T=2, c=2, s=1, greedy."""
+    return replace(spec_from_dict(small_spec(tmp_path)), sigma_n_values=5.0)
+
+
+@pytest.mark.parametrize("attr, value", [("seed", 12), ("lr", 0.2), ("hidden", [3])])
+def test_a_rerun_of_the_same_geometry_reuses_its_search(tmp_path, monkeypatch, fresh_memo,
+                                                        attr, value):
+    spec = spec_from_dict(small_spec(tmp_path))
+    calls = _count_searches(monkeypatch)
+    first = run_experiment(spec)
+    assert len(calls) == 2  # one search per cell
+    rerun = run_experiment(replace(spec, **{attr: value}))
+    assert len(calls) == 2
+    assert [cell["leakage"] for cell in rerun["cells"]] == \
+        [cell["leakage"] for cell in first["cells"]]
+
+
+@pytest.mark.parametrize("attr, value", [
+    ("K", 2), ("T_values", 3), ("n_nodes", 9), ("shift", -3.0), ("sigma_n_values", 0.7),
+    ("c_values", 1), ("s", 2.0), ("strategy", "exhaustive")])
+def test_a_rerun_of_another_geometry_searches_again(tmp_path, monkeypatch, fresh_memo,
+                                                    attr, value):
+    spec = _one_cell_spec(tmp_path)
+    calls = _count_searches(monkeypatch)
+    run_experiment(spec)
+    changed = replace(spec, **{attr: value})
+    leakage = run_experiment(changed)["cells"][0]["leakage"]
+    assert len(calls) == 2
+    # the new report is the new geometry's own, as a direct search gives it
+    (sigma_n,), (t_blocks,), (colluders,) = (changed.sigma_n_values, changed.T_values,
+                                             changed.c_values)
+    report = worst_case_leakage(
+        make_plan(changed.K, t_blocks, changed.n_nodes, changed.shift),
+        PrivacyConfig(K=changed.K, T=t_blocks, sigma_n=sigma_n, c=colluders, s=changed.s),
+        strategy=changed.strategy)
+    assert leakage == report.to_dict() | {"meets_epsilon": bool(report.i_L <= 1.0)}
+
+
+def test_epsilon_sets_meets_epsilon_without_a_search(tmp_path, monkeypatch, fresh_memo):
+    spec = _one_cell_spec(tmp_path)
+    calls = _count_searches(monkeypatch)
+    i_L = run_experiment(spec)["cells"][0]["leakage"]["i_L"]
+    strict = run_experiment(replace(spec, epsilon=i_L / 2))["cells"][0]["leakage"]
+    loose = run_experiment(replace(spec, epsilon=i_L * 2))["cells"][0]["leakage"]
+    assert len(calls) == 1
+    assert strict["meets_epsilon"] is False and loose["meets_epsilon"] is True
+    assert strict | {"meets_epsilon": True} == loose
+
+
+def test_a_mutated_summary_leaves_the_next_report_intact(tmp_path, fresh_memo):
+    spec = _one_cell_spec(tmp_path)
+    leakage = run_experiment(spec)["cells"][0]["leakage"]
+    kept = copy.deepcopy(leakage)
+    leakage["worst_subset"].append(99)
+    leakage |= {"i_L": -1.0, "subsets_evaluated": 0, "meets_epsilon": None}
+    assert run_experiment(replace(spec, seed=12))["cells"][0]["leakage"] == kept
+
+
+def test_a_search_over_budget_raises_on_every_run(tmp_path, monkeypatch, fresh_memo):
+    raw = small_spec(tmp_path, network={"nodes": 40}, strategy="exhaustive")
+    raw["privacy"] |= {"sigma_n": 1.0, "c": 12}
+    spec = spec_from_dict(raw)
+    calls = _count_searches(monkeypatch)
+    for attempt in range(1, 4):
+        with pytest.raises(SpecError, match=r"^strategy: exhaustive search over C\(40,12\)"):
+            run_experiment(replace(spec, seed=attempt))
+        assert len(calls) == attempt
+    assert harness._searched.cache_info().currsize == 0
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_memo_holds_at_most_its_bound(tmp_path, monkeypatch, fresh_memo):
+    spec = spec_from_dict(small_spec(tmp_path))
+    bound = harness._searched.cache_info().maxsize
+    calls = []
+
+    def stub(plan, cfg, strategy):  # a search's report, without the search
+        calls.append(cfg.sigma_n)
+        return LeakageReport(i_L=1.0, I_L=1.0, worst_subset=(0, 1), strategy=strategy,
+                             subsets_evaluated=1)
+
+    monkeypatch.setattr(harness, "worst_case_leakage", stub)
+    sigmas = [float(k) for k in range(1, bound + 11)]
+    for sigma_n in sigmas:
+        harness._leakage(spec, (sigma_n, 2, 2))
+        assert harness._searched.cache_info().currsize <= bound
+    assert harness._searched.cache_info().currsize == bound
+    harness._leakage(spec, (sigmas[-1], 2, 2))  # the newest is held
+    assert calls == sigmas
+    harness._leakage(spec, (sigmas[0], 2, 2))  # the oldest was dropped
+    assert calls == sigmas + sigmas[:1]
 
 
 def test_load_spec_missing_file():
@@ -625,8 +741,8 @@ def test_cli_leakage_prints_strict_json_for_an_infinite_bound(capsys):
     assert payload["meets_epsilon"] is False and payload["max_s_for_epsilon"] == 0.0
 
 
-def test_import_does_not_load_scipy():
-    # scipy is only the benchmark's dependency (the ``bench`` extra)
+def _run_fresh_python(code: str, *args: str) -> None:
+    """Run ``code`` in a new interpreter that imports pbacc from this tree."""
     import os
     import subprocess
     import sys
@@ -634,5 +750,29 @@ def test_import_does_not_load_scipy():
     import pbacc
     src = os.path.dirname(os.path.dirname(pbacc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, pbacc, pbacc.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    subprocess.run([sys.executable, "-c", code, *args], check=True, env=env,
+                   stdout=subprocess.DEVNULL)
+
+
+def test_import_does_not_load_scipy():
+    # scipy is only the benchmark's dependency (the ``bench`` extra)
+    _run_fresh_python("import sys, pbacc, pbacc.cli; assert 'scipy' not in sys.modules, "
+                      "'scipy imported'")
+
+
+def test_only_reading_a_spec_file_imports_yaml(tmp_path):
+    # a process that reads no experiment file skips the yaml import
+    spec_path = tmp_path / "spec.yaml"
+    spec_path.write_text(yaml.safe_dump(small_spec(tmp_path)))
+    _run_fresh_python("import sys\n"
+                      "from pbacc import cli, harness\n"
+                      "assert cli.main(['nodes', '--N', '8', '--K', '2', '--T', '2']) == 0\n"
+                      "assert cli.main(['leakage', '--N', '8', '--K', '1', '--T', '2',"
+                      " '--sigma', '2', '--c', '2']) == 0\n"
+                      "spec = harness.spec_from_dict({'scheme': 'uncoded_dldd', 'rounds': 1,"
+                      " 'output': sys.argv[2]})\n"
+                      "harness.run_experiment(spec)\n"
+                      "assert 'yaml' not in sys.modules, 'yaml imported'\n"
+                      "harness.load_spec(sys.argv[1])\n"
+                      "assert 'yaml' in sys.modules\n",
+                      str(spec_path), str(tmp_path / "run"))
