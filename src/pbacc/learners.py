@@ -170,7 +170,7 @@ def forward_with_cache(params: ModelParams, inputs: np.ndarray, cache=None):
     pre, post = cache
     post[0] = h = x
     for li, (w, b) in enumerate(params.layers):
-        z = pre[li] = np.matmul(h, w, out=pre[li])
+        z = pre[li] = np.matmul(h, w) if pre[li] is None else np.matmul(h, w, out=pre[li])
         z += b[..., None, :]
         h = post[li + 1] = z if li == last else _act(z, params.activation, out=post[li + 1])
     return h, cache
@@ -309,9 +309,7 @@ def _loss_kernel(preds: np.ndarray, prepared: np.ndarray, loss: str, value: bool
     has_events = n_events > 0
     if not has_events.any():
         return np.zeros(preds.shape[:-2])[()] if value else np.zeros_like(preds)
-    partial = not has_events.all()   # never for one model
-    if partial:
-        n_events = np.where(has_events, n_events, 1.0)
+    n_events = np.where(has_events, n_events, 1.0)
     eta = np.take_along_axis(preds[..., 0], order, axis=-1)
     shift = eta.max(axis=-1, keepdims=True)
     exp_eta = np.exp(eta - shift)
@@ -334,9 +332,7 @@ def _loss_kernel(preds: np.ndarray, prepared: np.ndarray, loss: str, value: bool
         last = np.minimum.accumulate(np.where(ends, pos, pos[-1])[..., ::-1], axis=-1)[..., ::-1]
         head_sums = np.cumsum(events / risk_sums, axis=-1)
         out = -(events - exp_eta * np.take_along_axis(head_sums, last, axis=-1))
-    out = out / n_events
-    if partial:
-        out = np.where(has_events, out, 0.0)
+    out = np.where(has_events, out / n_events, 0.0)
     if value:
         return out[..., 0][()]
     deta = np.empty_like(out)

@@ -41,12 +41,11 @@ St is; forming St St^T, as a Gram pencil does, squares that conditioning.
 Searches.  A spectrum depends only on the plan and the set, not on s or
 sigma_n; the bound at amplitude s is sum_i log2(1 + gamma * lambda_i) with
 gamma = s^2 T / sigma_n^2.  The greedy search keeps the Schur rows of every
-worker in one array and scores all candidates of a step at once, each as
-the last row of its set; each ordered prefix is eliminated once per public
-call, in a memo that lives as long as the call.  The exhaustive search
-eliminates chunks of subsets at once, once per call.
-``max_secure_amplitude`` re-sums those spectra at each s it probes; for
-K = 1 it solves for s in closed form.
+worker in one array and scores all candidates of a step at once, by the
+bits each adds (matrix determinant lemma); a memo that lives as long as the
+public call eliminates each ordered prefix once.  The exhaustive search
+eliminates chunks of subsets at once, once per call.  ``max_secure_amplitude``
+re-sums the chosen sets' spectra at each s; for K = 1 it solves in closed form.
 """
 
 from __future__ import annotations
@@ -332,73 +331,73 @@ SearchResult = tuple[float, tuple[int, ...], int, np.ndarray | None]
 
 
 class _Prefix(NamedTuple):
-    """The greedy state after one ordered prefix, with every candidate scored."""
+    """The greedy state after one ordered prefix: nothing in it depends on s."""
 
-    rows: np.ndarray     # candidate workers, ascending
-    schur: np.ndarray    # (n, K+T) their Schur rows
-    basis: np.ndarray    # (T, k) orthonormal basis of the prefix's U rows
-    w: np.ndarray        # (k, K) the prefix's W rows
-    pivot: np.ndarray    # (n,) each candidate's pivot column
-    q: np.ndarray        # (n, T) each candidate's next basis vector
-    w_row: np.ndarray    # (n, K) each candidate's W row
-    spectra: np.ndarray  # (n, min(k + 1, K)) the spectrum of prefix + candidate
+    rows: np.ndarray   # candidate workers, ascending
+    schur: np.ndarray  # (n, K+T) their Schur rows
+    basis: np.ndarray  # (T, k) orthonormal basis of the prefix's U rows
+    w: np.ndarray      # (k, K) the prefix's W rows
+    pivot: np.ndarray  # (n,) each candidate's pivot column
+    q: np.ndarray      # (n, T) each candidate's next basis vector
+    w_row: np.ndarray  # (n, K) each candidate's W row
 
 
-def _scored(rows, schur, basis, w) -> _Prefix:
-    pivot, q, w_row = _next_w(schur, basis, w, w.shape[1])
-    if w.shape[1] == 1:
-        spectra = np.sum(w * w) + w_row * w_row
-    else:
-        spectra = _spectrum(np.concatenate(
-            [np.broadcast_to(w, (len(rows),) + w.shape), w_row[:, None]], axis=1))
-    return _Prefix(rows, schur, basis, w, pivot, q, w_row, spectra)
+def _added_nats(state: _Prefix, gamma: float) -> np.ndarray:
+    """What each candidate adds to the prefix's bound, in nats (matrix determinant lemma).
+
+    That is ln(1 + gamma w^T A^-1 w) for its W row w, A = I + gamma W^T W = R^T R
+    with R from the QR of [sqrt(gamma) W; I]: forming A would round its identity
+    away where gamma W^T W is large.  A gamma that underflows to 0 scores every
+    candidate 0.  Only an overflow makes a NaN, scored inf, as the bound is.
+    """
+    root = math.sqrt(gamma)
+    z = root * state.w_row.T
+    if len(state.w):   # with no rows yet, A = I
+        r = np.linalg.qr(np.concatenate([root * state.w, np.eye(state.w.shape[1])]), mode="r")
+        z = np.linalg.solve(r.T, z)
+    return np.log1p(np.fmin(np.einsum("ij,ij->j", z, z), math.inf))
 
 
 def _greedy_search(plan: CodingPlan, cfg: PrivacyConfig) -> Callable[[float], SearchResult]:
     """The greedy search of one public call: c vectorized elimination steps per s.
 
-    Each step scores every candidate of the current prefix at once and adds
-    the first maximum.  The state after each ordered prefix is kept for the
-    call, so a prefix is eliminated once however many amplitudes are probed.
-    A candidate is scored with its row eliminated last, which can leave an
-    eigenvalue far below the largest with only absolute accuracy; the
-    chosen set is therefore valued by :func:`_subset_spectrum`, with
-    complete pivoting, as :func:`leakage_for_subset` values it.  Sets
-    larger than T are structurally infinite: those steps add the smallest
-    remaining index.
+    Each step scores every candidate of the current prefix at once by the
+    bits it adds (:func:`_added_nats`) and adds the first maximum.  Prefix
+    states do not depend on s and are kept for the call, so a prefix is
+    eliminated once however many amplitudes are probed.  Only the chosen set
+    is valued by its spectrum (:func:`_subset_spectrum`, complete pivoting),
+    as :func:`leakage_for_subset` values it.  Sets larger than T are
+    structurally infinite: those steps add the smallest remaining index.
     """
     K, T, n, c = plan.K, plan.T, plan.N, cfg.c
     x, y = plan.betas, -plan.alphas
-    memo = {(): _scored(np.arange(n), 1.0 / (x[:, None] + y), np.empty((T, 0)), np.empty((0, K)))}
-    chosen: dict[tuple[int, ...], np.ndarray] = {}
+    schur, basis, w = 1.0 / (x[:, None] + y), np.empty((T, 0)), np.empty((0, K))
+    memo = {(): _Prefix(np.arange(n), schur, basis, w, *_next_w(schur, basis, w, K))}
+    chosen = functools.cache(lambda subset: _subset_spectrum(subset, plan))
 
     def extend(parent: _Prefix, i: int) -> _Prefix:
         """The state after adding candidate ``i`` of ``parent``."""
-        r = int(parent.rows[i])
         keep = np.arange(len(parent.rows)) != i
         rows = parent.rows[keep]
-        schur = _eliminate(parent.schur[keep], x[rows], x[r], y[K + parent.pivot[i]], y)
-        return _scored(rows, schur, np.concatenate([parent.basis, parent.q[i, :, None]], axis=1),
-                       np.concatenate([parent.w, parent.w_row[i:i + 1]]))
+        schur = _eliminate(parent.schur[keep], x[rows], x[parent.rows[i]], y[K + parent.pivot[i]], y)
+        basis = np.concatenate([parent.basis, parent.q[i, :, None]], axis=1)
+        w = np.concatenate([parent.w, parent.w_row[i:i + 1]])
+        return _Prefix(rows, schur, basis, w, *_next_w(schur, basis, w, K))
 
     def search(s: float) -> SearchResult:
+        gamma = s * s * cfg.T / (cfg.sigma_n * cfg.sigma_n)
         prefix: tuple[int, ...] = ()
-        state = memo[prefix]
         evaluated = 0
-        for step in range(min(c, T)):
-            if step:
-                if prefix not in memo:
-                    memo[prefix] = extend(state, i)
-                state = memo[prefix]
-            bits = _bits(state.spectra, s, cfg)
-            i = _first_max(bits)
+        for _ in range(min(c, T)):
+            if prefix not in memo:   # the empty prefix always is
+                memo[prefix] = extend(state, i)
+            state = memo[prefix]
+            i = _first_max(_added_nats(state, gamma))
             evaluated += len(state.rows)
             prefix += (int(state.rows[i]),)
         if c <= T:
             subset = tuple(sorted(prefix))
-            if subset not in chosen:
-                chosen[subset] = _subset_spectrum(subset, plan)
-            return float(_bits(chosen[subset], s, cfg)), subset, evaluated, chosen[subset]
+            return float(_bits(chosen(subset), s, cfg)), subset, evaluated, chosen(subset)
         rest = [j for j in range(n) if j not in prefix]
         evaluated += sum(n - step for step in range(T, c))
         return math.inf, tuple(sorted(prefix + tuple(rest[:c - T]))), evaluated, None
@@ -477,7 +476,7 @@ def max_secure_amplitude(plan: CodingPlan, cfg: PrivacyConfig, bound: float,
     """Largest input amplitude s <= cfg.s with worst-case i_L <= ``bound``.
 
     Each probe of s runs the search of :func:`worst_case_leakage` (same
-    ``strategy``) on spectra computed once per call.  The solver steps s
+    ``strategy``); no spectrum is computed twice in a call.  The solver steps s
     down from cfg.s to where the current worst set's bound equals ``bound``
     -- for K = 1, s = sigma_n sqrt((2^bound - 1) / (T v)) -- or by at least
     one ulp if that is not lower, until the search at s meets the bound.

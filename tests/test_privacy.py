@@ -497,3 +497,203 @@ def test_report_reason_and_json_values():
     finite = worst_case_leakage(plan, cfg(K=1, T=2, sigma_n=1.0, c=2), strategy=GREEDY)
     assert finite.reason is None and finite.to_dict()["reason"] is None
     assert finite.to_dict()["i_L"] == finite.i_L
+
+
+# -- pinned greedy picks: how a step scores its candidates may change, these may not --
+
+#: (N, K, T, sigma_n, c) of TABLE_ROWS -> greedy worst set and
+#: max_secure_amplitude at epsilon 0.6
+TABLE_ROW_PICKS = {
+    (50, 1, 30, 10.0, 10): (
+        (19, 20, 21, 22, 23, 24, 25, 26, 27, 28),
+        5.077101660290893e-16),
+    (50, 10, 30, 30.0, 10): (
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 12),
+        5.24573572708902e-25),
+    (30, 1, 18, 10.0, 6): (
+        (11, 12, 13, 14, 15, 16),
+        4.122884639375662e-09),
+    (70, 1, 42, 10.0, 14): (
+        (27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40),
+        6.709450079677181e-23),
+}
+
+
+@pytest.mark.parametrize("N,K,T,sigma_n,c", TABLE_ROWS)
+def test_table_rows_keep_their_worst_set_and_amplitude(N, K, T, sigma_n, c):
+    plan = make_plan(K, T, N)
+    config = cfg(K=K, T=T, sigma_n=sigma_n, c=c)
+    subset = worst_case_leakage(plan, config, strategy=GREEDY).worst_subset
+    s_max = max_secure_amplitude(plan, config, 0.6, strategy=GREEDY)
+    assert (subset, s_max) == TABLE_ROW_PICKS[N, K, T, sigma_n, c]
+
+
+#: (N, K, T, c) of the pick matrix, K = 2 to 10, each at shift -2 and -1 and
+#: sigma_n 10, 1e5 and 1e9: I_L from hundreds of bits down to 0.003
+PICK_PLANS = [(50, 10, 30, 10), (50, 2, 30, 10), (70, 5, 42, 14), (40, 3, 12, 8),
+              (20, 2, 6, 5), (28, 2, 10, 5), (30, 4, 10, 6)]
+#: (N, K, T, c, shift, sigma_n) -> greedy worst set, its I_L, and
+#: max_secure_amplitude at epsilon 0.6
+PICKS = {
+    (50, 10, 30, 10, -2.0, 10.0): (
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 12),
+        493.0546450513349, 1.74857857569634e-25),
+    (50, 10, 30, 10, -2.0, 100000.0): (
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 12),
+        341.2091574475756, 1.74857857569634e-21),
+    (50, 10, 30, 10, -2.0, 1000000000.0): (
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 12),
+        231.60920254524518, 1.74857857569634e-17),
+    (50, 10, 30, 10, -1.0, 10.0): (
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 12),
+        350.9428384356083, 2.4636390620051755e-21),
+    (50, 10, 30, 10, -1.0, 100000.0): (
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 12),
+        236.568237971346, 2.4636390620051754e-17),
+    (50, 10, 30, 10, -1.0, 1000000000.0): (
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 12),
+        153.5158412488903, 2.4636390620051755e-13),
+    (50, 2, 30, 10, -2.0, 10.0): (
+        (7, 8, 9, 10, 11, 12, 13, 14, 15, 37),
+        155.03723429901893, 1.267819450092288e-20),
+    (50, 2, 30, 10, -2.0, 100000.0): (
+        (6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+        106.01578126372152, 1.2678194500922884e-16),
+    (50, 2, 30, 10, -2.0, 1000000000.0): (
+        (6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+        79.41719535060165, 1.2678194500922884e-12),
+    (50, 2, 30, 10, -1.0, 10.0): (
+        (6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+        100.47068990506627, 8.968187012449869e-16),
+    (50, 2, 30, 10, -1.0, 100000.0): (
+        (6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+        73.77226123847109, 8.968187012449872e-12),
+    (50, 2, 30, 10, -1.0, 1000000000.0): (
+        (6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+        47.196836478088215, 8.968187012449869e-08),
+    (70, 5, 42, 14, -2.0, 10.0): (
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 19, 20, 21, 22),
+        475.63612680047083, 7.079783594955075e-36),
+    (70, 5, 42, 14, -2.0, 100000.0): (
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 19, 20, 21, 22),
+        364.88039951279694, 7.079783594955074e-32),
+    (70, 5, 42, 14, -2.0, 1000000000.0): (
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 19, 20, 21, 22),
+        279.23717136970583, 7.079783594955075e-28),
+    (70, 5, 42, 14, -1.0, 10.0): (
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 20, 21),
+        286.275344139019, 6.430088306791166e-30),
+    (70, 5, 42, 14, -1.0, 100000.0): (
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 20, 21),
+        232.31374679676236, 6.430088306791167e-26),
+    (70, 5, 42, 14, -1.0, 1000000000.0): (
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 20, 21),
+        179.16289726928005, 6.430088306791167e-22),
+    (40, 3, 12, 8, -2.0, 10.0): (
+        (3, 4, 5, 6, 7, 8, 19, 20),
+        156.92207571448319, 1.0675303548847466e-17),
+    (40, 3, 12, 8, -2.0, 100000.0): (
+        (3, 4, 5, 6, 7, 8, 19, 20),
+        98.67521676079468, 1.0675303548847465e-13),
+    (40, 3, 12, 8, -2.0, 1000000000.0): (
+        (2, 3, 4, 5, 6, 7, 8, 9),
+        60.91778626148542, 1.0675303548847462e-09),
+    (40, 3, 12, 8, -1.0, 10.0): (
+        (1, 2, 3, 4, 5, 6, 7, 8),
+        92.59985563655441, 2.10079503521828e-14),
+    (40, 3, 12, 8, -1.0, 100000.0): (
+        (1, 2, 3, 4, 5, 6, 7, 8),
+        65.60831175163884, 2.10079503521828e-10),
+    (40, 3, 12, 8, -1.0, 1000000000.0): (
+        (1, 2, 3, 4, 5, 6, 7, 8),
+        39.032886987954775, 2.10079503521828e-06),
+    (20, 2, 6, 5, -2.0, 10.0): (
+        (3, 4, 5, 6, 14),
+        62.08590375010766, 2.851342236448793e-09),
+    (20, 2, 6, 5, -2.0, 100000.0): (
+        (2, 3, 4, 5, 6),
+        30.57161844314293, 2.8513422364487917e-05),
+    (20, 2, 6, 5, -2.0, 1000000000.0): (
+        (2, 3, 4, 5, 6),
+        4.083880486848368, 0.2851342236448793),
+    (20, 2, 6, 5, -1.0, 10.0): (
+        (2, 3, 4, 5, 6),
+        44.20903632716811, 2.582095702777838e-07),
+    (20, 2, 6, 5, -1.0, 100000.0): (
+        (2, 3, 4, 5, 6),
+        17.570110721970885, 0.0025820957027778368),
+    (20, 2, 6, 5, -1.0, 1000000000.0): (
+        (2, 3, 4, 5, 6),
+        0.0028046614773246693, 1.0),
+    (28, 2, 10, 5, -2.0, 10.0): (
+        (4, 5, 6, 7, 8),
+        65.05383092324313, 7.464310934799005e-10),
+    (28, 2, 10, 5, -2.0, 100000.0): (
+        (4, 5, 6, 7, 8),
+        34.43873887776447, 7.464310934799005e-06),
+    (28, 2, 10, 5, -2.0, 1000000000.0): (
+        (4, 5, 6, 7, 8),
+        7.86949619937524, 0.07464310934799005),
+    (28, 2, 10, 5, -1.0, 10.0): (
+        (4, 5, 6, 7, 8),
+        45.78297803276519, 1.4926355388423717e-07),
+    (28, 2, 10, 5, -1.0, 100000.0): (
+        (4, 5, 6, 7, 8),
+        19.15146684997888, 0.0014926355388423717),
+    (28, 2, 10, 5, -1.0, 1000000000.0): (
+        (4, 5, 6, 7, 8),
+        0.008376803560097311, 1.0),
+    (30, 4, 10, 6, -2.0, 10.0): (
+        (1, 2, 3, 4, 5, 11),
+        134.01118695054723, 2.3017814254412023e-10),
+    (30, 4, 10, 6, -2.0, 100000.0): (
+        (3, 4, 9, 10, 11, 12),
+        63.36040650760506, 2.3017828269838913e-06),
+    (30, 4, 10, 6, -2.0, 1000000000.0): (
+        (8, 9, 10, 11, 12, 13),
+        12.97933753410325, 0.023017828269838912),
+    (30, 4, 10, 6, -1.0, 10.0): (
+        (1, 2, 3, 4, 5, 11),
+        90.56455355696762, 2.4680156075594943e-11),
+    (30, 4, 10, 6, -1.0, 100000.0): (
+        (0, 1, 2, 3, 4, 5),
+        45.997971353041734, 2.4680156075594944e-07),
+    (30, 4, 10, 6, -1.0, 1000000000.0): (
+        (0, 1, 2, 3, 4, 5),
+        19.421814741062455, 0.002468015607559494),
+}
+
+
+@pytest.mark.parametrize("N,K,T,c", PICK_PLANS)
+def test_greedy_picks_and_amplitudes_are_pinned(N, K, T, c):
+    for shift in (-2.0, -1.0):
+        plan = make_plan(K, T, N, shift)
+        for sigma_n in (10.0, 1e5, 1e9):
+            config = cfg(K=K, T=T, sigma_n=sigma_n, c=c)
+            report = worst_case_leakage(plan, config, strategy=GREEDY)
+            s_max = max_secure_amplitude(plan, config, 0.6, strategy=GREEDY)
+            want = PICKS[N, K, T, c, shift, sigma_n]
+            assert (report.worst_subset, report.I_L, s_max) == want
+
+
+@pytest.mark.parametrize("shift", (-2.0, -1.2, -1.0))
+def test_greedy_matches_the_reference_where_gamma_swamps_the_identity(shift):
+    # at sigma_n 1e-8, gamma |w|^2 reaches 1e33 to 1e38 for a W row w:
+    # I + gamma W^T W formed in floating point loses its identity, and a solve
+    # with it raises (shift -2 and -1) or picks a set 14 bits lower (-1.2)
+    plan = make_plan(4, 10, 30, shift)
+    config = cfg(K=4, T=10, sigma_n=1e-8, c=6)
+    got = worst_case_leakage(plan, config, strategy=GREEDY)
+    assert repr(got) == repr(reference_search(plan, config, GREEDY))
+
+
+@pytest.mark.parametrize("K,T,N,c", [(1, 30, 50, 10), (2, 10, 50, 6), (10, 30, 50, 10)])
+def test_an_overflowing_amplitude_reads_inf_and_still_solves(K, T, N, c):
+    # s^2 overflows: every candidate adds +inf, so the first one wins each step
+    plan = make_plan(K, T, N)
+    config = cfg(K=K, T=T, sigma_n=10.0, c=c, s=1e200)
+    report = worst_case_leakage(plan, config, strategy=GREEDY)
+    assert report.I_L == math.inf and report.worst_subset == tuple(range(c))
+    s_max = max_secure_amplitude(plan, config, 0.6, strategy=GREEDY)
+    at = cfg(K=K, T=T, sigma_n=10.0, c=c, s=s_max)
+    assert 0.0 < s_max < 1.0 and worst_case_leakage(plan, at, strategy=GREEDY).i_L <= 0.6
