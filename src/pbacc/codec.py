@@ -8,13 +8,13 @@ encoder basis applied to the stacked coefficients.  ``decode`` rebuilds the
 function values at the data nodes from whatever subset of worker results
 arrived, which is what gives the scheme its straggler tolerance.  It is one
 linear combination of the n results per data node, computed in one pass
-over the results: they are copied per span of blocks into one staging
-buffer and multiplied per cache-sized block of coding groups, so each
-result is read once and no stacked copy of them is made.  Results that fit
-one block (every decode the protocols make) are multiplied by one dot per
-data node, whose bytes the golden outputs pin; results that span blocks
-are multiplied by one (K, n) product per block, which reads the staged
-block once instead of K times.
+over the results, one chunk of coding groups at a time: each chunk's
+slices of the results are copied into one staging buffer and multiplied
+there, so each result is read once and no stacked copy of them is made.
+Results that fit one ``_DECODE_BLOCK_BYTES`` block (every decode the
+protocols make) are one chunk, multiplied by one dot per data node, whose
+bytes the golden outputs pin; larger results are multiplied by one (K, n)
+product per chunk, which reads the staged chunk once instead of K times.
 """
 
 from __future__ import annotations
@@ -189,18 +189,20 @@ def _decode_basis(betas: np.ndarray, plan: CodingPlan) -> np.ndarray:
     """
     if len(betas) == 0:
         raise ValueError("need at least one result to decode")
+    if not np.isfinite(betas).all():
+        raise ValueError("need finite encoder node values in results")
     if _has_coincident_pair(betas):
         raise ValueError("duplicate encoder node values in results")
     return berrut_basis_matrix(plan.alphas[:plan.K], betas)
 
 
-#: Bytes of the (n, block, *rest) stack of results that ``_apply_decode``
-#: multiplies at once (results are copied per span, multiplied per block):
-#: half of a 2 MiB L2 cache, so a block's products read it from cache.
+#: Bytes of results that ``_apply_decode`` multiplies by one dot per data
+#: node, as :func:`_decode_rows` does: every decode the protocols make fits,
+#: and the golden outputs pin those bytes.
 _DECODE_BLOCK_BYTES = 1 << 20
-#: Bytes of the span of whole blocks that ``_apply_decode`` copies from each
-#: result at once, capped at 1/8 of the results' bytes; a span is at least
-#: one block.
+#: Bytes of one chunk's stage and product in ``_apply_decode`` when the
+#: results do not fit ``_DECODE_BLOCK_BYTES``, capped at 1/8 of the results'
+#: bytes; a chunk is at least one coding group.
 _GATHER_BYTES = 8 << 20
 
 
@@ -212,24 +214,21 @@ def _apply_decode(rows: np.ndarray, results: Sequence[np.ndarray],
     (G*K, *rest) with the K data nodes re-interleaved along the leading
     axis, truncated to ``out_extent``.
 
-    Each result is read once, copied per span and multiplied per block.  A
-    block holds as many groups as fit ``_DECODE_BLOCK_BYTES``, a span as many
-    whole blocks as fit ``_GATHER_BYTES`` (at most 1/8 of the results' bytes,
-    at least one block); a ragged last block is a span of its own.  Each
-    result's slice of a span is copied with one assignment into a reused
-    (span, n, block, *rest) buffer; a span of one block is the results'
-    slices end to end, so it is filled by one ``np.concatenate``.
-    Each block's (n, block, *rest) stack is multiplied by the K rows into
-    one reused (K, block * width) array.  When the results fit one block,
-    :func:`_decode_rows` makes the product, one dot per row, and the result
-    is exactly the unblocked product, byte for byte.  With several blocks
-    one ``np.matmul`` of the (K, n) rows makes it, so the block is read
-    once, not K times; for K = 1 that is the dot's bytes.  Its rounding
-    differs from the dots', and each product is narrower than the unblocked
-    one, so the result is ulp-close to the unblocked one (within about
-    2e-14 on unit-scale data), not byte-equal.  The span only sets how many
-    copies are made; the bytes are those of copying and multiplying one
-    block at a time.
+    The coding groups are decoded one chunk at a time, so each result is
+    read once and no stacked copy of them is made.  A chunk's slices of the
+    n results are copied end to end by one ``np.concatenate`` into a reused
+    (n, chunk * width) stage, multiplied by the K rows into a reused
+    (K, chunk * width) product, and written transposed into the output.
+    When the results fit ``_DECODE_BLOCK_BYTES`` they are one chunk and
+    :func:`_decode_rows` makes the product, one dot per row: the result is
+    exactly the unchunked product, byte for byte.  Otherwise a chunk holds
+    as many groups as let its stage and product fit ``_GATHER_BYTES`` (at
+    most 1/8 of the results' bytes, at least one group), and one
+    ``np.matmul`` of the (K, n) rows makes the product, so the stage is
+    read once, not K times; for K = 1 that is the dot's bytes.  Its rounding differs from the dots', and each
+    product is narrower than the unchunked one, so the result is ulp-close
+    to the unchunked one (within about 2e-14 on unit-scale data), not
+    byte-equal.
     """
     n, K = len(results), len(rows)
     if results[0].ndim == 0:
@@ -240,34 +239,23 @@ def _apply_decode(rows: np.ndarray, results: Sequence[np.ndarray],
                                    or not 0 < out_extent <= groups * K):
         raise ValueError(f"out_extent {out_extent!r} is not an integer in (0, {groups * K}]")
     width = math.prod(rest)
-    group_bytes = 8 * n * max(width, 1)  # one group of every result
-    block = max(1, min(groups, _DECODE_BLOCK_BYTES // group_bytes))
-    whole = groups - groups % block  # the groups in whole blocks
-    gather = min(_GATHER_BYTES, group_bytes * groups // 8)
-    span = max(1, gather // (group_bytes * block))
-    multiply = np.matmul if groups > block else _decode_rows
-    spans = [(lo, min(lo + span * block, whole)) for lo in range(0, whole, span * block)]
-    if whole < groups:
-        spans.append((whole, groups))
-    buffer = np.empty(span * n * block * width)
-    products = np.empty(K * block * width)
+    group_bytes = 8 * max(width, 1)  # one group of one result
+    if groups == 1 or n * groups * group_bytes <= _DECODE_BLOCK_BYTES:
+        chunk, multiply = max(groups, 1), _decode_rows
+    else:
+        budget = min(_GATHER_BYTES, n * groups * group_bytes // 8)
+        chunk, multiply = max(1, budget // ((n + K) * group_bytes)), np.matmul
+    stage = np.empty(n * chunk * width)
+    products = np.empty(K * chunk * width)
     out = np.empty((groups, K) + rest)
-    for lo, hi in spans:
-        size = min(block, hi - lo)
-        nb = (hi - lo) // size
-        stage = buffer[:nb * n * size * width].reshape((nb, n, size) + rest)
-        if nb == 1:   # the results' slices end to end are the block's stack: one copy
-            pieces = results if size == groups else [result[lo:hi] for result in results]
-            np.concatenate(pieces, out=stage.reshape((n * size,) + rest))
-        else:
-            piece = (nb, size) + rest
-            for dst, result in zip(stage.swapaxes(0, 1), results):
-                dst[...] = result[lo:hi].reshape(piece)
+    for lo in range(0, groups, chunk):
+        size = min(chunk, groups - lo)
+        pieces = results if size == groups else [result[lo:lo + size] for result in results]
+        staged = stage[:n * size * width]
+        np.concatenate(pieces, out=staged.reshape((n * size,) + rest))
         product = products[:K * size * width].reshape(K, size * width)
-        dest = out[lo:hi].reshape((nb, size, K) + rest)
-        for b in range(nb):
-            multiply(rows, stage[b].reshape(n, -1), product)
-            dest[b] = product.reshape((K, size) + rest).swapaxes(0, 1)
+        multiply(rows, staged.reshape(n, size * width), product)
+        out[lo:lo + size] = product.reshape((K, size) + rest).swapaxes(0, 1)
     out = out.reshape((groups * K,) + rest)
     return out if out_extent is None else out[:out_extent]
 
@@ -277,12 +265,12 @@ def _decode_rows(rows: np.ndarray, flat: np.ndarray, out: np.ndarray) -> None:
 
     Writes (K, m), row i the values at data node i, into ``out``, a
     C-contiguous float64 (K, m) array.  This is the product of every decode
-    whose results fit one block in :func:`_apply_decode`; a caller holding
-    one coding group's n results as an (n, m) array calls it directly,
-    without the blocking and checks, and can reuse one ``out`` for every
-    group.  One ``np.dot(row, flat)`` per row, not one (K, n) product: the
-    latter rounds differently for K >= 2, and the golden outputs pin these
-    bytes.
+    whose results fit one ``_DECODE_BLOCK_BYTES`` block, and so one chunk,
+    in :func:`_apply_decode`; a caller holding one coding group's n results
+    as an (n, m) array calls it directly, without the staging and checks,
+    and can reuse one ``out`` for every group.  One ``np.dot(row, flat)``
+    per row, not one (K, n) product: the latter rounds differently for
+    K >= 2, and the golden outputs pin these bytes.
     """
     for row, dest in zip(rows, out):
         np.dot(row, flat, out=dest)

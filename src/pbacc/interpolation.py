@@ -25,6 +25,7 @@ which one node lies on another counts as colliding.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -160,12 +161,20 @@ class CodingPlan:
         return subset
 
 
+def _check_integer(name: str, value) -> None:
+    """Refuse a count that is not an integer (a numpy integer will do; a bool will not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"need an integer {name}, got {value!r}")
+
+
 def make_plan(K: int, T: int, N: int, shift: float = DEFAULT_NOISE_SHIFT) -> CodingPlan:
     """Construct a coding plan with K data, T noise and N encoder nodes.
 
     Raises when the K+T interpolation nodes are not pairwise distinct
     (possible when the shifted noise block overlaps the data block).
     """
+    for name, count in (("K", K), ("T", T), ("N", N)):
+        _check_integer(name, count)
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
     if T < 0:

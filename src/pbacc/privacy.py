@@ -61,6 +61,7 @@ import numpy as np
 from .interpolation import (
     CodingPlan,
     berrut_basis_matrix,  # noqa: F401 -- uncalled; bench/tracer.py patches it by this name
+    _check_integer,
 )
 
 EXHAUSTIVE = "exhaustive"
@@ -102,6 +103,8 @@ class PrivacyConfig:
     epsilon: float = 1.0
 
     def __post_init__(self):
+        for name in ("K", "T", "c"):
+            _check_integer(name, getattr(self, name))
         if self.K < 1:
             raise ValueError(f"need K >= 1, got {self.K}")
         if self.T < 1:

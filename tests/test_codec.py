@@ -250,6 +250,13 @@ def test_decode_rejects_0d_payloads():
         _apply_decode(rows, list(np.ones(2)), None)
 
 
+@pytest.mark.parametrize("shape", [(0, 2), (3, 0)])
+def test_decode_of_empty_results_is_empty(shape):
+    plan = make_plan(2, 0, 8)
+    out = decode([(plan.betas[0], np.ones(shape)), (plan.betas[1], np.ones(shape))], plan)
+    assert out.shape == (2 * shape[0], shape[1])
+
+
 def test_decode_checks_out_extent_before_any_product(monkeypatch):
     plan = make_plan(2, 0, 8)
     results = [(0.5, np.ones((3, 2))), (0.2, np.ones((3, 2)))]
@@ -299,16 +306,18 @@ def decode_inputs(K, rest, n, groups, seed):
 
 @pytest.mark.parametrize("K", [1, 2, 3, 8])
 @pytest.mark.parametrize("rest", [(), (3,), (2, 4)])
-def test_blocked_decode_matches_the_single_product(K, rest, monkeypatch):
-    n, groups = 9, 23
+def test_chunked_decode_matches_the_single_product(K, rest, monkeypatch):
+    n, groups = 9, 83
     rows, stack = decode_inputs(K, rest, n, groups, seed=K)
     reference = single_product(rows, stack)
     scale = np.max(np.abs(reference))
     extent = groups * K - (K - 1)  # a padded last group
-    group_bytes = 8 * n * int(np.prod(rest))
-    # 1 and 2 groups per block, and 5 with a ragged last block of 3
-    for per_block in (1, 2, 5):
-        monkeypatch.setattr(codec, "_DECODE_BLOCK_BYTES", per_block * group_bytes)
+    group_bytes = 8 * int(np.prod(rest))
+    monkeypatch.setattr(codec, "_DECODE_BLOCK_BYTES", 0)  # past one block: chunks
+    # 1 and 2 groups per chunk, and 5 with a ragged last chunk of 3
+    for per_chunk in (1, 2, 5):
+        monkeypatch.setattr(codec, "_GATHER_BYTES", per_chunk * (n + K) * group_bytes)
+        assert stack.nbytes // 8 >= codec._GATHER_BYTES  # the 1/8 cap does not bind
         out = _apply_decode(rows, list(stack), extent)
         assert out.shape == (extent,) + rest
         np.testing.assert_allclose(out, reference[:extent], rtol=1e-13, atol=1e-13 * scale)
@@ -324,11 +333,11 @@ def test_one_block_decode_is_the_single_product_byte_for_byte(K, rest):
         assert _apply_decode(rows, results, None).tobytes() == reference.tobytes()
 
 
-def per_block_products(rows, results, block, product):
-    """The blocked decode's reference: ``product(rows, flat)`` per block of groups."""
+def per_chunk_products(rows, results, chunk, product):
+    """The chunked decode's reference: ``product(rows, flat)`` per chunk of groups."""
     decoded = []
-    for lo in range(0, len(results[0]), block):
-        stack = np.stack([r[lo:lo + block] for r in results])
+    for lo in range(0, len(results[0]), chunk):
+        stack = np.stack([r[lo:lo + chunk] for r in results])
         flat = product(rows, stack.reshape(len(stack), -1))
         decoded.append(flat.reshape((len(rows),) + stack.shape[1:]).swapaxes(0, 1))
     return np.concatenate(decoded).reshape((-1,) + results[0].shape[1:])
@@ -342,50 +351,50 @@ def per_row_dots(rows, flat):
 
 @pytest.mark.parametrize("K", [1, 2, 3, 8])
 @pytest.mark.parametrize("rest", [(), (3,), (2, 4)])
-def test_span_decode_is_one_matmul_per_block_byte_for_byte(K, rest, monkeypatch):
-    n, groups, block = 9, 59, 2
+def test_chunked_decode_is_one_matmul_per_chunk_byte_for_byte(K, rest, monkeypatch):
+    n, groups, chunk = 9, 59, 3
     rows, stack = decode_inputs(K, rest, n, groups, seed=40 + K)
-    group_bytes = 8 * n * int(np.prod(rest))
-    # 29 blocks of 2 groups and a ragged group: 9 spans of 3 blocks, a span
-    # of 2 and the ragged block alone
-    monkeypatch.setattr(codec, "_DECODE_BLOCK_BYTES", block * group_bytes)
-    monkeypatch.setattr(codec, "_GATHER_BYTES", 3 * block * group_bytes)
-    assert stack.nbytes // 8 >= codec._GATHER_BYTES
+    group_bytes = 8 * int(np.prod(rest))
+    # 19 chunks of 3 groups and a ragged chunk of 2
+    monkeypatch.setattr(codec, "_DECODE_BLOCK_BYTES", 0)
+    monkeypatch.setattr(codec, "_GATHER_BYTES", chunk * (n + K) * group_bytes)
+    assert stack.nbytes // 8 >= codec._GATHER_BYTES  # the 1/8 cap does not bind
     for results in (list(stack), [np.asfortranarray(r) for r in stack]):
-        reference = per_block_products(rows, results, block, np.matmul)
+        reference = per_chunk_products(rows, results, chunk, np.matmul)
         assert _apply_decode(rows, results, None).tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("K", [1, 2, 8])
-def test_decode_takes_one_product_per_block_past_one_block(K, monkeypatch):
+def test_decode_takes_one_matmul_per_chunk_past_one_block(K, monkeypatch):
     n, rest = 8, (4,)
     groups = codec._DECODE_BLOCK_BYTES // (8 * n * 4)  # results of exactly one block
     rows, stack = decode_inputs(K, rest, n, groups + 1, seed=60 + K)
     one_block = [r[:groups] for r in stack]
     assert sum(r.nbytes for r in one_block) == codec._DECODE_BLOCK_BYTES
-    dots = per_block_products(rows, one_block, groups, per_row_dots)
+    dots = per_chunk_products(rows, one_block, groups, per_row_dots)
     assert _apply_decode(rows, one_block, None).tobytes() == dots.tobytes()
 
     def no_dots(*args):
-        raise AssertionError("a decode of two blocks made per-row dots")
+        raise AssertionError("a decode past one block made per-row dots")
 
-    results = list(stack)  # one group more: a block and a ragged group
-    matmuls = per_block_products(rows, results, groups, np.matmul)
+    results = list(stack)  # one group more: chunks of 1/8 of the results' bytes
+    chunk = stack.nbytes // 8 // ((n + K) * 8 * 4)
+    matmuls = per_chunk_products(rows, results, chunk, np.matmul)
     with monkeypatch.context() as patch:
         patch.setattr(codec, "_decode_rows", no_dots)
         out = _apply_decode(rows, results, None)
     assert out.tobytes() == matmuls.tobytes()
     if K == 1:  # and a K = 1 product is the per-row dot's bytes
-        assert out.tobytes() == per_block_products(rows, results, groups, per_row_dots).tobytes()
+        assert out.tobytes() == per_chunk_products(rows, results, chunk, per_row_dots).tobytes()
 
 
-def test_decode_staging_stays_within_the_gather_budget(monkeypatch):
-    n, groups, rest = 16, 4096, (8,)
-    rows, stack = decode_inputs(2, rest, n, groups, seed=50)
-    group_bytes = 8 * n * 8
-    # blocks of 16 groups, spans of 16 blocks: 256 KiB of the 4 MiB of results
-    monkeypatch.setattr(codec, "_DECODE_BLOCK_BYTES", 16 * group_bytes)
-    monkeypatch.setattr(codec, "_GATHER_BYTES", 256 * group_bytes)
+@pytest.mark.parametrize("n, K, groups", [(16, 2, 4096), (3, 8, 16384)])  # and K > n
+def test_decode_staging_stays_within_the_gather_budget(n, K, groups, monkeypatch):
+    rows, stack = decode_inputs(K, (8,), n, groups, seed=50 + K)
+    # chunks' stage and product within 256 KiB, below 1/8 of the results
+    monkeypatch.setattr(codec, "_GATHER_BYTES", 256 << 10)
+    assert stack.nbytes > codec._DECODE_BLOCK_BYTES
+    assert stack.nbytes // 8 > codec._GATHER_BYTES
     results = list(stack)
     tracemalloc.start()
     try:
@@ -421,7 +430,7 @@ def test_decode_does_not_copy_the_results():
     assert peak <= payloads.nbytes / 2, f"decode peaked at {peak} bytes"
 
 
-def test_decode_basis_rejects_empty_and_duplicate_nodes():
+def test_decode_basis_rejects_empty_duplicate_and_non_finite_nodes():
     plan = make_plan(2, 0, 8)
     with pytest.raises(ValueError):
         _decode_basis(np.array([]), plan)
@@ -429,6 +438,10 @@ def test_decode_basis_rejects_empty_and_duplicate_nodes():
         _decode_basis(np.array([0.5, 0.1, 0.5]), plan)
     with pytest.raises(ValueError):
         _decode_basis(np.array([0.5, 0.5 + 1e-14]), plan)
+    payload = np.ones((3, 2))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^need finite encoder node values in results$"):
+            decode([(bad, payload), (0.5, payload)], plan)
 
 
 @pytest.mark.parametrize("K, T, shift", [(2, 10, -1.0), (1, 30, 2.0), (1, 30, -2.0)])

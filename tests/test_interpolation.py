@@ -203,6 +203,14 @@ def test_plan_names_the_worker_count_when_below_two():
         make_plan(1, 0, 1)
 
 
+def test_plan_refuses_non_integer_counts():
+    for K, T, N, name in ((1.5, 2, 5, "K"), (1, 2.0, 5, "T"), (1, 2, "5", "N"), (1, True, 5, "T")):
+        with pytest.raises(ValueError, match=rf"^need an integer {name}, got "):
+            make_plan(K, T, N)
+    plan = make_plan(np.int64(2), np.int32(1), np.int64(6))
+    assert (plan.K, plan.T, plan.N) == (2, 1, 6)
+
+
 def test_plan_perturbs_encoder_nodes_on_collision():
     # K=2, N=5: encoder nodes at cos(j*pi/4) include both data nodes
     plan = make_plan(K=2, T=0, N=5)

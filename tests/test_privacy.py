@@ -236,6 +236,14 @@ def test_privacy_config_validation():
         PrivacyConfig(K=1, T=1, sigma_n=1.0, c=1, s=0.0)
 
 
+def test_privacy_config_refuses_non_integer_counts():
+    for name, bad in (("K", 1.5), ("T", 2.0), ("c", 1.5), ("c", True)):
+        counts = {"K": 1, "T": 2, "c": 1, name: bad}
+        with pytest.raises(ValueError, match=rf"^need an integer {name}, got {bad!r}$"):
+            PrivacyConfig(sigma_n=1.0, **counts)
+    assert PrivacyConfig(K=np.int64(1), T=np.int32(2), sigma_n=1.0, c=np.int64(1)).c == 1
+
+
 def test_config_plan_mismatch_rejected():
     plan = make_plan(2, 4, 8)
     with pytest.raises(ValueError):
