@@ -31,6 +31,7 @@ from .interpolation import (
     CodingPlan,
     berrut_basis,  # noqa: F401 -- uncalled; bench/tracer.py patches it by this name
     berrut_basis_matrix,
+    _check_integer,
     _has_coincident_pair,
 )
 
@@ -46,10 +47,10 @@ class NoiseSpec:
     def __post_init__(self):
         if not (self.sigma_n >= 0 and math.isfinite(self.sigma_n)):
             raise ValueError(f"need a finite sigma_n >= 0, got {self.sigma_n}")
+        _check_integer("T", self.T)
         if self.T < 0:
             raise ValueError(f"need T >= 0, got {self.T}")
-        if not isinstance(self.seed, numbers.Integral):
-            raise ValueError(f"need an integer noise seed, got {self.seed!r}")
+        _check_integer("noise seed", self.seed)
         if self.seed < 0:
             raise ValueError(f"need a noise seed >= 0, got {self.seed}")
 

@@ -154,6 +154,8 @@ class CodingPlan:
         subset = list(subset)
         if not subset:
             raise ValueError("subset must be nonempty")
+        for j in subset:
+            _check_integer("subset index", j)
         if len(set(subset)) != len(subset):
             raise ValueError("subset indices must be distinct")
         if any(not 0 <= j < self.N for j in subset):
@@ -163,7 +165,8 @@ class CodingPlan:
 
 def _check_integer(name: str, value) -> None:
     """Refuse a count that is not an integer (a numpy integer will do; a bool will not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    # a plain int passes without the slower abstract-class check
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValueError(f"need an integer {name}, got {value!r}")
 
 

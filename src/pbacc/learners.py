@@ -17,20 +17,29 @@ can differ in the last ulp.
 
 Training pays only for a loss's gradient.  A dataset's targets are checked
 against the predictions' shape and converted once (``_prepare_targets``:
-MSE targets made float, softmax labels validated and one-hot encoded, Cox
-pairs shape-checked), and every batch scores against a slice of them.  Each
+MSE targets made float, softmax labels validated and one-hot encoded as
+float64, Cox pairs shape-checked), and every batch scores against a slice
+of them, in float64 throughout.  Each
 loss is one block of ``_loss_kernel``: its intermediates, then the value or
 the gradient, whichever the caller asked for.  Training steps ask for the
 gradient (``output_grad``); ``evaluate`` asks for the value.  No training
 step computes a value or scans raw labels.
 
-There is one backward, ``_layer_grads``: it yields each layer's gradient,
-last layer first.  ``backward_from_output`` collects it into a gradient
-model; training steps descend in place instead (``_descend``), writing
-each layer's update into the model's own arrays as its gradient arrives,
-byte-equal to ``sgd_step`` on the collected gradients.  ``local_train``
-copies its start model once per call into arrays it owns, so a caller's
-model is never written.
+There is one forward and one backward, and both run on a binding, the
+cache a forward returns (:class:`_Binding`).  The first forward for a model
+and an input shape binds one: it allocates every array the forward writes
+and takes, once, every view a later step reads (each layer's bias row and
+weight transpose, each layer output's transpose) and the activation and its
+derivative.  A forward given that cache checks that the model is the bound
+one and the inputs have the bound shape and dtype, then only computes into
+the bound arrays.  The one backward (``_backward``) is a loop over the
+bound views, last layer first.  ``backward_from_output`` collects its
+gradients into a gradient model; a training step gives it a learning rate
+instead, and it writes each layer's update into the model's own arrays as
+its gradient arrives, byte-equal to ``sgd_step`` on the collected
+gradients.  ``local_train`` copies its start model once per call into
+arrays it owns, so a caller's model is never written, and keeps one
+binding per batch shape for the call.
 
 The Cox partial likelihood takes Breslow's convention for tied times
 (Breslow 1974): the risk set of sample i is every j with t_j >= t_i, so a
@@ -41,9 +50,12 @@ times, O(n log n) per node, with no n×n risk-set matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .interpolation import _check_integer
 
 RELU = "relu"
 TANH = "tanh"
@@ -109,7 +121,9 @@ class ModelParams:
 
 
 def init_mlp(sizes: list[int], activation: str = RELU, seed: int = 0) -> ModelParams:
-    """Gaussian-initialized MLP with layer widths ``sizes``."""
+    """Gaussian-initialized MLP with layer widths ``sizes``, inputs first."""
+    if len(sizes) < 2:
+        raise ValueError(f"need at least two layer sizes (inputs and outputs), got {list(sizes)}")
     rng = np.random.default_rng(seed)
     layers = []
     for nin, nout in zip(sizes[:-1], sizes[1:]):
@@ -119,60 +133,116 @@ def init_mlp(sizes: list[int], activation: str = RELU, seed: int = 0) -> ModelPa
     return ModelParams(layers=layers, activation=activation)
 
 
-def _act(h: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
-    """The activation of ``h``, written into ``out`` if given (identity returns ``h``).
+#: Each hidden activation's map, written into a given array, and its
+#: derivative at (pre-activation, activation).  Identity has neither: its
+#: output is its pre-activation and its derivative is 1.
+_ACTIVATION_MAPS = {
+    RELU: (lambda z, out: np.maximum(z, 0.0, out=out), lambda z, a: z > 0.0),
+    TANH: (np.tanh, lambda z, a: 1.0 - np.square(a)),
+}
 
-    ``out`` is passed on only when given: even as ``out=None`` the keyword
-    costs a ufunc call about 0.03 us, which every fresh forward would pay.
+_FLOAT = np.dtype(float)
+
+
+class _Binding:
+    """A model's forward and backward bound to one input shape: the cache.
+
+    It holds the arrays a forward writes, ``pre`` (each layer's
+    pre-activation) and ``post`` (each layer's output: the last layer's, and
+    an identity activation's, is its ``pre`` array itself; relu and tanh
+    write distinct arrays, since relu's derivative reads ``pre``), and the
+    input slot ``inputs``, which each forward points at its input.  It also
+    takes, once, every view a later step reads: each layer's bias row
+    ``b[..., None, :]`` and weight transpose, each layer output's transpose,
+    and the activation and its derivative.  The weights are the model's own
+    arrays, so an in-place step is seen by the next forward.
+
+    ``arrays`` binds given ``(pre, post)`` arrays, such as one slot's views
+    of another binding's arrays; by default they are allocated for inputs of
+    ``shape``, which a forward then fills.
     """
-    if kind == RELU:
-        return np.maximum(h, 0.0) if out is None else np.maximum(h, 0.0, out=out)
-    if kind == TANH:
-        return np.tanh(h) if out is None else np.tanh(h, out=out)
-    return h
+
+    __slots__ = ("model", "shape", "inputs", "pre", "post", "_act", "_dact",
+                 "_forward", "_backward")
+
+    def __init__(self, params: ModelParams, shape: tuple[int, ...], arrays=None):
+        layers = params.layers
+        act, dact = _ACTIVATION_MAPS.get(params.activation, (None, None))
+        self._act, self._dact = act, dact
+        if arrays is None:   # the product's node axes: the inputs' and the model's, broadcast
+            nodes, model_nodes = shape[:-2], layers[0][1].shape[:-1]
+            if model_nodes not in ((), nodes):
+                nodes = np.broadcast_shapes(nodes, model_nodes)
+            pre = [np.empty(nodes + (shape[-2], w.shape[-1])) for w, _ in layers]
+            arrays = pre, [z if act is None else np.empty(z.shape) for z in pre[:-1]] + pre[-1:]
+        self.model, self.shape, self.inputs = params, shape, None
+        self.pre, self.post = arrays
+        # Per layer, in layer order: forward (w, bias row, pre-activation, and
+        # the output array if the layer applies an activation, else None) and
+        # backward (w, b, w's transpose and the transpose of the layer's input,
+        # both None for the first layer, and the pre-activation and output the
+        # activation's derivative reads, both None for none).
+        self._forward, self._backward = [], []
+        h_t = None
+        for (w, b), z, a in zip(layers, *arrays):
+            hidden = a is not z
+            self._forward.append((w, b[..., None, :], z, a if hidden else None))
+            self._backward.append((w, b, None if h_t is None else w.mT, h_t,
+                                   z if hidden else None, a if hidden else None))
+            h_t = a.mT
+        self._backward.reverse()   # the backward runs last layer first
+
+    def slot(self, k: int) -> "_Binding":
+        """Slot ``k`` of the leading input axis, bound to views of this binding's arrays.
+
+        Only for a binding of one shared model, whose weights every slot reads.
+        """
+        if self.model.node_shape:
+            raise ValueError("a slot of a stack of models is not bound")
+        pre = [z[k] for z in self.pre]
+        post = [zk if a is z else a[k] for z, zk, a in zip(self.pre, pre, self.post)]
+        return _Binding(self.model, self.shape[1:], (pre, post))
 
 
-def _act_grad(h: np.ndarray, out: np.ndarray, kind: str) -> np.ndarray:
-    """The activation's derivative at pre-activation ``h``, whose image is ``out``."""
-    if kind == RELU:
-        return (h > 0.0).astype(float)
-    if kind == TANH:
-        return 1.0 - out ** 2
-    return np.ones_like(h)
-
-
-def forward_with_cache(params: ModelParams, inputs: np.ndarray, cache=None):
-    """Affine+activation chain; returns output and the per-layer cache.
+def forward_with_cache(params: ModelParams, inputs: np.ndarray, cache: _Binding | None = None):
+    """Affine+activation chain; returns the output and the cache it was computed in.
 
     Features run along the last axis.  A stacked ``(N, B, f)`` input is one
     batched matrix product per layer, byte-equal to N separate ``(B, f)``
     forwards, with one shared model or a stack of N models; a flattened
     ``(N*B, f)`` product can differ in the last ulp.
 
-    The cache is ``(pre, post)``: each layer's pre-activation, and the
-    input followed by each layer's output (the last layer's output, and an
-    identity activation's, is its pre-activation array itself; relu and tanh
-    write distinct arrays, since relu's gradient reads ``pre``).  Given the
-    cache of an earlier call on inputs of the same shape, this writes the
-    matmul, bias and activation results into its arrays, points its input
-    slot ``post[0]`` at ``inputs`` and returns that same cache, byte-equal
-    to a fresh call.
+    Without ``cache`` this is the first forward for ``params`` and the
+    inputs' shape: it binds a new cache (:class:`_Binding`), which allocates
+    every array the forward writes and takes every view a later step reads.
+    Given the cache of such a call, it checks that ``params`` is the very
+    model the cache was bound to and that ``inputs`` is a float64 array of
+    the bound shape, and refuses anything else with a ``ValueError``; then
+    it only computes, writing the matmul, bias and activation results into
+    the cache's arrays and pointing its input slot at ``inputs``.  The
+    output is the cache's last ``pre`` array, byte-equal to a fresh call's.
     """
-    x = np.asarray(inputs, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[-1] != params.layers[0][0].shape[-2]:
-        raise ValueError(f"input features {x.shape[-1]} do not match "
-                         f"first layer extent {params.layers[0][0].shape[-2]}")
-    last = len(params.layers) - 1
     if cache is None:
-        cache = ([None] * (last + 1), [None] * (last + 2))
-    pre, post = cache
-    post[0] = h = x
-    for li, (w, b) in enumerate(params.layers):
-        z = pre[li] = np.matmul(h, w) if pre[li] is None else np.matmul(h, w, out=pre[li])
-        z += b[..., None, :]
-        h = post[li + 1] = z if li == last else _act(z, params.activation, out=post[li + 1])
+        x = np.asarray(inputs, dtype=float)
+        if x.ndim == 1:
+            x = x[None, :]
+        if x.shape[-1] != params.layers[0][0].shape[-2]:
+            raise ValueError(f"input features {x.shape[-1]} do not match "
+                             f"first layer extent {params.layers[0][0].shape[-2]}")
+        cache = _Binding(params, x.shape)
+    elif params is not cache.model:
+        raise ValueError("the cache is bound to another model")
+    elif not isinstance(inputs, np.ndarray) or inputs.dtype != _FLOAT or inputs.shape != cache.shape:
+        raise ValueError(f"the cache is bound to float64 inputs of shape {cache.shape}, got "
+                         f"{np.shape(inputs)} {getattr(inputs, 'dtype', type(inputs).__name__)}")
+    else:
+        x = inputs
+    cache.inputs = h = x
+    act = cache._act
+    for w, bias, z, a in cache._forward:
+        np.matmul(h, w, out=z)
+        z += bias
+        h = z if a is None else act(z, a)
     return h, cache
 
 
@@ -181,50 +251,48 @@ def forward(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _layer_grads(params: ModelParams, cache, dout: np.ndarray):
-    """Yield each layer's ``(index, gw, gb)``, last layer first: the one backward.
+def _backward(params: ModelParams, cache: _Binding, dout: np.ndarray, lr: float | None = None):
+    """The one backward: each layer's gradient, last layer first, from ``cache``'s views.
 
-    A layer is yielded only after the delta it passes down has been
-    computed, so the caller may update that layer's arrays in place.
+    Without ``lr`` it returns the ``(gw, gb)`` of every layer, in layer
+    order.  With ``lr`` it is the training step: each layer's update is
+    written into ``params``' own arrays once the delta it passes down has
+    been computed, byte-equal to ``sgd_step(params, backward_from_output(
+    params, cache, dout), lr)`` (``lr * gw`` is the same product either
+    way); ``params`` must own its arrays, already in the gradients' node
+    shape.  ``cache`` must be bound to ``params`` itself, so a step never
+    writes a model that did not run the cached forward.
     """
-    pre, post = cache
-    delta = np.asarray(dout, dtype=float)
-    last = len(params.layers) - 1
-    for li in range(last, -1, -1):
-        if li != last:
-            delta = delta * _act_grad(pre[li], post[li + 1], params.activation)
-        gw, gb = post[li].swapaxes(-1, -2) @ delta, np.add.reduce(delta, axis=-2)
-        if li > 0:
-            delta = delta @ params.layers[li][0].swapaxes(-1, -2)
-        yield li, gw, gb
+    if params is not cache.model:
+        raise ValueError("the cache is bound to another model")
+    delta, dact, grads = dout, cache._dact, []
+    for w, b, w_t, h_t, z, a in cache._backward:
+        if z is not None:   # a hidden layer: delta is the product passed down, owned here
+            delta *= dact(z, a)
+        gw = (cache.inputs.mT if h_t is None else h_t) @ delta
+        gb = np.add.reduce(delta, axis=-2)
+        if w_t is not None:
+            delta = delta @ w_t
+        if lr is None:
+            grads.append((gw, gb))
+        else:
+            gw *= lr
+            w -= gw
+            gb *= lr
+            b -= gb
+    return grads[::-1]
 
 
-def backward_from_output(params: ModelParams, cache, dout: np.ndarray) -> ModelParams:
+def backward_from_output(params: ModelParams, cache: _Binding, dout: np.ndarray) -> ModelParams:
     """Backpropagate a gradient w.r.t. the network output to all parameters.
 
-    No runner calls it: training descends in place (``_descend``).  It stays
-    as the tests' functional reference for the gradients, and
-    ``bench/tracer.py`` patches it by name through ``protocols``.
+    No runner calls it: training steps in place (``_backward`` with a
+    learning rate).  It stays as the tests' functional reference for the
+    gradients, and ``bench/tracer.py`` patches it by name through
+    ``protocols``.
     """
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
-    for li, gw, gb in _layer_grads(params, cache, dout):
-        grads[li] = (gw, gb)
+    grads = _backward(params, cache, np.asarray(dout, dtype=float))
     return ModelParams(layers=grads, activation=params.activation)
-
-
-def _descend(params: ModelParams, cache, dout: np.ndarray, lr: float) -> None:
-    """One SGD step written into ``params``' own arrays, layer by layer.
-
-    Byte-equal to ``sgd_step(params, backward_from_output(params, cache,
-    dout), lr)``: ``lr * gw`` is the same product either way.  ``params``
-    must own its arrays, already in the gradients' node shape.
-    """
-    for li, gw, gb in _layer_grads(params, cache, dout):
-        w, b = params.layers[li]
-        gw *= lr
-        w -= gw
-        gb *= lr
-        b -= gb
 
 
 def _prepare_targets(targets: np.ndarray, loss: str, outputs: tuple[int, ...]) -> np.ndarray:
@@ -235,9 +303,10 @@ def _prepare_targets(targets: np.ndarray, loss: str, outputs: tuple[int, ...]) -
     sample axes.  The result has the samples on the same axis as the
     predictions, so a batch's targets are the same slice of it: MSE targets
     as floats in that shape (a trailing output axis of 1 may be left off);
-    softmax labels, ``(..., n)`` or ``(..., n, 1)``, as a boolean one-hot of
-    that shape, each row True at its label's class; Cox ``(time, event)``
-    pairs as floats, ``(..., n, 2)``.
+    softmax labels, ``(..., n)`` or ``(..., n, 1)``, as a float64 one-hot of
+    that shape, each row 1.0 at its label's class and 0.0 elsewhere; Cox
+    ``(time, event)`` pairs as floats, ``(..., n, 2)``.  Every result is
+    float64, so a batch's gradient subtracts it without a casting loop.
     """
     targets = np.asarray(targets)
     lead = outputs[:-1]   # the node axes and the sample axis
@@ -256,7 +325,7 @@ def _prepare_targets(targets: np.ndarray, loss: str, outputs: tuple[int, ...]) -
         if np.count_nonzero(onehot) != labels.size:
             bad = labels[..., 0][~onehot.any(axis=-1)][0]
             raise ValueError(f"class label {bad} is not an integer in [0, {classes})")
-        return onehot
+        return onehot.astype(float)
     if loss == COX_PH:
         if targets.shape != lead + (2,) or outputs[-1] != 1:
             raise ValueError("cox partial likelihood needs (time, event) targets "
@@ -280,7 +349,7 @@ def _loss_kernel(preds: np.ndarray, prepared: np.ndarray, loss: str, value: bool
     """
     if loss == MSE:
         diff = preds - prepared
-        count = diff.shape[-2] * diff.shape[-1]
+        count = float(diff.shape[-2] * diff.shape[-1])   # a float divides faster than an int
         if value:
             # np.mean's own sum and division, without its per-call overhead
             return (diff * diff).sum(axis=(-2, -1)) / count
@@ -291,11 +360,12 @@ def _loss_kernel(preds: np.ndarray, prepared: np.ndarray, loss: str, value: bool
         probs = np.exp(shifted)
         logz = np.log(np.add.reduce(probs, axis=-1, keepdims=True))
         if value:
-            nll = logz[..., 0] - shifted[prepared].reshape(preds.shape[:-1])   # each row's own class
+            own = shifted[prepared.astype(bool)].reshape(preds.shape[:-1])   # each row's own class
+            nll = logz[..., 0] - own
             return np.add.reduce(nll, axis=-1) / preds.shape[-2]
         probs /= np.exp(logz)
         probs -= prepared   # 1 at each row's class, 0 (exactly) elsewhere
-        probs /= preds.shape[-2]
+        probs /= float(preds.shape[-2])   # a float divides faster than an int
         return probs
     if loss != COX_PH:
         raise ValueError(f"unknown loss {loss!r}")
@@ -368,8 +438,8 @@ def sgd_step(params: ModelParams, grads: ModelParams, lr: float) -> ModelParams:
     """One step along ``grads``; per-node gradients turn a shared model into a stack.
 
     No runner calls it: it is the tests' functional reference for the
-    in-place step training runs (``_descend``), and ``bench/tracer.py``
-    patches it by name through ``protocols``.
+    in-place step training runs (``_backward`` with a learning rate), and
+    ``bench/tracer.py`` patches it by name through ``protocols``.
     """
     if lr <= 0:
         raise ValueError(f"need lr > 0, got {lr}")
@@ -413,34 +483,42 @@ def local_train(params: ModelParams, inputs: np.ndarray, targets: np.ndarray,
     The targets are checked and prepared once per call, so a bad label is
     rejected before any batch runs.  The start model is copied once, into
     arrays of the inputs' node shape that the returned model owns, and
-    ``params`` is never written.  A step is the forward, the gradient alone
-    (``output_grad`` on the batch's slice of the prepared targets) and the
-    backward descended in place (``_descend``); no loss value is computed.
+    ``params`` is never written.  Each batch's inputs and targets are views
+    taken once per call, and the call keeps one cache per batch shape (the
+    full batches' and a short last batch's), bound by its first forward.  A
+    step is the forward into that cache, the gradient alone (``output_grad``
+    on the batch's targets) and the backward stepped in place
+    (``_backward``); no loss value is computed.
     """
+    for name, count in (("batch_size", batch_size), ("epochs", epochs)):
+        _check_integer(name, count)
     if batch_size < 1:
         raise ValueError(f"need batch_size >= 1, got {batch_size}")
     if epochs < 1:
         raise ValueError(f"need epochs >= 1, got {epochs}")
-    if not lr > 0:
-        raise ValueError(f"need lr > 0, got {lr}")
+    if not (lr > 0 and math.isfinite(lr)):
+        raise ValueError(f"need a finite lr > 0, got {lr}")
     lead = inputs.shape[:-1]   # the node axes and the sample axis
     prepared = _prepare_targets(targets, loss, lead + params.layers[-1][1].shape[-1:])
     node_shape = lead[:-1]
     if params.node_shape not in ((), node_shape):
         raise ValueError(f"a stack of {params.node_shape} start models does not fit "
                          f"inputs of node shape {node_shape}")
-    nodes = (slice(None),) * (inputs.ndim - 2)
-    batches = [nodes + (slice(start, start + batch_size),)
-               for start in range(0, lead[-1], batch_size)]
+    x = np.asarray(inputs, dtype=float)
+    nodes = (slice(None),) * (x.ndim - 2)
+    rows = [nodes + (slice(start, start + batch_size),) for start in range(0, lead[-1], batch_size)]
+    batches = [(x[r], prepared[r]) for r in rows]
     if not batches:
         return params
     model = ModelParams([(np.array(np.broadcast_to(w, node_shape + w.shape[-2:]), float, order="C"),
                           np.array(np.broadcast_to(b, node_shape + b.shape[-1:]), float, order="C"))
                          for w, b in params.layers], params.activation)
+    caches = {}
     for _ in range(epochs):
-        for rows in batches:
-            preds, cache = forward_with_cache(model, inputs[rows])
-            _descend(model, cache, output_grad(preds, prepared[rows], loss), lr)
+        for batch, batch_targets in batches:
+            preds, cache = forward_with_cache(model, batch, caches.get(batch.shape))
+            caches[batch.shape] = cache
+            _backward(model, cache, output_grad(preds, batch_targets, loss), lr)
     return model
 
 

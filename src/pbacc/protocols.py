@@ -24,17 +24,20 @@ provided:
 * ``dlcd_secure_training``   -- master owns the data; the dataset is encoded
   once and workers compute the model execution on encoded batches; the
   master decodes the outputs, evaluates loss/gradients and steps the model.
-  The targets and the decode's output array are prepared once per run, and
-  everything fixed by the round's fastest subset once per round: its decode
-  rows, its shares gathered batch-major, the stacked forward's cache (its
-  activation arrays, which every batch's forward rewrites in place) and the
-  views of it a batch reads.  A batch then does only its own arithmetic:
-  the fastest workers' forwards as one stacked forward, the decode product
-  (``codec._decode_rows``, into the reused output) and the master's step,
-  which computes the loss gradient but no loss value and descends in place.
-  With K = 1 the master's plaintext sample has a share's shape, so it rides
-  in the workers' stacked forward as one more slot, whose cache views are
-  taken once per round; only their input slot moves, batch by batch.
+  Prepared once per run: the targets (a softmax one-hot in float64), the
+  decode's output array and, per batch, the views a batch reads of them and
+  of the master's samples.  Bound once per round, when the model and the
+  fastest subset are fixed: the decode rows, the shares gathered
+  batch-major and the forwards' caches (``learners._Binding``: arrays and
+  views taken once), one for the workers' stacked forward and, for K >= 2,
+  one for the master's forward per group shape.  A batch then does only its
+  own arithmetic: the fastest workers' forwards as one stacked forward into
+  its cache, the decode product (``codec._decode_rows``, into the reused
+  output) and the master's step, which computes the loss gradient but no
+  loss value and descends in place.  With K = 1 the master's plaintext
+  sample has a share's shape, so it rides in the workers' stacked forward
+  as one more slot, bound once per round to views of that slot; only its
+  input slot moves, batch by batch.
 * ``uncoded_dlcd``           -- master partitions the plaintext dataset;
   from then on it is ``uncoded_dldd`` on those parts.
 * ``dldd_secure_aggregation``-- nodes own the data, train in plaintext and
@@ -66,17 +69,19 @@ setup trace with ``round_index`` 0 holding those messages and ops.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .codec import NoiseSpec, _decode_basis, _decode_rows, decode, encode, encode_stack
-from .interpolation import CodingPlan
+from .interpolation import CodingPlan, _check_integer
 from .learners import (
     FEDAVG,
     ModelParams,
-    _descend,
+    _backward,
+    _Binding,
     _prepare_targets,
     aggregate,
     backward_from_output,  # noqa: F401 -- uncalled; bench/tracer.py patches it by this name
@@ -231,6 +236,8 @@ class StragglerModel:
     def __post_init__(self):
         if self.kind not in (STRAGGLER_NONE, DROP_SLOWEST, RANDOM_DELAY):
             raise ValueError(f"unknown straggler model {self.kind!r}")
+        for name in ("count", "keep_n", "seed"):
+            _check_integer(name, getattr(self, name))
         if self.seed < 0:
             raise ValueError(f"need a straggler seed >= 0, got {self.seed}")
 
@@ -242,6 +249,7 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integer("n_nodes", self.n_nodes)
         if self.n_nodes < 1:
             raise ValueError(f"need at least one node, got {self.n_nodes}")
         if self.straggler.kind == DROP_SLOWEST and not 0 <= self.straggler.count < self.n_nodes:
@@ -282,14 +290,16 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        for name in ("rounds", "batch_size", "epochs_per_round"):
+            _check_integer(name, getattr(self, name))
         if self.rounds < 1:
             raise ValueError(f"need rounds >= 1, got {self.rounds}")
         if self.batch_size < 1:
             raise ValueError(f"need batch_size >= 1, got {self.batch_size}")
         if self.epochs_per_round < 1:
             raise ValueError(f"need epochs_per_round >= 1, got {self.epochs_per_round}")
-        if not self.lr > 0:
-            raise ValueError(f"need lr > 0, got {self.lr}")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ValueError(f"need a finite lr > 0, got {self.lr}")
         if self.scheme in CODED_SCHEMES and self.plan is None:
             raise ValueError(f"scheme {self.scheme} needs a coding plan")
         if self.scheme == DLDD_SECURE_TRAINING and self.plan.K != 1:
@@ -403,22 +413,25 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     round is one pass over the groups, so ``batch_size`` and
     ``epochs_per_round`` play no part here.
 
-    The fastest subset is fixed within a round, so its decode rows are built
-    and its shares gathered (batch-major) once per round.  A batch runs only
-    the used workers' forwards, as one batched forward over the worker axis
+    Each decode is written into one ``(K, outputs)`` array allocated per
+    run, and each batch's view of it (the last group may be short), its
+    targets and the master's own samples are sliced once per run.  The
+    fastest subset is fixed within a round, so its decode rows are built and
+    its shares gathered (batch-major) once per round.  A batch runs only the
+    used workers' forwards, as one batched forward over the worker axis
     (byte-equal per worker to the forward of all N), and one ``np.dot`` per
-    decode row; the ledger counts every worker's forward.  Every batch of a
-    round has the same shapes: the round's first forward allocates its cache
-    and each later one writes into it (``forward_with_cache``'s ``cache``),
-    the workers' results are one view of it taken per round, and each decode
-    is written into one ``(K, outputs)`` array allocated per run.  With K = 1
-    the master's own ``(1, f)`` sample is one more slot of that forward,
-    after the N workers' shares in the batch-major table, and the master
-    backpropagates through views of that slot of the cache, taken once per
-    round; per batch only their input slot is pointed at the batch's
-    sample.  For K >= 2 the master runs its own forward, since a ``(K, f)``
-    product is not byte-equal to K ``(1, f)`` slices.  The model is copied
-    once per round and stepped in place.
+    decode row; the ledger counts every worker's forward.  The model is
+    copied once per round and stepped in place, and every batch of a round
+    has the same shapes, so the round binds the forwards' caches once
+    (``learners._Binding``) and each batch's ``forward_with_cache`` only
+    computes into them; the workers' results are one view of the stacked
+    cache.  With K = 1 the master's own ``(1, f)`` sample is one more slot
+    of that forward, after the N workers' shares in the batch-major table,
+    and the master backpropagates through a binding of that slot's views;
+    per batch only its input slot is pointed at the batch's sample.  For
+    K >= 2 the master runs its own forward, into one binding per group
+    shape, since a ``(K, f)`` product is not byte-equal to K ``(1, f)``
+    slices.
     """
     cfg, net = scheme_cfg, net_cfg
     plan = cfg.plan
@@ -438,11 +451,12 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
         blocks=(MessageBlock(MessageRule(("master",), nodes, shares.payloads[0].size,
                                          "dataset_share")),),
         encode_ops=OpCount(1, inputs.size))
+    x = np.asarray(inputs, float)
     by_batch = shares.payloads.swapaxes(0, 1)[:, :, None]  # (G, N, 1, f): batch g's shares
     n_batches, n_workers = by_batch.shape[:2]
     fold = plan.K == 1   # the master's (1, f) sample rides in the workers' forward, slot N
     if fold:
-        by_batch = np.concatenate([by_batch, np.asarray(inputs, float)[:, None, None]], axis=1)
+        by_batch = np.concatenate([by_batch, x[:, None, None]], axis=1)
     batch_messages = _round_trips(net.n_nodes, (w_elems, "model_broadcast"),
                                   (result_elems, "inference_result"))
     train_ops = n_batches * (n_workers + 1)   # every worker's forward and the master's step
@@ -451,29 +465,35 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
                         decode_ops=OpCount(n_batches, n_samples * result_elems))
 
     decoded = np.empty((plan.K, result_elems))   # each batch's decode, written in place
+    # Fixed for the run, per batch: the master's own samples, their targets
+    # and the rows of the decode the gradient reads (the last group may be short).
+    batches = [(x[lo:lo + plan.K], prepared[lo:lo + plan.K], decoded[:n_samples - lo])
+               for lo in range(0, n_samples, plan.K)]
+    master_shapes = {batch.shape for batch, _, _ in batches}
 
     def step(model, r, fastest):
-        model = model.copy()   # descended in place, batch by batch
-        # Fixed for the round: the decode rows, the used shares and, from the
-        # first batch on, the forward's arrays and the views of them it reads.
+        model = model.copy()   # stepped in place, batch by batch
+        # Fixed for the round: the decode rows, the used shares, and the
+        # forwards' caches with the views of them each batch reads.
         rows = _decode_basis(plan.betas[fastest], plan)
         n = len(fastest)
         used = by_batch[:, fastest + [n_workers] if fold else fastest]   # batch-major
-        cache = None
-        for lo, batch_shares in zip(range(0, n_samples, plan.K), used):
-            preds, cache = forward_with_cache(model, batch_shares, cache)   # (n[+1], 1, outputs)
-            if lo == 0:   # the round's first forward allocated the cache
-                results = preds[:n].reshape(n, -1)
-                if fold:   # the master's forward is slot n of the stacked one
-                    master = tuple([a[n] for a in part] for part in cache)
+        workers = _Binding(model, used.shape[1:])   # (n[+1], 1, f)
+        results = workers.pre[-1][:n].reshape(n, -1)
+        if fold:   # the master's forward is slot n of the stacked one
+            master = workers.slot(n)
+        else:
+            masters = {shape: _Binding(model, shape) for shape in master_shapes}
+        for batch_shares, (batch, batch_targets, batch_decoded) in zip(used, batches):
+            forward_with_cache(model, batch_shares, workers)
             _decode_rows(rows, results, decoded)
-            # the last group may be short: only its first n_samples - lo rows are data
-            dpred = output_grad(decoded[:n_samples - lo], prepared[lo:lo + plan.K], cfg.loss)
+            dpred = output_grad(batch_decoded, batch_targets, cfg.loss)
             if fold:
-                master[1][0] = batch_shares[n]   # the input slot: this batch's sample
+                master.inputs = batch   # the input slot: this batch's sample
             else:
-                _, master = forward_with_cache(model, inputs[lo:lo + plan.K])
-            _descend(model, master, dpred, cfg.lr)
+                master = masters[batch.shape]
+                forward_with_cache(model, batch, master)
+            _backward(model, master, dpred, cfg.lr)
         return model
 
     return [setup] + _run_rounds(cfg, net, model_init, dataset, ledger, step)

@@ -65,10 +65,17 @@ def test_encode_matches_extended_precision_oracle():
 
 
 @pytest.mark.parametrize("seed, message", [
-    (-3, "need a noise seed >= 0, got -3"), (2.5, "need an integer noise seed, got 2.5")])
+    (-3, "need a noise seed >= 0, got -3"), (2.5, "need an integer noise seed, got 2.5"),
+    (True, "need an integer noise seed, got True")])
 def test_noise_spec_rejects_a_bad_seed_when_built(seed, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         NoiseSpec(sigma_n=1.0, T=1, seed=seed)
+
+
+@pytest.mark.parametrize("T", [1.0, True])
+def test_noise_spec_rejects_a_non_integer_T(T):
+    with pytest.raises(ValueError, match=f"^need an integer T, got {T}$"):
+        NoiseSpec(sigma_n=1.0, T=T, seed=0)
 
 
 def test_encode_deterministic_per_seed():
@@ -519,6 +526,8 @@ def test_roundtrip_rejects_bad_subsets():
         roundtrip_error(x, lambda v: v, plan, NO_NOISE, [1, 1])
     with pytest.raises(ValueError):
         roundtrip_error(x, lambda v: v, plan, NO_NOISE, [8])
+    with pytest.raises(ValueError, match="need an integer subset index, got 0.0"):
+        roundtrip_error(x, lambda v: v, plan, NO_NOISE, [0.0, 1.0, 2.0])
 
 
 def test_padding_roundtrip_truncates():

@@ -61,6 +61,12 @@ def test_fixed_relu_network_matches_hand_computation():
     assert out[0, 0] == pytest.approx(5.75, rel=1e-15)
 
 
+def test_init_mlp_needs_an_input_and_an_output_size():
+    for sizes in ([], [2]):
+        with pytest.raises(ValueError, match="at least two layer sizes"):
+            init_mlp(sizes)
+
+
 def test_forward_rejects_feature_mismatch():
     params = init_mlp([3, 2], seed=0)
     with pytest.raises(ValueError):
@@ -396,7 +402,9 @@ def test_stacked_flatten_round_trip_is_exact():
 
 
 @pytest.mark.parametrize("field,value", [
-    ("batch_size", 0), ("batch_size", -1), ("epochs", 0), ("lr", 0.0), ("lr", -0.1)])
+    ("batch_size", 0), ("batch_size", -1), ("batch_size", 4.0), ("batch_size", True),
+    ("epochs", 0), ("epochs", 1.5), ("epochs", True),
+    ("lr", 0.0), ("lr", -0.1), ("lr", np.inf), ("lr", np.nan)])
 def test_local_train_rejects_bad_settings_before_any_batch(monkeypatch, field, value):
     def batch_ran(*args, **kwargs):
         raise AssertionError("a batch ran")
@@ -603,17 +611,26 @@ def test_cox_evaluate_does_not_run_the_gradient(monkeypatch):
     assert kernel == ["value"]
 
 
+#: Each activation's derivative at (pre-activation, activation), written out.
+_DERIVATIVES = {
+    RELU: lambda pre, post: (pre > 0.0).astype(float),
+    TANH: lambda pre, post: 1.0 - post ** 2,
+    IDENTITY: lambda pre, post: np.ones_like(pre),
+}
+
+
 def _reference_backward(params, cache, dout):
     """The layer recursion written out as one loop: the reference for the one backward."""
-    pre, post = cache
+    derivative = _DERIVATIVES[params.activation]
+    layer_inputs = [cache.inputs, *cache.post[:-1]]
     grads = [None] * len(params.layers)
     delta = np.asarray(dout, dtype=float)
     last = len(params.layers) - 1
     for li in range(last, -1, -1):
         w, _ = params.layers[li]
         if li != last:
-            delta = delta * learners._act_grad(pre[li], post[li + 1], params.activation)
-        grads[li] = (post[li].swapaxes(-1, -2) @ delta, np.add.reduce(delta, axis=-2))
+            delta = delta * derivative(cache.pre[li], cache.post[li])
+        grads[li] = (layer_inputs[li].swapaxes(-1, -2) @ delta, np.add.reduce(delta, axis=-2))
         if li > 0:
             delta = delta @ w.swapaxes(-1, -2)
     return ModelParams(layers=grads, activation=params.activation)
@@ -627,18 +644,17 @@ def test_a_forward_into_a_given_cache_is_a_fresh_forward_byte_for_byte(activatio
     first, second = rng.normal(size=shape), rng.normal(size=shape)
     params = init_mlp([3, 5, 4, 2], activation=activation, seed=67)
     _, cache = forward_with_cache(params, first)
-    pre, post = cache
-    arrays = [*pre, *post[1:]]
+    arrays = [*cache.pre, *cache.post]
     out, given = forward_with_cache(params, second, cache)
-    assert given is cache and given[1][0] is second and out is post[-1]
-    assert all(a is b for a, b in zip([*pre, *post[1:]], arrays))   # written in place
-    fresh_out, (fresh_pre, fresh_post) = forward_with_cache(params, second)
+    assert given is cache and cache.inputs is second and out is cache.post[-1]
+    assert all(a is b for a, b in zip([*cache.pre, *cache.post], arrays))   # written in place
+    fresh_out, fresh = forward_with_cache(params, second)
     assert out.tobytes() == fresh_out.tobytes()
-    for mine, theirs in zip([*pre, *post], [*fresh_pre, *fresh_post]):
+    for mine, theirs in zip([*cache.pre, *cache.post], [*fresh.pre, *fresh.post]):
         assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
     # the same arrays alias: only identity's and the last layer's output is its pre
-    assert [post[li + 1] is pre[li] for li in range(3)] == \
-        [fresh_post[li + 1] is fresh_pre[li] for li in range(3)] == \
+    assert [cache.post[li] is cache.pre[li] for li in range(3)] == \
+        [fresh.post[li] is fresh.pre[li] for li in range(3)] == \
         [activation == IDENTITY, activation == IDENTITY, True]
 
 
@@ -661,9 +677,88 @@ def test_the_in_place_step_is_the_functional_step_byte_for_byte(loss, activation
     _, via_loss = loss_and_grad(params, x, y, loss)
     assert via_loss.flattened_view.tobytes() == reference.flattened_view.tobytes()
     expected = sgd_step(params, grads, 0.1)
-    owned = params.copy()
-    learners._descend(owned, cache, dout, 0.1)
+    owned = params.copy()   # a step writes the model its cache is bound to
+    _, owned_cache = forward_with_cache(owned, x)
+    learners._backward(owned, owned_cache, dout, 0.1)
     assert owned.flattened_view.tobytes() == expected.flattened_view.tobytes()
+
+
+@pytest.mark.parametrize("activation", [RELU, TANH, IDENTITY])
+def test_a_slot_of_a_cache_is_the_cache_of_that_slot_alone(activation):
+    x = np.random.default_rng(71).normal(size=(4, 1, 3))
+    params = init_mlp([3, 5, 2], activation=activation, seed=72)
+    _, cache = forward_with_cache(params, x)
+    slot = cache.slot(2)
+    slot.inputs = x[2]
+    _, alone = forward_with_cache(params, x[2])
+    for mine, parent, theirs in zip([*slot.pre, *slot.post], [*cache.pre, *cache.post],
+                                    [*alone.pre, *alone.post]):
+        assert np.shares_memory(mine, parent) and mine.tobytes() == theirs.tobytes()
+    assert [slot.post[li] is slot.pre[li] for li in range(2)] == [activation == IDENTITY, True]
+    dout = np.random.default_rng(73).normal(size=(1, 2))
+    assert backward_from_output(params, slot, dout).flattened_view.tobytes() == \
+        backward_from_output(params, alone, dout).flattened_view.tobytes()
+    stack = params.with_flat(np.tile(params.flattened_view, (4, 1)))
+    with pytest.raises(ValueError, match="slot of a stack"):
+        forward_with_cache(stack, x)[1].slot(0)
+
+
+def test_a_cache_refuses_other_inputs_and_another_model():
+    rng = np.random.default_rng(74)
+    x = rng.normal(size=(5, 3))
+    params = init_mlp([3, 4, 2], activation=TANH, seed=75)
+    preds, cache = forward_with_cache(params, x)
+    dout = output_grad(preds, learners._prepare_targets(rng.integers(0, 2, 5), SOFTMAX_CE,
+                                                        preds.shape), SOFTMAX_CE)
+    bound = [a.copy() for a in (*cache.pre, *cache.post)]
+    for other in (x[:4], x[None], x.astype(np.float32), x.tolist()):
+        with pytest.raises(ValueError, match=r"bound to float64 inputs of shape \(5, 3\)"):
+            forward_with_cache(params, other, cache)
+    twin = params.copy()   # equal, but not the model the cache is bound to
+    kept = params.flattened_view.tobytes(), twin.flattened_view.tobytes()
+    with pytest.raises(ValueError, match="bound to another model"):
+        forward_with_cache(twin, x, cache)
+    with pytest.raises(ValueError, match="bound to another model"):
+        learners._backward(twin, cache, dout, 0.1)
+    with pytest.raises(ValueError, match="bound to another model"):
+        backward_from_output(twin, cache, dout)
+    assert (params.flattened_view.tobytes(), twin.flattened_view.tobytes()) == kept
+    assert all(a.tobytes() == b.tobytes() for a, b in zip((*cache.pre, *cache.post), bound))
+    assert cache.inputs is x
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one", "stacked"])
+def test_local_train_binds_one_cache_per_batch_shape(monkeypatch, stacked):
+    x, y = make_two_clusters(22, seed=76)
+    if stacked:
+        x, y = x.reshape(2, 11, 2), y.reshape(2, 11)
+    else:
+        x, y = x[:11], y[:11]
+    init = init_mlp([2, 3, 2], activation=TANH, seed=77)
+    # the reference: a fresh forward and the functional step, batch by batch
+    # (4, 4 and a short 3), for two epochs
+    reference = init
+    for _ in range(2):
+        for lo in range(0, 11, 4):
+            preds, cache = forward_with_cache(reference, x[..., lo:lo + 4, :])
+            dout = output_grad(preds, learners._prepare_targets(y[..., lo:lo + 4], SOFTMAX_CE,
+                                                                preds.shape), SOFTMAX_CE)
+            reference = sgd_step(reference, backward_from_output(reference, cache, dout), 0.1)
+    calls = []
+    original = learners.forward_with_cache
+
+    def recording(params, inputs, cache=None):
+        out, bound = original(params, inputs, cache)
+        calls.append((cache, bound))
+        return out, bound
+
+    monkeypatch.setattr(learners, "forward_with_cache", recording)
+    trained = local_train(init, x, y, SOFTMAX_CE, lr=0.1, batch_size=4, epochs=2)
+    assert trained.flattened_view.tobytes() == reference.flattened_view.tobytes()
+    # each batch shape binds a cache on its first forward and reuses it after
+    assert [given is None for given, _ in calls] == [True, False, True, False, False, False]
+    full, short = calls[0][1], calls[2][1]
+    assert full is not short and [bound for _, bound in calls] == [full, full, short] * 2
 
 
 @pytest.mark.parametrize("loss", LOSSES)

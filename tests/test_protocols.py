@@ -118,10 +118,23 @@ def test_only_an_aggregating_scheme_takes_a_median(scheme):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("batch_size", 0), ("batch_size", -1), ("epochs_per_round", 0), ("lr", 0.0), ("lr", -0.1)])
+    ("batch_size", 0), ("batch_size", -1), ("batch_size", 2.0), ("epochs_per_round", 0),
+    ("epochs_per_round", True), ("rounds", 2.5), ("lr", 0.0), ("lr", -0.1), ("lr", np.inf),
+    ("lr", np.nan)])
 def test_scheme_config_rejects_bad_training_fields(field, value):
     with pytest.raises(ValueError, match=field):
         SchemeConfig(scheme=UNCODED_DLDD, **{field: value})
+
+
+@pytest.mark.parametrize("build, name, value", [
+    (lambda v: NetworkConfig(n_nodes=v), "n_nodes", 2.5),
+    (lambda v: NetworkConfig(n_nodes=v), "n_nodes", True),
+    (lambda v: StragglerModel(kind=DROP_SLOWEST, count=v), "count", 1.0),
+    (lambda v: StragglerModel(kind=RANDOM_DELAY, keep_n=v), "keep_n", 2.5),
+    (lambda v: StragglerModel(seed=v), "seed", True)])
+def test_network_counts_must_be_integers(build, name, value):
+    with pytest.raises(ValueError, match=f"^need an integer {name}, got {value}$"):
+        build(value)
 
 
 def test_uncoded_dldd_message_accounting():
