@@ -14,9 +14,10 @@ writes the output files, so a failed run leaves an existing directory's
 files as they were.  The leakage bound depends on a cell's geometry alone,
 not on the seed, data or learner, so a process searches each geometry once
 and keeps the report in a bounded memo (``_searched``); a cell's
-``subsets_evaluated`` counts the search that produced its report.  Drivers
-that run many specs in one process (seed sweeps, the benchmark, test
-suites) gain; a one-shot ``pbacc run`` does not.  Per-round metrics go to
+``subsets_evaluated`` counts the search that produced its report.  The
+cells' set-up and the searches share one memo of coding plans (``_plan``).
+Drivers that run many specs in one process (seed sweeps, the benchmark,
+test suites) gain; a one-shot ``pbacc run`` does not.  Per-round metrics go to
 a CSV table (one record per round, carrying the full resolved
 configuration) and per-cell results to a JSON summary, which is strict
 JSON: a value that is NaN or infinite (the accuracy of an MSE or Cox run,
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import learners, protocols
 from .codec import write_tensor
-from .interpolation import DEFAULT_NOISE_SHIFT, make_plan
+from .interpolation import DEFAULT_NOISE_SHIFT, CodingPlan, make_plan
 from .privacy import (
     GREEDY,
     STRATEGIES,
@@ -309,7 +310,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     coded = spec.scheme in CODED_SCHEMES
     cells = list(product(*(getattr(spec, a) for a in _SWEEP_ATTRS))) if coded else [(0.0, 0, 0)]
     try:
-        plans = [make_plan(spec.K, t_blocks, spec.n_nodes, spec.shift) if coded else None
+        plans = [_plan(spec.K, t_blocks, spec.n_nodes, spec.shift) if coded else None
                  for _, t_blocks, _ in cells]
     except ValueError as exc:  # the shifted noise nodes collide with the data nodes
         raise SpecError(f"plan.shift: {exc}") from None
@@ -397,12 +398,22 @@ def _searched(K: int, T: int, N: int, shift: float, sigma_n: float, c: int, s: f
 
     The bound depends on the node geometry and s*sqrt(T)/sigma_n alone, so
     these arguments fix the report and a rerun that changes only the seed,
-    the data or the learner reuses it.  The plan is rebuilt from them on a
-    miss (about 0.07 ms against a search's milliseconds).  A search that
-    raises, such as an exhaustive one over its budget, stores nothing.
+    the data or the learner reuses it.  A search that raises, such as an
+    exhaustive one over its budget, stores nothing.
     """
     privacy = PrivacyConfig(K=K, T=T, sigma_n=sigma_n, c=c, s=s)
-    return worst_case_leakage(make_plan(K, T, N, shift), privacy, strategy=strategy)
+    return worst_case_leakage(_plan(K, T, N, shift), privacy, strategy=strategy)
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _plan(K: int, T: int, N: int, shift: float) -> CodingPlan:
+    """The coding plan of one cell geometry, built once per process (``make_plan``).
+
+    A cell's set-up and its search share it; a plan is about 65 us to build.
+    The memo is typed, so a bool or a float count is never a hit on an int's
+    plan and ``make_plan`` refuses it; a plan it refuses stores nothing.
+    """
+    return make_plan(K, T, N, shift)
 
 
 @contextmanager

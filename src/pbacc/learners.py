@@ -28,18 +28,18 @@ step computes a value or scans raw labels.
 There is one forward and one backward, and both run on a binding, the
 cache a forward returns (:class:`_Binding`).  The first forward for a model
 and an input shape binds one: it allocates every array the forward writes
-and takes, once, every view a later step reads (each layer's bias row and
-weight transpose, each layer output's transpose) and the activation and its
-derivative.  A forward given that cache checks that the model is the bound
-one and the inputs have the bound shape and dtype, then only computes into
-the bound arrays.  The one backward (``_backward``) is a loop over the
-bound views, last layer first.  ``backward_from_output`` collects its
-gradients into a gradient model; a training step gives it a learning rate
-instead, and it writes each layer's update into the model's own arrays as
-its gradient arrives, byte-equal to ``sgd_step`` on the collected
-gradients.  ``local_train`` copies its start model once per call into
-arrays it owns, so a caller's model is never written, and keeps one
-binding per batch shape for the call.
+and takes each layer's bias row once.  A forward given that cache checks
+that the model is the bound one and the inputs have the bound shape and
+dtype, then only computes into the bound arrays.  The first backward
+allocates the binding's gradient buffer, one flat array laid out as a flat
+model, and takes the views the backward reads, so ``forward`` and
+``evaluate`` never pay for them.  ``backward_from_output`` returns copies
+of the gradients; a training step gives ``_backward`` a learning rate
+instead, and after the last layer it updates the model's one flat array
+(``ModelParams.with_flat``) with one scale and one subtraction, byte-equal
+to ``sgd_step`` on the collected gradients.  ``local_train`` copies its
+start model once per call into such an array, so a caller's model is never
+written, and keeps one binding per batch shape for the call.
 
 The Cox partial likelihood takes Breslow's convention for tied times
 (Breslow 1974): the risk set of sample i is every j with t_j >= t_i, so a
@@ -51,7 +51,7 @@ times, O(n log n) per node, with no n×n risk-set matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,6 +74,9 @@ class ModelParams:
 
     layers: list[tuple[np.ndarray, np.ndarray]]
     activation: str = RELU
+    #: The one array every layer is a view of, for a model built by ``with_flat``
+    #: (a training step updates it with one subtraction); None otherwise.
+    _flat: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
@@ -99,25 +102,38 @@ class ModelParams:
     def with_flat(self, flat: np.ndarray) -> "ModelParams":
         """Rebuild a params object of this shape from a flat vector.
 
-        A ``(N, size)`` array of flat models gives a stack of N models.
+        A ``(N, size)`` array of flat models gives a stack of N models.  Its
+        layers are views of ``flat``, which a training step updates in place.
         """
         flat = np.asarray(flat, dtype=float)
         if flat.ndim not in (1, 2) or flat.shape[-1] != self.size:
             raise ValueError(f"expected flat vectors of length {self.size}, got {flat.shape}")
-        lead = flat.shape[:-1]
-        layers, pos = [], 0
-        for w, b in self.layers:
-            w_shape, b_shape = w.shape[-2:], b.shape[-1:]
-            nw = flat[..., pos:pos + w_shape[0] * w_shape[1]].reshape(lead + w_shape)
-            pos += w_shape[0] * w_shape[1]
-            nb = flat[..., pos:pos + b_shape[0]].reshape(lead + b_shape)
-            pos += b_shape[0]
-            layers.append((nw, nb))
-        return ModelParams(layers=layers, activation=self.activation)
+        return self._over(flat)
+
+    def _over(self, flat: np.ndarray) -> "ModelParams":
+        """A model of this shape whose layers are views of ``flat``, ``(..., size)`` float64."""
+        model = ModelParams(layers=_layer_views(flat, self.layers), activation=self.activation)
+        model._flat = flat
+        return model
 
     def copy(self) -> "ModelParams":
         return ModelParams(layers=[(w.copy(), b.copy()) for w, b in self.layers],
                            activation=self.activation)
+
+
+def _layer_views(flat: np.ndarray, layers) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's ``(w, b)`` as views of ``flat``, ``(..., size)``, shaped like ``layers``.
+
+    The layout is ``flattened_view``'s: per layer, w's entries row by row, then b's.
+    """
+    lead = flat.shape[:-1]
+    views, pos = [], 0
+    for w, _ in layers:
+        rows, cols = w.shape[-2:]
+        end = pos + rows * cols
+        views.append((flat[..., pos:end].reshape(lead + (rows, cols)), flat[..., end:end + cols]))
+        pos = end + cols
+    return views
 
 
 def init_mlp(sizes: list[int], activation: str = RELU, seed: int = 0) -> ModelParams:
@@ -152,10 +168,12 @@ class _Binding:
     an identity activation's, is its ``pre`` array itself; relu and tanh
     write distinct arrays, since relu's derivative reads ``pre``), and the
     input slot ``inputs``, which each forward points at its input.  It also
-    takes, once, every view a later step reads: each layer's bias row
-    ``b[..., None, :]`` and weight transpose, each layer output's transpose,
-    and the activation and its derivative.  The weights are the model's own
-    arrays, so an in-place step is seen by the next forward.
+    takes, once, each layer's bias row ``b[..., None, :]`` and the
+    activation and its derivative.  The weights are the model's own arrays,
+    so an in-place step is seen by the next forward.  The first backward
+    takes the rest (``_bind_backward``): the gradient buffer ``grad``, of the
+    product's node shape and laid out as a flat model, its per-layer
+    ``(gw, gb)`` views ``grads`` and the transposes the backward reads.
 
     ``arrays`` binds given ``(pre, post)`` arrays, such as one slot's views
     of another binding's arrays; by default they are allocated for inputs of
@@ -163,7 +181,7 @@ class _Binding:
     """
 
     __slots__ = ("model", "shape", "inputs", "pre", "post", "_act", "_dact",
-                 "_forward", "_backward")
+                 "_forward", "_steps", "grad", "grads")
 
     def __init__(self, params: ModelParams, shape: tuple[int, ...], arrays=None):
         layers = params.layers
@@ -177,20 +195,31 @@ class _Binding:
             arrays = pre, [z if act is None else np.empty(z.shape) for z in pre[:-1]] + pre[-1:]
         self.model, self.shape, self.inputs = params, shape, None
         self.pre, self.post = arrays
-        # Per layer, in layer order: forward (w, bias row, pre-activation, and
-        # the output array if the layer applies an activation, else None) and
-        # backward (w, b, w's transpose and the transpose of the layer's input,
-        # both None for the first layer, and the pre-activation and output the
-        # activation's derivative reads, both None for none).
-        self._forward, self._backward = [], []
-        h_t = None
-        for (w, b), z, a in zip(layers, *arrays):
+        self._steps = None   # the backward's views, taken by its first run
+        # Per layer, in layer order: w, the bias row, the pre-activation, and
+        # the output array if the layer applies an activation, else None.
+        self._forward = [(w, b[..., None, :], z, None if a is z else a)
+                         for (w, b), z, a in zip(layers, *arrays)]
+
+    def _bind_backward(self) -> list[tuple]:
+        """Allocate the gradient buffer and take the backward's views; return its steps.
+
+        A step per layer, last layer first: ``(gw, gb)``, w's transpose and
+        the layer input's (both None for the first layer, whose input is the
+        slot), and what the activation's derivative reads (both None for none).
+        """
+        layers = self.model.layers
+        self.grad = np.empty(self.pre[0].shape[:-2] + (self.model.size,))
+        self.grads = _layer_views(self.grad, layers)
+        steps, h_t = [], None
+        for (w, _), (gw, gb), z, a in zip(layers, self.grads, self.pre, self.post):
             hidden = a is not z
-            self._forward.append((w, b[..., None, :], z, a if hidden else None))
-            self._backward.append((w, b, None if h_t is None else w.mT, h_t,
-                                   z if hidden else None, a if hidden else None))
+            steps.append((gw, gb, None if h_t is None else w.mT, h_t,
+                          z if hidden else None, a if hidden else None))
             h_t = a.mT
-        self._backward.reverse()   # the backward runs last layer first
+        steps.reverse()   # the backward runs last layer first
+        self._steps = steps
+        return steps
 
     def slot(self, k: int) -> "_Binding":
         """Slot ``k`` of the leading input axis, bound to views of this binding's arrays.
@@ -254,33 +283,34 @@ def forward(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
 def _backward(params: ModelParams, cache: _Binding, dout: np.ndarray, lr: float | None = None):
     """The one backward: each layer's gradient, last layer first, from ``cache``'s views.
 
-    Without ``lr`` it returns the ``(gw, gb)`` of every layer, in layer
-    order.  With ``lr`` it is the training step: each layer's update is
-    written into ``params``' own arrays once the delta it passes down has
-    been computed, byte-equal to ``sgd_step(params, backward_from_output(
-    params, cache, dout), lr)`` (``lr * gw`` is the same product either
-    way); ``params`` must own its arrays, already in the gradients' node
-    shape.  ``cache`` must be bound to ``params`` itself, so a step never
-    writes a model that did not run the cached forward.
+    Each gradient is written into the cache's flat gradient buffer.  Without
+    ``lr`` it returns copies of every layer's ``(gw, gb)``, in layer order.
+    With ``lr`` it is the training step: after the last layer it scales the
+    buffer and subtracts it from ``params``' flat array, which must exist
+    (``ModelParams.with_flat``) in the gradients' node shape.  Every
+    gradient is computed before the update and each entry is updated by the
+    same elementwise ops, so this is byte-equal to
+    ``sgd_step(params, backward_from_output(params, cache, dout), lr)``.
+    ``cache`` must be bound to ``params`` itself, so a step never writes a
+    model that did not run the cached forward.
     """
     if params is not cache.model:
         raise ValueError("the cache is bound to another model")
-    delta, dact, grads = dout, cache._dact, []
-    for w, b, w_t, h_t, z, a in cache._backward:
+    if lr is not None and params._flat is None:
+        raise ValueError("an in-place step needs a flat-backed model (ModelParams.with_flat)")
+    delta, dact = dout, cache._dact
+    for gw, gb, w_t, h_t, z, a in cache._steps or cache._bind_backward():
         if z is not None:   # a hidden layer: delta is the product passed down, owned here
             delta *= dact(z, a)
-        gw = (cache.inputs.mT if h_t is None else h_t) @ delta
-        gb = np.add.reduce(delta, axis=-2)
+        np.matmul(cache.inputs.mT if h_t is None else h_t, delta, out=gw)
+        np.add.reduce(delta, axis=-2, out=gb)
         if w_t is not None:
             delta = delta @ w_t
-        if lr is None:
-            grads.append((gw, gb))
-        else:
-            gw *= lr
-            w -= gw
-            gb *= lr
-            b -= gb
-    return grads[::-1]
+    if lr is None:
+        return [(gw.copy(), gb.copy()) for gw, gb in cache.grads]
+    grad = cache.grad
+    grad *= lr
+    params._flat -= grad
 
 
 def backward_from_output(params: ModelParams, cache: _Binding, dout: np.ndarray) -> ModelParams:
@@ -482,13 +512,13 @@ def local_train(params: ModelParams, inputs: np.ndarray, targets: np.ndarray,
 
     The targets are checked and prepared once per call, so a bad label is
     rejected before any batch runs.  The start model is copied once, into
-    arrays of the inputs' node shape that the returned model owns, and
-    ``params`` is never written.  Each batch's inputs and targets are views
-    taken once per call, and the call keeps one cache per batch shape (the
-    full batches' and a short last batch's), bound by its first forward.  A
-    step is the forward into that cache, the gradient alone (``output_grad``
-    on the batch's targets) and the backward stepped in place
-    (``_backward``); no loss value is computed.
+    one flat array of the inputs' node shape that the returned model owns,
+    and ``params`` is never written.  Each batch's inputs and targets are
+    views taken once per call, and the call keeps one cache per batch shape
+    (the full batches' and a short last batch's), bound by its first
+    forward.  A step is the forward into that cache, the gradient alone
+    (``output_grad`` on the batch's targets) and the backward with its one
+    flat update (``_backward``); no loss value is computed.
     """
     for name, count in (("batch_size", batch_size), ("epochs", epochs)):
         _check_integer(name, count)
@@ -510,9 +540,10 @@ def local_train(params: ModelParams, inputs: np.ndarray, targets: np.ndarray,
     batches = [(x[r], prepared[r]) for r in rows]
     if not batches:
         return params
-    model = ModelParams([(np.array(np.broadcast_to(w, node_shape + w.shape[-2:]), float, order="C"),
-                          np.array(np.broadcast_to(b, node_shape + b.shape[-1:]), float, order="C"))
-                         for w, b in params.layers], params.activation)
+    flat = np.asarray(params.flattened_view, dtype=float)   # a fresh array, the result's own
+    if flat.shape[:-1] != node_shape:   # one shared start model for a stack of nodes
+        flat = np.array(np.broadcast_to(flat, node_shape + flat.shape[-1:]), order="C")
+    model = params._over(flat)
     caches = {}
     for _ in range(epochs):
         for batch, batch_targets in batches:

@@ -324,7 +324,7 @@ def leakage_for_subset(subset: Sequence[int], plan: CodingPlan, cfg: PrivacyConf
     _check_compat(plan, cfg)
     # the bound is invariant under colluder reordering; canonicalize so the
     # computed value is a pure function of the subset as a set
-    eig = _subset_spectrum(sorted(plan.worker_subset([int(j) for j in subset])), plan)
+    eig = _subset_spectrum(sorted(int(j) for j in plan.worker_subset(subset)), plan)
     return math.inf if eig is None else float(_bits(eig, cfg.s, cfg))
 
 

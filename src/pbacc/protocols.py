@@ -34,10 +34,10 @@ provided:
   own arithmetic: the fastest workers' forwards as one stacked forward into
   its cache, the decode product (``codec._decode_rows``, into the reused
   output) and the master's step, which computes the loss gradient but no
-  loss value and descends in place.  With K = 1 the master's plaintext
-  sample has a share's shape, so it rides in the workers' stacked forward
-  as one more slot, bound once per round to views of that slot; only its
-  input slot moves, batch by batch.
+  loss value and updates the round's flat model in place.  With K = 1 the
+  master's plaintext sample has a share's shape, so it rides in the
+  workers' stacked forward as one more slot, bound once per round to views
+  of that slot; only its input slot moves, batch by batch.
 * ``uncoded_dlcd``           -- master partitions the plaintext dataset;
   from then on it is ``uncoded_dldd`` on those parts.
 * ``dldd_secure_aggregation``-- nodes own the data, train in plaintext and
@@ -69,6 +69,7 @@ setup trace with ``round_index`` 0 holding those messages and ops.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -178,15 +179,19 @@ class MessageBlock:
             yield from rule.expand()
 
 
+@functools.lru_cache(maxsize=64)
 def _node_names(n: int) -> tuple[str, ...]:
-    """The ledger names of nodes 0..n-1, formatted when a run builds its ledger."""
+    """The ledger names of nodes 0..n-1, formatted once per process and node count."""
     return tuple(f"node{j}" for j in range(n))
 
 
+@functools.lru_cache(maxsize=64)
 def _round_trips(n: int, down: tuple[int, str], up: tuple[int, str]) -> MessageBlock:
     """One message from the master to each of n nodes and one back, node by node.
 
-    ``down`` and ``up`` are the (elements, phase) of the two messages.
+    ``down`` and ``up`` are the (elements, phase) of the two messages.  A
+    block is immutable, so a process builds each one once and every run of
+    that ledger shares it.
     """
     return MessageBlock(*(rule for node in _node_names(n) for rule in (
         MessageRule(("master",), (node,), *down), MessageRule((node,), ("master",), *up))))
@@ -200,8 +205,9 @@ class RoundTrace:
     by reference (one block can sit in every round, and more than once in
     one), and its op counts.  Each round's trace is that ledger with
     ``round_index``, ``decoded_model``, ``loss`` and ``accuracy`` replaced.
-    ``message_count`` and ``element_volume`` are summed over the blocks;
-    ``messages`` expands the blocks' rules, in order, each time it is read.
+    ``message_count`` and ``element_volume`` are summed over the blocks once
+    per trace, on their first read; ``messages`` expands the blocks' rules,
+    in order, each time it is read.
     """
 
     round_index: int = 0
@@ -213,11 +219,11 @@ class RoundTrace:
     loss: float = float("nan")
     accuracy: float = float("nan")
 
-    @property
+    @functools.cached_property
     def message_count(self) -> int:
         return sum(len(block) for block in self.blocks)
 
-    @property
+    @functools.cached_property
     def element_volume(self) -> int:
         return sum(block.elements for block in self.blocks)
 
@@ -417,12 +423,15 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     run, and each batch's view of it (the last group may be short), its
     targets and the master's own samples are sliced once per run.  The
     fastest subset is fixed within a round, so its decode rows are built and
-    its shares gathered (batch-major) once per round.  A batch runs only the
-    used workers' forwards, as one batched forward over the worker axis
-    (byte-equal per worker to the forward of all N), and one ``np.dot`` per
-    decode row; the ledger counts every worker's forward.  The model is
-    copied once per round and stepped in place, and every batch of a round
-    has the same shapes, so the round binds the forwards' caches once
+    its shares gathered (batch-major) once per round; when every worker is
+    used, the run's batch-major table is used as it is, with no gather.  A
+    batch runs only the used workers' forwards, as one batched forward over
+    the worker axis (byte-equal per worker to the forward of all N), and one
+    ``np.dot`` per decode row; the ledger counts every worker's forward.
+    The model is copied once per round into one flat array
+    (``ModelParams.with_flat``) and stepped in place, one scale and one
+    subtraction per batch.  Every batch of a round has the same shapes, so
+    the round binds the forwards' caches once
     (``learners._Binding``) and each batch's ``forward_with_cache`` only
     computes into them; the workers' results are one view of the stacked
     cache.  With K = 1 the master's own ``(1, f)`` sample is one more slot
@@ -472,12 +481,14 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     master_shapes = {batch.shape for batch, _, _ in batches}
 
     def step(model, r, fastest):
-        model = model.copy()   # stepped in place, batch by batch
+        model = model.with_flat(model.flattened_view)   # owned, stepped in place batch by batch
         # Fixed for the round: the decode rows, the used shares, and the
         # forwards' caches with the views of them each batch reads.
         rows = _decode_basis(plan.betas[fastest], plan)
         n = len(fastest)
-        used = by_batch[:, fastest + [n_workers] if fold else fastest]   # batch-major
+        # batch-major, and gathered only when some worker is left out
+        gather = fastest + [n_workers] if fold else fastest
+        used = by_batch if n == n_workers else by_batch[:, gather]
         workers = _Binding(model, used.shape[1:])   # (n[+1], 1, f)
         results = workers.pre[-1][:n].reshape(n, -1)
         if fold:   # the master's forward is slot n of the stacked one

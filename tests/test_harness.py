@@ -299,6 +299,15 @@ def test_a_search_over_budget_raises_on_every_run(tmp_path, monkeypatch, fresh_m
     assert not (tmp_path / "out").exists()
 
 
+def test_a_plan_memo_hit_never_admits_a_refused_count():
+    plan = harness._plan(1, 30, 50, -2.0)
+    assert harness._plan(1, 30, 50, -2.0) is plan   # built once per process
+    for bad in ((True, 30, 50), (1.0, 30, 50), (1, 30.0, 50), (1, 30, 50.0), (1, True, 50)):
+        with pytest.raises(ValueError, match="need an integer"):
+            harness._plan(*bad, -2.0)
+    assert harness._plan(1, 30, 50, -2.0) is plan
+
+
 def test_the_memo_holds_at_most_its_bound(tmp_path, monkeypatch, fresh_memo):
     spec = spec_from_dict(small_spec(tmp_path))
     bound = harness._searched.cache_info().maxsize

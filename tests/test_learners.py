@@ -677,10 +677,53 @@ def test_the_in_place_step_is_the_functional_step_byte_for_byte(loss, activation
     _, via_loss = loss_and_grad(params, x, y, loss)
     assert via_loss.flattened_view.tobytes() == reference.flattened_view.tobytes()
     expected = sgd_step(params, grads, 0.1)
-    owned = params.copy()   # a step writes the model its cache is bound to
+    # a step writes the flat-backed model its cache is bound to
+    owned = params.with_flat(params.flattened_view)
     _, owned_cache = forward_with_cache(owned, x)
     learners._backward(owned, owned_cache, dout, 0.1)
     assert owned.flattened_view.tobytes() == expected.flattened_view.tobytes()
+
+
+def test_a_step_refuses_a_model_that_is_not_flat_backed():
+    x = np.random.default_rng(76).normal(size=(5, 3))
+    params = init_mlp([3, 4, 2], activation=TANH, seed=77)   # layers of their own
+    preds, cache = forward_with_cache(params, x)
+    dout = np.ones_like(preds)
+    kept = params.flattened_view.tobytes()
+    with pytest.raises(ValueError, match="flat-backed"):
+        learners._backward(params, cache, dout, 0.1)
+    assert params.flattened_view.tobytes() == kept
+    backward_from_output(params, cache, dout)   # the gradients alone need no flat model
+    flat = params.with_flat(params.flattened_view)
+    learners._backward(flat, forward_with_cache(flat, x)[1], dout, 0.1)
+    assert flat.flattened_view.tobytes() != kept
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one", "stacked"])
+def test_backward_views_are_taken_by_the_first_backward(stacked):
+    x = np.random.default_rng(78).normal(size=(3, 5, 2) if stacked else (5, 2))
+    params = init_mlp([2, 4, 3], activation=RELU, seed=79)
+    preds, cache = forward_with_cache(params, x)
+    assert cache._steps is None   # a forward alone takes no backward view
+    dout = np.random.default_rng(80).normal(size=preds.shape)
+    first = backward_from_output(params, cache, dout)
+    grad = cache.grad
+    assert grad.shape == x.shape[:-2] + (params.size,)
+    second = backward_from_output(params, cache, dout)
+    assert cache.grad is grad   # written in place from then on
+    assert first.flattened_view.tobytes() == second.flattened_view.tobytes() == grad.tobytes()
+    assert not any(np.shares_memory(t, grad) for layer in second.layers for t in layer)
+
+
+def test_a_trained_model_is_unchanged_by_later_steps():
+    x, y = make_two_clusters(12, seed=81)
+    init = init_mlp([2, 4, 2], activation=TANH, seed=82)
+    first = local_train(init, x, y, SOFTMAX_CE, lr=0.1, batch_size=4, epochs=1)
+    kept = first.flattened_view.tobytes()
+    second = local_train(first, x, y, SOFTMAX_CE, lr=0.1, batch_size=4, epochs=2)
+    assert first.flattened_view.tobytes() == kept != second.flattened_view.tobytes()
+    assert not np.shares_memory(first._flat, second._flat)
+    assert not np.shares_memory(first.flattened_view, first._flat)
 
 
 @pytest.mark.parametrize("activation", [RELU, TANH, IDENTITY])

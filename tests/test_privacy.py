@@ -64,6 +64,15 @@ def test_build_sigmas_rejects_bad_subsets():
         build_sigmas([8], plan)
 
 
+def test_leakage_for_subset_refuses_non_integer_indices():
+    plan, config = make_plan(1, 3, 8), cfg(K=1, T=3, sigma_n=1.0, c=2)
+    for bad in ([0.5, 1.7], [0.0, 1.0], [True, 2]):   # once valued as [0, 1] or [1, 2]
+        with pytest.raises(ValueError, match="need an integer subset index"):
+            leakage_for_subset(bad, plan, config)
+    assert leakage_for_subset([np.int64(1), 0], plan, config) == \
+        leakage_for_subset([0, 1], plan, config)
+
+
 def test_large_noise_drives_leakage_to_zero():
     # capacity vanishes as noise dominates
     plan = make_plan(1, 30, 50)

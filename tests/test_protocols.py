@@ -649,6 +649,40 @@ def test_no_scheme_writes_the_callers_start_model(scheme, K):
     assert [(w.tobytes(), b.tobytes()) for w, b in start.layers] == kept
 
 
+@pytest.mark.parametrize("scheme,K", [(s, 2) for s in SCHEMES if s != DLDD_SECURE_TRAINING]
+                         + [(DLDD_SECURE_TRAINING, 1), (DLCD_SECURE_TRAINING, 1)])
+def test_an_earlier_rounds_model_is_unchanged_by_later_rounds(scheme, K):
+    x, y = make_two_clusters(25, seed=13)
+    plan = make_plan(K, 2, N) if scheme in protocols.CODED_SCHEMES else None
+    data = (x, y) if scheme in protocols.CENTRALIZED_SCHEMES else split(x, y)
+    per_round = []
+    for rounds in (1, 2, 3):
+        cfg = SchemeConfig(scheme=scheme, plan=plan, sigma_n=0.5, rounds=rounds, lr=0.1)
+        per_round.append([t for t in run_scheme(cfg, net(seed=4), data, model())
+                          if t.round_index >= 1])
+    models = [t.decoded_model for t in per_round[-1]]
+    # round r's model of a three-round run is the last model of an r-round run
+    assert [m.tobytes() for m in models] == [run[-1].decoded_model.tobytes() for run in per_round]
+    assert len({m.tobytes() for m in models}) == 3
+    assert not any(np.shares_memory(a, b) for a, b in zip(models, models[1:]))
+
+
+def test_a_trace_sums_its_blocks_once():
+    reads = []
+
+    class CountedBlock(protocols.MessageBlock):
+        def __len__(self):
+            reads.append(self)
+            return super().__len__()
+
+    rule = protocols.MessageRule(("master",), ("node0", "node1"), 3, "model_broadcast")
+    block = CountedBlock(rule)
+    trace = protocols.RoundTrace(blocks=(block,) * 5)
+    assert trace.message_count == trace.message_count == 10 and len(reads) == 5
+    assert trace.element_volume == trace.element_volume == 30
+    assert replace(trace, round_index=1).message_count == 10 and len(reads) == 10
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_ledger_counters_agree_with_the_messages(scheme):
     for trace in _run_small(scheme, rounds=2):
@@ -814,6 +848,7 @@ def test_round_blocks_are_built_once_per_run(monkeypatch):
     for scheme in SCHEMES:
         for rounds in (1, 4):
             built.clear()
+            protocols._round_trips.cache_clear()   # so that every run builds its round block
             traces = _run_small(scheme, rounds)
             counts.setdefault(scheme, []).append(len(built))
             per_round = [t for t in traces if t.round_index >= 1]
@@ -827,6 +862,7 @@ def test_round_blocks_are_built_once_per_run(monkeypatch):
                       DLDD_SECURE_AGGREGATION: [1, 1],
                       DLDD_SECURE_TRAINING: [1, 1],
                       UNCODED_DLDD: [1, 1]}
+    protocols._round_trips.cache_clear()   # no counted block outlives the test
 
 
 def test_secure_aggregation_aggregates_the_share_table_as_one_array(monkeypatch):
