@@ -53,10 +53,6 @@ from .privacy import (
     worst_case_leakage,
 )
 from .protocols import (
-    CENTRALIZED_SCHEMES,
-    CODED_SCHEMES,
-    DLCD_SECURE_TRAINING,
-    DLDD_SECURE_TRAINING,
     DROP_SLOWEST,
     RANDOM_DELAY,
     NetworkConfig,
@@ -239,16 +235,14 @@ def _validate(spec: ExperimentSpec) -> None:
     Parsing is idempotent, so a spec made by ``dataclasses.replace`` passes
     through the same parse and checks as one read from a file.
     """
-    if spec.scheme not in protocols.SCHEMES:
-        raise SpecError(f"unknown scheme {spec.scheme!r}; choose one of {protocols.SCHEMES}")
+    row = protocols.scheme_row(spec.scheme, SpecError)
     for f in _FIELDS:
         try:
             object.__setattr__(spec, f.attr, f.parse(getattr(spec, f.attr)))  # while built
         except (TypeError, ValueError) as exc:
             raise SpecError(f"{f.path}: {exc}") from None
-    coded = spec.scheme in CODED_SCHEMES
     for f in _FIELDS:
-        if f.check is None or f.coded_only and not coded:
+        if f.check is None or f.coded_only and not row.coded:
             continue
         test, requirement = f.check
         value = getattr(spec, f.attr)
@@ -269,14 +263,11 @@ def _validate(spec: ExperimentSpec) -> None:
         NetworkConfig(n_nodes=spec.n_nodes, straggler=spec.straggler)
     except ValueError as exc:
         raise SpecError(f"network.straggler: {exc}") from None
-    if coded:
+    if row.coded:
         if any(c > spec.n_nodes for c in spec.c_values):
             raise SpecError("privacy.c must be <= network.nodes")
-        if spec.scheme == DLCD_SECURE_TRAINING and spec.K > spec.samples:
-            raise SpecError("plan.K must be <= training.samples")
-        if spec.scheme == DLDD_SECURE_TRAINING and spec.K != 1:
-            raise SpecError(f"plan.K must be 1 for {DLDD_SECURE_TRAINING}, which encodes "
-                            "the model at a single data node")
+        if refused := row.K_rule(spec.K, spec.samples):
+            raise SpecError(f"plan.K {refused}")
 
 
 ExperimentSpec = make_dataclass(
@@ -307,7 +298,7 @@ def _output_width(spec: ExperimentSpec) -> int:
 
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Build and check every cell, train them all, write the outputs; return the summary."""
-    coded = spec.scheme in CODED_SCHEMES
+    coded = protocols.SCHEME_TABLE[spec.scheme].coded
     cells = list(product(*(getattr(spec, a) for a in _SWEEP_ATTRS))) if coded else [(0.0, 0, 0)]
     try:
         plans = [_plan(spec.K, t_blocks, spec.n_nodes, spec.shift) if coded else None
@@ -331,7 +322,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     x, y = _make_dataset(spec)
     model_init = learners.init_mlp([spec.features, *spec.hidden, _output_width(spec)],
                                    spec.activation, seed=protocols._derived_seed(spec.seed, 2))
-    data = (x, y) if spec.scheme in CENTRALIZED_SCHEMES \
+    data = (x, y) if protocols.SCHEME_TABLE[spec.scheme].centralized \
         else protocols._partition(x, y, spec.n_nodes)
 
     round_rows: list[dict] = []
@@ -439,7 +430,7 @@ def _rewrite(path: str, mode: str, **kwargs):
 
 def _base_row(spec: ExperimentSpec, cell_index: int, cell: tuple) -> dict:
     """The configuration columns of one cell's rounds.csv rows."""
-    coded = spec.scheme in CODED_SCHEMES
+    coded = protocols.SCHEME_TABLE[spec.scheme].coded
     values = {f.attr: getattr(spec, f.attr) for f in _FIELDS} | dict(zip(_SWEEP_ATTRS, cell))
     values["hidden"] = "-".join(str(h) for h in spec.hidden)
     return {"scheme": spec.scheme, "cell": cell_index} | {

@@ -51,6 +51,10 @@ provided:
   parameters and decoding natively averages the trained models.
 * ``uncoded_dldd``           -- plain federated learning.
 
+What a scheme is and may do lives in its one row of :data:`SCHEME_TABLE`:
+its runner, flags, K rule and message count.  Every check and dispatch,
+the harness's included, reads the row and compares no scheme names.
+
 The three decentralized runners stack the node datasets once per run, one
 stack per group of equal-size datasets (``_partition`` gives at most two),
 and each round trains every group with one ``local_train`` call over the
@@ -100,16 +104,58 @@ DLDD_SECURE_AGGREGATION = "dldd_secure_aggregation"
 DLDD_SECURE_TRAINING = "dldd_secure_training"
 UNCODED_DLCD = "uncoded_dlcd"
 UNCODED_DLDD = "uncoded_dldd"
-SCHEMES = (DLCD_SECURE_TRAINING, DLDD_SECURE_AGGREGATION, DLDD_SECURE_TRAINING,
-           UNCODED_DLCD, UNCODED_DLDD)
-#: Schemes that run the Berrut codec and so need a coding plan.
-CODED_SCHEMES = (DLCD_SECURE_TRAINING, DLDD_SECURE_AGGREGATION, DLDD_SECURE_TRAINING)
-#: Schemes whose data sits at the master as one (inputs, targets) pair.
-CENTRALIZED_SCHEMES = (DLCD_SECURE_TRAINING, UNCODED_DLCD)
-#: Schemes that merge the nodes' models with ``SchemeConfig.agg_rule``.  The
-#: secure training schemes never read it: DLCD trains one model at the
-#: master, and DLDD secure training's decode averages the trained models.
-AGGREGATING_SCHEMES = (DLDD_SECURE_AGGREGATION, UNCODED_DLCD, UNCODED_DLDD)
+
+
+def _single_data_node(K: int, samples: float) -> str | None:   # dldd_secure_training's K rule
+    return None if K == 1 else f"must be 1, as the model is encoded at a single data node; got {K}"
+
+
+def _within_samples(K: int, samples: float) -> str | None:   # dlcd_secure_training's K rule
+    return None if K <= samples else f"must be <= the {samples} samples coded, got {K}"
+
+
+def _round_trips_per_batch(n: int, n_batches: int) -> int:
+    """The messages of a dlcd_secure_training round: a round trip per node and coding batch."""
+    _check_integer("n_batches", n_batches)
+    if n_batches < 1:
+        raise ValueError(f"{DLCD_SECURE_TRAINING} sends its messages per coding batch; "
+                         f"need n_batches >= 1, got {n_batches}")
+    return 2 * n * n_batches
+
+
+class SchemeRow(NamedTuple):
+    """What one scheme is and may do: one row of :data:`SCHEME_TABLE`."""
+
+    runner: str          # the runner's name in this module, looked up at each call
+    coded: bool          # runs the Berrut codec, so needs a coding plan
+    centralized: bool    # the master holds one (inputs, targets) pair and sends it out once
+    aggregates: bool     # merges the nodes' models with ``SchemeConfig.agg_rule``
+    # (K, samples coded, inf if not known yet) -> why the plan's K is refused, or None
+    K_rule: Callable[[int, float], str | None] = lambda K, samples: None
+    # (n_nodes, n_batches) -> messages per round; by default a round trip per node
+    per_round: Callable[[int, int], int] = lambda n, batches: 2 * n
+
+
+#: Every scheme's row, keyed by its name.
+SCHEME_TABLE = {
+    DLCD_SECURE_TRAINING: SchemeRow("run_dlcd_secure_training", True, True, False,
+                                    _within_samples, _round_trips_per_batch),
+    DLDD_SECURE_AGGREGATION: SchemeRow("run_dldd_secure_aggregation", True, False, True,
+                                       per_round=lambda n, batches: 2 * n + n * (n - 1)),
+    DLDD_SECURE_TRAINING: SchemeRow("run_dldd_secure_training", True, False, False,
+                                    _single_data_node),
+    UNCODED_DLCD: SchemeRow("run_uncoded_dlcd", False, True, True),
+    UNCODED_DLDD: SchemeRow("run_uncoded_dldd", False, False, True),
+}
+SCHEMES = tuple(SCHEME_TABLE)
+
+
+def scheme_row(scheme: str, error: type[ValueError] = ValueError) -> SchemeRow:
+    """``scheme``'s row; any other name raises ``error``, naming the schemes."""
+    if scheme not in SCHEMES:   # a tuple, so an unhashable name is refused too
+        raise error(f"unknown scheme {scheme!r}; choose one of {SCHEMES}")
+    return SCHEME_TABLE[scheme]
+
 
 STRAGGLER_NONE = "none"
 DROP_SLOWEST = "drop_slowest"
@@ -294,8 +340,7 @@ class SchemeConfig:
     agg_rule: str = FEDAVG
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        row = scheme_row(self.scheme)
         for name in ("rounds", "batch_size", "epochs_per_round"):
             _check_integer(name, getattr(self, name))
         if self.rounds < 1:
@@ -306,12 +351,11 @@ class SchemeConfig:
             raise ValueError(f"need epochs_per_round >= 1, got {self.epochs_per_round}")
         if not (self.lr > 0 and math.isfinite(self.lr)):
             raise ValueError(f"need a finite lr > 0, got {self.lr}")
-        if self.scheme in CODED_SCHEMES and self.plan is None:
+        if row.coded and self.plan is None:
             raise ValueError(f"scheme {self.scheme} needs a coding plan")
-        if self.scheme == DLDD_SECURE_TRAINING and self.plan.K != 1:
-            raise ValueError("secure training over decentralized data encodes the "
-                             "model at a single data node; the plan must have K=1")
-        if self.agg_rule != FEDAVG and self.scheme not in AGGREGATING_SCHEMES:
+        if refused := row.coded and row.K_rule(self.plan.K, math.inf):
+            raise ValueError(f"{self.scheme} plan.K {refused}")
+        if self.agg_rule != FEDAVG and not row.aggregates:
             raise ValueError(f"{self.scheme} does not aggregate with an agg_rule, so it takes "
                              f"only {FEDAVG!r}, got {self.agg_rule!r}")
 
@@ -343,8 +387,8 @@ def _pooled(per_node_datasets) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _partition(inputs: np.ndarray, targets: np.ndarray, n: int):
-    """Split a dataset into n contiguous, near-equal per-node parts."""
-    return [(inputs[idx], targets[idx]) for idx in np.array_split(np.arange(inputs.shape[0]), n)]
+    """Split a dataset into n contiguous, near-equal per-node parts, each a pair of views."""
+    return list(zip(np.array_split(inputs, n), np.array_split(targets, n)))
 
 
 def _node_stacks(per_node_datasets) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -447,8 +491,8 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     _check_sizes(net, plan=plan)
     inputs, targets = dataset
     n_samples = inputs.shape[0]
-    if n_samples < plan.K:
-        raise ValueError("dataset smaller than the coding batch size K")
+    if refused := SCHEME_TABLE[DLCD_SECURE_TRAINING].K_rule(plan.K, n_samples):
+        raise ValueError(f"coding batch size K {refused}")
     # Each worker's result is one coded row of model outputs.
     result_elems = model_init.layers[-1][1].size
     prepared = _prepare_targets(targets, cfg.loss, (n_samples, result_elems))
@@ -624,30 +668,28 @@ def run_uncoded_dldd(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
 
 def run_scheme(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig, data,
                model_init: ModelParams) -> list[RoundTrace]:
-    """Dispatch on the scheme name.
+    """Run the scheme's runner, looked up by name here at each call.
 
-    ``data`` is a (inputs, targets) pair for the centralized-data schemes
-    and a sequence of per-node pairs for the decentralized ones.
+    ``data`` is a (inputs, targets) pair of arrays for the centralized-data
+    schemes and a sequence of per-node pairs for the decentralized ones;
+    the other form is refused.
     """
-    runner = {
-        DLCD_SECURE_TRAINING: run_dlcd_secure_training,
-        UNCODED_DLCD: run_uncoded_dlcd,
-        DLDD_SECURE_AGGREGATION: run_dldd_secure_aggregation,
-        DLDD_SECURE_TRAINING: run_dldd_secure_training,
-        UNCODED_DLDD: run_uncoded_dldd,
-    }[scheme_cfg.scheme]
-    return runner(scheme_cfg, net_cfg, data, model_init)
+    row = SCHEME_TABLE[scheme_cfg.scheme]
+    if row.centralized != (len(data) == 2 and all(isinstance(a, np.ndarray) for a in data)):
+        form = ("one (inputs, targets) pair of arrays" if row.centralized
+                else "a sequence of per-node (inputs, targets) pairs")
+        raise ValueError(f"{scheme_cfg.scheme} takes its data as {form}")
+    return globals()[row.runner](scheme_cfg, net_cfg, data, model_init)
 
 
 def expected_message_counts(scheme: str, n_nodes: int, n_batches: int = 0) -> dict[str, int]:
-    """Closed-form per-round (and one-time) message counts for each scheme."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if scheme == DLDD_SECURE_AGGREGATION:
-        per_round = 2 * n_nodes + n_nodes * (n_nodes - 1)
-    elif scheme == DLCD_SECURE_TRAINING:
-        per_round = 2 * n_nodes * n_batches
-    else:
-        per_round = 2 * n_nodes
-    once = n_nodes if scheme in CENTRALIZED_SCHEMES else 0
-    return {"per_round": per_round, "once": once}
+    """Closed-form per-round and one-time message counts of ``scheme`` on ``n_nodes`` nodes.
+
+    Only ``dlcd_secure_training`` reads ``n_batches``, its coding batches per round.
+    """
+    row = scheme_row(scheme)
+    _check_integer("n_nodes", n_nodes)
+    if n_nodes < 1:
+        raise ValueError(f"need at least one node, got {n_nodes}")
+    return {"per_round": row.per_round(n_nodes, n_batches),
+            "once": n_nodes if row.centralized else 0}

@@ -1,5 +1,6 @@
 """Scheme simulations: message accounting, degeneracy, stragglers, determinism."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from pbacc import learners, protocols
 from pbacc.codec import NoiseSpec, decode, encode, encode_stack
+from pbacc.harness import SpecError, spec_from_dict
 from pbacc.interpolation import make_plan
 from pbacc.learners import (
     COORD_MEDIAN,
@@ -104,10 +106,11 @@ def test_scheme_config_validation():
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_only_an_aggregating_scheme_takes_a_median(scheme):
     x, y = make_two_clusters(25, seed=13)
-    plan = make_plan(1, 2, N) if scheme in protocols.CODED_SCHEMES else None
-    data = (x, y) if scheme in protocols.CENTRALIZED_SCHEMES else split(x, y)
+    row = protocols.SCHEME_TABLE[scheme]
+    plan = make_plan(1, 2, N) if row.coded else None
+    data = (x, y) if row.centralized else split(x, y)
     cfg = SchemeConfig(scheme=scheme, plan=plan, sigma_n=0.5, rounds=2, lr=0.1)
-    if scheme not in protocols.AGGREGATING_SCHEMES:
+    if not row.aggregates:
         with pytest.raises(ValueError, match=rf"^{scheme} .* only 'fedavg', got 'coord_median'$"):
             replace(cfg, agg_rule=COORD_MEDIAN)
         return
@@ -639,8 +642,9 @@ def _run_small(scheme, rounds):
                          + [(DLDD_SECURE_TRAINING, 1), (DLCD_SECURE_TRAINING, 1)])
 def test_no_scheme_writes_the_callers_start_model(scheme, K):
     x, y = make_two_clusters(25, seed=13)
-    plan = make_plan(K, 2, N) if scheme in protocols.CODED_SCHEMES else None
-    data = (x, y) if scheme in protocols.CENTRALIZED_SCHEMES else split(x, y)
+    row = protocols.SCHEME_TABLE[scheme]
+    plan = make_plan(K, 2, N) if row.coded else None
+    data = (x, y) if row.centralized else split(x, y)
     cfg = SchemeConfig(scheme=scheme, plan=plan, sigma_n=0.5, rounds=2, lr=0.1)
     start = model()
     kept = [(w.tobytes(), b.tobytes()) for w, b in start.layers]
@@ -653,8 +657,9 @@ def test_no_scheme_writes_the_callers_start_model(scheme, K):
                          + [(DLDD_SECURE_TRAINING, 1), (DLCD_SECURE_TRAINING, 1)])
 def test_an_earlier_rounds_model_is_unchanged_by_later_rounds(scheme, K):
     x, y = make_two_clusters(25, seed=13)
-    plan = make_plan(K, 2, N) if scheme in protocols.CODED_SCHEMES else None
-    data = (x, y) if scheme in protocols.CENTRALIZED_SCHEMES else split(x, y)
+    row = protocols.SCHEME_TABLE[scheme]
+    plan = make_plan(K, 2, N) if row.coded else None
+    data = (x, y) if row.centralized else split(x, y)
     per_round = []
     for rounds in (1, 2, 3):
         cfg = SchemeConfig(scheme=scheme, plan=plan, sigma_n=0.5, rounds=rounds, lr=0.1)
@@ -897,3 +902,109 @@ def test_a_round_trains_each_equal_size_group_in_one_call(monkeypatch, scheme):
         ((7, 3, 2), (7,) if scheme == DLDD_SECURE_TRAINING else ())])
     assert traces[-1].train_ops.count == N
     assert traces[-1].train_ops.elements == N * model().size
+
+
+# --------------------------------------------------------------------------
+# The scheme table
+
+
+def test_schemes_are_the_tables_keys_in_order():
+    assert SCHEMES == tuple(protocols.SCHEME_TABLE) == (
+        DLCD_SECURE_TRAINING, DLDD_SECURE_AGGREGATION, DLDD_SECURE_TRAINING, UNCODED_DLCD,
+        UNCODED_DLDD)
+    rows = protocols.SCHEME_TABLE.values()
+    assert all(callable(getattr(protocols, row.runner)) for row in rows)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_run_scheme_calls_the_runner_by_its_name_at_call_time(monkeypatch, scheme):
+    row = protocols.SCHEME_TABLE[scheme]
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        return ["patched"]
+
+    monkeypatch.setattr(protocols, row.runner, patched)
+    x, y = make_two_clusters(25, seed=13)
+    cfg = SchemeConfig(scheme=scheme, plan=make_plan(1, 2, N) if row.coded else None)
+    data, network, start = (x, y) if row.centralized else split(x, y), net(), model()
+    assert run_scheme(cfg, network, data, start) == ["patched"]
+    assert calls == [(cfg, network, data, start)]
+
+
+@pytest.mark.parametrize("n", [2, N])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_run_scheme_refuses_the_other_familys_data_form(scheme, n):
+    row = protocols.SCHEME_TABLE[scheme]
+    x, y = make_two_clusters(24, seed=13)
+    cfg = SchemeConfig(scheme=scheme, plan=make_plan(1, 1, n) if row.coded else None)
+    other = split(x, y, n) if row.centralized else (x, y)
+    form = "one (inputs, targets) pair of arrays" if row.centralized \
+        else "a sequence of per-node (inputs, targets) pairs"
+    with pytest.raises(ValueError, match=f"^{scheme} takes its data as {re.escape(form)}$"):
+        run_scheme(cfg, NetworkConfig(n_nodes=n), other, model())
+
+
+@pytest.mark.parametrize("scheme, n_nodes, n_batches, message", [
+    (DLCD_SECURE_TRAINING, 50, 0,
+     "dlcd_secure_training sends its messages per coding batch; need n_batches >= 1, got 0"),
+    (DLCD_SECURE_TRAINING, 50, 2.5, "need an integer n_batches, got 2.5"),
+    (UNCODED_DLDD, -3, 0, "need at least one node, got -3"),
+    (UNCODED_DLDD, 0, 0, "need at least one node, got 0"),
+    (UNCODED_DLDD, 2.5, 0, "need an integer n_nodes, got 2.5"),
+    (DLDD_SECURE_AGGREGATION, True, 0, "need an integer n_nodes, got True"),
+    ("bogus", 5, 0, "unknown scheme 'bogus'; choose one of"),
+], ids=["dlcd_no_batches", "dlcd_fraction_batches", "negative_nodes", "no_nodes",
+        "fraction_nodes", "bool_nodes", "unknown_scheme"])
+def test_expected_message_counts_refuses_counts_it_cannot_mean(scheme, n_nodes, n_batches,
+                                                               message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        expected_message_counts(scheme, n_nodes, n_batches)
+
+
+def test_each_K_rule_is_one_rule_read_at_every_entry_point(monkeypatch):
+    x, y = make_two_clusters(3, seed=1)
+    # K = 1 for secure training over decentralized data
+    with pytest.raises(ValueError, match=r"^dldd_secure_training plan\.K must be 1, .*; got 2$"):
+        SchemeConfig(scheme=DLDD_SECURE_TRAINING, plan=make_plan(2, 0, N))
+    with pytest.raises(SpecError, match=r"^plan\.K must be 1, .*; got 2$"):
+        spec_from_dict({"scheme": DLDD_SECURE_TRAINING, "plan": {"K": 2}})
+    # K <= samples for coded training, which codes the master's samples
+    coded = SchemeConfig(scheme=DLCD_SECURE_TRAINING, plan=make_plan(4, 2, N))  # no samples yet
+    with pytest.raises(ValueError, match=r"^coding batch size K must be <= the 3 samples coded, "
+                                         r"got 4$"):
+        run_dlcd_secure_training(coded, net(), (x, y), model())
+    with pytest.raises(SpecError, match=r"^plan\.K must be <= the 8 samples coded, got 9$"):
+        spec_from_dict({"scheme": DLCD_SECURE_TRAINING, "plan": {"K": 9},
+                        "training": {"samples": 8}})
+
+    # every entry point reads the rule in the scheme's row, and only there
+    asked = []
+
+    def refuse(K, samples):
+        asked.append((K, samples))
+        return "is refused"
+
+    for scheme in (DLDD_SECURE_TRAINING, DLCD_SECURE_TRAINING):
+        monkeypatch.setitem(protocols.SCHEME_TABLE, scheme,
+                            protocols.SCHEME_TABLE[scheme]._replace(K_rule=refuse))
+    for scheme, K in ((DLDD_SECURE_TRAINING, 1), (DLCD_SECURE_TRAINING, 2)):
+        with pytest.raises(ValueError, match=rf"^{scheme} plan\.K is refused$"):
+            SchemeConfig(scheme=scheme, plan=make_plan(K, 2, N))
+        with pytest.raises(SpecError, match=r"^plan\.K is refused$"):
+            spec_from_dict({"scheme": scheme, "plan": {"K": K}, "training": {"samples": 8}})
+    with pytest.raises(ValueError, match=r"^coding batch size K is refused$"):
+        run_dlcd_secure_training(coded, net(), (x, y), model())
+    unknown = float("inf")   # SchemeConfig does not know the samples
+    assert asked == [(1, unknown), (1, 8), (2, unknown), (2, 8), (4, 3)]
+
+
+@pytest.mark.parametrize("samples, n", [(1400, 70), (203, 50), (203, 7), (1400, 1400)])
+@pytest.mark.parametrize("make", [make_two_clusters, make_survival])
+def test_partition_parts_are_views_equal_to_the_index_split(make, samples, n):
+    x, y = make(samples, seed=5)   # labels (samples,) or (time, event) pairs (samples, 2)
+    parts = protocols._partition(x, y, n)
+    assert [(a.shape, a.tobytes(), b.shape, b.tobytes()) for a, b in parts] == \
+        [(a.shape, a.tobytes(), b.shape, b.tobytes()) for a, b in split(x, y, n)]
+    assert all(np.shares_memory(a, x) and np.shares_memory(b, y) for a, b in parts)
