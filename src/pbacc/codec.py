@@ -31,7 +31,7 @@ from .interpolation import (
     CodingPlan,
     berrut_basis,  # noqa: F401 -- uncalled; bench/tracer.py patches it by this name
     berrut_basis_matrix,
-    _check_integer,
+    _check_count,
     _has_coincident_pair,
 )
 
@@ -47,12 +47,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not (self.sigma_n >= 0 and math.isfinite(self.sigma_n)):
             raise ValueError(f"need a finite sigma_n >= 0, got {self.sigma_n}")
-        _check_integer("T", self.T)
-        if self.T < 0:
-            raise ValueError(f"need T >= 0, got {self.T}")
-        _check_integer("noise seed", self.seed)
-        if self.seed < 0:
-            raise ValueError(f"need a noise seed >= 0, got {self.seed}")
+        _check_count("T", self.T)
+        _check_count("noise seed", self.seed)
 
 
 class Share(NamedTuple):

@@ -43,16 +43,14 @@ DEFAULT_NOISE_SHIFT = -2.0
 
 def chebyshev_first(count: int) -> np.ndarray:
     """Chebyshev points of the first kind, cos((2j+1)pi/2n), j = 0..n-1."""
-    if count < 1:
-        raise ValueError(f"need count >= 1, got {count}")
+    _check_count("count", count, 1)
     j = np.arange(count)
     return np.cos((2 * j + 1) * np.pi / (2 * count))
 
 
 def chebyshev_second(count: int) -> np.ndarray:
     """Chebyshev points of the second kind, cos(j*pi/(n-1)), j = 0..n-1."""
-    if count < 2:
-        raise ValueError(f"need count >= 2, got {count}")
+    _check_count("count", count, 2)
     j = np.arange(count)
     return np.cos(j * np.pi / (count - 1))
 
@@ -155,19 +153,21 @@ class CodingPlan:
         if not subset:
             raise ValueError("subset must be nonempty")
         for j in subset:
-            _check_integer("subset index", j)
+            _check_count("subset index", j)
         if len(set(subset)) != len(subset):
             raise ValueError("subset indices must be distinct")
-        if any(not 0 <= j < self.N for j in subset):
+        if any(j >= self.N for j in subset):
             raise ValueError(f"subset indices must lie in [0, {self.N})")
         return subset
 
 
-def _check_integer(name: str, value) -> None:
-    """Refuse a count that is not an integer (a numpy integer will do; a bool will not)."""
+def _check_count(name: str, value, least: int = 0) -> None:
+    """Refuse a count that is not an integer of at least ``least``; a numpy integer will do, a bool will not."""
     # a plain int passes without the slower abstract-class check
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValueError(f"need an integer {name}, got {value!r}")
+    if value < least:
+        raise ValueError(f"need {name} >= {least}, got {value}")
 
 
 def make_plan(K: int, T: int, N: int, shift: float = DEFAULT_NOISE_SHIFT) -> CodingPlan:
@@ -176,14 +176,9 @@ def make_plan(K: int, T: int, N: int, shift: float = DEFAULT_NOISE_SHIFT) -> Cod
     Raises when the K+T interpolation nodes are not pairwise distinct
     (possible when the shifted noise block overlaps the data block).
     """
-    for name, count in (("K", K), ("T", T), ("N", N)):
-        _check_integer(name, count)
-    if K < 1:
-        raise ValueError(f"need K >= 1, got {K}")
-    if T < 0:
-        raise ValueError(f"need T >= 0, got {T}")
-    if N < 2:
-        raise ValueError(f"need N >= 2 workers (one encoder node each), got {N}")
+    _check_count("K", K, 1)
+    _check_count("T", T)
+    _check_count("N", N, 2)   # N workers, one encoder node each
     if not math.isfinite(shift):
         raise ValueError(f"need a finite shift, got {shift}")
     alphas = chebyshev_first(K)

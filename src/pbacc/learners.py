@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .interpolation import _check_integer
+from .interpolation import _check_count
 
 RELU = "relu"
 TANH = "tanh"
@@ -140,6 +140,8 @@ def init_mlp(sizes: list[int], activation: str = RELU, seed: int = 0) -> ModelPa
     """Gaussian-initialized MLP with layer widths ``sizes``, inputs first."""
     if len(sizes) < 2:
         raise ValueError(f"need at least two layer sizes (inputs and outputs), got {list(sizes)}")
+    for size in sizes:
+        _check_count("layer size", size, 1)
     rng = np.random.default_rng(seed)
     layers = []
     for nin, nout in zip(sizes[:-1], sizes[1:]):
@@ -520,12 +522,8 @@ def local_train(params: ModelParams, inputs: np.ndarray, targets: np.ndarray,
     (``output_grad`` on the batch's targets) and the backward with its one
     flat update (``_backward``); no loss value is computed.
     """
-    for name, count in (("batch_size", batch_size), ("epochs", epochs)):
-        _check_integer(name, count)
-    if batch_size < 1:
-        raise ValueError(f"need batch_size >= 1, got {batch_size}")
-    if epochs < 1:
-        raise ValueError(f"need epochs >= 1, got {epochs}")
+    _check_count("batch_size", batch_size, 1)
+    _check_count("epochs", epochs, 1)
     if not (lr > 0 and math.isfinite(lr)):
         raise ValueError(f"need a finite lr > 0, got {lr}")
     lead = inputs.shape[:-1]   # the node axes and the sample axis
@@ -575,6 +573,8 @@ def evaluate(params: ModelParams, inputs: np.ndarray, targets: np.ndarray, loss:
 def make_two_clusters(n: int, features: int = 2, separation: float = 3.0,
                       seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Balanced two-Gaussian-cluster classification data."""
+    _check_count("n", n, 1)
+    _check_count("features", features, 1)
     rng = np.random.default_rng(seed)
     half = n // 2
     center = np.full(features, separation / 2.0)
@@ -588,6 +588,8 @@ def make_two_clusters(n: int, features: int = 2, separation: float = 3.0,
 
 def make_survival(n: int, features: int = 4, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Exponential survival times with log-linear hazard and 30% random censoring."""
+    _check_count("n", n, 1)
+    _check_count("features", features, 1)
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, 1.0, size=(n, features))
     coef = rng.normal(0.0, 0.5, size=features)

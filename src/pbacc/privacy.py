@@ -61,7 +61,7 @@ import numpy as np
 from .interpolation import (
     CodingPlan,
     berrut_basis_matrix,  # noqa: F401 -- uncalled; bench/tracer.py patches it by this name
-    _check_integer,
+    _check_count,
 )
 
 EXHAUSTIVE = "exhaustive"
@@ -103,14 +103,9 @@ class PrivacyConfig:
     epsilon: float = 1.0
 
     def __post_init__(self):
-        for name in ("K", "T", "c"):
-            _check_integer(name, getattr(self, name))
-        if self.K < 1:
-            raise ValueError(f"need K >= 1, got {self.K}")
-        if self.T < 1:
-            raise ValueError(f"leakage bound requires T >= 1 noise blocks, got {self.T}")
-        if self.c < 1:
-            raise ValueError(f"need c >= 1 colluders, got {self.c}")
+        _check_count("K", self.K, 1)
+        _check_count("T", self.T, 1)   # the leakage bound needs a noise block
+        _check_count("c", self.c, 1)   # colluders
         for name in ("sigma_n", "s", "epsilon"):
             value = getattr(self, name)
             if not value > 0 or not math.isfinite(value):

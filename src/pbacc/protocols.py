@@ -81,7 +81,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .codec import NoiseSpec, _decode_basis, _decode_rows, decode, encode, encode_stack
-from .interpolation import CodingPlan, _check_integer
+from .interpolation import CodingPlan, _check_count
 from .learners import (
     FEDAVG,
     ModelParams,
@@ -114,15 +114,6 @@ def _within_samples(K: int, samples: float) -> str | None:   # dlcd_secure_train
     return None if K <= samples else f"must be <= the {samples} samples coded, got {K}"
 
 
-def _round_trips_per_batch(n: int, n_batches: int) -> int:
-    """The messages of a dlcd_secure_training round: a round trip per node and coding batch."""
-    _check_integer("n_batches", n_batches)
-    if n_batches < 1:
-        raise ValueError(f"{DLCD_SECURE_TRAINING} sends its messages per coding batch; "
-                         f"need n_batches >= 1, got {n_batches}")
-    return 2 * n * n_batches
-
-
 class SchemeRow(NamedTuple):
     """What one scheme is and may do: one row of :data:`SCHEME_TABLE`."""
 
@@ -132,16 +123,17 @@ class SchemeRow(NamedTuple):
     aggregates: bool     # merges the nodes' models with ``SchemeConfig.agg_rule``
     # (K, samples coded, inf if not known yet) -> why the plan's K is refused, or None
     K_rule: Callable[[int, float], str | None] = lambda K, samples: None
-    # (n_nodes, n_batches) -> messages per round; by default a round trip per node
-    per_round: Callable[[int, int], int] = lambda n, batches: 2 * n
+    # n_nodes -> messages per round (per coding batch if batched); by default a round trip per node
+    per_round: Callable[[int], int] = lambda n: 2 * n
+    batched: bool = False   # sends those messages once per coding batch of the round
 
 
 #: Every scheme's row, keyed by its name.
 SCHEME_TABLE = {
     DLCD_SECURE_TRAINING: SchemeRow("run_dlcd_secure_training", True, True, False,
-                                    _within_samples, _round_trips_per_batch),
+                                    _within_samples, batched=True),
     DLDD_SECURE_AGGREGATION: SchemeRow("run_dldd_secure_aggregation", True, False, True,
-                                       per_round=lambda n, batches: 2 * n + n * (n - 1)),
+                                       per_round=lambda n: 2 * n + n * (n - 1)),
     DLDD_SECURE_TRAINING: SchemeRow("run_dldd_secure_training", True, False, False,
                                     _single_data_node),
     UNCODED_DLCD: SchemeRow("run_uncoded_dlcd", False, True, True),
@@ -289,9 +281,7 @@ class StragglerModel:
         if self.kind not in (STRAGGLER_NONE, DROP_SLOWEST, RANDOM_DELAY):
             raise ValueError(f"unknown straggler model {self.kind!r}")
         for name in ("count", "keep_n", "seed"):
-            _check_integer(name, getattr(self, name))
-        if self.seed < 0:
-            raise ValueError(f"need a straggler seed >= 0, got {self.seed}")
+            _check_count(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -301,10 +291,9 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integer("n_nodes", self.n_nodes)
-        if self.n_nodes < 1:
-            raise ValueError(f"need at least one node, got {self.n_nodes}")
-        if self.straggler.kind == DROP_SLOWEST and not 0 <= self.straggler.count < self.n_nodes:
+        _check_count("n_nodes", self.n_nodes, 1)
+        _check_count("seed", self.seed)
+        if self.straggler.kind == DROP_SLOWEST and self.straggler.count >= self.n_nodes:
             raise ValueError("drop_slowest count must be < n_nodes")
         if self.straggler.kind == RANDOM_DELAY and not 1 <= self.straggler.keep_n <= self.n_nodes:
             raise ValueError("random_delay keep_n must be in [1, n_nodes]")
@@ -342,13 +331,7 @@ class SchemeConfig:
     def __post_init__(self):
         row = scheme_row(self.scheme)
         for name in ("rounds", "batch_size", "epochs_per_round"):
-            _check_integer(name, getattr(self, name))
-        if self.rounds < 1:
-            raise ValueError(f"need rounds >= 1, got {self.rounds}")
-        if self.batch_size < 1:
-            raise ValueError(f"need batch_size >= 1, got {self.batch_size}")
-        if self.epochs_per_round < 1:
-            raise ValueError(f"need epochs_per_round >= 1, got {self.epochs_per_round}")
+            _check_count(name, getattr(self, name), 1)
         if not (self.lr > 0 and math.isfinite(self.lr)):
             raise ValueError(f"need a finite lr > 0, got {self.lr}")
         if row.coded and self.plan is None:
@@ -370,12 +353,21 @@ def _noise_spec(cfg: SchemeConfig, net: NetworkConfig, *key: int) -> NoiseSpec:
                      seed=_derived_seed(net.seed, *key))
 
 
-def _check_sizes(net: NetworkConfig, per_node_datasets=None,
-                 plan: CodingPlan | None = None) -> None:
-    """Reject a dataset count or a coding plan that does not match the network."""
+def _check_sizes(scheme: str, net: NetworkConfig, data, plan: CodingPlan | None = None) -> None:
+    """Reject ``scheme``'s data in the other family's form, or sizes that do not fit the network.
+
+    ``data`` is a (inputs, targets) pair of arrays for the centralized-data
+    schemes and a sequence of per-node pairs, one per node, for the
+    decentralized ones; ``plan`` must encode for one worker per node.
+    """
+    centralized = SCHEME_TABLE[scheme].centralized
+    if centralized != (len(data) == 2 and all(isinstance(a, np.ndarray) for a in data)):
+        form = ("one (inputs, targets) pair of arrays" if centralized
+                else "a sequence of per-node (inputs, targets) pairs")
+        raise ValueError(f"{scheme} takes its data as {form}")
     n = net.n_nodes
-    if per_node_datasets is not None and len(per_node_datasets) != n:
-        raise ValueError(f"need one dataset per node ({n}), got {len(per_node_datasets)}")
+    if not centralized and len(data) != n:
+        raise ValueError(f"need one dataset per node ({n}), got {len(data)}")
     if plan is not None and plan.N != n:
         raise ValueError(f"plan encodes for N={plan.N} workers but the network has {n}")
 
@@ -488,7 +480,7 @@ def run_dlcd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     """
     cfg, net = scheme_cfg, net_cfg
     plan = cfg.plan
-    _check_sizes(net, plan=plan)
+    _check_sizes(DLCD_SECURE_TRAINING, net, dataset, plan)
     inputs, targets = dataset
     n_samples = inputs.shape[0]
     if refused := SCHEME_TABLE[DLCD_SECURE_TRAINING].K_rule(plan.K, n_samples):
@@ -558,6 +550,7 @@ def run_uncoded_dlcd(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
                      dataset: tuple[np.ndarray, np.ndarray],
                      model_init: ModelParams) -> list[RoundTrace]:
     """Plaintext distributed training: partition once, train locally, aggregate."""
+    _check_sizes(UNCODED_DLCD, net_cfg, dataset)
     inputs, targets = dataset
     parts = _partition(inputs, targets, net_cfg.n_nodes)
     row_elems = inputs.shape[1] + (targets[0].size if targets.ndim > 1 else 1)
@@ -593,7 +586,7 @@ def run_dldd_secure_aggregation(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig
     cfg, net = scheme_cfg, net_cfg
     plan = cfg.plan
     n = net.n_nodes
-    _check_sizes(net, per_node_datasets, plan)
+    _check_sizes(DLDD_SECURE_AGGREGATION, net, per_node_datasets, plan)
     w_elems = model_init.size
     share_elems = -(-w_elems // plan.K)   # G = ceil(w / K): one share, one aggregate
     nodes = _node_names(n)
@@ -628,7 +621,7 @@ def run_dldd_secure_training(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
     """
     cfg, net = scheme_cfg, net_cfg
     plan = cfg.plan
-    _check_sizes(net, per_node_datasets, plan)
+    _check_sizes(DLDD_SECURE_TRAINING, net, per_node_datasets, plan)
     n = net.n_nodes
     w_elems = model_init.size   # K = 1: a share is the size of the model
     ledger = RoundTrace(
@@ -651,7 +644,7 @@ def run_uncoded_dldd(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig,
                      model_init: ModelParams) -> list[RoundTrace]:
     """Plain federated learning: plaintext local training plus aggregation."""
     cfg, net = scheme_cfg, net_cfg
-    _check_sizes(net, per_node_datasets)
+    _check_sizes(UNCODED_DLDD, net, per_node_datasets)
     n = net.n_nodes
     w_elems = model_init.size
     ledger = RoundTrace(
@@ -672,24 +665,21 @@ def run_scheme(scheme_cfg: SchemeConfig, net_cfg: NetworkConfig, data,
 
     ``data`` is a (inputs, targets) pair of arrays for the centralized-data
     schemes and a sequence of per-node pairs for the decentralized ones;
-    the other form is refused.
+    the runner refuses the other form.
     """
-    row = SCHEME_TABLE[scheme_cfg.scheme]
-    if row.centralized != (len(data) == 2 and all(isinstance(a, np.ndarray) for a in data)):
-        form = ("one (inputs, targets) pair of arrays" if row.centralized
-                else "a sequence of per-node (inputs, targets) pairs")
-        raise ValueError(f"{scheme_cfg.scheme} takes its data as {form}")
-    return globals()[row.runner](scheme_cfg, net_cfg, data, model_init)
+    return globals()[SCHEME_TABLE[scheme_cfg.scheme].runner](scheme_cfg, net_cfg, data, model_init)
 
 
 def expected_message_counts(scheme: str, n_nodes: int, n_batches: int = 0) -> dict[str, int]:
     """Closed-form per-round and one-time message counts of ``scheme`` on ``n_nodes`` nodes.
 
-    Only ``dlcd_secure_training`` reads ``n_batches``, its coding batches per round.
+    ``n_batches`` is a batched scheme's coding batches per round, and 0 for any other.
     """
     row = scheme_row(scheme)
-    _check_integer("n_nodes", n_nodes)
-    if n_nodes < 1:
-        raise ValueError(f"need at least one node, got {n_nodes}")
-    return {"per_round": row.per_round(n_nodes, n_batches),
+    _check_count("n_nodes", n_nodes, 1)
+    if row.batched:
+        _check_count("n_batches", n_batches, 1)   # its messages go per coding batch
+    elif n_batches != 0:
+        raise ValueError(f"{scheme} has no coding batches; need n_batches == 0, got {n_batches!r}")
+    return {"per_round": row.per_round(n_nodes) * (n_batches if row.batched else 1),
             "once": n_nodes if row.centralized else 0}

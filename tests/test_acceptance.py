@@ -133,7 +133,7 @@ def test_criterion_2_cost_model_exactness():
         for scheme, (traces, w) in outcomes.items():
             rounds = [t for t in traces if t.round_index >= 1]
             setup = [t for t in traces if t.round_index == 0]
-            n_batches = samples  # K = 1
+            n_batches = samples if scheme == DLCD_SECURE_TRAINING else 0  # K = 1
             expected = expected_message_counts(scheme, n, n_batches)
             for trace in rounds:
                 assert trace.message_count == expected["per_round"], \

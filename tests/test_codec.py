@@ -65,7 +65,7 @@ def test_encode_matches_extended_precision_oracle():
 
 
 @pytest.mark.parametrize("seed, message", [
-    (-3, "need a noise seed >= 0, got -3"), (2.5, "need an integer noise seed, got 2.5"),
+    (-3, "need noise seed >= 0, got -3"), (2.5, "need an integer noise seed, got 2.5"),
     (True, "need an integer noise seed, got True")])
 def test_noise_spec_rejects_a_bad_seed_when_built(seed, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

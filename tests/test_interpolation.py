@@ -69,6 +69,23 @@ def test_node_functions_reject_bad_counts():
         shifted_chebyshev_first(0, shift=-2.0)
 
 
+# 2.5 and 3.5 once gave three and four nodes, two of chebyshev_second's equal
+@pytest.mark.parametrize("count, message", [
+    (True, "need an integer count, got True"), (2.5, "need an integer count, got 2.5"),
+    (0, "need count >= 1, got 0")])
+def test_chebyshev_first_refuses_a_bad_count(count, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        chebyshev_first(count)
+
+
+@pytest.mark.parametrize("count, message", [
+    (True, "need an integer count, got True"), (3.5, "need an integer count, got 3.5"),
+    (1, "need count >= 2, got 1")])
+def test_chebyshev_second_refuses_a_bad_count(count, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        chebyshev_second(count)
+
+
 def test_basis_single_node_is_constant_one():
     np.testing.assert_allclose(berrut_basis(0.7, np.array([0.0])), [1.0])
     np.testing.assert_allclose(berrut_basis(-3.2, np.array([0.0])), [1.0])
@@ -199,7 +216,7 @@ def test_plan_rejects_colliding_noise_shift():
 
 def test_plan_names_the_worker_count_when_below_two():
     with pytest.raises(ValueError, match=re.escape(
-            "need N >= 2 workers (one encoder node each), got 1")):
+            "need N >= 2, got 1")):
         make_plan(1, 0, 1)
 
 

@@ -67,6 +67,38 @@ def test_init_mlp_needs_an_input_and_an_output_size():
             init_mlp(sizes)
 
 
+# a zero width once built an empty layer and 8.5 raised a TypeError from numpy
+@pytest.mark.parametrize("sizes, message", [
+    ([2, True, 2], "need an integer layer size, got True"),
+    ([2, 8.5, 2], "need an integer layer size, got 8.5"),
+    ([2, 0, 2], "need layer size >= 1, got 0")])
+def test_init_mlp_refuses_a_bad_layer_size(sizes, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        init_mlp(sizes)
+
+
+DATA_COUNT_CASES = [
+    ({"n": True}, "need an integer n, got True"),
+    ({"n": 10.5}, "need an integer n, got 10.5"),
+    ({"n": 0}, "need n >= 1, got 0"),
+    ({"n": 10, "features": 2.0}, "need an integer features, got 2.0"),
+    ({"n": 10, "features": 0}, "need features >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("counts, message", DATA_COUNT_CASES)
+def test_make_two_clusters_refuses_a_bad_count(counts, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_two_clusters(**counts)
+
+
+# n = 0 once raised an IndexError
+@pytest.mark.parametrize("counts, message", DATA_COUNT_CASES)
+def test_make_survival_refuses_a_bad_count(counts, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_survival(**counts)
+
+
 def test_forward_rejects_feature_mismatch():
     params = init_mlp([3, 2], seed=0)
     with pytest.raises(ValueError):

@@ -305,7 +305,7 @@ def reference_dlcd_secure_training(cfg, network, x, y, model_init):
     return rounds
 
 
-DLCD_STRAGGLERS = {
+STRAGGLERS = {
     "none": StragglerModel(),
     "drop_slowest": StragglerModel(kind=DROP_SLOWEST, count=2, seed=4),
     "random_delay": StragglerModel(kind=RANDOM_DELAY, keep_n=4, seed=5),
@@ -313,10 +313,10 @@ DLCD_STRAGGLERS = {
 
 
 DLCD_CASES = [
-    *[(SOFTMAX_CE, straggler, K, TANH) for straggler in DLCD_STRAGGLERS for K in (1, 2, 3)],
+    *[(SOFTMAX_CE, straggler, K, TANH) for straggler in STRAGGLERS for K in (1, 2, 3)],
     *[(loss, "drop_slowest", K, TANH) for loss in (MSE, COX_PH) for K in (1, 2)],
     *[(SOFTMAX_CE, straggler, K, activation) for activation in (RELU, IDENTITY)
-      for straggler in DLCD_STRAGGLERS for K in (1, 2)],
+      for straggler in STRAGGLERS for K in (1, 2)],
 ]
 
 
@@ -334,7 +334,7 @@ def test_dlcd_secure_training_matches_the_per_share_reference(loss, straggler, K
     plan = make_plan(K, 2, 6)
     cfg = SchemeConfig(scheme=DLCD_SECURE_TRAINING, plan=plan, sigma_n=0.5, rounds=2, lr=0.1,
                        loss=loss)
-    network = NetworkConfig(n_nodes=6, seed=3, straggler=DLCD_STRAGGLERS[straggler])
+    network = NetworkConfig(n_nodes=6, seed=3, straggler=STRAGGLERS[straggler])
     traces = run_dlcd_secure_training(cfg, network, (x, y), start)
     reference = reference_dlcd_secure_training(cfg, network, x, y, start)
     assert len(traces[1:]) == len(reference) == 2
@@ -626,6 +626,55 @@ def test_dldd_secure_training_ledger_matches_the_reference():
             messages.append(Message("master", f"node{j}", share.payload.size, "encoded_model"))
             messages.append(Message(f"node{j}", "master", w, "trained_model"))
         assert trace.messages == messages
+
+
+def reference_dldd_secure_training(cfg, network, data, model_init):
+    """The secure-training runner as one encode and one ``local_train`` per worker.
+
+    Each round the global model is encoded at the single data node, worker j
+    trains alone from its own share on its own data, and the fastest
+    workers' trained models are decoded.  Returns per round (loss,
+    accuracy, flat model).
+    """
+    plan = cfg.plan
+    pooled = (np.concatenate([x for x, _ in data]), np.concatenate([y for _, y in data]))
+    model, rounds = model_init.copy(), []
+    for r in range(1, cfg.rounds + 1):
+        shares, _ = encode(model.flattened_view, plan,
+                           NoiseSpec(cfg.sigma_n, plan.T, _derived_seed(network.seed, r)))
+        results = []
+        for share, (x, y) in zip(shares, data):
+            local = local_train(model.with_flat(share.payload), x, y, cfg.loss, cfg.lr,
+                                cfg.batch_size, cfg.epochs_per_round)
+            results.append((share.beta, local.flattened_view))
+        fastest = select_fastest(network, r)
+        model = model.with_flat(decode([results[j] for j in fastest], plan, out_extent=model.size))
+        loss, accuracy = evaluate(model, *pooled, cfg.loss)
+        rounds.append((loss, accuracy, model.flattened_view))
+    return rounds
+
+
+@pytest.mark.parametrize("straggler", list(STRAGGLERS))
+@pytest.mark.parametrize("loss", [SOFTMAX_CE, COX_PH])
+def test_dldd_secure_training_matches_the_per_share_reference(loss, straggler):
+    # 45 samples over 8 nodes: datasets of 6 and 5 samples, two stacked groups
+    if loss == COX_PH:
+        x, y = make_survival(45, features=2, seed=11)
+        start = init_mlp([2, 4, 1], activation=TANH, seed=12)
+    else:
+        x, y = make_two_clusters(45, seed=9)
+        start = model()
+    data = split(x, y)
+    cfg = SchemeConfig(scheme=DLDD_SECURE_TRAINING, plan=make_plan(1, 2, N), sigma_n=0.5,
+                       rounds=2, lr=0.1, batch_size=4, loss=loss)
+    network = net(STRAGGLERS[straggler], seed=7)
+    traces = run_dldd_secure_training(cfg, network, data, start)
+    reference = reference_dldd_secure_training(cfg, network, data, start)
+    assert len(traces) == len(reference) == 2
+    for trace, (loss_value, accuracy, flat) in zip(traces, reference):
+        assert trace.decoded_model.tobytes() == flat.tobytes()
+        assert np.float64(trace.loss).tobytes() == np.float64(loss_value).tobytes()
+        assert np.float64(trace.accuracy).tobytes() == np.float64(accuracy).tobytes()
 
 
 def _run_small(scheme, rounds):
@@ -942,21 +991,27 @@ def test_run_scheme_refuses_the_other_familys_data_form(scheme, n):
     other = split(x, y, n) if row.centralized else (x, y)
     form = "one (inputs, targets) pair of arrays" if row.centralized \
         else "a sequence of per-node (inputs, targets) pairs"
-    with pytest.raises(ValueError, match=f"^{scheme} takes its data as {re.escape(form)}$"):
-        run_scheme(cfg, NetworkConfig(n_nodes=n), other, model())
+    # through run_scheme and by the runner itself
+    for run in (run_scheme, getattr(protocols, row.runner)):
+        with pytest.raises(ValueError, match=f"^{scheme} takes its data as {re.escape(form)}$"):
+            run(cfg, NetworkConfig(n_nodes=n), other, model())
 
 
 @pytest.mark.parametrize("scheme, n_nodes, n_batches, message", [
-    (DLCD_SECURE_TRAINING, 50, 0,
-     "dlcd_secure_training sends its messages per coding batch; need n_batches >= 1, got 0"),
+    (DLCD_SECURE_TRAINING, 50, 0, "need n_batches >= 1, got 0"),
     (DLCD_SECURE_TRAINING, 50, 2.5, "need an integer n_batches, got 2.5"),
-    (UNCODED_DLDD, -3, 0, "need at least one node, got -3"),
-    (UNCODED_DLDD, 0, 0, "need at least one node, got 0"),
+    (UNCODED_DLDD, -3, 0, "need n_nodes >= 1, got -3"),
+    (UNCODED_DLDD, 0, 0, "need n_nodes >= 1, got 0"),
     (UNCODED_DLDD, 2.5, 0, "need an integer n_nodes, got 2.5"),
     (DLDD_SECURE_AGGREGATION, True, 0, "need an integer n_nodes, got True"),
     ("bogus", 5, 0, "unknown scheme 'bogus'; choose one of"),
+    (UNCODED_DLDD, 4, -7, "uncoded_dldd has no coding batches; need n_batches == 0, got -7"),
+    (UNCODED_DLDD, 4, 2.5, "uncoded_dldd has no coding batches; need n_batches == 0, got 2.5"),
+    (DLDD_SECURE_AGGREGATION, 4, 3,
+     "dldd_secure_aggregation has no coding batches; need n_batches == 0, got 3"),
 ], ids=["dlcd_no_batches", "dlcd_fraction_batches", "negative_nodes", "no_nodes",
-        "fraction_nodes", "bool_nodes", "unknown_scheme"])
+        "fraction_nodes", "bool_nodes", "unknown_scheme", "unbatched_negative",
+        "unbatched_fraction", "unbatched_positive"])
 def test_expected_message_counts_refuses_counts_it_cannot_mean(scheme, n_nodes, n_batches,
                                                                message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
