@@ -15,13 +15,23 @@ Results that fit one ``_DECODE_BLOCK_BYTES`` block (every decode the
 protocols make) are one chunk, multiplied by one dot per data node, whose
 bytes the golden outputs pin; larger results are multiplied by one (K, n)
 product per chunk, which reads the staged chunk once instead of K times.
+
+A large tensor's encode product runs on two CPUs: when each half of its
+payloads holds at least ``_SPLIT_BYTES`` and the process may use two
+CPUs, the caller computes the first ``_SPLIT_COLUMNS``-aligned half of the
+columns and one helper thread the rest.  Each payload element is one
+length-(K+T) dot product, and with halves that wide and that large BLAS
+computes it with the kernel it uses in the whole product, so the bytes do
+not change.  No protocol encode is that large.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
 import struct
+import threading
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterator, NamedTuple, Sequence
 
@@ -45,6 +55,8 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
+        if isinstance(self.sigma_n, (bool, np.bool_)):
+            raise ValueError(f"need a real sigma_n, got {self.sigma_n}")
         if not (self.sigma_n >= 0 and math.isfinite(self.sigma_n)):
             raise ValueError(f"need a finite sigma_n >= 0, got {self.sigma_n}")
         _check_count("T", self.T)
@@ -95,7 +107,7 @@ def encode(x: np.ndarray, plan: CodingPlan, noise: NoiseSpec) -> tuple[Shares, l
     noise blocks.  This is :func:`encode_stack` of the one tensor ``x``,
     byte for byte.
     """
-    x = np.asarray(x, dtype=float)
+    x = _real(x, "tensor")
     if x.ndim == 0:
         raise ValueError("need a tensor of rank >= 1 to encode")
     payloads, blocks = encode_stack(x[None], plan, noise)
@@ -114,14 +126,16 @@ def encode_stack(xs: np.ndarray, plan: CodingPlan, noise: NoiseSpec,
     draw.  For M = 1 that is the draw :func:`encode` makes.  The shares are
     one batched product with the (N, K+T) encoder basis, one BLAS call per
     tensor on its strided (K+T, G·width) coefficient matrix, byte-equal to
-    the product on a contiguous copy of it.
+    the product on a contiguous copy of it.  A large tensor's product runs
+    as two column halves on two threads, with the same bytes (see the
+    module docstring).
 
     Returns the (M, N, G, *rest) payloads, tensor-major, and the
     (M, T, G, *rest) noise blocks, a view of the coefficients.  ``out``, a
     C-contiguous float64 array of the payload shape, receives the payloads
     and is returned; by default they go to a fresh array.
     """
-    xs = np.asarray(xs, dtype=float)
+    xs = _real(xs, "tensors")
     if xs.ndim < 2:
         raise ValueError("need a stack of tensors of rank >= 1 to encode")
     if noise.T != plan.T:
@@ -152,9 +166,69 @@ def encode_stack(xs: np.ndarray, plan: CodingPlan, noise: NoiseSpec,
                          f"got {out.dtype} {out.shape}")
     # per tensor, the product np.tensordot(basis, coeffs[:, m], axes=(1, 0)) makes
     width = groups * math.prod(rest)
-    np.matmul(plan.encoder_basis, coeffs.reshape(K + T, M, width).swapaxes(0, 1),
-              out=out.reshape(M, plan.N, width))
+    _encode_product(plan.encoder_basis, coeffs.reshape(K + T, M, width).swapaxes(0, 1),
+                    out.reshape(M, plan.N, width))
     return out, blocks.swapaxes(0, 1)
+
+
+#: Least bytes of one tensor's payloads in the first, smaller half of a
+#: split product.  Two threads broke even with one at halves of about 1 MiB
+#: (one BLAS thread per product, 2-vCPU AMD EPYC; a thread's start and join
+#: cost 25-40 µs).  A 4 MiB half is also at least 1.05e6 multiply-adds for
+#: K+T >= 2, past the 1e6 up to which OpenBLAS uses a small-matrix kernel
+#: that rounds differently; for K+T = 1 an element is one product, whatever
+#: the kernel.
+_SPLIT_BYTES = 4 << 20
+#: A split product's first half is a nonzero multiple of this many columns.
+#: BLAS blocks a product's columns by its width: on OpenBLAS 0.3.31
+#: (SkylakeX kernels, AMD EPYC), cuts at multiples of 16 or 64 columns
+#: changed bytes of products narrower than about 420 columns, and cuts at
+#: multiples of 512 changed none of 500 random products past both bounds.
+_SPLIT_COLUMNS = 512
+
+
+def _encode_product(basis: np.ndarray, coeffs: np.ndarray, out: np.ndarray) -> None:
+    """``np.matmul(basis, coeffs, out=out)``, as two column halves on two threads when large.
+
+    ``basis`` is (N, K+T), ``coeffs`` (M, K+T, width), ``out`` (M, N, width).
+    The helper is joined before this returns or raises, and an error it hit
+    is raised here, so a failed half never passes for a finished product.
+    """
+    N, width = out.shape[1:]
+    half = width // 2 // _SPLIT_COLUMNS * _SPLIT_COLUMNS
+    if half == 0 or out.itemsize * N * half < _SPLIT_BYTES or _usable_cpus() < 2:
+        np.matmul(basis, coeffs, out=out)
+        return
+    errors = []
+
+    def second_half():
+        try:
+            np.matmul(basis, coeffs[..., half:], out=out[..., half:])
+        except BaseException as exc:  # raised again by the caller, below
+            errors.append(exc)
+
+    helper = threading.Thread(target=second_half, name="pbacc-encode")
+    helper.start()
+    try:
+        np.matmul(basis, coeffs[..., :half], out=out[..., :half])
+    finally:
+        helper.join()
+    if errors:
+        raise errors[0]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _real(x, what: str) -> np.ndarray:
+    """``x`` as a float64 array; complex input is refused, not cut to its real part."""
+    if np.iscomplexobj(x):
+        raise ValueError(f"need real {what}, got complex input")
+    return np.asarray(x, dtype=float)
 
 
 def decode(results: Sequence[tuple[float, np.ndarray]], plan: CodingPlan,
@@ -170,7 +244,7 @@ def decode(results: Sequence[tuple[float, np.ndarray]], plan: CodingPlan,
     """
     results = list(results)
     rows = _decode_basis(np.array([float(b) for b, _ in results]), plan)
-    payloads = [np.asarray(p, dtype=float) for _, p in results]
+    payloads = [_real(p, "result payloads") for _, p in results]
     if any(p.shape != payloads[0].shape for p in payloads):
         raise ValueError("result payloads disagree in shape")
     return _apply_decode(rows, payloads, out_extent)

@@ -142,6 +142,7 @@ def init_mlp(sizes: list[int], activation: str = RELU, seed: int = 0) -> ModelPa
         raise ValueError(f"need at least two layer sizes (inputs and outputs), got {list(sizes)}")
     for size in sizes:
         _check_count("layer size", size, 1)
+    _check_count("seed", seed)
     rng = np.random.default_rng(seed)
     layers = []
     for nin, nout in zip(sizes[:-1], sizes[1:]):
@@ -575,6 +576,7 @@ def make_two_clusters(n: int, features: int = 2, separation: float = 3.0,
     """Balanced two-Gaussian-cluster classification data."""
     _check_count("n", n, 1)
     _check_count("features", features, 1)
+    _check_count("seed", seed)
     rng = np.random.default_rng(seed)
     half = n // 2
     center = np.full(features, separation / 2.0)
@@ -590,6 +592,7 @@ def make_survival(n: int, features: int = 4, seed: int = 0) -> tuple[np.ndarray,
     """Exponential survival times with log-linear hazard and 30% random censoring."""
     _check_count("n", n, 1)
     _check_count("features", features, 1)
+    _check_count("seed", seed)
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, 1.0, size=(n, features))
     coef = rng.normal(0.0, 0.5, size=features)

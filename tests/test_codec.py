@@ -2,6 +2,7 @@
 
 import io
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -143,6 +144,90 @@ def test_encode_stack_rejects_an_unfit_out():
                 np.empty((1, 5, 2, 3)).swapaxes(2, 3)):
         with pytest.raises(ValueError, match="out must be"):
             encode_stack(xs, plan, noise, out=bad)
+
+
+def _one_and_two_threads(monkeypatch, xs, plan, noise):
+    """``encode_stack`` on one thread, then on two CPUs; and the threads the second started."""
+    monkeypatch.setattr(codec, "_usable_cpus", lambda: 1)
+    one = encode_stack(xs, plan, noise)
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    monkeypatch.setattr(codec, "_usable_cpus", lambda: 2)
+    return one, encode_stack(xs, plan, noise), started
+
+
+# the (K, T) of the per-tensor grid above, at widths of at least two
+# _SPLIT_COLUMNS that are not multiples of it (narrower products never split)
+@pytest.mark.parametrize("M", [1, 4])
+@pytest.mark.parametrize("K,T,shape", [(1, 0, (1500,)), (1, 3, (2100,)), (1, 42, (1100,)),
+                                       (2, 3, (1300, 2)), (3, 4, (700, 2, 3)), (4, 0, (1030, 5))])
+def test_a_split_encode_product_is_the_one_thread_product_byte_for_byte(monkeypatch, K, T, shape, M):
+    monkeypatch.setattr(codec, "_SPLIT_BYTES", 0)  # split whatever has two aligned halves
+    xs = np.random.default_rng(K + T).standard_normal((M,) + shape)
+    one, two, started = _one_and_two_threads(monkeypatch, xs, make_plan(K, T, 9),
+                                             NoiseSpec(0.7, T, seed=8))
+    assert len(started) == 1
+    assert two[0].tobytes() == one[0].tobytes()
+    assert two[1].tobytes() == one[1].tobytes()
+
+
+@pytest.mark.parametrize("K,T,N,xs_shape,helpers", [
+    (8, 8, 256, (1, 8200, 5), 1),   # 5.2 MB halves: split
+    (1, 42, 70, (70, 97), 0),       # secure aggregation's encode, the largest a protocol makes
+])
+def test_only_an_encode_past_the_split_size_takes_a_second_thread(monkeypatch, K, T, N,
+                                                                   xs_shape, helpers):
+    xs = np.random.default_rng(9).standard_normal(xs_shape)
+    one, two, started = _one_and_two_threads(monkeypatch, xs, make_plan(K, T, N),
+                                             NoiseSpec(0.1, T, seed=10))
+    assert len(started) == helpers
+    assert two[0].tobytes() == one[0].tobytes()
+
+
+class _HalfFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["helper", "caller"])
+def test_a_failed_half_raises_in_the_caller_and_leaves_no_thread(monkeypatch, failing):
+    caller, matmul = threading.current_thread(), np.matmul
+
+    def failing_matmul(*args, **kwargs):
+        if (threading.current_thread() is caller) == (failing == "caller"):
+            raise _HalfFailed(failing)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(codec, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(codec, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(np, "matmul", failing_matmul)
+    before = threading.enumerate()
+    with pytest.raises(_HalfFailed, match=f"^{failing}$"):
+        encode_stack(np.ones((1, 1500)), make_plan(1, 0, 9), NO_NOISE)
+    assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize("sigma_n", [True, np.True_])
+def test_noise_spec_rejects_a_bool_sigma_n(sigma_n):
+    with pytest.raises(ValueError, match="^need a real sigma_n, got True$"):
+        NoiseSpec(sigma_n, 2, 0)
+
+
+# complex input once warned ComplexWarning and was coded by its real part alone
+def test_the_codec_refuses_complex_input():
+    plan = make_plan(2, 1, 6)
+    z = np.array([1, 2, 3], dtype=complex)
+    with pytest.raises(ValueError, match="^need real tensor, got complex input$"):
+        encode(z, plan, NoiseSpec(1.0, 1, seed=0))
+    with pytest.raises(ValueError, match="^need real tensors, got complex input$"):
+        encode_stack(z[None], plan, NoiseSpec(1.0, 1, seed=0))
+    with pytest.raises(ValueError, match="^need real result payloads, got complex input$"):
+        decode([(0.5, np.ones(2)), (0.2, z[:2])], plan)
 
 
 def test_encode_linearity_without_noise():

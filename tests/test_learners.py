@@ -67,14 +67,23 @@ def test_init_mlp_needs_an_input_and_an_output_size():
             init_mlp(sizes)
 
 
+# seed -1 and 2.5 once failed inside numpy's SeedSequence, and True was taken as 1
+SEED_CASES = [
+    ({"seed": -1}, "need seed >= 0, got -1"),
+    ({"seed": 2.5}, "need an integer seed, got 2.5"),
+    ({"seed": True}, "need an integer seed, got True"),
+]
+
+
 # a zero width once built an empty layer and 8.5 raised a TypeError from numpy
-@pytest.mark.parametrize("sizes, message", [
-    ([2, True, 2], "need an integer layer size, got True"),
-    ([2, 8.5, 2], "need an integer layer size, got 8.5"),
-    ([2, 0, 2], "need layer size >= 1, got 0")])
-def test_init_mlp_refuses_a_bad_layer_size(sizes, message):
+@pytest.mark.parametrize("kwargs, message", [
+    ({"sizes": [2, True, 2]}, "need an integer layer size, got True"),
+    ({"sizes": [2, 8.5, 2]}, "need an integer layer size, got 8.5"),
+    ({"sizes": [2, 0, 2]}, "need layer size >= 1, got 0"),
+    *(({"sizes": [2, 2], **seed}, message) for seed, message in SEED_CASES)])
+def test_init_mlp_refuses_a_bad_layer_size_or_seed(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        init_mlp(sizes)
+        init_mlp(**kwargs)
 
 
 DATA_COUNT_CASES = [
@@ -83,6 +92,7 @@ DATA_COUNT_CASES = [
     ({"n": 0}, "need n >= 1, got 0"),
     ({"n": 10, "features": 2.0}, "need an integer features, got 2.0"),
     ({"n": 10, "features": 0}, "need features >= 1, got 0"),
+    *(({"n": 10, **seed}, message) for seed, message in SEED_CASES),
 ]
 
 
